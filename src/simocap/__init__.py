@@ -51,6 +51,7 @@ from .rates import (
     awgn_reference,
     bound_ratio,
     bound_ratio_expansion,
+    convergence_point,
     convergence_study,
     empirical_rate,
     ergodic_mi,
@@ -71,6 +72,7 @@ from .specfun import (
     QuadratureSpec,
     exp_integral_e1,
     gamma_expectation,
+    gamma_expectation_batch,
     log_gamma,
     reg_gamma_q,
 )
@@ -107,6 +109,7 @@ __all__ = [
     "awgn_reference",
     "bound_ratio",
     "bound_ratio_expansion",
+    "convergence_point",
     "convergence_study",
     "empirical_rate",
     "ergodic_mi",
@@ -125,6 +128,7 @@ __all__ = [
     "QuadratureSpec",
     "exp_integral_e1",
     "gamma_expectation",
+    "gamma_expectation_batch",
     "log_gamma",
     "reg_gamma_q",
 ]

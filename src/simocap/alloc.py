@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ParallelChannel, SubchannelSpec, mean_gain
-from .specfun import DEFAULT_QUAD, NumericError, QuadratureSpec, gamma_expectation
+from .channel import ParallelChannel
+from .specfun import DEFAULT_QUAD, NumericError, QuadratureSpec, gamma_expectation_batch
 
 __all__ = [
     "PowerAllocation",
@@ -97,47 +97,63 @@ def equal_power(n: int, p_total: float) -> PowerAllocation:
     return PowerAllocation(powers=np.full(int(n), p_total / n), strategy_tag="equal")
 
 
-def _marginal_utility(sub: SubchannelSpec, p: float, n0: float, quad: QuadratureSpec) -> float:
-    # d/dp E[log(1 + p*g/n0)] = E[g / (n0 + p*g)]; at p = 0 this is mu/n0.
-    if p == 0.0:
-        return mean_gain(sub) / n0
-    return gamma_expectation(lambda g: g / (n0 + p * g), sub.shape, sub.theta, quad)
+def _powers_at(channel: ParallelChannel, lam: float, quad: QuadratureSpec) -> np.ndarray:
+    """Powers at which each subchannel's marginal utility equals lam (0 if never).
 
+    The marginal utility d/dp E[log(1 + p*g/n0)] = E[g / (n0 + p*g)] falls
+    strictly from mu/n0 at p = 0, so subchannels with mu/n0 <= lam stay off.
+    The rest run one safeguarded Newton/bisection iteration together; each
+    stops on its own tolerance and is left out of later evaluations.
+    """
+    n0 = channel.n0
+    powers = np.zeros(channel.n)
+    act = np.flatnonzero(channel.mean_gains / n0 > lam)
+    if act.size == 0:
+        return powers
+    subs = [channel.subchannels[i] for i in act]
+    shapes = np.array([sub.shape for sub in subs])
+    thetas = np.array([sub.theta for sub in subs])
 
-def _marginal_curvature(sub: SubchannelSpec, p: float, n0: float, quad: QuadratureSpec) -> float:
-    return -gamma_expectation(lambda g: (g / (n0 + p * g)) ** 2, sub.shape, sub.theta, quad)
+    def marginal(rows, p_rows, power=1):
+        # E[(g / (n0 + p*g))**power] on the active subchannels ``rows``
+        return gamma_expectation_batch(
+            lambda g, idx: (g / (n0 + p_rows[idx, None] * g)) ** power,
+            shapes[rows],
+            thetas[rows],
+            quad,
+        )
 
-
-def _solve_power_for_multiplier(
-    sub: SubchannelSpec, lam: float, n0: float, p_hint: float, quad: QuadratureSpec
-) -> float:
-    """Power at which the subchannel's marginal utility equals lam (0 if never)."""
-    if mean_gain(sub) / n0 <= lam:
-        return 0.0
-    hi = max(p_hint, 1.0)
+    hi = np.full(act.size, max(channel.p_total, 1.0))
+    pending = np.arange(act.size)
     for _ in range(_INNER_ITER_CAP):
-        if _marginal_utility(sub, hi, n0, quad) <= lam:
+        pending = pending[marginal(pending, hi[pending]) > lam]
+        if pending.size == 0:
             break
-        hi *= 2.0
+        hi[pending] *= 2.0
     else:
         raise NumericError("could not bracket the marginal-utility root")
-    lo = 0.0
+
+    lo = np.zeros(act.size)
     p = 0.5 * hi
+    live = np.arange(act.size)
     for _ in range(_INNER_ITER_CAP):
-        val = _marginal_utility(sub, p, n0, quad)
-        if abs(val - lam) <= 1e-13 * lam:
-            return p
-        if val > lam:
-            lo = p
-        else:
-            hi = p
-        if hi - lo <= 1e-13 * max(1.0, hi):
+        p_live = p[live]
+        val = marginal(live, p_live)
+        # a hit on the root collapses the bracket onto p
+        on_root = np.abs(val - lam) <= 1e-13 * lam
+        lo[live] = np.where(on_root | (val > lam), p_live, lo[live])
+        hi[live] = np.where(on_root | (val <= lam), p_live, hi[live])
+        wide = hi[live] - lo[live] > 1e-13 * np.maximum(1.0, hi[live])
+        live, val = live[wide], val[wide]
+        if live.size == 0:
             break
         # Newton step on the strictly decreasing marginal, bisection fallback
-        step = (val - lam) / _marginal_curvature(sub, p, n0, quad)
-        candidate = p - step
-        p = candidate if lo < candidate < hi else 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
+        lo_l, hi_l, p_l = lo[live], hi[live], p[live]
+        candidate = p_l + (val - lam) / marginal(live, p_l, power=2)
+        inside = (lo_l < candidate) & (candidate < hi_l)
+        p[live] = np.where(inside, candidate, 0.5 * (lo_l + hi_l))
+    powers[act] = 0.5 * (lo + hi)
+    return powers
 
 
 def optimal_allocation(
@@ -158,20 +174,12 @@ def optimal_allocation(
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
     quad = DEFAULT_QUAD if quad is None else quad
-    n0 = channel.n0
     p_total = channel.p_total
-    subs = channel.subchannels
-
-    def powers_at(lam: float) -> np.ndarray:
-        return np.array(
-            [_solve_power_for_multiplier(sub, lam, n0, p_total, quad) for sub in subs]
-        )
-
-    lam_hi = float(channel.mean_gains.max()) / n0  # total allocated power is 0 here
+    lam_hi = float(channel.mean_gains.max()) / channel.n0  # total allocated power is 0 here
     lam_lo = lam_hi
     for _ in range(_OUTER_ITER_CAP):
         lam_lo *= 0.5
-        if powers_at(lam_lo).sum() >= p_total:
+        if _powers_at(channel, lam_lo, quad).sum() >= p_total:
             break
     else:
         raise NumericError("could not bracket the water-level multiplier")
@@ -180,7 +188,7 @@ def optimal_allocation(
     residual = math.inf
     for _ in range(_OUTER_ITER_CAP):
         lam = 0.5 * (lam_lo + lam_hi)
-        powers = powers_at(lam)
+        powers = _powers_at(channel, lam, quad)
         total = powers.sum()
         residual = total - p_total
         if abs(residual) <= tol * p_total:

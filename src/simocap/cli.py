@@ -39,6 +39,7 @@ from .ingest import (
 from .channel import fit_gamma_moments
 from .rates import (
     LN2,
+    convergence_point,
     evaluate_bounds,
     resolve_strategy,
     snr_db_to_power,
@@ -236,11 +237,10 @@ def _bounds_task(task):
 def _mpe_task(task):
     cfg, L, snr_db = task
     ch = _profile_channel(cfg, int(L), snr_db)
-    alloc = resolve_strategy(ch, "statistical-waterfill")
-    report = evaluate_bounds(ch, alloc, snr_db, alpha=_parse_a_rule(cfg["a_rule"]))
-    if cfg["rate_units"] == "bits":
-        report = report.in_bits()
-    return (int(L), snr_db, report.c_upper, report.c_lower_exact, report.mpe_percent)
+    point = convergence_point(ch, "statistical-waterfill", int(L))
+    nats_per_unit = LN2 if cfg["rate_units"] == "bits" else 1.0
+    rates = (point.c_upper / nats_per_unit, point.c_lower_exact / nats_per_unit)
+    return (int(L), snr_db, *rates, point.mpe_percent)
 
 
 def _format_cell(value) -> str:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .alloc import PowerAllocation, equal_power, waterfill
 from .channel import GainMatrix, ParallelChannel, SubchannelSpec
-from .specfun import QuadratureSpec, gamma_expectation, reg_gamma_q
+from .specfun import QuadratureSpec, gamma_expectation, gamma_expectation_batch, reg_gamma_q
 
 __all__ = [
     "LN2",
@@ -45,6 +45,7 @@ __all__ = [
     "bound_ratio_expansion",
     "awgn_reference",
     "evaluate_bounds",
+    "convergence_point",
     "convergence_study",
     "resolve_strategy",
     "snr_db_to_power",
@@ -93,31 +94,41 @@ def jensen_upper(channel: ParallelChannel, alloc: PowerAllocation) -> float:
     return float(np.log1p(powers * channel.mean_gains / channel.n0).sum())
 
 
-def _markov_term(a: float, shape: float, theta: float, p: float, n0: float) -> float:
-    return a * reg_gamma_q(shape, (n0 / p) * math.expm1(a) / theta)
+def _markov_terms(a, shape, theta, p, n0: float) -> np.ndarray:
+    # a * Q(m*L, x) with x = (n0/p)(e^a - 1)/theta, elementwise
+    from scipy.special import gammaincc
+
+    return a * gammaincc(shape, (n0 / p) * np.expm1(a) / theta)
 
 
-def _max_markov_term(shape: float, theta: float, p: float, n0: float) -> float:
-    # Coarse log-grid scan followed by golden-section refinement.
+def _max_markov_terms(shape, theta, p, n0: float) -> np.ndarray:
+    # Per subchannel: a coarse log-grid scan over a, then golden-section
+    # refinement inside the bracket around the best grid point.  Every
+    # subchannel takes the same steps, so all of them advance together.
+    def term(a):
+        return _markov_terms(a, shape, theta, p, n0)
+
     grid = np.geomspace(1e-6, _A_MAX, 48)
-    values = [_markov_term(a, shape, theta, p, n0) for a in grid]
-    i = int(np.argmax(values))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
+    i = np.argmax(_markov_terms(grid, shape[:, None], theta[:, None], p[:, None], n0), axis=1)
+    lo = grid[np.maximum(i - 1, 0)]
+    hi = grid[np.minimum(i + 1, grid.size - 1)]
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
-    fc = _markov_term(c, shape, theta, p, n0)
-    fd = _markov_term(d, shape, theta, p, n0)
+    fc = term(c)
+    fd = term(d)
     for _ in range(60):
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = _markov_term(c, shape, theta, p, n0)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = _markov_term(d, shape, theta, p, n0)
-    return _markov_term(0.5 * (lo + hi), shape, theta, p, n0)
+        # fc >= fd: the maximum lies in [lo, d], c becomes the new d and a
+        # new c is placed; otherwise it lies in [c, hi], d becomes the new
+        # c and a new d is placed.
+        left = fc >= fd
+        hi = np.where(left, d, hi)
+        lo = np.where(left, lo, c)
+        step = _GOLDEN * (hi - lo)
+        new = np.where(left, hi - step, lo + step)
+        f_new = term(new)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
+    return term(0.5 * (lo + hi))
 
 
 def markov_lower(
@@ -143,22 +154,25 @@ def markov_lower(
         raise ValueError("alpha must lie strictly between 0 and 1")
 
     n0 = channel.n0
-    total = 0.0
-    for i, (sub, p) in enumerate(zip(channel.subchannels, powers)):
-        if p == 0.0:
-            continue
-        if a_values is not None:
-            a = float(a_values[i])
-            if a <= 0.0:
-                raise ValueError(f"a must be positive where power is positive (index {i})")
-            total += _markov_term(a, sub.shape, sub.theta, p, n0)
-        elif alpha is not None:
-            beta = p * sub.theta * sub.m / n0
-            a = math.log1p(alpha * beta * sub.L)
-            total += _markov_term(a, sub.shape, sub.theta, p, n0)
-        else:
-            total += _max_markov_term(sub.shape, sub.theta, p, n0)
-    return total
+    on = powers > 0.0
+    p = powers[on]
+    subs = [sub for sub, live in zip(channel.subchannels, on) if live]
+    theta = np.array([sub.theta for sub in subs])
+    shape = np.array([sub.shape for sub in subs])
+    if a_values is not None:
+        a = np.asarray(a_values, dtype=float)
+        bad = np.flatnonzero(on & (a <= 0.0))
+        if bad.size:
+            raise ValueError(f"a must be positive where power is positive (index {bad[0]})")
+        terms = _markov_terms(a[on], shape, theta, p, n0)
+    elif alpha is not None:
+        m = np.array([sub.m for sub in subs])
+        L = np.array([sub.L for sub in subs], dtype=float)
+        beta = p * theta * m / n0
+        terms = _markov_terms(np.log1p(alpha * beta * L), shape, theta, p, n0)
+    else:
+        terms = _max_markov_terms(shape, theta, p, n0)
+    return float(terms.sum())
 
 
 def exact_rate(
@@ -166,10 +180,16 @@ def exact_rate(
 ) -> float:
     """Ergodic sum rate sum_n E[log(1 + p_n*g_n/n0)] of the allocation."""
     powers = _alloc_powers(channel, alloc)
-    return sum(
-        ergodic_mi(sub, float(p), channel.n0, quad)
-        for sub, p in zip(channel.subchannels, powers)
+    on = powers > 0.0
+    c = powers[on] / channel.n0
+    subs = [sub for sub, live in zip(channel.subchannels, on) if live]
+    rates = gamma_expectation_batch(
+        lambda g, rows: np.log1p(c[rows, None] * g),
+        [sub.shape for sub in subs],
+        [sub.theta for sub in subs],
+        quad,
     )
+    return float(rates.sum())
 
 
 def empirical_rate(gains: GainMatrix, alloc: PowerAllocation, n0: float) -> float:
@@ -340,13 +360,15 @@ def evaluate_bounds(
     The upper bound is always the Jensen bound at the statistical-
     waterfilling allocation (the bound on capacity itself); the lower
     bounds are evaluated at the given allocation, so the MPE certifies how
-    far that allocation can be from optimal.
+    far that allocation can be from optimal.  The upper bound doubles as
+    the AWGN reference (see ``awgn_reference``), so ``normalized_upper``
+    is 1.
     """
     swf = waterfill(channel.mean_gains, channel.n0, channel.p_total)
     c_upper = jensen_upper(channel, swf)
     c_lower_exact = exact_rate(channel, alloc, quad)
     c_lower_markov = markov_lower(channel, alloc, a_values=a_values, alpha=alpha)
-    c_awgn = awgn_reference(channel)
+    c_awgn = c_upper  # the same waterfill and Jensen sum as awgn_reference
     return BoundsReport(
         snr_db=snr_db,
         strategy_tag=alloc.strategy_tag,
@@ -374,6 +396,24 @@ class ConvergenceStudy:
     slope: float
 
 
+def convergence_point(
+    channel: ParallelChannel,
+    strategy: str | Callable[[ParallelChannel], PowerAllocation],
+    L: int,
+    quad: QuadratureSpec | None = None,
+) -> ConvergencePoint:
+    """The bound gap of one channel at diversity order L.
+
+    The upper bound is the Jensen bound at statistical waterfilling and
+    the lower bound is the exact rate of the requested strategy.
+    """
+    swf = waterfill(channel.mean_gains, channel.n0, channel.p_total)
+    alloc = swf if strategy == "statistical-waterfill" else resolve_strategy(channel, strategy)
+    c_upper = jensen_upper(channel, swf)
+    c_lower = exact_rate(channel, alloc, quad)
+    return ConvergencePoint(int(L), c_upper, c_lower, mpe(c_upper, c_lower))
+
+
 def convergence_study(
     profile: Callable[[int], ParallelChannel],
     strategy: str | Callable[[ParallelChannel], PowerAllocation],
@@ -399,11 +439,7 @@ def convergence_study(
     for L in ls:
         ch = profile(int(L))
         ch = ch.with_power(snr_db_to_power(ch.n, ch.n0, snr_db))
-        swf = waterfill(ch.mean_gains, ch.n0, ch.p_total)
-        alloc = resolve_strategy(ch, strategy)
-        c_upper = jensen_upper(ch, swf)
-        c_lower = exact_rate(ch, alloc, quad)
-        points.append(ConvergencePoint(int(L), c_upper, c_lower, mpe(c_upper, c_lower)))
+        points.append(convergence_point(ch, strategy, int(L), quad))
 
     slope = float(
         np.polyfit(

@@ -11,7 +11,10 @@ reduces to three scalar ingredients plus one integral operator:
 * ``gamma_expectation`` -- E[f(g)] for g ~ Gamma(shape, scale), evaluated
   by generalized Gauss-Laguerre quadrature matched to the gamma weight.
 
-All functions are pure and re-entrant.
+``gamma_expectation_batch`` evaluates the same operator for many
+(shape, scale) pairs at once.  All functions are pure and re-entrant.
+scipy is imported on first use, so importing this module, and with it
+the CSV paths of the package, loads numpy only.
 """
 
 import math
@@ -19,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "NumericError",
@@ -29,6 +31,7 @@ __all__ = [
     "reg_gamma_q",
     "exp_integral_e1",
     "gamma_expectation",
+    "gamma_expectation_batch",
 ]
 
 _EULER_GAMMA = 0.5772156649015329
@@ -58,99 +61,17 @@ def reg_gamma_q(a: float, x: float) -> float:
     """Regularized upper incomplete gamma function Q(a, x) in [0, 1].
 
     Q(a, x) = Gamma(a, x) / Gamma(a) is the probability that a gamma
-    variate with shape ``a`` and unit scale exceeds ``x``.  A power series
-    is used for x < a + 1 and a continued fraction otherwise; the common
-    prefactor exp(a*log(x) - x - lgamma(a)) is assembled in log space, so
-    large shapes (a up to 1e5 and beyond) neither overflow nor lose the
-    tail.  Harmless underflow of the prefactor yields the correct limit
-    (0 or 1) to double precision.
+    variate with shape ``a`` and unit scale exceeds ``x``.  Evaluated by
+    ``scipy.special.gammaincc``, whose uniform asymptotic expansion keeps
+    large shapes (a up to 1e5 and beyond) accurate.
     """
+    from scipy.special import gammaincc
+
     a = _as_positive("a", a)
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"x must be nonnegative and finite, got {x!r}")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _lower_series(a, x)
-    return _upper_continued_fraction(a, x)
-
-
-def _stirling_correction(a: float) -> float:
-    # lgamma(a) - [(a - 0.5)*log(a) - a + 0.5*log(2*pi)], for a >= 16
-    inv = 1.0 / a
-    inv2 = inv * inv
-    return inv * (
-        1.0 / 12.0 + inv2 * (-1.0 / 360.0 + inv2 * (1.0 / 1260.0 - inv2 / 1680.0))
-    )
-
-
-def _log1pmx(t: float) -> float:
-    # log(1 + t) - t without cancellation near t = 0
-    if abs(t) > 0.5:
-        return math.log1p(t) - t
-    power = t
-    total = 0.0
-    for k in range(2, 200):
-        power *= -t
-        total += power / k
-        if abs(power) < 1e-18 * max(abs(total), _FPMIN):
-            break
-    return total
-
-
-def _log_prefactor(a: float, x: float) -> float:
-    """log of x^a * exp(-x) / Gamma(a).
-
-    For large shapes the naive a*log(x) - x - lgamma(a) cancels O(a log a)
-    terms down to an O(log a) result, losing ~a*1e-16 of absolute accuracy;
-    regrouping through Stirling's expansion keeps every intermediate the
-    size of the answer.
-    """
-    if a < 16.0:
-        return a * math.log(x) - x - math.lgamma(a)
-    t = x / a - 1.0
-    return 0.5 * math.log(a / (2.0 * math.pi)) - _stirling_correction(a) + a * _log1pmx(t)
-
-
-def _lower_series(a: float, x: float) -> float:
-    # P(a, x) by the ascending series; every term ratio x/(a+k) < 1 here,
-    # so the partial sums stay bounded.
-    term = 1.0 / a
-    total = term
-    k = a
-    for _ in range(_MAX_ITER):
-        k += 1.0
-        term *= x / k
-        total += term
-        if term < total * _CONV_EPS:
-            break
-    else:
-        raise NumericError(f"incomplete gamma series stalled (a={a}, x={x})")
-    return math.exp(_log_prefactor(a, x)) * total
-
-
-def _upper_continued_fraction(a: float, x: float) -> float:
-    # Lentz evaluation of the continued fraction for Q(a, x), x >= a + 1.
-    b = x + 1.0 - a
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CONV_EPS:
-            return math.exp(_log_prefactor(a, x)) * h
-    raise NumericError(f"incomplete gamma continued fraction stalled (a={a}, x={x})")
+    return float(gammaincc(a, x))
 
 
 def exp_integral_e1(x: float) -> float:
@@ -219,6 +140,8 @@ def _gamma_rule(shape: float, n: int):
     normalized to sum to one (the zeroth moment cancels), which keeps the
     construction overflow-free for arbitrarily large shapes.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     alpha = shape - 1.0
     idx = np.arange(n, dtype=float)
     diag = 2.0 * idx + alpha + 1.0
@@ -254,32 +177,60 @@ def _eval_integrand(f, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quad_estimate(f, shape: float, scale: float, n: int) -> float:
-    nodes, weights = _gamma_rule(shape, int(n))
-    values = _eval_integrand(f, scale * nodes)
-    live = weights > 0.0
-    if not np.all(np.isfinite(values[live])):
-        raise NumericError("integrand produced non-finite values at quadrature nodes")
-    return float(np.dot(weights[live], values[live]))
-
-
 def gamma_expectation(f, shape: float, scale: float, quad: QuadratureSpec | None = None) -> float:
     """E[f(g)] for g ~ Gamma(shape, scale).
 
     ``f`` should accept a 1-D numpy array of nonnegative gains; a plain
     scalar function is mapped elementwise as a fallback.
     """
-    quad = DEFAULT_QUAD if quad is None else quad
     shape = _as_positive("shape", shape)
     scale = _as_positive("scale", scale)
-    if quad.method == "fixed":
-        return _quad_estimate(f, shape, scale, quad.node_count)
-    n = int(quad.node_count)
-    prev = _quad_estimate(f, shape, scale, n)
-    while n < _MAX_NODES:
-        n *= 2
-        cur = _quad_estimate(f, shape, scale, n)
-        if abs(cur - prev) <= quad.rel_tol * max(abs(cur), abs(prev), _FPMIN):
-            return cur
-        prev = cur
-    return prev
+    values = gamma_expectation_batch(
+        lambda g, rows: _eval_integrand(f, g[0])[None, :], [shape], [scale], quad
+    )
+    return float(values[0])
+
+
+def _quad_estimates(f, shape: float, scales: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    nodes, weights = _gamma_rule(shape, n)
+    live = weights > 0.0
+    values = f(scales[rows, None] * nodes, rows)[:, live]
+    if not np.all(np.isfinite(values)):
+        raise NumericError("integrand produced non-finite values at quadrature nodes")
+    return values @ weights[live]
+
+
+def gamma_expectation_batch(f, shapes, scales, quad: QuadratureSpec | None = None) -> np.ndarray:
+    """E[f(g_i)] for g_i ~ Gamma(shapes[i], scales[i]), for every i at once.
+
+    ``f(g, rows)`` gets the gains at the quadrature nodes as a
+    ``(len(rows), nodes)`` array and returns its values in the same shape;
+    ``rows`` indexes the entries evaluated, to gather per-entry parameters.
+    Entries with equal shapes share one rule.  Each entry applies the
+    ``quad`` stopping rule on its own, and only entries not yet converged
+    are evaluated again at the next, doubled node count.
+    """
+    quad = DEFAULT_QUAD if quad is None else quad
+    shapes = np.asarray(shapes, dtype=float)
+    scales = np.asarray(scales, dtype=float)
+    if shapes.ndim != 1 or shapes.shape != scales.shape:
+        raise ValueError("shapes and scales must be 1-D vectors of equal length")
+    if not np.all((shapes > 0.0) & (shapes < math.inf) & (scales > 0.0) & (scales < math.inf)):
+        raise ValueError("shapes and scales must be positive and finite")
+    out = np.empty(shapes.size)
+    for shape in dict.fromkeys(shapes.tolist()):
+        rows = np.flatnonzero(shapes == shape)
+        n = int(quad.node_count)
+        prev = _quad_estimates(f, shape, scales, rows, n)
+        if quad.method == "adaptive":
+            while n < _MAX_NODES:
+                n *= 2
+                cur = _quad_estimates(f, shape, scales, rows, n)
+                size = np.maximum(np.maximum(np.abs(cur), np.abs(prev)), _FPMIN)
+                done = np.abs(cur - prev) <= quad.rel_tol * size
+                out[rows[done]] = cur[done]
+                rows, prev = rows[~done], cur[~done]
+                if rows.size == 0:
+                    break
+        out[rows] = prev
+    return out

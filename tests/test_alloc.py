@@ -6,6 +6,7 @@ import pytest
 from simocap.alloc import PowerAllocation, equal_power, optimal_allocation, waterfill
 from simocap.channel import ParallelChannel, SubchannelSpec
 from simocap.rates import exact_rate, jensen_upper
+from simocap.specfun import gamma_expectation
 
 
 def test_waterfill_single_channel():
@@ -162,3 +163,30 @@ def test_optimal_allocation_objective_beats_waterfilling_jensen_gap():
     swf = waterfill(ch.mean_gains, ch.n0, ch.p_total)
     assert exact_rate(ch, opt) >= exact_rate(ch, swf) - 1e-9
     assert jensen_upper(ch, swf) >= jensen_upper(ch, opt) - 1e-12
+
+
+def test_optimal_allocation_meets_kkt_on_mixed_shapes():
+    # Shapes m*L from {0.5, 1, 2} x {1, 3, 8}, mean gains over two decades,
+    # so that about half of the subchannels are shut off.  At the optimum
+    # the active marginal utilities E[g/(n0 + p*g)] share one value; the
+    # solver's budget tolerance (1e-8 * p_total) bounds their spread to
+    # 1e-8 relative.  Every inactive subchannel's marginal at p = 0, mu/n0,
+    # is at most that value.
+    ms, ls = (0.5, 1.0, 2.0), (1, 3, 8)
+    subs = []
+    for i, mu in enumerate(np.geomspace(0.02, 3.0, 16)):
+        m, L = ms[i % 3], ls[(i // 3) % 3]
+        subs.append(SubchannelSpec(theta=mu / (m * L), m=m, L=L))
+    ch = ParallelChannel(subs, n0=1.0, p_total=16.0)
+    powers = optimal_allocation(ch).powers
+    active = powers > 0.0
+    assert 2 <= active.sum() < ch.n
+    marginals = np.array(
+        [
+            gamma_expectation(lambda g, p=p: g / (ch.n0 + p * g), sub.shape, sub.theta)
+            for sub, p in zip(subs, powers)
+        ]
+    )
+    common = marginals[active].mean()
+    assert np.all(np.abs(marginals[active] - common) <= 1e-8 * common)
+    assert np.all(ch.mean_gains[~active] / ch.n0 <= common)

@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import simocap
 from simocap import cli
 from simocap.specfun import NumericError
 
@@ -228,6 +233,33 @@ def test_gen_then_ingest_round_trip(tmp_path):
     means = np.array([b["mean_gain"] for b in doc["bins"]])
     assert np.all(means > 0)
     assert all(b["fit_shape"] is not None for b in doc["bins"])
+
+
+def test_import_and_csv_paths_do_not_load_scipy(tmp_path):
+    # scipy is imported only by the special functions, on first use, so a
+    # fresh interpreter that imports the CLI and runs gen-synthetic and
+    # ingest never loads it.
+    chan = str(tmp_path / "chan.csv")
+    stats = str(tmp_path / "stats.json")
+    script = "\n".join(
+        [
+            "import sys",
+            "import simocap.cli as cli",
+            "gen = ['gen-synthetic', '--n-bins', '4', '--l-values', '2', '--n-snapshots', '30']",
+            f"assert cli.main(gen + ['--output', {chan!r}]) == 0",
+            f"assert cli.main(['ingest', '--input', {chan!r}, '--output', {stats!r}]) == 0",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ]
+    )
+    src = str(Path(simocap.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    assert len(json.loads(Path(stats).read_text())["bins"]) == 4
 
 
 def test_ingest_band_filter_and_branch_subset(tmp_path):

@@ -147,6 +147,49 @@ def test_markov_lower_skips_zero_power_subchannels():
     assert math.isclose(with_zero, math.log(2.0) * math.exp(-1.0), rel_tol=1e-12)
 
 
+def _mixed_channel_12():
+    # every (m, L) pair of {0.5, 1, 2} x {1, 3, 8}, three of them twice;
+    # equal power except one unpowered subchannel
+    ms, ls = (0.5, 1.0, 2.0), (1, 3, 8)
+    subs = [
+        SubchannelSpec(theta=theta, m=ms[i % 3], L=ls[(i // 3) % 3])
+        for i, theta in enumerate(np.geomspace(0.05, 3.0, 12))
+    ]
+    powers = np.full(12, 0.5)
+    powers[4] = 0.0
+    return ParallelChannel(subs, n0=1.0, p_total=powers.sum()), PowerAllocation(powers)
+
+
+def test_markov_lower_mixed_channel_is_sum_of_single_subchannels():
+    ch, alloc = _mixed_channel_12()
+    a_values = np.linspace(0.2, 2.0, 12)
+    a_values[4] = -1.0  # ignored on the unpowered subchannel
+    for rule in ({}, {"alpha": 0.5}, {"a_values": a_values}):
+        parts = []
+        for i, (sub, p) in enumerate(zip(ch.subchannels, alloc.powers)):
+            single = ParallelChannel([sub], n0=ch.n0, p_total=1.0)
+            one = {"a_values": [a_values[i]]} if "a_values" in rule else rule
+            parts.append(markov_lower(single, PowerAllocation(np.array([p])), **one))
+        assert parts[4] == 0.0
+        assert math.isclose(markov_lower(ch, alloc, **rule), math.fsum(parts), rel_tol=1e-14)
+
+
+def test_markov_lower_max_rule_beats_a_fine_grid():
+    # The maximised term must be at least the term at every point of a
+    # grid 40x finer than the one the maximisation starts from; the slack
+    # is a few ulps of rounding in Q.
+    ch, alloc = _mixed_channel_12()
+    grid = np.geomspace(1e-6, 50.0, 2000)
+    for sub, p in zip(ch.subchannels, alloc.powers):
+        if p == 0.0:
+            continue
+        single = ParallelChannel([sub], n0=ch.n0, p_total=1.0)
+        best = markov_lower(single, PowerAllocation(np.array([p])))
+        for a in grid:
+            term = a * reg_gamma_q(sub.shape, (ch.n0 / p) * math.expm1(a) / sub.theta)
+            assert best >= term * (1.0 - 4e-16), (sub, a)
+
+
 def test_exact_rate_additivity_and_jensen_domination():
     sub = SubchannelSpec(theta=1.0, m=1.0, L=1)
     ch = ParallelChannel([sub, sub], n0=1.0, p_total=2.0)
