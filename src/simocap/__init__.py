@@ -67,9 +67,7 @@ from .rates import (
     snr_db_to_power,
 )
 from .specfun import (
-    DEFAULT_QUAD,
     NumericError,
-    QuadratureSpec,
     exp_integral_e1,
     gamma_expectation,
     gamma_expectation_batch,
@@ -123,9 +121,7 @@ __all__ = [
     "ratio_log_term",
     "resolve_strategy",
     "snr_db_to_power",
-    "DEFAULT_QUAD",
     "NumericError",
-    "QuadratureSpec",
     "exp_integral_e1",
     "gamma_expectation",
     "gamma_expectation_batch",

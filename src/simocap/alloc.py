@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ParallelChannel
-from .specfun import DEFAULT_QUAD, NumericError, QuadratureSpec, gamma_expectation_batch
+from .specfun import NumericError, gamma_expectation_batch
 
 __all__ = [
     "PowerAllocation",
@@ -24,6 +24,7 @@ __all__ = [
 
 _OUTER_ITER_CAP = 200
 _INNER_ITER_CAP = 100
+_BUDGET_REL_TOL = 1e-8  # the multiplier search stops within this share of p_total
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +98,7 @@ def equal_power(n: int, p_total: float) -> PowerAllocation:
     return PowerAllocation(powers=np.full(int(n), p_total / n), strategy_tag="equal")
 
 
-def _powers_at(channel: ParallelChannel, lam: float, quad: QuadratureSpec) -> np.ndarray:
+def _powers_at(channel: ParallelChannel, lam: float) -> np.ndarray:
     """Powers at which each subchannel's marginal utility equals lam (0 if never).
 
     The marginal utility d/dp E[log(1 + p*g/n0)] = E[g / (n0 + p*g)] falls
@@ -120,7 +121,6 @@ def _powers_at(channel: ParallelChannel, lam: float, quad: QuadratureSpec) -> np
             lambda g, idx: (g / (n0 + p_rows[idx, None] * g)) ** power,
             shapes[rows],
             thetas[rows],
-            quad,
         )
 
     hi = np.full(act.size, max(channel.p_total, 1.0))
@@ -156,11 +156,7 @@ def _powers_at(channel: ParallelChannel, lam: float, quad: QuadratureSpec) -> np
     return powers
 
 
-def optimal_allocation(
-    channel: ParallelChannel,
-    tol: float = 1e-8,
-    quad: QuadratureSpec | None = None,
-) -> PowerAllocation:
+def optimal_allocation(channel: ParallelChannel) -> PowerAllocation:
     """Exact maximizer of the ergodic sum rate over the power simplex.
 
     The objective sum_n E[log(1 + p_n*g_n/n0)] is strictly concave, so the
@@ -168,18 +164,15 @@ def optimal_allocation(
     utilities E[g/(n0 + p*g)]: subchannels with mu_n/n0 <= lam are shut
     off, the rest solve their marginal equation.  lam is found by outer
     bisection; the search stops once the allocated total is within
-    tol * p_total of the budget, and powers are then rescaled to sum to
+    1e-8 * p_total of the budget, and powers are then rescaled to sum to
     the budget exactly.
     """
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive")
-    quad = DEFAULT_QUAD if quad is None else quad
     p_total = channel.p_total
     lam_hi = float(channel.mean_gains.max()) / channel.n0  # total allocated power is 0 here
     lam_lo = lam_hi
     for _ in range(_OUTER_ITER_CAP):
         lam_lo *= 0.5
-        if _powers_at(channel, lam_lo, quad).sum() >= p_total:
+        if _powers_at(channel, lam_lo).sum() >= p_total:
             break
     else:
         raise NumericError("could not bracket the water-level multiplier")
@@ -188,10 +181,10 @@ def optimal_allocation(
     residual = math.inf
     for _ in range(_OUTER_ITER_CAP):
         lam = 0.5 * (lam_lo + lam_hi)
-        powers = _powers_at(channel, lam, quad)
+        powers = _powers_at(channel, lam)
         total = powers.sum()
         residual = total - p_total
-        if abs(residual) <= tol * p_total:
+        if abs(residual) <= _BUDGET_REL_TOL * p_total:
             break
         if total > p_total:
             lam_lo = lam

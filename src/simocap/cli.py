@@ -39,7 +39,7 @@ from .ingest import (
 from .channel import fit_gamma_moments
 from .rates import (
     LN2,
-    convergence_point,
+    convergence_study,
     evaluate_bounds,
     resolve_strategy,
     snr_db_to_power,
@@ -137,21 +137,43 @@ def _parse_int_list(text: str) -> list:
     return [int(part) for part in text.split(",") if part != ""]
 
 
-_CONFIG_PARSERS = {
-    "f_lo_hz": float,
-    "f_hi_hz": float,
-    "n_bins": int,
-    "decay_exponent": float,
-    "m": float,
-    "l_values": _parse_int_list,
-    "snr_db_values": _parse_float_list,
-    "n_snapshots": int,
-    "seed": int,
-    "strategies": lambda text: [s for s in text.split(",") if s],
-    "a_rule": str,
-    "rate_units": str,
-    "output_path": str,
+# field -> (type of the value or of each list element, whether it is a list)
+_CONFIG_FIELDS = {
+    "f_lo_hz": (float, False),
+    "f_hi_hz": (float, False),
+    "n_bins": (int, False),
+    "decay_exponent": (float, False),
+    "m": (float, False),
+    "l_values": (int, True),
+    "snr_db_values": (float, True),
+    "n_snapshots": (int, False),
+    "seed": (int, False),
+    "strategies": (str, True),
+    "a_rule": (str, False),
+    "rate_units": (str, False),
+    "output_path": (str, False),
 }
+_TYPE_NAMES = {float: "number", int: "integer", str: "string"}
+
+
+def _is_json_value(typ, value) -> bool:
+    # JSON numbers arrive as int or float; an integral float is an integer
+    if typ is str:
+        return isinstance(value, str)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return typ is float or float(value).is_integer()
+
+
+def _check_config_field(key: str, value) -> None:
+    typ, is_list = _CONFIG_FIELDS[key]
+    if is_list:
+        ok = isinstance(value, list) and all(_is_json_value(typ, v) for v in value)
+    else:
+        ok = _is_json_value(typ, value)
+    if not ok:
+        kind = f"a list of {_TYPE_NAMES[typ]}s" if is_list else f"a {_TYPE_NAMES[typ]}"
+        raise ValueError(f"config field {key!r} must be {kind}, got {value!r}")
 
 
 def _load_config(args: argparse.Namespace, overrides: dict | None = None) -> ExperimentConfig:
@@ -167,13 +189,17 @@ def _load_config(args: argparse.Namespace, overrides: dict | None = None) -> Exp
         if not isinstance(document, dict):
             raise ValueError("config document must be a JSON object")
         for key, value in document.items():
-            if key not in _CONFIG_PARSERS:
+            if key not in _CONFIG_FIELDS:
                 raise ValueError(f"unknown config field {key!r}")
+            _check_config_field(key, value)
             setattr(cfg, key, value)
-    for key, parse in _CONFIG_PARSERS.items():
+    for key, (typ, is_list) in _CONFIG_FIELDS.items():
         flag_value = getattr(args, key, None)
         if flag_value is not None:
-            setattr(cfg, key, parse(flag_value) if isinstance(flag_value, str) else flag_value)
+            # argparse converts the scalar flags; list flags are comma-separated
+            if is_list:
+                flag_value = [typ(part) for part in flag_value.split(",") if part]
+            setattr(cfg, key, flag_value)
     cfg.validate()
     return cfg
 
@@ -235,12 +261,19 @@ def _bounds_task(task):
 
 
 def _mpe_task(task):
-    cfg, L, snr_db = task
-    ch = _profile_channel(cfg, int(L), snr_db)
-    point = convergence_point(ch, "statistical-waterfill", int(L))
+    cfg, snr_db = task
+    study = convergence_study(
+        lambda L: _profile_channel(cfg, L, snr_db),
+        "statistical-waterfill",
+        cfg["l_values"],
+        snr_db,
+    )
     nats_per_unit = LN2 if cfg["rate_units"] == "bits" else 1.0
-    rates = (point.c_upper / nats_per_unit, point.c_lower_exact / nats_per_unit)
-    return (int(L), snr_db, *rates, point.mpe_percent)
+    rows = [
+        (p.L, snr_db, p.c_upper / nats_per_unit, p.c_lower_exact / nats_per_unit, p.mpe_percent)
+        for p in study.points
+    ]
+    return rows, study.slope
 
 
 def _format_cell(value) -> str:
@@ -316,18 +349,11 @@ def cmd_mpe_study(args) -> int:
     )
     if not cfg.output_path:
         raise ValueError("an output path is required (--output)")
-    if len(cfg.l_values) < 2:
-        raise ValueError("mpe-study needs at least 2 diversity orders in l_values")
     cfg_dict = asdict(cfg)
-    tasks = [(cfg_dict, int(L), float(snr)) for L in cfg.l_values for snr in cfg.snr_db_values]
-    rows = _map_tasks(_mpe_task, tasks)
-    rows.sort(key=lambda row: (row[0], row[1]))
-
-    slopes = {}
-    for snr in cfg.snr_db_values:
-        pts = [(L, mpe_pct) for (L, s, _, _, mpe_pct) in rows if s == float(snr)]
-        slope = np.polyfit(np.log([p[0] for p in pts]), np.log([p[1] for p in pts]), 1)[0]
-        slopes[repr(float(snr))] = float(slope)
+    snrs = [float(snr) for snr in cfg.snr_db_values]
+    studies = _map_tasks(_mpe_task, [(cfg_dict, snr) for snr in snrs])
+    rows = sorted((row for study_rows, _ in studies for row in study_rows), key=lambda row: row[:2])
+    slopes = {repr(snr): slope for snr, (_, slope) in zip(snrs, studies)}
 
     _write_csv(cfg.output_path, MPE_COLUMNS, rows)
     _write_sidecar(cfg.output_path, "mpe-study", cfg, extra={"mpe_slope_by_snr_db": slopes})

@@ -23,7 +23,7 @@ import numpy as np
 
 from .alloc import PowerAllocation, equal_power, waterfill
 from .channel import GainMatrix, ParallelChannel, SubchannelSpec
-from .specfun import QuadratureSpec, gamma_expectation, gamma_expectation_batch, reg_gamma_q
+from .specfun import gamma_expectation, gamma_expectation_batch, reg_gamma_q
 
 __all__ = [
     "LN2",
@@ -68,16 +68,14 @@ def pointwise_mi(gain: float, p: float, n0: float) -> float:
     return math.log1p(p * gain / n0)
 
 
-def ergodic_mi(
-    spec: SubchannelSpec, p: float, n0: float, quad: QuadratureSpec | None = None
-) -> float:
+def ergodic_mi(spec: SubchannelSpec, p: float, n0: float) -> float:
     """E[log(1 + p*g/n0)] for g ~ Gamma(m*L, theta)."""
     if p < 0.0 or n0 <= 0.0:
         raise ValueError("need p >= 0 and n0 > 0")
     if p == 0.0:
         return 0.0
     c = p / n0
-    return gamma_expectation(lambda g: np.log1p(c * g), spec.shape, spec.theta, quad)
+    return gamma_expectation(lambda g: np.log1p(c * g), spec.shape, spec.theta)
 
 
 def _alloc_powers(channel: ParallelChannel, alloc: PowerAllocation) -> np.ndarray:
@@ -175,9 +173,7 @@ def markov_lower(
     return float(terms.sum())
 
 
-def exact_rate(
-    channel: ParallelChannel, alloc: PowerAllocation, quad: QuadratureSpec | None = None
-) -> float:
+def exact_rate(channel: ParallelChannel, alloc: PowerAllocation) -> float:
     """Ergodic sum rate sum_n E[log(1 + p_n*g_n/n0)] of the allocation."""
     powers = _alloc_powers(channel, alloc)
     on = powers > 0.0
@@ -187,7 +183,6 @@ def exact_rate(
         lambda g, rows: np.log1p(c[rows, None] * g),
         [sub.shape for sub in subs],
         [sub.theta for sub in subs],
-        quad,
     )
     return float(rates.sum())
 
@@ -351,9 +346,7 @@ def evaluate_bounds(
     channel: ParallelChannel,
     alloc: PowerAllocation,
     snr_db: float,
-    a_values: Sequence[float] | None = None,
     alpha: float | None = None,
-    quad: QuadratureSpec | None = None,
 ) -> BoundsReport:
     """Full bound report for one allocation on one channel.
 
@@ -366,8 +359,8 @@ def evaluate_bounds(
     """
     swf = waterfill(channel.mean_gains, channel.n0, channel.p_total)
     c_upper = jensen_upper(channel, swf)
-    c_lower_exact = exact_rate(channel, alloc, quad)
-    c_lower_markov = markov_lower(channel, alloc, a_values=a_values, alpha=alpha)
+    c_lower_exact = exact_rate(channel, alloc)
+    c_lower_markov = markov_lower(channel, alloc, alpha=alpha)
     c_awgn = c_upper  # the same waterfill and Jensen sum as awgn_reference
     return BoundsReport(
         snr_db=snr_db,
@@ -400,7 +393,6 @@ def convergence_point(
     channel: ParallelChannel,
     strategy: str | Callable[[ParallelChannel], PowerAllocation],
     L: int,
-    quad: QuadratureSpec | None = None,
 ) -> ConvergencePoint:
     """The bound gap of one channel at diversity order L.
 
@@ -410,7 +402,7 @@ def convergence_point(
     swf = waterfill(channel.mean_gains, channel.n0, channel.p_total)
     alloc = swf if strategy == "statistical-waterfill" else resolve_strategy(channel, strategy)
     c_upper = jensen_upper(channel, swf)
-    c_lower = exact_rate(channel, alloc, quad)
+    c_lower = exact_rate(channel, alloc)
     return ConvergencePoint(int(L), c_upper, c_lower, mpe(c_upper, c_lower))
 
 
@@ -419,7 +411,6 @@ def convergence_study(
     strategy: str | Callable[[ParallelChannel], PowerAllocation],
     l_list: Sequence[int],
     snr_db: float,
-    quad: QuadratureSpec | None = None,
 ) -> ConvergenceStudy:
     """Bound gap versus diversity order, with a fitted log-log MPE slope.
 
@@ -439,7 +430,7 @@ def convergence_study(
     for L in ls:
         ch = profile(int(L))
         ch = ch.with_power(snr_db_to_power(ch.n, ch.n0, snr_db))
-        points.append(convergence_point(ch, strategy, int(L), quad))
+        points.append(convergence_point(ch, strategy, int(L)))
 
     slope = float(
         np.polyfit(

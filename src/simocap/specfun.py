@@ -18,15 +18,12 @@ the CSV paths of the package, loads numpy only.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "NumericError",
-    "QuadratureSpec",
-    "DEFAULT_QUAD",
     "log_gamma",
     "reg_gamma_q",
     "exp_integral_e1",
@@ -34,10 +31,12 @@ __all__ = [
     "gamma_expectation_batch",
 ]
 
-_EULER_GAMMA = 0.5772156649015329
-_CONV_EPS = 1e-15
 _FPMIN = 1e-300
-_MAX_ITER = 1_000_000
+# gamma_expectation_batch starts at _START_NODES nodes and doubles until two
+# successive estimates agree to _REL_TOL, or until _MAX_NODES nodes, after
+# which the last estimate is returned
+_START_NODES = 128
+_REL_TOL = 1e-9
 _MAX_NODES = 8192
 
 
@@ -75,60 +74,13 @@ def reg_gamma_q(a: float, x: float) -> float:
 
 
 def exp_integral_e1(x: float) -> float:
-    """Exponential integral E1(x) = integral of exp(-t)/t from x to infinity."""
-    x = _as_positive("x", x)
-    if x <= 1.0:
-        # ascending series: -gamma - ln x + sum_k (-1)^(k+1) x^k / (k * k!)
-        total = -_EULER_GAMMA - math.log(x)
-        term = 1.0
-        for k in range(1, 10_000):
-            term *= -x / k
-            contrib = -term / k
-            total += contrib
-            if abs(contrib) < abs(total) * _CONV_EPS + _FPMIN:
-                return total
-        raise NumericError(f"E1 series stalled (x={x})")
-    # Lentz evaluation of E1(x) = exp(-x) / (x + 1 - 1/(x + 3 - 4/(x + 5 - ...)))
-    b = x + 1.0
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -float(i * i)
-        b += 2.0
-        d = 1.0 / (an * d + b)
-        c = b + an / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < _CONV_EPS:
-            return h * math.exp(-x)
-    raise NumericError(f"E1 continued fraction stalled (x={x})")
+    """Exponential integral E1(x) = integral of exp(-t)/t from x to infinity, x > 0.
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """How to evaluate expectations against a gamma density.
-
-    ``adaptive`` starts at ``node_count`` nodes and doubles until two
-    successive estimates agree to ``rel_tol`` (capped at 8192 nodes, after
-    which the last estimate is returned); ``fixed`` evaluates a single
-    rule with exactly ``node_count`` nodes.
+    Evaluated by ``scipy.special.exp1``.
     """
+    from scipy.special import exp1
 
-    method: str = "adaptive"
-    node_count: int = 128
-    rel_tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.method not in ("adaptive", "fixed"):
-            raise ValueError(f"unknown quadrature method {self.method!r}")
-        if int(self.node_count) != self.node_count or self.node_count < 2:
-            raise ValueError("node_count must be an integer >= 2")
-        if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
-            raise ValueError("rel_tol must be positive and finite")
-
-
-DEFAULT_QUAD = QuadratureSpec()
+    return float(exp1(_as_positive("x", x)))
 
 
 @lru_cache(maxsize=64)
@@ -168,25 +120,20 @@ def _gamma_rule(shape: float, n: int):
 
 
 def _eval_integrand(f, x: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(f(x), dtype=float)
-    except (TypeError, ValueError):
-        out = np.array([float(f(v)) for v in x])
-    if out.shape != x.shape:
-        out = np.broadcast_to(out, x.shape)
-    return out
+    # a constant integrand returns a scalar; spread it over the nodes
+    return np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
 
 
-def gamma_expectation(f, shape: float, scale: float, quad: QuadratureSpec | None = None) -> float:
+def gamma_expectation(f, shape: float, scale: float) -> float:
     """E[f(g)] for g ~ Gamma(shape, scale).
 
-    ``f`` should accept a 1-D numpy array of nonnegative gains; a plain
-    scalar function is mapped elementwise as a fallback.
+    ``f`` must accept a 1-D numpy array of nonnegative gains and return
+    its values elementwise (or one constant); errors it raises propagate.
     """
     shape = _as_positive("shape", shape)
     scale = _as_positive("scale", scale)
     values = gamma_expectation_batch(
-        lambda g, rows: _eval_integrand(f, g[0])[None, :], [shape], [scale], quad
+        lambda g, rows: _eval_integrand(f, g[0])[None, :], [shape], [scale]
     )
     return float(values[0])
 
@@ -200,17 +147,16 @@ def _quad_estimates(f, shape: float, scales: np.ndarray, rows: np.ndarray, n: in
     return values @ weights[live]
 
 
-def gamma_expectation_batch(f, shapes, scales, quad: QuadratureSpec | None = None) -> np.ndarray:
+def gamma_expectation_batch(f, shapes, scales) -> np.ndarray:
     """E[f(g_i)] for g_i ~ Gamma(shapes[i], scales[i]), for every i at once.
 
     ``f(g, rows)`` gets the gains at the quadrature nodes as a
     ``(len(rows), nodes)`` array and returns its values in the same shape;
     ``rows`` indexes the entries evaluated, to gather per-entry parameters.
     Entries with equal shapes share one rule.  Each entry applies the
-    ``quad`` stopping rule on its own, and only entries not yet converged
-    are evaluated again at the next, doubled node count.
+    stopping rule on its own, and only entries not yet converged are
+    evaluated again at the next, doubled node count.
     """
-    quad = DEFAULT_QUAD if quad is None else quad
     shapes = np.asarray(shapes, dtype=float)
     scales = np.asarray(scales, dtype=float)
     if shapes.ndim != 1 or shapes.shape != scales.shape:
@@ -220,17 +166,16 @@ def gamma_expectation_batch(f, shapes, scales, quad: QuadratureSpec | None = Non
     out = np.empty(shapes.size)
     for shape in dict.fromkeys(shapes.tolist()):
         rows = np.flatnonzero(shapes == shape)
-        n = int(quad.node_count)
+        n = _START_NODES
         prev = _quad_estimates(f, shape, scales, rows, n)
-        if quad.method == "adaptive":
-            while n < _MAX_NODES:
-                n *= 2
-                cur = _quad_estimates(f, shape, scales, rows, n)
-                size = np.maximum(np.maximum(np.abs(cur), np.abs(prev)), _FPMIN)
-                done = np.abs(cur - prev) <= quad.rel_tol * size
-                out[rows[done]] = cur[done]
-                rows, prev = rows[~done], cur[~done]
-                if rows.size == 0:
-                    break
+        while n < _MAX_NODES:
+            n *= 2
+            cur = _quad_estimates(f, shape, scales, rows, n)
+            size = np.maximum(np.maximum(np.abs(cur), np.abs(prev)), _FPMIN)
+            done = np.abs(cur - prev) <= _REL_TOL * size
+            out[rows[done]] = cur[done]
+            rows, prev = rows[~done], cur[~done]
+            if rows.size == 0:
+                break
         out[rows] = prev
     return out

@@ -119,8 +119,8 @@ def test_criterion_1_mpe_study_small_gap_at_moderate_diversity(tmp_path):
         assert len(rows) == 10
 
         # (a) Every figure matches the closed-form oracle to 1e-9 relative,
-        # the convergence target of the default quadrature
-        # (QuadratureSpec.rel_tol).  MPE is 100*(c_upper - c_lower)/c_lower.
+        # the relative tolerance at which the quadrature stops doubling its
+        # nodes.  MPE is 100*(c_upper - c_lower)/c_lower.
         by_snr = {}
         for row in rows:
             L, snr_db = int(row["L"]), float(row["snr_db"])

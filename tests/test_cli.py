@@ -153,6 +153,15 @@ def test_mpe_study_requires_two_orders(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("l_values", ["1,2", "4,2,1"])
+def test_mpe_study_needs_three_increasing_orders(tmp_path, capsys, l_values):
+    # the slope fit needs at least 3 strictly increasing diversity orders
+    rc = cli.main(["mpe-study", "--l-values", l_values, "--output", str(tmp_path / "m.csv")])
+    assert rc == 2
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_mpe_study_rows_and_slopes(tmp_path):
     out = tmp_path / "mpe.csv"
     rc = cli.main(
@@ -198,6 +207,43 @@ def test_unknown_config_key_is_rejected(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"n_bins": "64"},
+        {"n_bins": True},
+        {"n_bins": 6.5},
+        {"m": "1"},
+        {"l_values": 4},
+        {"l_values": [4, "8"]},
+        {"snr_db_values": 0.0},
+        {"strategies": "equal"},
+        {"a_rule": 5},
+    ],
+)
+def test_wrong_typed_config_field_exits_2(tmp_path, document):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(document))
+    argv = ["bounds-sweep", "--config", str(config), "--output", str(tmp_path / "x.csv")]
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys, simocap.cli as c; sys.exit(c.main({argv!r}))"],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert "error" in done.stderr
+    assert f"'{next(iter(document))}'" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_integral_float_config_fields_are_accepted(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_bins": 4.0, "l_values": [2.0], "snr_db_values": [0]}))
+    out = tmp_path / "x.csv"
+    rc = cli.main(["bounds-sweep", "--config", str(config), "--output", str(out)])
+    assert rc == 0
+    assert len(_read_rows(out)) == 2
+
+
 def test_invalid_worker_env_is_rejected(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.WORKERS_ENV, "zero")
     rc = cli.main(["bounds-sweep", "--n-bins", "4", "--snr-db=0", "--output", str(tmp_path / "x.csv")])
@@ -235,6 +281,22 @@ def test_gen_then_ingest_round_trip(tmp_path):
     assert all(b["fit_shape"] is not None for b in doc["bins"])
 
 
+def _subprocess_env():
+    # a fresh interpreter finds this checkout's package first
+    src = str(Path(simocap.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
+def test_python_dash_m_runs_the_cli():
+    done = subprocess.run(
+        [sys.executable, "-m", "simocap", "waterfill", "--means", "1,2"],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "water_level = 1.25" in done.stdout
+
+
 def test_import_and_csv_paths_do_not_load_scipy(tmp_path):
     # scipy is imported only by the special functions, on first use, so a
     # fresh interpreter that imports the CLI and runs gen-synthetic and
@@ -251,11 +313,9 @@ def test_import_and_csv_paths_do_not_load_scipy(tmp_path):
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
         ]
     )
-    src = str(Path(simocap.__file__).resolve().parents[1])
-    paths = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script], env=_subprocess_env(), capture_output=True, text=True,
+        timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
