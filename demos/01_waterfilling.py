@@ -10,7 +10,7 @@ instantaneous waterfilling.
 
 import numpy as np
 
-from simocap import ParallelChannel, SubchannelSpec, sample_gains, waterfill
+from simocap import ParallelChannel, sample_gains, waterfill
 
 
 def show(title, gains, alloc):
@@ -39,8 +39,8 @@ def main():
           bool(np.array_equal(a.powers, b.powers)))
 
     # statistical vs instantaneous waterfilling on a fading channel
-    subs = [SubchannelSpec(theta=t / 2.0, m=1.0, L=2) for t in (0.4, 0.9, 1.6, 2.3)]
-    channel = ParallelChannel(subs, n0=1.0, p_total=2.0)
+    means = np.array([0.4, 0.9, 1.6, 2.3])
+    channel = ParallelChannel(theta=means / 2.0, m=1.0, L=2, n0=1.0, p_total=2.0)
     statistical = waterfill(channel.mean_gains, channel.n0, channel.p_total)
     snapshot = sample_gains(channel, 1, seed=4).values[0]
     instantaneous = waterfill(

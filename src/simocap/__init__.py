@@ -2,7 +2,8 @@
 
 The library models a parallel channel whose subchannels each combine L
 independent Nakagami-m diversity branches (gamma-distributed power
-gains), and provides:
+gains).  A ``ParallelChannel`` holds the per-subchannel parameters as
+arrays ``theta``, ``m`` and ``L``.  The library provides:
 
 * exact water-level power allocation (statistical or instantaneous) and
   the exact distribution-aware optimum over the power simplex,
@@ -24,10 +25,8 @@ from .channel import (
     FitError,
     GainMatrix,
     ParallelChannel,
-    SubchannelSpec,
     build_decay_profile,
     fit_gamma_moments,
-    mean_gain,
     sample_gains,
 )
 from .ingest import (
@@ -54,7 +53,6 @@ from .rates import (
     convergence_point,
     convergence_study,
     empirical_rate,
-    ergodic_mi,
     evaluate_bounds,
     exact_rate,
     jensen_upper,
@@ -84,10 +82,8 @@ __all__ = [
     "FitError",
     "GainMatrix",
     "ParallelChannel",
-    "SubchannelSpec",
     "build_decay_profile",
     "fit_gamma_moments",
-    "mean_gain",
     "sample_gains",
     "NormalizationError",
     "ParseError",
@@ -110,7 +106,6 @@ __all__ = [
     "convergence_point",
     "convergence_study",
     "empirical_rate",
-    "ergodic_mi",
     "evaluate_bounds",
     "exact_rate",
     "jensen_upper",

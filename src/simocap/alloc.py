@@ -111,16 +111,13 @@ def _powers_at(channel: ParallelChannel, lam: float) -> np.ndarray:
     act = np.flatnonzero(channel.mean_gains / n0 > lam)
     if act.size == 0:
         return powers
-    subs = [channel.subchannels[i] for i in act]
-    shapes = np.array([sub.shape for sub in subs])
-    thetas = np.array([sub.theta for sub in subs])
 
     def marginal(rows, p_rows, power=1):
-        # E[(g / (n0 + p*g))**power] on the active subchannels ``rows``
+        # E[(g / (n0 + p*g))**power] on the active subchannels ``act[rows]``
         return gamma_expectation_batch(
             lambda g, idx: (g / (n0 + p_rows[idx, None] * g)) ** power,
-            shapes[rows],
-            thetas[rows],
+            channel.shape[act[rows]],
+            channel.theta[act[rows]],
         )
 
     hi = np.full(act.size, max(channel.p_total, 1.0))

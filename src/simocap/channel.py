@@ -2,21 +2,20 @@
 
 A subchannel bundles L independent Nakagami-m branches with common scale
 theta and shape m, so its combined power gain is Gamma(m*L, theta) with
-mean theta*m*L.  A parallel channel is an ordered list of such
-subchannels sharing one noise level and one total power budget.
+mean theta*m*L.  A parallel channel holds N such subchannels as parameter
+arrays ``theta``, ``m`` and ``L`` (index n is subchannel n), sharing one
+noise level and one total power budget.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 __all__ = [
     "FitError",
-    "SubchannelSpec",
     "ParallelChannel",
     "GainMatrix",
-    "mean_gain",
     "build_decay_profile",
     "sample_gains",
     "fit_gamma_moments",
@@ -27,71 +26,66 @@ class FitError(ValueError):
     """A distribution fit is impossible on the given samples."""
 
 
-@dataclass(frozen=True)
-class SubchannelSpec:
-    """Fading law of one SIMO subchannel.
-
-    theta: per-branch gamma scale (linear power gain units).
-    m: Nakagami shape of each branch, at least 0.5.
-    L: number of diversity branches (degrees of freedom).
-    freq_hz: optional center frequency for frequency-selective profiles.
-    """
-
-    theta: float
-    m: float
-    L: int
-    freq_hz: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", float(self.theta))
-        object.__setattr__(self, "m", float(self.m))
-        if int(self.L) != self.L or self.L < 1:
-            raise ValueError(f"L must be a positive integer, got {self.L!r}")
-        object.__setattr__(self, "L", int(self.L))
-        if not (math.isfinite(self.theta) and self.theta > 0.0):
-            raise ValueError(f"theta must be positive and finite, got {self.theta!r}")
-        if not (math.isfinite(self.m) and self.m >= 0.5):
-            raise ValueError(f"m must be >= 0.5, got {self.m!r}")
-
-    @property
-    def shape(self) -> float:
-        """Shape of the combined gain distribution, m*L."""
-        return self.m * self.L
-
-
-def mean_gain(spec: SubchannelSpec) -> float:
-    """Mean combined subchannel gain, theta*m*L."""
-    return spec.theta * spec.m * spec.L
+def _per_subchannel(name: str, value, n: int) -> np.ndarray:
+    # read-only float copy with one entry per subchannel; one value is repeated
+    arr = np.array(value, dtype=float)
+    if arr.ndim == 0:
+        arr = np.full(n, arr)
+    if arr.shape != (n,):
+        raise ValueError(f"{name} needs one entry per subchannel ({n}), got shape {arr.shape}")
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
 class ParallelChannel:
-    """Ordered subchannels plus a common noise level and power budget."""
+    """N gamma-fading SIMO subchannels sharing one noise level and power budget.
 
-    subchannels: tuple
+    Subchannel n has per-branch gamma scale theta[n] (linear power gain
+    units), Nakagami shape m[n] >= 0.5 on each of its L[n] diversity
+    branches, and optionally a center frequency freqs_hz[n].  ``m`` and
+    ``L`` may be given once for all subchannels.  Every array is stored as
+    a read-only 1-D float copy, next to the derived ``shape`` = m*L and
+    ``mean_gains`` = theta*m*L.
+    """
+
+    theta: np.ndarray
+    m: np.ndarray
+    L: np.ndarray
     n0: float
     p_total: float
+    freqs_hz: np.ndarray | None = None
+    shape: np.ndarray = field(init=False, repr=False)
+    mean_gains: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "subchannels", tuple(self.subchannels))
-        object.__setattr__(self, "n0", float(self.n0))
-        object.__setattr__(self, "p_total", float(self.p_total))
-        if len(self.subchannels) < 1:
+        n = np.size(self.theta)
+        if n < 1:
             raise ValueError("a parallel channel needs at least one subchannel")
-        if not all(isinstance(s, SubchannelSpec) for s in self.subchannels):
-            raise ValueError("subchannels must be SubchannelSpec instances")
-        if not (math.isfinite(self.n0) and self.n0 > 0.0):
-            raise ValueError(f"n0 must be positive and finite, got {self.n0!r}")
-        if not (math.isfinite(self.p_total) and self.p_total > 0.0):
-            raise ValueError(f"p_total must be positive and finite, got {self.p_total!r}")
+        theta, m, L = (_per_subchannel(k, getattr(self, k), n) for k in ("theta", "m", "L"))
+        for name, values, ok, rule in (
+            ("L", L, (L >= 1.0) & (L == np.floor(L)), "a positive integer"),
+            ("theta", theta, theta > 0.0, "positive and finite"),
+            ("m", m, m >= 0.5, ">= 0.5"),
+        ):
+            bad = values[~(np.isfinite(values) & ok)]
+            if bad.size:
+                raise ValueError(f"{name} must be {rule}, got {float(bad[0])!r}")
+        n0, p_total = float(self.n0), float(self.p_total)
+        if not (math.isfinite(n0) and n0 > 0.0):
+            raise ValueError(f"n0 must be positive and finite, got {n0!r}")
+        if not (math.isfinite(p_total) and p_total > 0.0):
+            raise ValueError(f"p_total must be positive and finite, got {p_total!r}")
+        freqs = None if self.freqs_hz is None else _per_subchannel("freqs_hz", self.freqs_hz, n)
+        shape = _per_subchannel("shape", m * L, n)
+        mean_gains = _per_subchannel("mean_gains", theta * m * L, n)
+        fields = dict(theta=theta, m=m, L=L, n0=n0, p_total=p_total, freqs_hz=freqs)
+        for name, value in dict(fields, shape=shape, mean_gains=mean_gains).items():
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
-        return len(self.subchannels)
-
-    @property
-    def mean_gains(self) -> np.ndarray:
-        return np.array([mean_gain(s) for s in self.subchannels])
+        return self.theta.size
 
     def with_power(self, p_total: float) -> "ParallelChannel":
         """Same channel under a different total power budget."""
@@ -127,11 +121,7 @@ def build_decay_profile(
         freqs = np.linspace(f_lo_hz, f_hi_hz, int(n_bins))
     weights = freqs ** (-float(decay_exponent))
     mu = weights / weights.mean()
-    subs = tuple(
-        SubchannelSpec(theta=mu_n / (m * L), m=m, L=L, freq_hz=f)
-        for mu_n, f in zip(mu, freqs)
-    )
-    return ParallelChannel(subchannels=subs, n0=n0, p_total=p_total)
+    return ParallelChannel(theta=mu / (m * L), m=m, L=L, n0=n0, p_total=p_total, freqs_hz=freqs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,9 +164,11 @@ def sample_gains(channel: ParallelChannel, n_snapshots: int, seed: int) -> GainM
     if n_snapshots < 1 or int(n_snapshots) != n_snapshots:
         raise ValueError("n_snapshots must be a positive integer")
     values = np.empty((int(n_snapshots), channel.n))
-    for n, sub in enumerate(channel.subchannels):
+    for n in range(channel.n):
         rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(n,)))
-        values[:, n] = rng.gamma(shape=sub.shape, scale=sub.theta, size=int(n_snapshots))
+        values[:, n] = rng.gamma(
+            shape=channel.shape[n], scale=channel.theta[n], size=int(n_snapshots)
+        )
     return GainMatrix(values=values, seed=int(seed))
 
 

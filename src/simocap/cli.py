@@ -39,6 +39,7 @@ from .ingest import (
 from .channel import fit_gamma_moments
 from .rates import (
     LN2,
+    STRATEGY_TAGS,
     convergence_study,
     evaluate_bounds,
     resolve_strategy,
@@ -63,7 +64,6 @@ _AWGN_NORMALIZER = (
     "mean gains, under waterfilled power (equals the Jensen upper bound at "
     "the statistical-waterfilling allocation)"
 )
-_KNOWN_STRATEGIES = ("statistical-waterfill", "equal", "optimal")
 
 BOUNDS_COLUMNS = (
     "snr_db",
@@ -110,8 +110,8 @@ class ExperimentConfig:
             raise ValueError("snr_db_values must be non-empty")
         if self.n_snapshots < 1:
             raise ValueError("n_snapshots must be a positive integer")
-        if not self.strategies or any(s not in _KNOWN_STRATEGIES for s in self.strategies):
-            raise ValueError(f"strategies must be a non-empty subset of {_KNOWN_STRATEGIES}")
+        if not self.strategies or any(s not in STRATEGY_TAGS for s in self.strategies):
+            raise ValueError(f"strategies must be a non-empty subset of {STRATEGY_TAGS}")
         _parse_a_rule(self.a_rule)
         if self.rate_units not in ("nats", "bits"):
             raise ValueError("rate_units must be 'nats' or 'bits'")
@@ -496,3 +496,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -213,29 +213,27 @@ def generate_snapshots(
     gain and a uniform phase, so summing |h|^2 over the channel's L
     branches reproduces the Gamma(m_n*L, theta_n) subchannel gains.
     Output is bit-exact reproducible per seed.  Bin frequencies come from
-    the subchannel specs (an increasing index grid if any are unset).
+    the channel's ``freqs_hz`` (an increasing index grid if it has none).
     """
     if n_snapshots < 1 or int(n_snapshots) != n_snapshots:
         raise ValueError("n_snapshots must be a positive integer")
     if n_branches is None:
-        branch_counts = {sub.L for sub in channel.subchannels}
-        if len(branch_counts) != 1:
+        if np.any(channel.L != channel.L[0]):
             raise ValueError("give n_branches explicitly when subchannel L varies")
-        n_branches = branch_counts.pop()
+        n_branches = int(channel.L[0])
     if n_branches < 1:
         raise ValueError("n_branches must be a positive integer")
 
-    freq_list = [sub.freq_hz for sub in channel.subchannels]
-    if any(f is None for f in freq_list):
+    if channel.freqs_hz is None:
         freqs = np.arange(1.0, channel.n + 1.0) * 1e6
     else:
-        freqs = np.array(freq_list, dtype=float)
+        freqs = channel.freqs_hz
 
     rng = np.random.default_rng(int(seed))
     shape = (int(n_snapshots), int(n_branches))
     coeffs = np.empty(shape + (channel.n,), dtype=complex)
-    for n, sub in enumerate(channel.subchannels):
-        power = rng.gamma(shape=sub.m, scale=sub.theta, size=shape)
+    for n in range(channel.n):
+        power = rng.gamma(shape=channel.m[n], scale=channel.theta[n], size=shape)
         phase = rng.uniform(0.0, 2.0 * np.pi, size=shape)
         coeffs[:, :, n] = np.sqrt(power) * np.exp(1j * phase)
     return SnapshotSet(freqs_hz=freqs, coeffs=coeffs)

@@ -21,19 +21,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .alloc import PowerAllocation, equal_power, waterfill
-from .channel import GainMatrix, ParallelChannel, SubchannelSpec
-from .specfun import gamma_expectation, gamma_expectation_batch, reg_gamma_q
+from .alloc import PowerAllocation, equal_power, optimal_allocation, waterfill
+from .channel import GainMatrix, ParallelChannel
+from .specfun import gamma_expectation_batch, reg_gamma_q
 
 __all__ = [
     "LN2",
+    "STRATEGY_TAGS",
     "MetricUndefinedError",
     "BoundsReport",
     "RatioParams",
     "ConvergencePoint",
     "ConvergenceStudy",
     "pointwise_mi",
-    "ergodic_mi",
     "jensen_upper",
     "markov_lower",
     "exact_rate",
@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
+STRATEGY_TAGS = ("statistical-waterfill", "equal", "optimal")
 
 _A_MAX = 50.0
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -66,16 +67,6 @@ def pointwise_mi(gain: float, p: float, n0: float) -> float:
     if gain < 0.0 or p < 0.0 or n0 <= 0.0:
         raise ValueError("need gain >= 0, p >= 0, n0 > 0")
     return math.log1p(p * gain / n0)
-
-
-def ergodic_mi(spec: SubchannelSpec, p: float, n0: float) -> float:
-    """E[log(1 + p*g/n0)] for g ~ Gamma(m*L, theta)."""
-    if p < 0.0 or n0 <= 0.0:
-        raise ValueError("need p >= 0 and n0 > 0")
-    if p == 0.0:
-        return 0.0
-    c = p / n0
-    return gamma_expectation(lambda g: np.log1p(c * g), spec.shape, spec.theta)
 
 
 def _alloc_powers(channel: ParallelChannel, alloc: PowerAllocation) -> np.ndarray:
@@ -154,9 +145,8 @@ def markov_lower(
     n0 = channel.n0
     on = powers > 0.0
     p = powers[on]
-    subs = [sub for sub, live in zip(channel.subchannels, on) if live]
-    theta = np.array([sub.theta for sub in subs])
-    shape = np.array([sub.shape for sub in subs])
+    theta = channel.theta[on]
+    shape = channel.shape[on]
     if a_values is not None:
         a = np.asarray(a_values, dtype=float)
         bad = np.flatnonzero(on & (a <= 0.0))
@@ -164,10 +154,8 @@ def markov_lower(
             raise ValueError(f"a must be positive where power is positive (index {bad[0]})")
         terms = _markov_terms(a[on], shape, theta, p, n0)
     elif alpha is not None:
-        m = np.array([sub.m for sub in subs])
-        L = np.array([sub.L for sub in subs], dtype=float)
-        beta = p * theta * m / n0
-        terms = _markov_terms(np.log1p(alpha * beta * L), shape, theta, p, n0)
+        beta = p * theta * channel.m[on] / n0
+        terms = _markov_terms(np.log1p(alpha * beta * channel.L[on]), shape, theta, p, n0)
     else:
         terms = _max_markov_terms(shape, theta, p, n0)
     return float(terms.sum())
@@ -178,11 +166,8 @@ def exact_rate(channel: ParallelChannel, alloc: PowerAllocation) -> float:
     powers = _alloc_powers(channel, alloc)
     on = powers > 0.0
     c = powers[on] / channel.n0
-    subs = [sub for sub, live in zip(channel.subchannels, on) if live]
     rates = gamma_expectation_batch(
-        lambda g, rows: np.log1p(c[rows, None] * g),
-        [sub.shape for sub in subs],
-        [sub.theta for sub in subs],
+        lambda g, rows: np.log1p(c[rows, None] * g), channel.shape[on], channel.theta[on]
     )
     return float(rates.sum())
 
@@ -336,8 +321,6 @@ def resolve_strategy(
     if strategy == "equal":
         return equal_power(channel.n, channel.p_total)
     if strategy == "optimal":
-        from .alloc import optimal_allocation
-
         return optimal_allocation(channel)
     raise ValueError(f"unknown strategy {strategy!r}")
 

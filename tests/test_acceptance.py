@@ -17,11 +17,7 @@ import pytest
 
 from simocap import cli
 from simocap.alloc import PowerAllocation, equal_power, optimal_allocation, waterfill
-from simocap.channel import (
-    ParallelChannel,
-    SubchannelSpec,
-    build_decay_profile,
-)
+from simocap.channel import ParallelChannel, build_decay_profile
 from simocap.ingest import (
     empirical_means,
     generate_snapshots,
@@ -36,7 +32,6 @@ from simocap.rates import (
     bound_ratio,
     bound_ratio_expansion,
     convergence_study,
-    ergodic_mi,
     exact_rate,
     jensen_upper,
     markov_lower,
@@ -184,15 +179,15 @@ def test_criterion_3_bound_sandwich_randomized():
         for _ in range(200):
             n = int(rng.integers(1, 17))
             subs = [
-                SubchannelSpec(
-                    theta=10 ** rng.uniform(-1, 1),
-                    m=float(rng.choice([0.5, 1.0, 2.0, 4.0])),
-                    L=int(rng.integers(1, 9)),
+                (
+                    10 ** rng.uniform(-1, 1),
+                    float(rng.choice([0.5, 1.0, 2.0, 4.0])),
+                    int(rng.integers(1, 9)),
                 )
                 for _ in range(n)
             ]
             snr_db = float(rng.uniform(-20.0, 20.0))
-            ch = ParallelChannel(subs, n0=1.0, p_total=snr_db_to_power(n, 1.0, snr_db))
+            ch = ParallelChannel(*zip(*subs), n0=1.0, p_total=snr_db_to_power(n, 1.0, snr_db))
             alloc = waterfill(ch.mean_gains, ch.n0, ch.p_total)
             lower = markov_lower(ch, alloc)
             rate = exact_rate(ch, alloc)
@@ -251,7 +246,7 @@ def test_criterion_4a_ratio_limit_at_large_diversity():
         # The default max a-rule maximizes over a family that contains
         # a = log(1 + alpha_L*beta*L), so on the same subchannel (beta =
         # p*theta*m/n0 = 1) its bound quotient is at least the alpha_L ratio.
-        ch = ParallelChannel([SubchannelSpec(theta=1.0, m=1.0, L=L)], n0=1.0, p_total=1.0)
+        ch = ParallelChannel(theta=[1.0], m=1.0, L=L, n0=1.0, p_total=1.0)
         alloc = PowerAllocation(np.array([1.0]))
         quotient = markov_lower(ch, alloc) / jensen_upper(ch, alloc)
         assert quotient >= value, f"max-rule quotient {quotient:.6f} below alpha_L ratio {value:.6f}"
@@ -277,7 +272,7 @@ def test_criterion_4c_ratio_identity_with_bound_quotient():
             n0 = 10 ** rng.uniform(-0.5, 0.5)
             p = 10 ** rng.uniform(-1, 1)
             alpha = float(rng.uniform(0.1, 0.9))
-            ch = ParallelChannel([SubchannelSpec(theta, m, L)], n0=n0, p_total=p)
+            ch = ParallelChannel([theta], m, L, n0=n0, p_total=p)
             alloc = PowerAllocation(np.array([p]))
             quotient = markov_lower(ch, alloc, alpha=alpha) / jensen_upper(ch, alloc)
             direct = bound_ratio(RatioParams(m=m, L=L, beta=p * theta * m / n0, alpha=alpha))
@@ -288,21 +283,24 @@ def test_criterion_5_quadrature_against_monte_carlo():
     with criterion("quadrature rate within 3 SE of 1e6-draw Monte Carlo, 20 draws"):
         rng = np.random.default_rng(555)
         for _ in range(20):
-            spec = SubchannelSpec(
-                theta=10 ** rng.uniform(-1, 1),
+            ch = ParallelChannel(
+                theta=[10 ** rng.uniform(-1, 1)],
                 m=float(rng.choice([0.5, 1.0, 2.0, 4.0])),
                 L=int(rng.integers(1, 9)),
+                n0=1.0,
+                p_total=1.0,
             )
             p = 10 ** rng.uniform(-1, 1)
             n0 = 1.0
-            value = ergodic_mi(spec, p, n0)
-            draws = np.log1p(p * rng.gamma(spec.shape, spec.theta, 1_000_000) / n0)
+            value = exact_rate(ch, PowerAllocation(np.array([p])))
+            draws = np.log1p(p * rng.gamma(ch.shape[0], ch.theta[0], 1_000_000) / n0)
             se = draws.std(ddof=1) / math.sqrt(draws.size)
             assert abs(value - draws.mean()) <= 3.0 * se, (
                 f"quad {value} vs MC {draws.mean()} (se {se:.2e})"
             )
         closed = math.e * exp_integral_e1(1.0)
-        unit = ergodic_mi(SubchannelSpec(1.0, 1.0, 1), 1.0, 1.0)
+        unit_channel = ParallelChannel(theta=[1.0], m=1.0, L=1, n0=1.0, p_total=1.0)
+        unit = exact_rate(unit_channel, PowerAllocation(np.array([1.0])))
         assert abs(unit - 0.5963474) <= 1e-6
         assert math.isclose(unit, closed, rel_tol=1e-9)
 
@@ -342,21 +340,19 @@ def test_criterion_7_exact_optimum_grid_search_and_dominance():
         grid = np.arange(0.0, 1.0 + 1e-12, 1e-3)
         for _ in range(20):
             subs = [
-                SubchannelSpec(
-                    theta=10 ** rng.uniform(-1, 0.5),
-                    m=float(rng.choice([0.5, 1.0, 2.0])),
-                    L=int(rng.integers(1, 5)),
+                (
+                    10 ** rng.uniform(-1, 0.5),
+                    float(rng.choice([0.5, 1.0, 2.0])),
+                    int(rng.integers(1, 5)),
                 )
                 for _ in range(2)
             ]
-            ch = ParallelChannel(subs, n0=1.0, p_total=1.0)
+            ch = ParallelChannel(*zip(*subs), n0=1.0, p_total=1.0)
             opt = optimal_allocation(ch)
 
             best_p1, best_val = 0.0, -math.inf
             for p1 in grid:
-                val = ergodic_mi(subs[0], float(p1), 1.0) + ergodic_mi(
-                    subs[1], float(1.0 - p1), 1.0
-                )
+                val = exact_rate(ch, PowerAllocation(np.array([p1, 1.0 - p1])))
                 if val > best_val:
                     best_p1, best_val = float(p1), val
             assert abs(opt.powers[0] - best_p1) <= 5e-3, (

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from simocap.alloc import PowerAllocation, equal_power, optimal_allocation, waterfill
-from simocap.channel import ParallelChannel, SubchannelSpec
+from simocap.channel import ParallelChannel
 from simocap.rates import exact_rate, jensen_upper
 from simocap.specfun import gamma_expectation
 
@@ -95,19 +95,14 @@ def test_power_allocation_validation():
 
 
 def test_optimal_allocation_symmetric_channel_is_equal_power():
-    sub = SubchannelSpec(theta=0.5, m=1.0, L=2)
-    ch = ParallelChannel([sub, sub, sub], n0=1.0, p_total=3.0)
+    ch = ParallelChannel(theta=[0.5, 0.5, 0.5], m=1.0, L=2, n0=1.0, p_total=3.0)
     alloc = optimal_allocation(ch)
     assert np.allclose(alloc.powers, 1.0, rtol=1e-6)
     assert math.isclose(alloc.total, 3.0, rel_tol=1e-12)
 
 
 def test_optimal_allocation_matches_grid_search():
-    ch = ParallelChannel(
-        [SubchannelSpec(theta=1.0, m=1.0, L=2), SubchannelSpec(theta=0.25, m=1.0, L=2)],
-        n0=1.0,
-        p_total=1.0,
-    )
+    ch = ParallelChannel(theta=[1.0, 0.25], m=1.0, L=2, n0=1.0, p_total=1.0)
     alloc = optimal_allocation(ch)
     grid = np.arange(0.0, 1.0 + 1e-12, 1e-3)
     best_p1, best_val = 0.0, -math.inf
@@ -123,14 +118,14 @@ def test_optimal_allocation_dominates_simpler_strategies():
     rng = np.random.default_rng(3)
     for _ in range(20):
         subs = [
-            SubchannelSpec(
-                theta=10 ** rng.uniform(-1, 1),
-                m=float(rng.choice([0.5, 1.0, 2.0])),
-                L=int(rng.integers(1, 5)),
+            (
+                10 ** rng.uniform(-1, 1),
+                float(rng.choice([0.5, 1.0, 2.0])),
+                int(rng.integers(1, 5)),
             )
             for _ in range(2)
         ]
-        ch = ParallelChannel(subs, n0=1.0, p_total=10 ** rng.uniform(-0.5, 1.0))
+        ch = ParallelChannel(*zip(*subs), n0=1.0, p_total=10 ** rng.uniform(-0.5, 1.0))
         opt = optimal_allocation(ch)
         swf = waterfill(ch.mean_gains, ch.n0, ch.p_total)
         eq = equal_power(ch.n, ch.p_total)
@@ -141,8 +136,7 @@ def test_optimal_allocation_dominates_simpler_strategies():
 
 def test_optimal_allocation_flattens_with_diversity():
     def channel_for(L):
-        subs = [SubchannelSpec(theta=t, m=1.0, L=L) for t in (0.4, 0.8, 1.2, 1.6)]
-        return ParallelChannel(subs, n0=1.0, p_total=4.0)
+        return ParallelChannel(theta=[0.4, 0.8, 1.2, 1.6], m=1.0, L=L, n0=1.0, p_total=4.0)
 
     deviations = []
     for L in (2, 64):
@@ -154,11 +148,7 @@ def test_optimal_allocation_flattens_with_diversity():
 def test_optimal_allocation_objective_beats_waterfilling_jensen_gap():
     # the optimum can only lose to waterfilling on the Jensen surrogate,
     # never on the exact objective
-    ch = ParallelChannel(
-        [SubchannelSpec(theta=2.0, m=0.5, L=1), SubchannelSpec(theta=0.1, m=2.0, L=3)],
-        n0=1.0,
-        p_total=2.0,
-    )
+    ch = ParallelChannel(theta=[2.0, 0.1], m=[0.5, 2.0], L=[1, 3], n0=1.0, p_total=2.0)
     opt = optimal_allocation(ch)
     swf = waterfill(ch.mean_gains, ch.n0, ch.p_total)
     assert exact_rate(ch, opt) >= exact_rate(ch, swf) - 1e-9
@@ -176,15 +166,15 @@ def test_optimal_allocation_meets_kkt_on_mixed_shapes():
     subs = []
     for i, mu in enumerate(np.geomspace(0.02, 3.0, 16)):
         m, L = ms[i % 3], ls[(i // 3) % 3]
-        subs.append(SubchannelSpec(theta=mu / (m * L), m=m, L=L))
-    ch = ParallelChannel(subs, n0=1.0, p_total=16.0)
+        subs.append((mu / (m * L), m, L))
+    ch = ParallelChannel(*zip(*subs), n0=1.0, p_total=16.0)
     powers = optimal_allocation(ch).powers
     active = powers > 0.0
     assert 2 <= active.sum() < ch.n
     marginals = np.array(
         [
-            gamma_expectation(lambda g, p=p: g / (ch.n0 + p * g), sub.shape, sub.theta)
-            for sub, p in zip(subs, powers)
+            gamma_expectation(lambda g, p=p: g / (ch.n0 + p * g), shape, theta)
+            for shape, theta, p in zip(ch.shape, ch.theta, powers)
         ]
     )
     common = marginals[active].mean()

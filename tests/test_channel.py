@@ -8,43 +8,67 @@ from simocap.channel import (
     FitError,
     GainMatrix,
     ParallelChannel,
-    SubchannelSpec,
     build_decay_profile,
     fit_gamma_moments,
-    mean_gain,
     sample_gains,
 )
 
 
+def _one(theta, m, L):
+    return ParallelChannel(theta=[theta], m=m, L=L, n0=1.0, p_total=1.0)
+
+
 def test_mean_gain_is_theta_m_l():
-    assert mean_gain(SubchannelSpec(theta=1.0, m=1.0, L=1)) == 1.0
-    assert mean_gain(SubchannelSpec(theta=0.5, m=2.0, L=4)) == 4.0
-    assert mean_gain(SubchannelSpec(theta=2.0, m=0.5, L=3)) == 3.0
+    assert _one(theta=1.0, m=1.0, L=1).mean_gains[0] == 1.0
+    assert _one(theta=0.5, m=2.0, L=4).mean_gains[0] == 4.0
+    assert _one(theta=2.0, m=0.5, L=3).mean_gains[0] == 3.0
 
 
 def test_subchannel_spec_validation():
     with pytest.raises(ValueError):
-        SubchannelSpec(theta=0.0, m=1.0, L=1)
+        _one(theta=0.0, m=1.0, L=1)
     with pytest.raises(ValueError):
-        SubchannelSpec(theta=1.0, m=0.4, L=1)
+        _one(theta=1.0, m=0.4, L=1)
     with pytest.raises(ValueError):
-        SubchannelSpec(theta=1.0, m=1.0, L=0)
+        _one(theta=1.0, m=1.0, L=0)
     with pytest.raises(ValueError):
-        SubchannelSpec(theta=1.0, m=1.0, L=1.5)
+        _one(theta=1.0, m=1.0, L=1.5)
 
 
 def test_parallel_channel_validation():
-    sub = SubchannelSpec(theta=1.0, m=1.0, L=2)
     with pytest.raises(ValueError):
-        ParallelChannel(subchannels=[], n0=1.0, p_total=1.0)
+        ParallelChannel(theta=[], m=1.0, L=2, n0=1.0, p_total=1.0)
     with pytest.raises(ValueError):
-        ParallelChannel(subchannels=[sub], n0=0.0, p_total=1.0)
+        ParallelChannel(theta=[1.0], m=1.0, L=2, n0=0.0, p_total=1.0)
     with pytest.raises(ValueError):
-        ParallelChannel(subchannels=[sub], n0=1.0, p_total=-1.0)
-    ch = ParallelChannel(subchannels=[sub, sub], n0=1.0, p_total=3.0)
+        ParallelChannel(theta=[1.0], m=1.0, L=2, n0=1.0, p_total=-1.0)
+    ch = ParallelChannel(theta=[1.0, 1.0], m=1.0, L=2, n0=1.0, p_total=3.0)
     assert ch.n == 2
     assert np.allclose(ch.mean_gains, [2.0, 2.0])
     assert ch.with_power(5.0).p_total == 5.0
+
+
+def test_parallel_channel_array_validation():
+    # m and L given once are broadcast; per-subchannel arrays must match theta
+    ch = ParallelChannel(theta=[1.0, 0.5], m=[1.0, 2.0], L=3, n0=1.0, p_total=1.0)
+    assert np.array_equal(ch.L, [3.0, 3.0])
+    assert np.array_equal(ch.shape, [3.0, 6.0])
+    assert np.array_equal(ch.mean_gains, [3.0, 3.0])
+    with pytest.raises(ValueError, match="m needs one entry per subchannel"):
+        ParallelChannel(theta=[1.0, 0.5], m=[1.0, 2.0, 4.0], L=3, n0=1.0, p_total=1.0)
+    with pytest.raises(ValueError, match="L needs one entry per subchannel"):
+        ParallelChannel(theta=[1.0, 0.5], m=1.0, L=[3], n0=1.0, p_total=1.0)
+    with pytest.raises(ValueError, match="L must be a positive integer"):
+        ParallelChannel(theta=[1.0], m=1.0, L=math.inf, n0=1.0, p_total=1.0)
+    with pytest.raises(ValueError, match="freqs_hz needs one entry per subchannel"):
+        ParallelChannel(theta=[1.0, 0.5], m=1.0, L=1, n0=1.0, p_total=1.0, freqs_hz=[5e9])
+    # the stored arrays are read-only copies
+    theta = np.array([1.0, 0.5])
+    ch = ParallelChannel(theta=theta, m=1.0, L=1, n0=1.0, p_total=1.0)
+    with pytest.raises(ValueError):
+        ch.theta[0] = 2.0
+    theta[0] = 2.0
+    assert ch.theta[0] == 1.0 and ch.mean_gains[0] == 1.0
 
 
 def test_flat_profile_has_unit_gains():
@@ -65,17 +89,17 @@ def test_full_band_profile_is_unit_average():
     ch = build_decay_profile(588, 5e9, 6e9, 3.0, 1.0, 4, 1.0, 1.0)
     assert ch.n == 588
     assert abs(ch.mean_gains.mean() - 1.0) < 1e-12
-    freqs = np.array([s.freq_hz for s in ch.subchannels])
+    freqs = ch.freqs_hz
     assert freqs[0] == 5e9 and freqs[-1] == 6e9
     assert np.all(np.diff(freqs) > 0)
     # theta carries the normalized mean: theta = mu / (m * L)
-    for sub, mu in zip(ch.subchannels, ch.mean_gains):
-        assert math.isclose(sub.theta, mu / (sub.m * sub.L), rel_tol=1e-14)
+    for theta, m, L, mu in zip(ch.theta, ch.m, ch.L, ch.mean_gains):
+        assert math.isclose(theta, mu / (m * L), rel_tol=1e-14)
 
 
 def test_single_bin_profile_sits_at_band_center():
     ch = build_decay_profile(1, 5e9, 6e9, 3.0, 1.0, 2, 1.0, 1.0)
-    assert ch.subchannels[0].freq_hz == 5.5e9
+    assert ch.freqs_hz[0] == 5.5e9
     assert math.isclose(ch.mean_gains[0], 1.0, rel_tol=1e-14)
 
 
@@ -101,7 +125,7 @@ def test_sample_gains_is_deterministic_per_seed():
 
 
 def test_sample_gains_mean_matches_clt_bound():
-    ch = ParallelChannel([SubchannelSpec(theta=1.0, m=1.0, L=4)], 1.0, 1.0)
+    ch = ParallelChannel(theta=[1.0], m=1.0, L=4, n0=1.0, p_total=1.0)
     draws = sample_gains(ch, 100_000, seed=7).values[:, 0]
     # Var(g) = m*L*theta^2 = 4
     assert abs(draws.mean() - 4.0) <= 4.0 * math.sqrt(4.0 / 100_000)
@@ -109,7 +133,7 @@ def test_sample_gains_mean_matches_clt_bound():
 
 def test_sample_gains_match_sum_of_exponentials():
     # integer shape: Gamma(3, 1) is the law of a sum of 3 unit exponentials
-    ch = ParallelChannel([SubchannelSpec(theta=1.0, m=1.0, L=3)], 1.0, 1.0)
+    ch = ParallelChannel(theta=[1.0], m=1.0, L=3, n0=1.0, p_total=1.0)
     gamma_draws = sample_gains(ch, 10_000, seed=123).values[:, 0]
     rng = np.random.default_rng(321)
     exp_sums = rng.exponential(1.0, size=(10_000, 3)).sum(axis=1)
@@ -119,7 +143,7 @@ def test_sample_gains_match_sum_of_exponentials():
 
 
 def test_sample_gains_rejects_zero_snapshots():
-    ch = ParallelChannel([SubchannelSpec(theta=1.0, m=1.0, L=1)], 1.0, 1.0)
+    ch = ParallelChannel(theta=[1.0], m=1.0, L=1, n0=1.0, p_total=1.0)
     with pytest.raises(ValueError):
         sample_gains(ch, 0, seed=1)
 
@@ -149,7 +173,7 @@ def test_fit_gamma_moments_degenerate_inputs():
 
 
 def test_fit_recovers_sampled_parameters():
-    ch = ParallelChannel([SubchannelSpec(theta=0.25, m=1.0, L=4)], 1.0, 1.0)
+    ch = ParallelChannel(theta=[0.25], m=1.0, L=4, n0=1.0, p_total=1.0)
     draws = sample_gains(ch, 100_000, seed=5).values[:, 0]
     shape, scale = fit_gamma_moments(draws)
     assert abs(shape - 4.0) / 4.0 < 0.05
@@ -160,9 +184,9 @@ def test_fit_recovers_sampled_parameters():
 @pytest.mark.parametrize("L", [1, 4])
 @pytest.mark.parametrize("theta", [0.5, 2.0])
 def test_sampling_and_fitting_are_consistent(m, L, theta):
-    ch = ParallelChannel([SubchannelSpec(theta=theta, m=m, L=L)], 1.0, 1.0)
+    ch = ParallelChannel(theta=[theta], m=m, L=L, n0=1.0, p_total=1.0)
     draws = sample_gains(ch, 100_000, seed=int(1000 * m + 10 * L + theta)).values[:, 0]
-    mu = mean_gain(ch.subchannels[0])
+    mu = ch.mean_gains[0]
     sigma = math.sqrt(m * L * theta**2 / 100_000)
     assert abs(draws.mean() - mu) <= 4.0 * sigma
     shape, scale = fit_gamma_moments(draws)

@@ -297,6 +297,15 @@ def test_python_dash_m_runs_the_cli():
     assert "water_level = 1.25" in done.stdout
 
 
+def test_python_dash_m_on_the_cli_module_runs_the_cli():
+    done = subprocess.run(
+        [sys.executable, "-m", "simocap.cli", "waterfill", "--means", "1,2"],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "water_level = 1.25" in done.stdout
+
+
 def test_import_and_csv_paths_do_not_load_scipy(tmp_path):
     # scipy is imported only by the special functions, on first use, so a
     # fresh interpreter that imports the CLI and runs gen-synthetic and

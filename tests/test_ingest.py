@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from simocap.channel import ParallelChannel, SubchannelSpec, build_decay_profile
+from simocap.channel import ParallelChannel, build_decay_profile
 from simocap.ingest import (
     CSV_HEADER,
     NormalizationError,
@@ -182,7 +182,7 @@ def test_empirical_means_behaviour():
 
 
 def test_empirical_means_clt_bound():
-    ch = ParallelChannel([SubchannelSpec(theta=1.0, m=1.0, L=4)], 1.0, 1.0)
+    ch = ParallelChannel(theta=[1.0], m=1.0, L=4, n0=1.0, p_total=1.0)
     snaps = generate_snapshots(ch, 100_000, seed=21)
     means = empirical_means(simo_gains(snaps, range(4)))
     sigma = math.sqrt(4.0 / 100_000)  # Var = m*L*theta^2 = 4
@@ -198,9 +198,7 @@ def test_generator_is_deterministic_and_validates():
     assert not np.array_equal(a.coeffs, c.coeffs)
     with pytest.raises(ValueError):
         generate_snapshots(ch, 0, seed=1)
-    mixed = ParallelChannel(
-        [SubchannelSpec(1.0, 1.0, 2), SubchannelSpec(1.0, 1.0, 3)], 1.0, 1.0
-    )
+    mixed = ParallelChannel(theta=[1.0, 1.0], m=1.0, L=[2, 3], n0=1.0, p_total=1.0)
     with pytest.raises(ValueError):
         generate_snapshots(mixed, 5, seed=1)
     explicit = generate_snapshots(mixed, 5, seed=1, n_branches=2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from simocap.alloc import PowerAllocation, equal_power, waterfill
-from simocap.channel import ParallelChannel, SubchannelSpec, build_decay_profile, sample_gains
+from simocap.channel import ParallelChannel, build_decay_profile, sample_gains
 from simocap.rates import (
     LN2,
     MetricUndefinedError,
@@ -14,7 +14,6 @@ from simocap.rates import (
     bound_ratio_expansion,
     convergence_study,
     empirical_rate,
-    ergodic_mi,
     evaluate_bounds,
     exact_rate,
     jensen_upper,
@@ -29,8 +28,14 @@ from simocap.specfun import exp_integral_e1, reg_gamma_q
 
 
 def _single(theta=1.0, m=1.0, L=1, n0=1.0, p=1.0):
-    ch = ParallelChannel([SubchannelSpec(theta=theta, m=m, L=L)], n0=n0, p_total=p)
+    ch = ParallelChannel(theta=[theta], m=m, L=L, n0=n0, p_total=p)
     return ch, PowerAllocation(np.array([p]))
+
+
+def _rate_of_one(theta, m, L, p, n0):
+    # E[log(1 + p*g/n0)] for g ~ Gamma(m*L, theta): the exact rate of one subchannel
+    ch = ParallelChannel(theta=[theta], m=m, L=L, n0=n0, p_total=1.0)
+    return exact_rate(ch, PowerAllocation(np.array([p])))
 
 
 def test_pointwise_mi_basics():
@@ -45,31 +50,31 @@ def test_pointwise_mi_basics():
 
 
 def test_ergodic_mi_exponential_closed_form():
-    spec = SubchannelSpec(theta=1.0, m=1.0, L=1)
-    value = ergodic_mi(spec, 1.0, 1.0)
+    spec = (1.0, 1.0, 1)  # theta, m, L
+    value = _rate_of_one(*spec, 1.0, 1.0)
     assert math.isclose(value, math.e * exp_integral_e1(1.0), rel_tol=1e-9)
-    assert ergodic_mi(spec, 0.0, 1.0) == 0.0
+    assert _rate_of_one(*spec, 0.0, 1.0) == 0.0
 
 
 def test_ergodic_mi_never_exceeds_rate_at_mean_gain():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        spec = SubchannelSpec(
-            theta=10 ** rng.uniform(-1, 1),
-            m=float(rng.choice([0.5, 1.0, 2.0, 4.0])),
-            L=int(rng.integers(1, 9)),
+        theta, m, L = (
+            10 ** rng.uniform(-1, 1),
+            float(rng.choice([0.5, 1.0, 2.0, 4.0])),
+            int(rng.integers(1, 9)),
         )
         p = 10 ** rng.uniform(-1, 1)
-        mu = spec.theta * spec.m * spec.L
-        assert ergodic_mi(spec, p, 1.0) <= pointwise_mi(mu, p, 1.0) + 1e-12
+        mu = theta * m * L
+        assert _rate_of_one(theta, m, L, p, 1.0) <= pointwise_mi(mu, p, 1.0) + 1e-12
 
 
 def test_ergodic_mi_matches_monte_carlo():
-    spec = SubchannelSpec(theta=0.5, m=2.0, L=3)
+    theta, m, L = 0.5, 2.0, 3
     p, n0 = 1.7, 0.8
-    value = ergodic_mi(spec, p, n0)
+    value = _rate_of_one(theta, m, L, p, n0)
     rng = np.random.default_rng(42)
-    draws = np.log1p(p * rng.gamma(spec.shape, spec.theta, 200_000) / n0)
+    draws = np.log1p(p * rng.gamma(m * L, theta, 200_000) / n0)
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(value - draws.mean()) <= 3.0 * se
 
@@ -77,9 +82,7 @@ def test_ergodic_mi_matches_monte_carlo():
 def test_jensen_upper_basics():
     ch, alloc = _single()
     assert math.isclose(jensen_upper(ch, alloc), math.log(2.0), rel_tol=1e-15)
-    ch2 = ParallelChannel(
-        [SubchannelSpec(1.0, 1.0, 1), SubchannelSpec(2.0, 1.0, 1)], n0=1.0, p_total=1.0
-    )
+    ch2 = ParallelChannel(theta=[1.0, 2.0], m=1.0, L=1, n0=1.0, p_total=1.0)
     zero_second = PowerAllocation(np.array([1.0, 0.0]))
     assert math.isclose(jensen_upper(ch2, zero_second), math.log(2.0), rel_tol=1e-15)
     with pytest.raises(ValueError):
@@ -88,8 +91,7 @@ def test_jensen_upper_basics():
 
 def test_jensen_at_waterfill_beats_random_allocations():
     rng = np.random.default_rng(1)
-    subs = [SubchannelSpec(theta=t, m=1.0, L=2) for t in (0.2, 0.7, 1.9)]
-    ch = ParallelChannel(subs, n0=1.0, p_total=2.0)
+    ch = ParallelChannel(theta=[0.2, 0.7, 1.9], m=1.0, L=2, n0=1.0, p_total=2.0)
     swf = waterfill(ch.mean_gains, ch.n0, ch.p_total)
     best = jensen_upper(ch, swf)
     for powers in rng.dirichlet(np.ones(3), size=1000) * ch.p_total:
@@ -108,14 +110,14 @@ def test_markov_lower_is_a_valid_lower_bound():
     for _ in range(25):
         n = int(rng.integers(1, 5))
         subs = [
-            SubchannelSpec(
-                theta=10 ** rng.uniform(-1, 1),
-                m=float(rng.choice([0.5, 1.0, 2.0])),
-                L=int(rng.integers(1, 6)),
+            (
+                10 ** rng.uniform(-1, 1),
+                float(rng.choice([0.5, 1.0, 2.0])),
+                int(rng.integers(1, 6)),
             )
             for _ in range(n)
         ]
-        ch = ParallelChannel(subs, n0=10 ** rng.uniform(-0.5, 0.5), p_total=10 ** rng.uniform(-0.5, 1))
+        ch = ParallelChannel(*zip(*subs), n0=10 ** rng.uniform(-0.5, 0.5), p_total=10 ** rng.uniform(-0.5, 1))
         alloc = waterfill(ch.mean_gains, ch.n0, ch.p_total)
         rate = exact_rate(ch, alloc)
         for kwargs in ({}, {"alpha": 0.5}, {"a_values": [0.3] * n}):
@@ -138,9 +140,7 @@ def test_markov_lower_argument_validation():
 
 
 def test_markov_lower_skips_zero_power_subchannels():
-    ch = ParallelChannel(
-        [SubchannelSpec(1.0, 1.0, 1), SubchannelSpec(1.0, 1.0, 1)], n0=1.0, p_total=1.0
-    )
+    ch = ParallelChannel(theta=[1.0, 1.0], m=1.0, L=1, n0=1.0, p_total=1.0)
     alloc = PowerAllocation(np.array([1.0, 0.0]))
     with_zero = markov_lower(ch, alloc, a_values=[math.log(2.0), -5.0])
     # the a value on the unpowered subchannel is irrelevant
@@ -152,12 +152,12 @@ def _mixed_channel_12():
     # equal power except one unpowered subchannel
     ms, ls = (0.5, 1.0, 2.0), (1, 3, 8)
     subs = [
-        SubchannelSpec(theta=theta, m=ms[i % 3], L=ls[(i // 3) % 3])
+        (theta, ms[i % 3], ls[(i // 3) % 3])
         for i, theta in enumerate(np.geomspace(0.05, 3.0, 12))
     ]
     powers = np.full(12, 0.5)
     powers[4] = 0.0
-    return ParallelChannel(subs, n0=1.0, p_total=powers.sum()), PowerAllocation(powers)
+    return ParallelChannel(*zip(*subs), n0=1.0, p_total=powers.sum()), PowerAllocation(powers)
 
 
 def test_markov_lower_mixed_channel_is_sum_of_single_subchannels():
@@ -166,8 +166,8 @@ def test_markov_lower_mixed_channel_is_sum_of_single_subchannels():
     a_values[4] = -1.0  # ignored on the unpowered subchannel
     for rule in ({}, {"alpha": 0.5}, {"a_values": a_values}):
         parts = []
-        for i, (sub, p) in enumerate(zip(ch.subchannels, alloc.powers)):
-            single = ParallelChannel([sub], n0=ch.n0, p_total=1.0)
+        for i, p in enumerate(alloc.powers):
+            single = ParallelChannel([ch.theta[i]], ch.m[i], ch.L[i], n0=ch.n0, p_total=1.0)
             one = {"a_values": [a_values[i]]} if "a_values" in rule else rule
             parts.append(markov_lower(single, PowerAllocation(np.array([p])), **one))
         assert parts[4] == 0.0
@@ -180,25 +180,25 @@ def test_markov_lower_max_rule_beats_a_fine_grid():
     # is a few ulps of rounding in Q.
     ch, alloc = _mixed_channel_12()
     grid = np.geomspace(1e-6, 50.0, 2000)
-    for sub, p in zip(ch.subchannels, alloc.powers):
+    for i, p in enumerate(alloc.powers):
         if p == 0.0:
             continue
-        single = ParallelChannel([sub], n0=ch.n0, p_total=1.0)
+        theta, shape = ch.theta[i], ch.shape[i]
+        single = ParallelChannel([theta], ch.m[i], ch.L[i], n0=ch.n0, p_total=1.0)
         best = markov_lower(single, PowerAllocation(np.array([p])))
         for a in grid:
-            term = a * reg_gamma_q(sub.shape, (ch.n0 / p) * math.expm1(a) / sub.theta)
-            assert best >= term * (1.0 - 4e-16), (sub, a)
+            term = a * reg_gamma_q(shape, (ch.n0 / p) * math.expm1(a) / theta)
+            assert best >= term * (1.0 - 4e-16), (i, a)
 
 
 def test_exact_rate_additivity_and_jensen_domination():
-    sub = SubchannelSpec(theta=1.0, m=1.0, L=1)
-    ch = ParallelChannel([sub, sub], n0=1.0, p_total=2.0)
+    ch = ParallelChannel(theta=[1.0, 1.0], m=1.0, L=1, n0=1.0, p_total=2.0)
     alloc = equal_power(2, 2.0)
     rate = exact_rate(ch, alloc)
     assert math.isclose(rate, 2.0 * math.e * exp_integral_e1(1.0), rel_tol=1e-9)
     assert rate <= jensen_upper(ch, alloc)
     half = PowerAllocation(np.array([2.0, 0.0]))
-    assert math.isclose(exact_rate(ch, half), ergodic_mi(sub, 2.0, 1.0), rel_tol=1e-12)
+    assert math.isclose(exact_rate(ch, half), _rate_of_one(1.0, 1.0, 1, 2.0, 1.0), rel_tol=1e-12)
 
 
 def test_empirical_rate_matches_exact_rate():
@@ -306,19 +306,15 @@ def test_ratio_expansion_tracks_exact_ratio_at_large_diversity():
 
 
 def test_awgn_reference_symmetric_case_and_identity():
-    subs = [SubchannelSpec(1.0, 1.0, 1), SubchannelSpec(1.0, 1.0, 1)]
-    ch = ParallelChannel(subs, n0=1.0, p_total=2.0)
+    ch = ParallelChannel(theta=[1.0, 1.0], m=1.0, L=1, n0=1.0, p_total=2.0)
     assert math.isclose(awgn_reference(ch), 2.0 * math.log(2.0), rel_tol=1e-12)
     rng = np.random.default_rng(5)
     for _ in range(10):
-        chr_ = ParallelChannel(
-            [
-                SubchannelSpec(10 ** rng.uniform(-1, 1), 1.0, int(rng.integers(1, 5)))
-                for _ in range(int(rng.integers(1, 6)))
-            ],
-            n0=1.0,
-            p_total=10 ** rng.uniform(-0.5, 1),
-        )
+        subs = [
+            (10 ** rng.uniform(-1, 1), 1.0, int(rng.integers(1, 5)))
+            for _ in range(int(rng.integers(1, 6)))
+        ]
+        chr_ = ParallelChannel(*zip(*subs), n0=1.0, p_total=10 ** rng.uniform(-0.5, 1))
         swf = waterfill(chr_.mean_gains, chr_.n0, chr_.p_total)
         assert math.isclose(awgn_reference(chr_), jensen_upper(chr_, swf), rel_tol=1e-15)
 
@@ -344,16 +340,16 @@ def test_bound_sandwich_on_random_instances():
     for _ in range(40):
         n = int(rng.integers(1, 17))
         subs = [
-            SubchannelSpec(
-                theta=10 ** rng.uniform(-1, 1),
-                m=float(rng.choice([0.5, 1.0, 2.0, 4.0])),
-                L=int(rng.integers(1, 9)),
+            (
+                10 ** rng.uniform(-1, 1),
+                float(rng.choice([0.5, 1.0, 2.0, 4.0])),
+                int(rng.integers(1, 9)),
             )
             for _ in range(n)
         ]
         n0 = 1.0
         snr_db = rng.uniform(-20, 20)
-        ch = ParallelChannel(subs, n0=n0, p_total=snr_db_to_power(n, n0, snr_db))
+        ch = ParallelChannel(*zip(*subs), n0=n0, p_total=snr_db_to_power(n, n0, snr_db))
         alloc = waterfill(ch.mean_gains, ch.n0, ch.p_total)
         lower = markov_lower(ch, alloc)
         rate = exact_rate(ch, alloc)
