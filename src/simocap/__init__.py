@@ -69,57 +69,12 @@ from .specfun import (
     exp_integral_e1,
     gamma_expectation,
     gamma_expectation_batch,
-    log_gamma,
     reg_gamma_q,
 )
 
-__all__ = [
-    "__version__",
-    "PowerAllocation",
-    "equal_power",
-    "optimal_allocation",
-    "waterfill",
-    "FitError",
-    "GainMatrix",
-    "ParallelChannel",
-    "build_decay_profile",
-    "fit_gamma_moments",
-    "sample_gains",
-    "NormalizationError",
-    "ParseError",
-    "SnapshotSet",
-    "empirical_means",
-    "generate_snapshots",
-    "normalize_unit_mean",
-    "parse_channel_csv",
-    "pooled_mean_gain",
-    "simo_gains",
-    "write_channel_csv",
-    "BoundsReport",
-    "ConvergencePoint",
-    "ConvergenceStudy",
-    "MetricUndefinedError",
-    "RatioParams",
-    "awgn_reference",
-    "bound_ratio",
-    "bound_ratio_expansion",
-    "convergence_point",
-    "convergence_study",
-    "empirical_rate",
-    "evaluate_bounds",
-    "exact_rate",
-    "jensen_upper",
-    "markov_lower",
-    "mpe",
-    "pointwise_mi",
-    "ratio_gamma_term",
-    "ratio_log_term",
-    "resolve_strategy",
-    "snr_db_to_power",
-    "NumericError",
-    "exp_integral_e1",
-    "gamma_expectation",
-    "gamma_expectation_batch",
-    "log_gamma",
-    "reg_gamma_q",
+# the public API is every class and function imported above, in import order
+__all__ = ["__version__"] + [
+    name
+    for name, value in list(globals().items())
+    if getattr(value, "__module__", "").startswith(__name__ + ".")
 ]

@@ -24,7 +24,7 @@ __all__ = [
 
 _OUTER_ITER_CAP = 200
 _INNER_ITER_CAP = 100
-_BUDGET_REL_TOL = 1e-8  # the multiplier search stops within this share of p_total
+_BUDGET_TOLERANCE = 1e-8  # the multiplier search stops within this share of p_total
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +181,7 @@ def optimal_allocation(channel: ParallelChannel) -> PowerAllocation:
         powers = _powers_at(channel, lam)
         total = powers.sum()
         residual = total - p_total
-        if abs(residual) <= _BUDGET_REL_TOL * p_total:
+        if abs(residual) <= _BUDGET_TOLERANCE * p_total:
             break
         if total > p_total:
             lam_lo = lam

@@ -83,6 +83,10 @@ class ParallelChannel:
         for name, value in dict(fields, shape=shape, mean_gains=mean_gains).items():
             object.__setattr__(self, name, value)
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through __init__, so copies stay read-only
+        return type(self), (self.theta, self.m, self.L, self.n0, self.p_total, self.freqs_hz)
+
     @property
     def n(self) -> int:
         return self.theta.size

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .alloc import waterfill
-from .channel import FitError, build_decay_profile
+from .channel import FitError, build_decay_profile, fit_gamma_moments
 from .ingest import (
     NormalizationError,
     ParseError,
@@ -35,8 +35,8 @@ from .ingest import (
     pooled_mean_gain,
     simo_gains,
     write_channel_csv,
+    _write_atomic,
 )
-from .channel import fit_gamma_moments
 from .rates import (
     LN2,
     STRATEGY_TAGS,
@@ -285,8 +285,7 @@ def _format_cell(value) -> str:
 def _write_csv(path: str, header, rows) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _write_sidecar(path: str, command: str, cfg: ExperimentConfig, extra: dict | None = None):
@@ -302,8 +301,7 @@ def _write_sidecar(path: str, command: str, cfg: ExperimentConfig, extra: dict |
     }
     if extra:
         meta.update(extra)
-    with open(path + ".meta.json", "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _write_atomic(path + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_waterfill(args) -> int:
@@ -365,8 +363,7 @@ def cmd_gen_synthetic(args) -> int:
     if not cfg.output_path:
         raise ValueError("an output path is required (--output)")
     ch = _profile_channel(asdict(cfg), int(cfg.l_values[0]), 0.0)
-    branches = args.branches if args.branches is not None else None
-    snapshots = generate_snapshots(ch, cfg.n_snapshots, cfg.seed, n_branches=branches)
+    snapshots = generate_snapshots(ch, cfg.n_snapshots, cfg.seed, n_branches=args.branches)
     write_channel_csv(snapshots, cfg.output_path)
     _write_sidecar(cfg.output_path, "gen-synthetic", cfg, extra={"branches": snapshots.branches})
     return EXIT_OK
@@ -417,8 +414,7 @@ def cmd_ingest(args) -> int:
     }
     text = json.dumps(stats, indent=2, sort_keys=True) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write_atomic(args.output, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -17,6 +17,7 @@ subchannels.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,8 +198,20 @@ def write_channel_csv(snapshots: SnapshotSet, dest) -> None:
     if hasattr(dest, "write"):
         dest.write(text)
     else:
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
+        _write_atomic(dest, text)
+
+
+def _write_atomic(path, text: str) -> None:
+    # a temporary file next to path replaces it only once fully written,
+    # so a failed write leaves any previous path as it was
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def generate_snapshots(

@@ -1,18 +1,22 @@
 """Special functions and expectations against the gamma distribution.
 
 Everything downstream (capacity bounds, water levels, convergence ratios)
-reduces to three scalar ingredients plus one integral operator:
+reduces to two scalar ingredients plus one integral operator:
 
-* ``log_gamma`` -- the log of the gamma function,
 * ``reg_gamma_q`` -- the regularized upper incomplete gamma function
   Q(a, x), which is the CCDF of a unit-scale gamma variate with shape a,
 * ``exp_integral_e1`` -- the exponential integral E1, giving closed forms
   for rates over exponentially distributed gains,
-* ``gamma_expectation`` -- E[f(g)] for g ~ Gamma(shape, scale), evaluated
-  by generalized Gauss-Laguerre quadrature matched to the gamma weight.
+* ``gamma_expectation`` -- E[f(g)] for g ~ Gamma(shape, scale), by one
+  fixed trapezoid rule in log g; ``gamma_expectation_batch`` does the
+  same for many (shape, scale) pairs at once.
 
-``gamma_expectation_batch`` evaluates the same operator for many
-(shape, scale) pairs at once.  All functions are pure and re-entrant.
+The rule has no stopping test and no node cap.  It converges
+geometrically when f is analytic near the positive axis and grows at
+most polynomially, as the library's log1p(c*g), g/(1 + c*g) and its
+square do, and matches 30-digit mpmath to 1e-13 relative over shapes
+0.5 to 1e4 and c from 1e-3 to 1e9.  A discontinuous f, such as an
+indicator, gets an O(h) error.  All functions are pure and re-entrant.
 scipy is imported on first use, so importing this module, and with it
 the CSV paths of the package, loads numpy only.
 """
@@ -24,20 +28,11 @@ import numpy as np
 
 __all__ = [
     "NumericError",
-    "log_gamma",
     "reg_gamma_q",
     "exp_integral_e1",
     "gamma_expectation",
     "gamma_expectation_batch",
 ]
-
-_FPMIN = 1e-300
-# gamma_expectation_batch starts at _START_NODES nodes and doubles until two
-# successive estimates agree to _REL_TOL, or until _MAX_NODES nodes, after
-# which the last estimate is returned
-_START_NODES = 128
-_REL_TOL = 1e-9
-_MAX_NODES = 8192
 
 
 class NumericError(RuntimeError):
@@ -49,11 +44,6 @@ def _as_positive(name: str, value: float) -> float:
     if not math.isfinite(value) or value <= 0.0:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return value
-
-
-def log_gamma(a: float) -> float:
-    """Natural logarithm of the gamma function for a > 0."""
-    return math.lgamma(_as_positive("a", a))
 
 
 def reg_gamma_q(a: float, x: float) -> float:
@@ -84,44 +74,26 @@ def exp_integral_e1(x: float) -> float:
 
 
 @lru_cache(maxsize=64)
-def _gamma_rule(shape: float, n: int):
+def _gamma_grid(shape: float):
     """Nodes and probability weights for the Gamma(shape, 1) measure.
 
-    Golub-Welsch on the Jacobi matrix of the generalized Laguerre
-    polynomials with alpha = shape - 1; weights come out already
-    normalized to sum to one (the zeroth moment cancels), which keeps the
-    construction overflow-free for arbitrarily large shapes.
+    The trapezoid rule in u = log(g / shape), where the density is
+    proportional to exp(shape * (u - expm1(u))), an entire function of u.
+    For integrands analytic in a strip around the real u axis the error
+    falls geometrically in 1/h (Trefethen and Weideman, SIAM Review 56,
+    2014).  h resolves the density's width 1/sqrt(shape); the window
+    drops tails of relative weight below about 1e-19.  Normalizing the
+    weights replaces 1/Gamma(shape), which cancels badly at large shapes.
+    Shapes 0.5, 128 and 1e4 get 480, 51 and 224 nodes.
     """
-    from scipy.linalg import eigh_tridiagonal
-
-    alpha = shape - 1.0
-    idx = np.arange(n, dtype=float)
-    diag = 2.0 * idx + alpha + 1.0
-    off = np.sqrt(idx[1:] * (idx[1:] + alpha))
-    nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
-    nodes = np.maximum(nodes, 0.0)
-    # Christoffel weights 1 / sum_k p_k(x_i)^2 via the orthonormal
-    # three-term recurrence.  Lanes whose partial sums overflow belong to
-    # weights below 1e-300 and are zeroed.
-    with np.errstate(over="ignore", invalid="ignore"):
-        p_prev = np.zeros_like(nodes)
-        p_cur = np.ones_like(nodes)
-        ssq = np.ones_like(nodes)
-        e_last = 0.0
-        for j in range(1, n):
-            e_j = math.sqrt(j * (j + alpha))
-            p_next = ((nodes - diag[j - 1]) * p_cur - e_last * p_prev) / e_j
-            ssq = ssq + p_next * p_next
-            p_prev, p_cur, e_last = p_cur, p_next, e_j
-        weights = np.where(np.isfinite(ssq), 1.0 / ssq, 0.0)
-    if not abs(weights.sum() - 1.0) < 1e-6:
-        raise NumericError(f"quadrature weight construction failed (shape={shape}, n={n})")
+    h = min(0.2, 0.5 / math.sqrt(shape))
+    lo = -1.0 - 45.0 / shape
+    hi = math.log1p(12.0 / math.sqrt(shape) + 60.0 / shape)
+    u = h * np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
+    weights = np.exp(shape * (u - np.expm1(u)))
+    nodes, weights = shape * np.exp(u), weights / weights.sum()
+    nodes.flags.writeable = weights.flags.writeable = False  # shared through the cache
     return nodes, weights
-
-
-def _eval_integrand(f, x: np.ndarray) -> np.ndarray:
-    # a constant integrand returns a scalar; spread it over the nodes
-    return np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
 
 
 def gamma_expectation(f, shape: float, scale: float) -> float:
@@ -129,22 +101,17 @@ def gamma_expectation(f, shape: float, scale: float) -> float:
 
     ``f`` must accept a 1-D numpy array of nonnegative gains and return
     its values elementwise (or one constant); errors it raises propagate.
+    Accurate to about 1e-13 relative if ``f`` is analytic near the positive
+    axis with at most polynomial growth; a discontinuous ``f`` gets an
+    O(h) error.
     """
-    shape = _as_positive("shape", shape)
-    scale = _as_positive("scale", scale)
+    # a constant integrand returns a scalar; spread it over the nodes
     values = gamma_expectation_batch(
-        lambda g, rows: _eval_integrand(f, g[0])[None, :], [shape], [scale]
+        lambda g, rows: np.broadcast_to(np.asarray(f(g[0]), dtype=float), g.shape),
+        [shape],
+        [scale],
     )
     return float(values[0])
-
-
-def _quad_estimates(f, shape: float, scales: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    nodes, weights = _gamma_rule(shape, n)
-    live = weights > 0.0
-    values = f(scales[rows, None] * nodes, rows)[:, live]
-    if not np.all(np.isfinite(values)):
-        raise NumericError("integrand produced non-finite values at quadrature nodes")
-    return values @ weights[live]
 
 
 def gamma_expectation_batch(f, shapes, scales) -> np.ndarray:
@@ -153,9 +120,10 @@ def gamma_expectation_batch(f, shapes, scales) -> np.ndarray:
     ``f(g, rows)`` gets the gains at the quadrature nodes as a
     ``(len(rows), nodes)`` array and returns its values in the same shape;
     ``rows`` indexes the entries evaluated, to gather per-entry parameters.
-    Entries with equal shapes share one rule.  Each entry applies the
-    stopping rule on its own, and only entries not yet converged are
-    evaluated again at the next, doubled node count.
+    Entries with equal shapes share one fixed trapezoid rule, and ``f`` is
+    called once per distinct shape.  The accuracy contract is that of
+    ``gamma_expectation``.  Raises ``NumericError`` if ``f`` returns a
+    non-finite value at any node.
     """
     shapes = np.asarray(shapes, dtype=float)
     scales = np.asarray(scales, dtype=float)
@@ -166,16 +134,9 @@ def gamma_expectation_batch(f, shapes, scales) -> np.ndarray:
     out = np.empty(shapes.size)
     for shape in dict.fromkeys(shapes.tolist()):
         rows = np.flatnonzero(shapes == shape)
-        n = _START_NODES
-        prev = _quad_estimates(f, shape, scales, rows, n)
-        while n < _MAX_NODES:
-            n *= 2
-            cur = _quad_estimates(f, shape, scales, rows, n)
-            size = np.maximum(np.maximum(np.abs(cur), np.abs(prev)), _FPMIN)
-            done = np.abs(cur - prev) <= _REL_TOL * size
-            out[rows[done]] = cur[done]
-            rows, prev = rows[~done], cur[~done]
-            if rows.size == 0:
-                break
-        out[rows] = prev
+        nodes, weights = _gamma_grid(shape)
+        values = f(scales[rows, None] * nodes, rows)
+        if not np.all(np.isfinite(values)):
+            raise NumericError("integrand produced non-finite values at quadrature nodes")
+        out[rows] = values @ weights
     return out

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -69,6 +71,18 @@ def test_parallel_channel_array_validation():
         ch.theta[0] = 2.0
     theta[0] = 2.0
     assert ch.theta[0] == 1.0 and ch.mean_gains[0] == 1.0
+
+
+@pytest.mark.parametrize(
+    "clone", [lambda ch: pickle.loads(pickle.dumps(ch)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_copies_of_a_channel_stay_read_only(clone):
+    ch = build_decay_profile(5, 5e9, 6e9, 3.0, 0.5, 3, 2.0, 7.0)
+    twin = clone(ch)
+    for name in ("theta", "m", "L", "freqs_hz", "shape", "mean_gains"):
+        assert np.array_equal(getattr(twin, name), getattr(ch, name)), name
+        assert not getattr(twin, name).flags.writeable, name
+    assert (twin.n0, twin.p_total) == (ch.n0, ch.p_total)
 
 
 def test_flat_profile_has_unit_gains():

@@ -306,29 +306,93 @@ def test_python_dash_m_on_the_cli_module_runs_the_cli():
     assert "water_level = 1.25" in done.stdout
 
 
-def test_import_and_csv_paths_do_not_load_scipy(tmp_path):
-    # scipy is imported only by the special functions, on first use, so a
-    # fresh interpreter that imports the CLI and runs gen-synthetic and
-    # ingest never loads it.
-    chan = str(tmp_path / "chan.csv")
-    stats = str(tmp_path / "stats.json")
+def _scipy_modules_after(script_lines):
+    # the scipy modules a fresh interpreter holds after running the script
     script = "\n".join(
-        [
-            "import sys",
-            "import simocap.cli as cli",
-            "gen = ['gen-synthetic', '--n-bins', '4', '--l-values', '2', '--n-snapshots', '30']",
-            f"assert cli.main(gen + ['--output', {chan!r}]) == 0",
-            f"assert cli.main(['ingest', '--input', {chan!r}, '--output', {stats!r}]) == 0",
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
-        ]
+        ["import sys", "import simocap.cli as cli"]
+        + script_lines
+        + ["print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"]
     )
     done = subprocess.run(
         [sys.executable, "-c", script], env=_subprocess_env(), capture_output=True, text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.split()
+
+
+def test_import_and_csv_paths_do_not_load_scipy(tmp_path):
+    # scipy is imported only by the special functions, on first use, so a
+    # fresh interpreter that imports the CLI and runs gen-synthetic and
+    # ingest never loads it.
+    chan = str(tmp_path / "chan.csv")
+    stats = str(tmp_path / "stats.json")
+    gen = ["gen-synthetic", "--n-bins", "4", "--l-values", "2", "--n-snapshots", "30"]
+    loaded = _scipy_modules_after(
+        [
+            f"assert cli.main({gen!r} + ['--output', {chan!r}]) == 0",
+            f"assert cli.main(['ingest', '--input', {chan!r}, '--output', {stats!r}]) == 0",
+        ]
+    )
+    assert loaded == []
     assert len(json.loads(Path(stats).read_text())["bins"]) == 4
+
+
+def test_optimal_bounds_sweep_does_not_load_scipy_linalg(tmp_path):
+    # the gamma quadrature is a fixed trapezoid rule; no eigensolver is needed
+    out = str(tmp_path / "opt.csv")
+    sweep = ["bounds-sweep", "--n-bins", "4", "--snr-db", "0", "--strategies", "optimal"]
+    loaded = _scipy_modules_after([f"assert cli.main({sweep!r} + ['--output', {out!r}]) == 0"])
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.linalg")]
+
+
+class _WriteFailsHalfway:
+    # a text file whose write stores half of its text, then fails
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, text):
+        self._fh.write(text[: len(text) // 2])
+        raise OSError("simulated full disk")
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (["bounds-sweep", "--n-bins", "4", "--snr-db", "0"], ["--snr-db", "0,5"]),
+        (["gen-synthetic", "--n-bins", "4", "--l-values", "2", "--n-snapshots", "30"],
+         ["--seed", "1"]),
+        (["ingest", "--input", "{chan}"], ["--branches", "0"]),
+    ],
+    ids=["bounds-sweep", "gen-synthetic", "ingest"],
+)
+def test_failed_write_leaves_previous_output_intact(tmp_path, monkeypatch, first, second):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    chan = tmp_path / "chan.csv"
+    gen = ["gen-synthetic", "--n-bins", "3", "--l-values", "2", "--n-snapshots", "20"]
+    assert cli.main(gen + ["--output", str(chan)]) == 0
+    argv = [arg.format(chan=chan) for arg in first] + ["--output", str(out_dir / "result")]
+    assert cli.main(argv) == 0
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+    real_open = open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _WriteFailsHalfway(fh) if "w" in mode else fh
+
+    monkeypatch.setattr("builtins.open", failing_open)
+    assert cli.main(argv + second) == cli.EXIT_OUTPUT
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
 def test_ingest_band_filter_and_branch_subset(tmp_path):

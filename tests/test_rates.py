@@ -201,6 +201,23 @@ def test_exact_rate_additivity_and_jensen_domination():
     assert math.isclose(exact_rate(ch, half), _rate_of_one(1.0, 1.0, 1, 2.0, 1.0), rel_tol=1e-12)
 
 
+def test_exact_rate_matches_integer_shape_closed_form_at_20_db():
+    # the CLI's default profile (64 bins, m = 1, L = 4) under statistical
+    # waterfilling at 20 dB.  For g ~ Gamma(k, theta) with integer k,
+    # E[log(1 + c*g)] = e^s * sum_{j<k} s^j * Gamma(-j, s), s = 1/(c*theta)
+    mp = pytest.importorskip("mpmath")
+    ch = build_decay_profile(64, 5e9, 6e9, 3.0, 1.0, 4, 1.0, 1.0)
+    ch = ch.with_power(snr_db_to_power(ch.n, ch.n0, 20.0))
+    alloc = waterfill(ch.mean_gains, ch.n0, ch.p_total)
+    with mp.workdps(30):
+        ref = mp.mpf(0)
+        for theta, p in zip(ch.theta, alloc.powers):
+            if p > 0.0:
+                s = ch.n0 / (mp.mpf(float(p)) * mp.mpf(float(theta)))
+                ref += mp.exp(s) * mp.fsum(s**j * mp.gammainc(-j, s) for j in range(4))
+    assert exact_rate(ch, alloc) == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+
+
 def test_empirical_rate_matches_exact_rate():
     ch = build_decay_profile(4, 5e9, 6e9, 3.0, 1.0, 2, 1.0, 4.0)
     alloc = waterfill(ch.mean_gains, ch.n0, ch.p_total)

@@ -8,26 +8,8 @@ from simocap.specfun import (
     NumericError,
     exp_integral_e1,
     gamma_expectation,
-    log_gamma,
     reg_gamma_q,
 )
-
-
-def test_log_gamma_known_values():
-    assert log_gamma(1.0) == 0.0
-    assert log_gamma(2.0) == 0.0
-    assert math.isclose(log_gamma(0.5), 0.5 * math.log(math.pi), rel_tol=1e-14)
-
-
-def test_log_gamma_matches_reference_over_wide_range():
-    for a in np.geomspace(1e-3, 1e6, 60):
-        assert math.isclose(log_gamma(a), float(special.gammaln(a)), rel_tol=1e-12, abs_tol=1e-12)
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
-def test_log_gamma_rejects_bad_domain(bad):
-    with pytest.raises(ValueError):
-        log_gamma(bad)
 
 
 def test_reg_gamma_q_total_mass_and_exponential_case():
@@ -148,3 +130,31 @@ def test_gamma_expectation_rejects_bad_parameters():
         gamma_expectation(lambda g: g, 0.0, 1.0)
     with pytest.raises(ValueError):
         gamma_expectation(lambda g: g, 1.0, -1.0)
+
+
+# each integrand is built for a numeric library: numpy, or mpmath for the oracle
+_ORACLE_INTEGRANDS = {
+    "log1p(cg)": lambda c, lib: lambda g: lib.log1p(c * g),
+    "g/(1+cg)": lambda c, lib: lambda g: g / (1 + c * g),
+    "(g/(1+cg))^2": lambda c, lib: lambda g: (g / (1 + c * g)) ** 2,
+}
+
+
+@pytest.mark.parametrize("shape", [0.5, 1.0, 4.0, 128.0, 1e4])
+def test_gamma_expectation_matches_mpmath_oracle(shape):
+    # the library's three integrands for shapes 0.5 to 1e4 and twelve
+    # decades of c, against a 30-digit quadrature of the gamma density; the
+    # breakpoints let mpmath resolve the knee of each integrand at g = 1/c
+    # and the density's peak near g = shape
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        a = mp.mpf(shape)
+        log_norm = mp.loggamma(a)
+        decades = [mp.mpf(10) ** k for k in range(-16, 2)]
+        breaks = sorted(set([mp.mpf(0), a] + decades)) + [mp.inf]
+        for c in (1e-3, 1.0, 1e3, 1e9):
+            for name, integrand in _ORACLE_INTEGRANDS.items():
+                f = integrand(mp.mpf(c), mp)
+                ref = mp.quad(lambda g: f(g) * mp.exp((a - 1) * mp.log(g) - g - log_norm), breaks)
+                est = gamma_expectation(integrand(c, np), shape, 1.0)
+                assert est == pytest.approx(float(ref), rel=1e-13, abs=0.0), (name, c)
