@@ -304,9 +304,13 @@ def snr_db_to_power(channel_n: int, n0: float, snr_db: float) -> float:
     """Total power giving the requested average per-subchannel transmit SNR.
 
     SNR is defined as p_total / (N * n0) under the unit-average-gain
-    normalization of the channel profiles.
+    normalization of the channel profiles.  Raises ``ValueError`` if the
+    power overflows.
     """
-    return channel_n * n0 * 10.0 ** (snr_db / 10.0)
+    try:
+        return channel_n * n0 * 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"SNR {snr_db!r} dB gives a power that overflows") from None
 
 
 def resolve_strategy(

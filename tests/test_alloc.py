@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from simocap import alloc as alloc_module
 from simocap.alloc import PowerAllocation, equal_power, optimal_allocation, waterfill
-from simocap.channel import ParallelChannel
-from simocap.rates import exact_rate, jensen_upper
-from simocap.specfun import gamma_expectation
+from simocap.channel import ParallelChannel, build_decay_profile
+from simocap.rates import exact_rate, jensen_upper, snr_db_to_power
+from simocap.specfun import NumericError, gamma_expectation
 
 
 def test_waterfill_single_channel():
@@ -155,28 +156,76 @@ def test_optimal_allocation_objective_beats_waterfilling_jensen_gap():
     assert jensen_upper(ch, swf) >= jensen_upper(ch, opt) - 1e-12
 
 
+def _assert_kkt(ch, powers):
+    # At the optimum the active marginal utilities E[g/(n0 + p*g)] share one
+    # value lam, and every inactive subchannel's marginal at p = 0, mu/n0,
+    # is at most lam.  The solver stops once the active marginals agree to
+    # 1e-12 relative.
+    active = powers > 0.0
+    marginals = np.array(
+        [
+            gamma_expectation(lambda g, p=p: g / (ch.n0 + p * g), shape, theta)
+            for shape, theta, p in zip(ch.shape[active], ch.theta[active], powers[active])
+        ]
+    )
+    lam = marginals.max()
+    assert lam - marginals.min() <= 1e-12 * lam
+    assert np.all(ch.mean_gains[~active] / ch.n0 <= lam)
+    assert math.isclose(powers.sum(), ch.p_total, rel_tol=1e-12)
+    return active
+
+
 def test_optimal_allocation_meets_kkt_on_mixed_shapes():
     # Shapes m*L from {0.5, 1, 2} x {1, 3, 8}, mean gains over two decades,
-    # so that about half of the subchannels are shut off.  At the optimum
-    # the active marginal utilities E[g/(n0 + p*g)] share one value; the
-    # solver's budget tolerance (1e-8 * p_total) bounds their spread to
-    # 1e-8 relative.  Every inactive subchannel's marginal at p = 0, mu/n0,
-    # is at most that value.
+    # so that about half of the subchannels are shut off.
     ms, ls = (0.5, 1.0, 2.0), (1, 3, 8)
     subs = []
     for i, mu in enumerate(np.geomspace(0.02, 3.0, 16)):
         m, L = ms[i % 3], ls[(i // 3) % 3]
         subs.append((mu / (m * L), m, L))
     ch = ParallelChannel(*zip(*subs), n0=1.0, p_total=16.0)
-    powers = optimal_allocation(ch).powers
-    active = powers > 0.0
+    active = _assert_kkt(ch, optimal_allocation(ch).powers)
     assert 2 <= active.sum() < ch.n
-    marginals = np.array(
-        [
-            gamma_expectation(lambda g, p=p: g / (ch.n0 + p * g), shape, theta)
-            for shape, theta, p in zip(ch.shape, ch.theta, powers)
-        ]
-    )
-    common = marginals[active].mean()
-    assert np.all(np.abs(marginals[active] - common) <= 1e-8 * common)
-    assert np.all(ch.mean_gains[~active] / ch.n0 <= common)
+
+
+@pytest.mark.parametrize(
+    "m, snr_db, n_active",
+    [(0.5, 20.0, 588), (1.0, -20.0, 163)],
+    ids=["m0.5-20dB", "m1--20dB"],
+)
+def test_optimal_allocation_meets_kkt_on_588_bin_profiles(m, snr_db, n_active):
+    # the two slowest solves of the former multiplier bisection
+    ch = build_decay_profile(588, 5e9, 6e9, 3.0, m=m, L=1, n0=1.0, p_total=1.0)
+    ch = ch.with_power(snr_db_to_power(ch.n, ch.n0, snr_db))
+    active = _assert_kkt(ch, optimal_allocation(ch).powers)
+    assert active.sum() == n_active
+
+
+def test_optimal_allocation_raises_at_the_iteration_cap(monkeypatch):
+    ch = ParallelChannel(theta=[2.0, 0.1], m=[0.5, 2.0], L=[1, 3], n0=1.0, p_total=2.0)
+    _assert_kkt(ch, optimal_allocation(ch).powers)
+    # with a cap of 1 the solver only evaluates statistical waterfilling,
+    # which is not optimal here
+    monkeypatch.setattr(alloc_module, "_ITER_CAP", 1)
+    with pytest.raises(NumericError, match="did not converge"):
+        optimal_allocation(ch)
+
+
+def test_waterfill_is_the_unit_slope_active_set_solution():
+    # ties included: every third gain repeats
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(1, 30))
+        gains = np.repeat(10 ** rng.uniform(-2, 2, size=n), 3)[: 2 * n]
+        n0, p_total = 10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-3, 3)
+        alloc = waterfill(gains, n0, p_total)
+        thresholds = n0 / gains
+        order = np.argsort(thresholds, kind="stable")
+        k = np.arange(1, gains.size + 1, dtype=float)
+        nu_candidates = (p_total + np.cumsum(thresholds[order])) / k
+        k_star = int(np.flatnonzero(nu_candidates > thresholds[order]).max()) + 1
+        nu = float(nu_candidates[k_star - 1])
+        expected = np.zeros(gains.size)
+        expected[order[:k_star]] = nu - thresholds[order][:k_star]
+        assert alloc.water_level == nu
+        assert np.array_equal(alloc.powers, expected)

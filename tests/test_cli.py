@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import simocap
-from simocap import cli
+from simocap import alloc, cli
 from simocap.specfun import NumericError
 
 
@@ -133,6 +133,27 @@ def test_bounds_sweep_reports_numeric_failures(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_bounds_task", boom)
     rc = cli.main(["bounds-sweep", "--n-bins", "4", "--snr-db=0", "--output", str(tmp_path / "x.csv")])
     assert rc == 4
+
+
+def test_optimal_sweep_exits_4_when_the_solver_hits_its_iteration_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(alloc, "_ITER_CAP", 1)
+    rc = cli.main(
+        ["bounds-sweep", "--n-bins", "4", "--snr-db=0", "--strategies", "optimal",
+         "--output", str(tmp_path / "x.csv")]
+    )
+    assert rc == 4
+
+
+@pytest.mark.parametrize("command", ["bounds-sweep", "mpe-study"])
+def test_overflowing_snr_exits_2(tmp_path, command):
+    argv = [command, "--n-bins", "4", "--snr-db=4000", "--output", str(tmp_path / "x.csv")]
+    done = subprocess.run(
+        [sys.executable, "-m", "simocap", *argv],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert "error" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_bounds_sweep_supports_optimal_strategy(tmp_path):
