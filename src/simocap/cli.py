@@ -9,15 +9,12 @@ command-line flags override; every effective value is echoed into a
 
 Exit codes: 0 success, 2 input or validation error, 3 output error,
 4 numeric non-convergence.  Outputs are byte-identical for identical
-(config, seed), independent of the worker count selected through the
-``SIMOCAP_WORKERS`` environment variable (absent means automatic).
+(config, seed).
 """
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -52,7 +49,6 @@ EXIT_INPUT = 2
 EXIT_OUTPUT = 3
 EXIT_NUMERIC = 4
 
-WORKERS_ENV = "SIMOCAP_WORKERS"
 NOISE_VAR = 1.0
 
 _SNR_DEFINITION = (
@@ -204,76 +200,18 @@ def _load_config(args: argparse.Namespace, overrides: dict | None = None) -> Exp
     return cfg
 
 
-def _n_workers(n_tasks: int) -> int:
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        workers = min(os.cpu_count() or 1, 8)
-    else:
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-        if workers < 1:
-            raise ValueError(f"{WORKERS_ENV} must be >= 1, got {workers}")
-    return max(1, min(workers, n_tasks))
-
-
-def _map_tasks(fn, tasks: list) -> list:
-    workers = _n_workers(len(tasks))
-    if workers == 1:
-        return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
-
-
-def _profile_channel(cfg: dict, L: int, snr_db: float):
+def _profile_channel(cfg: ExperimentConfig, L: int, snr_db: float):
     ch = build_decay_profile(
-        n_bins=cfg["n_bins"],
-        f_lo_hz=cfg["f_lo_hz"],
-        f_hi_hz=cfg["f_hi_hz"],
-        decay_exponent=cfg["decay_exponent"],
-        m=cfg["m"],
+        n_bins=cfg.n_bins,
+        f_lo_hz=cfg.f_lo_hz,
+        f_hi_hz=cfg.f_hi_hz,
+        decay_exponent=cfg.decay_exponent,
+        m=cfg.m,
         L=L,
         n0=NOISE_VAR,
         p_total=1.0,
     )
     return ch.with_power(snr_db_to_power(ch.n, ch.n0, snr_db))
-
-
-def _bounds_task(task):
-    cfg, snr_db, strategy = task
-    ch = _profile_channel(cfg, int(cfg["l_values"][0]), snr_db)
-    alloc = resolve_strategy(ch, strategy)
-    report = evaluate_bounds(ch, alloc, snr_db, alpha=_parse_a_rule(cfg["a_rule"]))
-    if cfg["rate_units"] == "bits":
-        report = report.in_bits()
-    return (
-        snr_db,
-        strategy,
-        report.c_upper,
-        report.c_lower_exact,
-        report.c_lower_markov,
-        report.c_awgn_ref,
-        report.normalized_upper,
-        report.normalized_lower,
-        report.mpe_percent,
-    )
-
-
-def _mpe_task(task):
-    cfg, snr_db = task
-    study = convergence_study(
-        lambda L: _profile_channel(cfg, L, snr_db),
-        "statistical-waterfill",
-        cfg["l_values"],
-        snr_db,
-    )
-    nats_per_unit = LN2 if cfg["rate_units"] == "bits" else 1.0
-    rows = [
-        (p.L, snr_db, p.c_upper / nats_per_unit, p.c_lower_exact / nats_per_unit, p.mpe_percent)
-        for p in study.points
-    ]
-    return rows, study.slope
 
 
 def _format_cell(value) -> str:
@@ -327,14 +265,16 @@ def cmd_bounds_sweep(args) -> int:
     cfg = _load_config(args)
     if not cfg.output_path:
         raise ValueError("an output path is required (--output)")
-    cfg_dict = asdict(cfg)
-    tasks = [
-        (cfg_dict, float(snr), strategy)
-        for snr in cfg.snr_db_values
-        for strategy in cfg.strategies
-    ]
-    rows = _map_tasks(_bounds_task, tasks)
-    rows.sort(key=lambda row: (row[0], row[1]))
+    alpha = _parse_a_rule(cfg.a_rule)
+    rows = []
+    for snr in map(float, cfg.snr_db_values):
+        ch = _profile_channel(cfg, int(cfg.l_values[0]), snr)
+        for strategy in cfg.strategies:
+            report = evaluate_bounds(ch, resolve_strategy(ch, strategy), snr, alpha=alpha)
+            if cfg.rate_units == "bits":
+                report = report.in_bits()
+            rows.append((snr, strategy, *(getattr(report, col) for col in BOUNDS_COLUMNS[2:])))
+    rows.sort(key=lambda row: row[:2])
     _write_csv(cfg.output_path, BOUNDS_COLUMNS, rows)
     _write_sidecar(cfg.output_path, "bounds-sweep", cfg)
     return EXIT_OK
@@ -347,11 +287,18 @@ def cmd_mpe_study(args) -> int:
     )
     if not cfg.output_path:
         raise ValueError("an output path is required (--output)")
-    cfg_dict = asdict(cfg)
-    snrs = [float(snr) for snr in cfg.snr_db_values]
-    studies = _map_tasks(_mpe_task, [(cfg_dict, snr) for snr in snrs])
-    rows = sorted((row for study_rows, _ in studies for row in study_rows), key=lambda row: row[:2])
-    slopes = {repr(snr): slope for snr, (_, slope) in zip(snrs, studies)}
+    nats_per_unit = LN2 if cfg.rate_units == "bits" else 1.0
+    rows, slopes = [], {}
+    for snr in map(float, cfg.snr_db_values):
+        study = convergence_study(
+            lambda L: _profile_channel(cfg, L, snr), "statistical-waterfill", cfg.l_values, snr
+        )
+        rows.extend(
+            (p.L, snr, p.c_upper / nats_per_unit, p.c_lower_exact / nats_per_unit, p.mpe_percent)
+            for p in study.points
+        )
+        slopes[repr(snr)] = study.slope
+    rows.sort(key=lambda row: row[:2])
 
     _write_csv(cfg.output_path, MPE_COLUMNS, rows)
     _write_sidecar(cfg.output_path, "mpe-study", cfg, extra={"mpe_slope_by_snr_db": slopes})
@@ -362,7 +309,7 @@ def cmd_gen_synthetic(args) -> int:
     cfg = _load_config(args)
     if not cfg.output_path:
         raise ValueError("an output path is required (--output)")
-    ch = _profile_channel(asdict(cfg), int(cfg.l_values[0]), 0.0)
+    ch = _profile_channel(cfg, int(cfg.l_values[0]), 0.0)
     snapshots = generate_snapshots(ch, cfg.n_snapshots, cfg.seed, n_branches=args.branches)
     write_channel_csv(snapshots, cfg.output_path)
     _write_sidecar(cfg.output_path, "gen-synthetic", cfg, extra={"branches": snapshots.branches})

@@ -23,7 +23,7 @@ import numpy as np
 
 from .alloc import PowerAllocation, equal_power, optimal_allocation, waterfill
 from .channel import GainMatrix, ParallelChannel
-from .specfun import gamma_expectation_batch, reg_gamma_q
+from .specfun import NumericError, gamma_expectation_batch, reg_gamma_q
 
 __all__ = [
     "LN2",
@@ -55,7 +55,8 @@ LN2 = math.log(2.0)
 STRATEGY_TAGS = ("statistical-waterfill", "equal", "optimal")
 
 _A_MAX = 50.0
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_ITER_CAP = 50
+_A_STEP_TOLERANCE = 1e-10  # relative Newton step in a; the term's error is its square
 
 
 class MetricUndefinedError(ValueError):
@@ -91,33 +92,41 @@ def _markov_terms(a, shape, theta, p, n0: float) -> np.ndarray:
 
 
 def _max_markov_terms(shape, theta, p, n0: float) -> np.ndarray:
-    # Per subchannel: a coarse log-grid scan over a, then golden-section
-    # refinement inside the bracket around the best grid point.  Every
-    # subchannel takes the same steps, so all of them advance together.
-    def term(a):
-        return _markov_terms(a, shape, theta, p, n0)
+    # Per subchannel: a coarse log-grid scan over a, then safeguarded Newton
+    # steps on h'(a) = 0 for h(a) = a*Q(k, x), x = c*(e^a - 1), c = n0/(p*theta),
+    # from the best grid point and inside the bracket of its neighbours.
+    # With phi the gamma density at x,
+    #   h'  = Q - a*(x + c)*phi,
+    #   h'' = -(x + c)*phi*(2 + a + a*(x + c)*((k - 1)/x - 1)).
+    # The sign of h' shrinks the bracket; where h'' >= 0 or the Newton point
+    # leaves the closed bracket, the step bisects it instead.  A maximum at
+    # an end of the range collapses the bracket onto that end, which is then
+    # returned exactly.
+    from scipy.special import gammaincc, gammaln
 
     grid = np.geomspace(1e-6, _A_MAX, 48)
     i = np.argmax(_markov_terms(grid, shape[:, None], theta[:, None], p[:, None], n0), axis=1)
     lo = grid[np.maximum(i - 1, 0)]
     hi = grid[np.minimum(i + 1, grid.size - 1)]
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc = term(c)
-    fd = term(d)
-    for _ in range(60):
-        # fc >= fd: the maximum lies in [lo, d], c becomes the new d and a
-        # new c is placed; otherwise it lies in [c, hi], d becomes the new
-        # c and a new d is placed.
-        left = fc >= fd
-        hi = np.where(left, d, hi)
-        lo = np.where(left, lo, c)
-        step = _GOLDEN * (hi - lo)
-        new = np.where(left, hi - step, lo + step)
-        f_new = term(new)
-        c, d = np.where(left, new, d), np.where(left, c, new)
-        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
-    return term(0.5 * (lo + hi))
+    a = grid[i]
+    c = (n0 / p) / theta
+    log_gamma_k = gammaln(shape)
+    for _ in range(_ITER_CAP):
+        x = c * np.expm1(a)
+        xc_phi = (x + c) * np.exp((shape - 1.0) * np.log(x) - x - log_gamma_k)
+        d1 = gammaincc(shape, x) - a * xc_phi
+        d2 = -xc_phi * (2.0 + a + a * (x + c) * ((shape - 1.0) / x - 1.0))
+        rising = d1 > 0.0
+        lo = np.where(rising, a, lo)
+        hi = np.where(rising, hi, a)
+        with np.errstate(all="ignore"):  # d2 = 0 far past the maximum; bisected below
+            newton = a - d1 / d2
+        new = np.where((d2 < 0.0) & (lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
+        done = np.all(np.abs(new - a) <= _A_STEP_TOLERANCE * new)
+        a = new
+        if done:
+            return _markov_terms(a, shape, theta, p, n0)
+    raise NumericError(f"Markov parameter search did not converge in {_ITER_CAP} steps")
 
 
 def markov_lower(
@@ -131,8 +140,9 @@ def markov_lower(
     The free parameters a_n > 0 can be given explicitly (``a_values``),
     derived from the closed-form rule a_n = log(1 + alpha*beta_n*L) with
     beta_n = p_n*theta_n*m_n/n0 (``alpha``), or, by default, chosen per
-    subchannel by numerical maximization of the term over a in (0, 50].
-    Zero-power subchannels contribute zero.
+    subchannel by numerical maximization of the term over a in [1e-6, 50].
+    Zero-power subchannels contribute zero.  Raises ``NumericError`` if
+    the maximization does not converge.
     """
     if a_values is not None and alpha is not None:
         raise ValueError("give at most one of a_values and alpha")

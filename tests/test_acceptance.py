@@ -50,11 +50,6 @@ def criterion(label):
     print(f"[acceptance] {label}: PASS")
 
 
-@pytest.fixture(autouse=True)
-def serial_workers(monkeypatch):
-    monkeypatch.setenv(cli.WORKERS_ENV, "1")
-
-
 def _cubic_profile(n_bins=64):
     def profile(L):
         return build_decay_profile(n_bins, 5e9, 6e9, 3.0, 1.0, L, 1.0, 1.0)

@@ -10,13 +10,8 @@ import numpy as np
 import pytest
 
 import simocap
-from simocap import alloc, cli
+from simocap import alloc, cli, rates
 from simocap.specfun import NumericError
-
-
-@pytest.fixture(autouse=True)
-def serial_workers(monkeypatch):
-    monkeypatch.setenv(cli.WORKERS_ENV, "1")
 
 
 def _read_rows(path):
@@ -82,7 +77,7 @@ def test_bounds_sweep_is_byte_identical_across_reruns_and_workers(tmp_path, monk
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
     assert cli.main(args + ["--output", str(first)]) == 0
-    monkeypatch.setenv(cli.WORKERS_ENV, "2")
+    monkeypatch.setenv("SIMOCAP_WORKERS", "2")
     assert cli.main(args + ["--output", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
     meta_a = json.loads((tmp_path / "a.csv.meta.json").read_text())
@@ -127,10 +122,10 @@ def test_bounds_sweep_unwritable_output(tmp_path):
 
 
 def test_bounds_sweep_reports_numeric_failures(tmp_path, monkeypatch):
-    def boom(task):
+    def boom(*args, **kwargs):
         raise NumericError("synthetic failure")
 
-    monkeypatch.setattr(cli, "_bounds_task", boom)
+    monkeypatch.setattr(cli, "evaluate_bounds", boom)
     rc = cli.main(["bounds-sweep", "--n-bins", "4", "--snr-db=0", "--output", str(tmp_path / "x.csv")])
     assert rc == 4
 
@@ -141,6 +136,12 @@ def test_optimal_sweep_exits_4_when_the_solver_hits_its_iteration_cap(tmp_path, 
         ["bounds-sweep", "--n-bins", "4", "--snr-db=0", "--strategies", "optimal",
          "--output", str(tmp_path / "x.csv")]
     )
+    assert rc == 4
+
+
+def test_sweep_exits_4_when_the_markov_search_hits_its_iteration_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(rates, "_ITER_CAP", 1)
+    rc = cli.main(["bounds-sweep", "--n-bins", "4", "--snr-db=0", "--output", str(tmp_path / "x.csv")])
     assert rc == 4
 
 
@@ -265,12 +266,6 @@ def test_integral_float_config_fields_are_accepted(tmp_path):
     assert len(_read_rows(out)) == 2
 
 
-def test_invalid_worker_env_is_rejected(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.WORKERS_ENV, "zero")
-    rc = cli.main(["bounds-sweep", "--n-bins", "4", "--snr-db=0", "--output", str(tmp_path / "x.csv")])
-    assert rc == 2
-
-
 def test_gen_synthetic_is_deterministic(tmp_path):
     args = ["gen-synthetic", "--n-bins", "3", "--l-values", "2", "--n-snapshots", "5", "--seed", "9"]
     a = tmp_path / "a.csv"
@@ -327,12 +322,13 @@ def test_python_dash_m_on_the_cli_module_runs_the_cli():
     assert "water_level = 1.25" in done.stdout
 
 
-def _scipy_modules_after(script_lines):
-    # the scipy modules a fresh interpreter holds after running the script
+def _modules_after(script_lines, roots=("scipy",)):
+    # the modules under the given top-level packages that a fresh
+    # interpreter holds after importing the CLI and running the script
     script = "\n".join(
         ["import sys", "import simocap.cli as cli"]
         + script_lines
-        + ["print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"]
+        + [f"print(*sorted(m for m in sys.modules if m.split('.')[0] in {tuple(roots)!r}))"]
     )
     done = subprocess.run(
         [sys.executable, "-c", script], env=_subprocess_env(), capture_output=True, text=True,
@@ -349,7 +345,7 @@ def test_import_and_csv_paths_do_not_load_scipy(tmp_path):
     chan = str(tmp_path / "chan.csv")
     stats = str(tmp_path / "stats.json")
     gen = ["gen-synthetic", "--n-bins", "4", "--l-values", "2", "--n-snapshots", "30"]
-    loaded = _scipy_modules_after(
+    loaded = _modules_after(
         [
             f"assert cli.main({gen!r} + ['--output', {chan!r}]) == 0",
             f"assert cli.main(['ingest', '--input', {chan!r}, '--output', {stats!r}]) == 0",
@@ -363,9 +359,22 @@ def test_optimal_bounds_sweep_does_not_load_scipy_linalg(tmp_path):
     # the gamma quadrature is a fixed trapezoid rule; no eigensolver is needed
     out = str(tmp_path / "opt.csv")
     sweep = ["bounds-sweep", "--n-bins", "4", "--snr-db", "0", "--strategies", "optimal"]
-    loaded = _scipy_modules_after([f"assert cli.main({sweep!r} + ['--output', {out!r}]) == 0"])
+    loaded = _modules_after([f"assert cli.main({sweep!r} + ['--output', {out!r}]) == 0"])
     assert "scipy.special" in loaded
     assert not [m for m in loaded if m.startswith("scipy.linalg")]
+
+
+def test_bounds_sweep_does_not_load_a_process_pool(tmp_path):
+    # sweeps run in one serial loop: neither the import nor a run starts,
+    # or even imports, the machinery of a process pool
+    out = str(tmp_path / "sweep.csv")
+    sweep = ["bounds-sweep", "--n-bins", "4", "--snr-db", "0,5"]
+    loaded = _modules_after(
+        [f"assert cli.main({sweep!r} + ['--output', {out!r}]) == 0"],
+        roots=("concurrent", "multiprocessing"),
+    )
+    assert "concurrent.futures.process" not in loaded
+    assert not [m for m in loaded if m.split(".")[0] == "multiprocessing"]
 
 
 class _WriteFailsHalfway:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from simocap import rates
 from simocap.alloc import PowerAllocation, equal_power, waterfill
 from simocap.channel import ParallelChannel, build_decay_profile, sample_gains
 from simocap.rates import (
@@ -24,7 +25,7 @@ from simocap.rates import (
     ratio_log_term,
     snr_db_to_power,
 )
-from simocap.specfun import exp_integral_e1, reg_gamma_q
+from simocap.specfun import NumericError, exp_integral_e1, reg_gamma_q
 
 
 def _single(theta=1.0, m=1.0, L=1, n0=1.0, p=1.0):
@@ -177,18 +178,71 @@ def test_markov_lower_mixed_channel_is_sum_of_single_subchannels():
 def test_markov_lower_max_rule_beats_a_fine_grid():
     # The maximised term must be at least the term at every point of a
     # grid 40x finer than the one the maximisation starts from; the slack
-    # is a few ulps of rounding in Q.
+    # is a few ulps of rounding in Q.  The grid includes both ends of the
+    # range (0, 50], where the maxima of the last two channels sit: at
+    # huge power the term is a*Q(k, ~0) = a, at tiny power it falls from
+    # the first grid point on.
     ch, alloc = _mixed_channel_12()
+    singles = [
+        (ch.theta[i], ch.m[i], ch.L[i], ch.n0, p) for i, p in enumerate(alloc.powers) if p > 0.0
+    ]
+    singles += [(1.0, 2.0, 64, 1.0, 1e25), (1.0, 2.0, 64, 1.0, 1e-9)]
     grid = np.geomspace(1e-6, 50.0, 2000)
-    for i, p in enumerate(alloc.powers):
-        if p == 0.0:
-            continue
-        theta, shape = ch.theta[i], ch.shape[i]
-        single = ParallelChannel([theta], ch.m[i], ch.L[i], n0=ch.n0, p_total=1.0)
+    for theta, m, L, n0, p in singles:
+        single = ParallelChannel([theta], m, L, n0=n0, p_total=1.0)
         best = markov_lower(single, PowerAllocation(np.array([p])))
         for a in grid:
-            term = a * reg_gamma_q(shape, (ch.n0 / p) * math.expm1(a) / theta)
-            assert best >= term * (1.0 - 4e-16), (i, a)
+            term = a * reg_gamma_q(m * L, (n0 / p) * math.expm1(a) / theta)
+            assert best >= term * (1.0 - 4e-16), (theta, m, L, p, a)
+
+
+def _mpmath_max_markov_term(mpmath, k, c):
+    """30-digit max over a in (0, 50] of a*Q(k, c*expm1(a)), from h'(a) = 0.
+
+    h'(a) = Q(k, x) - a*(x + c)*phi(x), with x = c*expm1(a) and phi the
+    Gamma(k, 1) density, is positive near a = 0 and negative at 50 for the
+    cases below.  Geometric bisection brackets its root to about 1e-11
+    relative, then ``findroot`` polishes it; bisecting first keeps the
+    solver away from the far right, where h' underflows to a flat zero.
+    """
+    with mpmath.workdps(30):
+        k, c = mpmath.mpf(k), mpmath.mpf(c)
+        log_gamma_k = mpmath.loggamma(k)
+
+        def q(a):
+            return mpmath.gammainc(k, c * mpmath.expm1(a), regularized=True)
+
+        def dh(a):
+            x = c * mpmath.expm1(a)
+            return q(a) - a * (x + c) * mpmath.exp((k - 1) * mpmath.log(x) - x - log_gamma_k)
+
+        lo, hi = mpmath.mpf("1e-8"), mpmath.mpf(50)
+        assert dh(lo) > 0 > dh(hi)
+        for _ in range(40):
+            mid = mpmath.sqrt(lo * hi)
+            lo, hi = (mid, hi) if dh(mid) > 0 else (lo, mid)
+        a = mpmath.findroot(dh, (lo, hi), solver="anderson")
+        assert lo <= a <= hi
+        return float(a * q(a))
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, 4.0, 64.0, 1e3])
+def test_markov_max_rule_matches_mpmath_maximiser(k):
+    # one subchannel with theta = n0 = 1 and p = 1/c, so the term is
+    # a*Q(k, c*expm1(a)); the tolerance is the one reg_gamma_q is held to
+    mpmath = pytest.importorskip("mpmath")
+    for c in (1e-3, 0.15, 1.0, 30.0):
+        ch, alloc = _single(theta=1.0, m=k, L=1, p=1.0 / c)
+        assert math.isclose(
+            markov_lower(ch, alloc), _mpmath_max_markov_term(mpmath, k, c), rel_tol=1e-10
+        ), c
+
+
+def test_markov_max_rule_raises_at_its_iteration_cap(monkeypatch):
+    monkeypatch.setattr(rates, "_ITER_CAP", 1)
+    ch, alloc = _single(theta=1.0, m=2.0, L=4, p=3.0)
+    with pytest.raises(NumericError):
+        markov_lower(ch, alloc)
 
 
 def test_exact_rate_additivity_and_jensen_domination():
