@@ -18,7 +18,9 @@ subchannels.
 
 import math
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -85,12 +87,7 @@ class SnapshotSet:
         return self.coeffs.shape[2]
 
 
-def _read_text(source) -> str:
-    if hasattr(source, "read"):
-        data = source.read()
-        return data.decode("utf-8") if isinstance(data, bytes) else data
-    with open(source, "rb") as fh:
-        return fh.read().decode("utf-8")
+_READ_SIZE = 1 << 18  # characters per read: about 4,000 rows of a typical file
 
 
 def parse_channel_csv(
@@ -101,113 +98,203 @@ def parse_channel_csv(
     ``source`` is a path or a readable file object.  Row order is
     immaterial; duplicate or missing cells, ragged rows, non-numeric
     fields, and inconsistent per-bin frequencies are rejected with the
-    offending line number.  An optional inclusive [f_min_hz, f_max_hz]
-    filter keeps only the bins inside the band; it must keep at least one.
+    first offending line number in file order.  An optional inclusive
+    [f_min_hz, f_max_hz] filter keeps only the bins inside the band; it
+    must keep at least one.  Rows are read in blocks and converted a
+    column at a time, so peak memory stays near the size of the file.
     """
-    text = _read_text(source)
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise ParseError("empty input")
-    header = lines[0].rstrip("\r")
-    if header != CSV_HEADER:
-        raise ParseError(f"expected header {CSV_HEADER!r}, got {header!r}", line=1)
-
-    cells: dict[tuple[int, int, int], complex] = {}
-    bin_freq: dict[int, float] = {}
-    max_s = max_b = max_k = -1
-    for lineno, raw in enumerate(lines[1:], start=2):
-        row = raw.rstrip("\r")
-        if row == "":
-            raise ParseError("blank line", line=lineno)
-        parts = row.split(",")
-        if len(parts) != 6:
-            raise ParseError(f"expected 6 fields, got {len(parts)}", line=lineno)
+    with nullcontext(source) if hasattr(source, "read") else open(source, "rb") as fh:
+        blocks = _line_blocks(fh)
         try:
-            s, b, k = int(parts[0]), int(parts[1]), int(parts[2])
-            freq, re_part, im_part = float(parts[3]), float(parts[4]), float(parts[5])
+            return _parse_blocks(blocks, f_min_hz, f_max_hz)
+        except ParseError:
+            for _ in blocks:  # decode to the end first, so a bad byte anywhere wins
+                pass
+            raise
+
+
+def _line_blocks(fh):
+    # lists of lines without their endings, about _READ_SIZE characters
+    # at a time; decoding bytes block by block is exact because a "\n"
+    # byte never falls inside a UTF-8 character
+    pending = []
+    while data := fh.read(_READ_SIZE):
+        cut = data.rfind(b"\n" if isinstance(data, bytes) else "\n") + 1
+        if cut:
+            yield _split_lines(data[:0].join(pending + [data[:cut]]))
+            pending = []
+        pending.append(data[cut:])
+    if any(pending):
+        yield _split_lines(pending[0][:0].join(pending))
+
+
+def _split_lines(text) -> list[str]:
+    text = text.decode("utf-8") if isinstance(text, bytes) else text
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [line.rstrip("\r") for line in lines] if "\r" in text else lines
+
+
+def _parse_blocks(blocks, f_min_hz, f_max_hz) -> SnapshotSet:
+    lines = next(blocks, None)
+    if lines is None:
+        raise ParseError("empty input")
+    if lines[0] != CSV_HEADER:
+        raise ParseError(f"expected header {CSV_HEADER!r}, got {lines[0]!r}", line=1)
+    columns, n_rows = [], 0
+    for rows in chain([lines[1:]], blocks):
+        try:
+            columns.append(_columns(rows))
         except ValueError:
-            raise ParseError(f"non-numeric field in {row!r}", line=lineno) from None
-        if s < 0 or b < 0 or k < 0:
-            raise ParseError("indices must be 0-based nonnegative integers", line=lineno)
-        if not (math.isfinite(freq) and math.isfinite(re_part) and math.isfinite(im_part)):
-            raise ParseError("non-finite numeric field", line=lineno)
-        key = (s, b, k)
-        if key in cells:
-            raise ParseError(f"duplicate cell (snapshot={s}, branch={b}, bin={k})", line=lineno)
-        if k in bin_freq:
-            if bin_freq[k] != freq:
-                raise ParseError(
-                    f"inconsistent freq_hz for bin {k}: {freq!r} vs {bin_freq[k]!r}",
-                    line=lineno,
-                )
-        else:
-            bin_freq[k] = freq
-        cells[key] = complex(re_part, im_part)
-        max_s = max(max_s, s)
-        max_b = max(max_b, b)
-        max_k = max(max_k, k)
+            i, message = next((i, msg) for i, row in enumerate(rows) if (msg := _row_fault(row)))
+            columns.append(_columns(rows[:i]))
+            _check_across_rows(*_concat(columns)[:4])  # a fault on an earlier line wins
+            raise ParseError(message, line=n_rows + i + 2) from None
+        n_rows += len(rows)
+    s, b, k, freq, values = _concat(columns)
+    del columns
+    _check_across_rows(s, b, k, freq)
 
-    if not cells:
+    if not n_rows:
         raise ParseError("no data rows")
-    n_s, n_b, n_k = max_s + 1, max_b + 1, max_k + 1
-    if len(cells) != n_s * n_b * n_k:
-        for s in range(n_s):
-            for b in range(n_b):
-                for k in range(n_k):
-                    if (s, b, k) not in cells:
-                        raise ParseError(f"missing cell (snapshot={s}, branch={b}, bin={k})")
-
-    keep = [
-        k
-        for k in range(n_k)
-        if (f_min_hz is None or bin_freq[k] >= f_min_hz)
-        and (f_max_hz is None or bin_freq[k] <= f_max_hz)
-    ]
-    if not keep:
+    shape = tuple(int(index.max()) + 1 for index in (s, b, k))  # Python ints: no overflow
+    if n_rows != math.prod(shape):
+        s0, b0, k0 = _first_missing(s, b, k, shape)
+        raise ParseError(f"missing cell (snapshot={s0}, branch={b0}, bin={k0})")
+    freqs = np.empty(shape[2])
+    freqs[k] = freq  # every row of a bin carries the same frequency
+    keep = np.ones(shape[2], dtype=bool)
+    if f_min_hz is not None:
+        keep &= freqs >= f_min_hz
+    if f_max_hz is not None:
+        keep &= freqs <= f_max_hz
+    if not keep.any():
         raise ParseError("band filter selected no bins")
-    freqs = np.array([bin_freq[k] for k in keep])
-    if freqs.size > 1 and not np.all(np.diff(freqs) > 0.0):
+    if keep.sum() > 1 and not np.all(np.diff(freqs[keep]) > 0.0):
         raise ParseError("freq_hz must be strictly increasing across bins")
+    coeffs = np.empty(shape, dtype=complex)
+    coeffs[s, b, k] = values
+    return SnapshotSet(freqs_hz=freqs[keep], coeffs=coeffs if keep.all() else coeffs[:, :, keep])
 
-    coeffs = np.empty((n_s, n_b, len(keep)), dtype=complex)
-    for j, k in enumerate(keep):
-        for s in range(n_s):
-            for b in range(n_b):
-                coeffs[s, b, j] = cells[(s, b, k)]
-    return SnapshotSet(freqs_hz=freqs, coeffs=coeffs)
+
+def _columns(rows: list[str]):
+    # (s, b, k, freq, values) of rows that are each sound on their own,
+    # else ValueError; a "\n" field stands between rows, so a ragged row
+    # moves at least one of them out of every seventh place
+    n = len(rows)
+    if not n:
+        return (np.empty(0, np.int64),) * 3 + (np.empty(0), np.empty(0, complex))
+    fields = ",\n,".join(rows).split(",")
+    if len(fields) != 7 * n - 1 or fields[6::7].count("\n") != n - 1:
+        raise ValueError("ragged row")
+    s, b, k = (_int_column(fields[j::7]) for j in range(3))
+    freq = np.fromiter(map(float, fields[3::7]), float, n)
+    values = np.empty(n, dtype=complex)
+    values.real = np.fromiter(map(float, fields[4::7]), float, n)
+    values.imag = np.fromiter(map(float, fields[5::7]), float, n)
+    if min(s.min(), b.min(), k.min()) < 0 or not (
+        np.isfinite(freq).all() and np.isfinite(values).all()
+    ):
+        raise ValueError("negative index or non-finite value")
+    return s, b, k, freq, values
+
+
+def _int_column(fields: list[str]) -> np.ndarray:
+    ints = list(map(int, fields))
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError:  # past int64 a cell must be missing, but earlier faults come first
+        return np.array(ints, dtype=object)
+
+
+def _row_fault(row: str) -> str | None:
+    # the first fault of one row on its own, in the order they are checked
+    parts = row.split(",")
+    if row == "":
+        return "blank line"
+    if len(parts) != 6:
+        return f"expected 6 fields, got {len(parts)}"
+    try:
+        indices, reals = list(map(int, parts[:3])), list(map(float, parts[3:]))
+    except ValueError:
+        return f"non-numeric field in {row!r}"
+    if min(indices) < 0:
+        return "indices must be 0-based nonnegative integers"
+    if not all(map(math.isfinite, reals)):
+        return "non-finite numeric field"
+    return None
+
+
+def _concat(columns):
+    return tuple(np.concatenate(column) for column in zip(*columns))
+
+
+def _check_across_rows(s, b, k, freq) -> None:
+    # the first row in file order that repeats an earlier cell or differs
+    # from the first frequency of its bin; on one row the repeat is reported
+    order = np.lexsort((k, b, s))  # stable: a cell's first row sorts first
+    same = np.logical_and.reduce([i[order][1:] == i[order][:-1] for i in (s, b, k)])
+    dup = order[1:][same].min(initial=len(s))
+    _, first, inverse = np.unique(k, return_index=True, return_inverse=True)
+    clash = np.flatnonzero(freq != freq[first][inverse])
+    if clash.size and clash[0] < dup:
+        i = int(clash[0])
+        raise ParseError(f"inconsistent freq_hz for bin {k[i]}: {float(freq[i])!r} vs "
+                         f"{float(freq[first[inverse[i]]])!r}", line=i + 2)
+    if dup < len(s):
+        raise ParseError(f"duplicate cell (snapshot={s[dup]}, branch={b[dup]}, bin={k[dup]})",
+                         line=int(dup) + 2)
+
+
+def _first_missing(s, b, k, shape) -> tuple[int, int, int]:
+    # the rows hold distinct cells of shape, but not all: the first missing
+    # cell has the first rank that the rows in sorted order skip
+    _, n_b, n_k = shape
+
+    def cell(rank):
+        return rank // (n_b * n_k), rank // n_k % n_b, rank % n_k
+
+    order = np.lexsort((k, b, s))
+    present = zip(s[order].tolist(), b[order].tolist(), k[order].tolist())
+    return cell(next((r for r, c in enumerate(present) if c != cell(r)), len(order)))
 
 
 def write_channel_csv(snapshots: SnapshotSet, dest) -> None:
     """Serialize a SnapshotSet to the channel CSV format (LF endings).
 
     Floats are written with shortest round-trip precision, so
-    write -> parse reproduces the set exactly.
+    write -> parse reproduces the set exactly.  The text is produced one
+    snapshot at a time, for a file object or atomically for a path.
     """
-    rows = [CSV_HEADER]
-    for s in range(snapshots.snapshots):
-        for b in range(snapshots.branches):
-            for k in range(snapshots.n_bins):
-                h = snapshots.coeffs[s, b, k]
-                rows.append(
-                    f"{s},{b},{k},{float(snapshots.freqs_hz[k])!r},"
-                    f"{float(h.real)!r},{float(h.imag)!r}"
-                )
-    text = "\n".join(rows) + "\n"
+    chunks = _csv_chunks(snapshots)
     if hasattr(dest, "write"):
-        dest.write(text)
+        for chunk in chunks:
+            dest.write(chunk)
     else:
-        _write_atomic(dest, text)
+        _write_atomic(dest, chunks)
 
 
-def _write_atomic(path, text: str) -> None:
-    # a temporary file next to path replaces it only once fully written,
-    # so a failed write leaves any previous path as it was
+def _csv_chunks(snapshots: SnapshotSet):
+    yield CSV_HEADER + "\n"
+    bins = [f"{k},{freq!r}," for k, freq in enumerate(snapshots.freqs_hz.tolist())]
+    for s, snapshot in enumerate(snapshots.coeffs):
+        yield "".join([
+            f"{s},{b},{bin_}{re!r},{im!r}\n"
+            for b, h in enumerate(snapshot)
+            for bin_, re, im in zip(bins, h.real.tolist(), h.imag.tolist())
+        ])
+
+
+def _write_atomic(path, chunks) -> None:
+    # chunks, one str or an iterable of them, go to a temporary file next
+    # to path that replaces it only once fully written, so a failed write
+    # leaves any previous path as it was
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for chunk in [chunks] if isinstance(chunks, str) else chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

@@ -454,3 +454,49 @@ def test_ingest_malformed_file_exit_code(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("snapshot,branch,bin,freq_hz,re,im\n0,0,0,5e9,1\n")
     assert cli.main(["ingest", "--input", str(bad)]) == 2
+
+
+_HEADER = "snapshot,branch,bin,freq_hz,re,im\n"
+_ROW = "0,0,0,5e9,1,0\n"
+
+
+@pytest.mark.parametrize(
+    "content, flags, message",
+    [
+        ("", [], "empty input"),
+        ("snapshot,branch,bin,freq,re,im\n" + _ROW, [], "line 1: expected header"),
+        (_HEADER + _ROW + "\n0,0,1,6e9,1,0\n", [], "line 3: blank line"),
+        (_HEADER + "0,0,0,5e9,1,0,9\n0,0,1,6e9,1\n", [], "line 2: expected 6 fields, got 7"),
+        (_HEADER + _ROW + "0,0,1,6e9,1,0\nx,0,2,7e9,1,0\n", [], "line 4: non-numeric field"),
+        (_HEADER + _ROW + "0,-1,0,5e9,1,0\n", [], "line 3: indices must be"),
+        (_HEADER + _ROW + "0,0,1,6e9,inf,0\n", [], "line 3: non-finite numeric field"),
+        (_HEADER + _ROW + "0,0,1,nan,1,0\n", [], "line 3: non-finite numeric field"),
+        (_HEADER + _ROW + _ROW + "x,0,1,6e9,1,0\n", [], "line 3: duplicate cell"),
+        (_HEADER + _ROW + "1,0,0,5.1e9,1,0\n", [], "line 3: inconsistent freq_hz for bin 0"),
+        (_HEADER, [], "no data rows"),
+        (_HEADER + _ROW + "1,0,0,5e9,1,0\n0,0,1,6e9,1,0\n", [], "missing cell"),
+        (_HEADER + "0,0,1000000000000,5e9,1,0\n", [],
+         "missing cell (snapshot=0, branch=0, bin=0)"),
+        (_HEADER + _ROW, ["--f-min-hz", "9e9"], "band filter selected no bins"),
+        (_HEADER + "0,0,0,6e9,1,0\n0,0,1,5e9,1,0\n", [], "strictly increasing"),
+    ],
+    ids=[
+        "empty", "header", "blank", "ragged", "non-numeric", "negative", "inf", "nan",
+        "duplicate", "freq", "no-rows", "missing", "huge-bin", "band", "order",
+    ],
+)
+def test_ingest_exits_2_on_every_parse_fault(tmp_path, capsys, content, flags, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(content)
+    assert cli.main(["ingest", "--input", str(bad)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_ingest_exits_2_on_undecodable_bytes(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(_HEADER.encode() + b"0,0,0,5e9,\xff,0\n")
+    assert cli.main(["ingest", "--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -1,15 +1,19 @@
 import io
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from simocap import ingest
 from simocap.channel import ParallelChannel, build_decay_profile
 from simocap.ingest import (
     CSV_HEADER,
     NormalizationError,
     ParseError,
     SnapshotSet,
+    _write_atomic,
     empirical_means,
     generate_snapshots,
     normalize_unit_mean,
@@ -228,3 +232,195 @@ def test_snapshot_set_validation():
         SnapshotSet(freqs_hz=np.array([2.0, 1.0]), coeffs=np.ones((1, 1, 2), dtype=complex))
     with pytest.raises(ValueError):
         SnapshotSet(freqs_hz=np.array([1.0]), coeffs=np.ones((1, 1, 2), dtype=complex))
+
+
+# --- parser contract: the first offending line in file order --------------
+
+ROW = "0,0,0,5e9,1,0"
+
+
+def _parse_error(body):
+    with pytest.raises(ParseError) as info:
+        parse_channel_csv(io.StringIO(f"{CSV_HEADER}\n{body}"))
+    return info.value
+
+
+def test_parse_rejects_negative_index_at_its_line():
+    err = _parse_error("0,0,0,5e9,1,0\n0,0,1,6e9,1,0\n0,-1,0,5e9,1,0\n")
+    assert err.line == 4
+    assert str(err) == "line 4: indices must be 0-based nonnegative integers"
+
+
+@pytest.mark.parametrize("field", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("column", [3, 4, 5])
+def test_parse_rejects_non_finite_fields_at_their_line(field, column):
+    parts = "0,0,1,6e9,1,0".split(",")
+    parts[column] = field
+    err = _parse_error(f"{ROW}\n{','.join(parts)}\n")
+    assert str(err) == "line 3: non-finite numeric field"
+
+
+def test_parse_rejects_blank_line_mid_file():
+    err = _parse_error(f"{ROW}\n\n0,0,1,6e9,1,0\n")
+    assert str(err) == "line 3: blank line"
+    err = _parse_error(f"{ROW}\r\n\r\n0,0,1,6e9,1,0\r\n")
+    assert str(err) == "line 3: blank line"
+
+
+def test_parse_reports_a_duplicate_at_its_second_occurrence():
+    err = _parse_error(f"{ROW}\n0,0,1,6e9,1,0\n0,0,2,7e9,1,0\n0,0,1,6e9,2,0\n")
+    assert str(err) == "line 5: duplicate cell (snapshot=0, branch=0, bin=1)"
+
+
+def test_parse_reports_an_inconsistent_frequency_at_the_first_conflicting_row():
+    body = f"0,0,1,6e9,1,0\n{ROW}\n1,0,0,5e9,1,0\n1,0,1,6.5e9,1,0\n2,0,1,7e9,1,0\n"
+    err = _parse_error(body)
+    assert str(err) == "line 5: inconsistent freq_hz for bin 1: 6500000000.0 vs 6000000000.0"
+
+
+def test_parse_rejects_compensating_ragged_rows_at_the_first():
+    # 7 fields then 5: twelve fields in all, as two sound rows would have
+    err = _parse_error(f"{ROW}\n0,0,1,6e9,1,0,9\n0,0,2,7e9,1\n")
+    assert str(err) == "line 3: expected 6 fields, got 7"
+
+
+def test_parse_reports_the_earlier_of_a_duplicate_and_a_later_non_numeric_row():
+    err = _parse_error(f"{ROW}\n{ROW}\n0,0,1,6e9,1,0\nx,0,2,7e9,1,0\n")
+    assert err.line == 3
+    assert "duplicate cell (snapshot=0, branch=0, bin=0)" in str(err)
+
+
+def test_parse_reports_the_earlier_of_a_non_numeric_row_and_a_later_duplicate():
+    err = _parse_error(f"{ROW}\n0,0,1,6e9,x,0\n{ROW}\n")
+    assert str(err) == "line 3: non-numeric field in '0,0,1,6e9,x,0'"
+
+
+def test_parse_lone_row_at_a_huge_bin_is_a_missing_cell_without_allocating():
+    tracemalloc.start()
+    try:
+        err = _parse_error(f"0,0,{10**12},5e9,1,0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err) == "missing cell (snapshot=0, branch=0, bin=0)"
+    assert err.line is None
+    assert peak < 8 * 2**20
+
+
+def test_parse_index_past_int64_is_a_missing_cell_after_earlier_faults():
+    err = _parse_error(f"0,0,{2**70},5e9,1,0\n")
+    assert str(err) == "missing cell (snapshot=0, branch=0, bin=0)"
+    err = _parse_error(f"0,0,{2**70},5e9,1,0\n0,0,{2**70},5e9,1,0\n")
+    assert str(err) == f"line 3: duplicate cell (snapshot=0, branch=0, bin={2**70})"
+
+
+FAULTY_BODIES = {
+    "blank": f"{ROW}\n0,0,1,6e9,1,0\n\n",
+    "ragged": f"{ROW}\n0,0,1,6e9,1,0,9\n0,0,2,7e9,1\n",
+    "duplicate": f"{ROW}\n{ROW}\n0,0,1,6e9,1,0\nx,0,2,7e9,1,0\n",
+    "freq": f"0,0,1,6e9,1,0\n{ROW}\n1,0,0,5e9,1,0\n1,0,1,6.5e9,1,0\n",
+    "negative": f"{ROW}\n0,0,1,6e9,1,0\n0,-1,0,5e9,1,0\n",
+    "non-finite": f"{ROW}\n0,0,1,6e9,nan,0\n",
+    "missing": f"{ROW}\n1,0,0,5e9,1,0\n0,1,0,5e9,1,0\n",
+}
+
+
+@pytest.mark.parametrize("body", FAULTY_BODIES.values(), ids=FAULTY_BODIES.keys())
+def test_parse_reports_the_same_fault_whatever_the_block_size(body, monkeypatch):
+    # blocks of a few characters split rows and faults across many reads
+    expected = str(_parse_error(body))
+    for size in (1, 5, 16, 41):
+        monkeypatch.setattr(ingest, "_READ_SIZE", size)
+        assert str(_parse_error(body)) == expected
+        data = f"{CSV_HEADER}\n{body}".encode()
+        with pytest.raises(ParseError, match=re.escape(expected)):
+            parse_channel_csv(io.BytesIO(data))
+
+
+def test_parse_reports_undecodable_bytes_before_any_fault(tmp_path, monkeypatch):
+    path = tmp_path / "bad.csv"
+    # the ragged row is read blocks before the undecodable byte
+    path.write_bytes(f"{CSV_HEADER}\n{ROW}\n0,0,1\n{ROW}\n".encode() + b"0,0,1,6e9,\xff,0\n")
+    monkeypatch.setattr(ingest, "_READ_SIZE", 8)
+    with pytest.raises(UnicodeDecodeError):
+        parse_channel_csv(path)
+    with pytest.raises(UnicodeDecodeError):
+        parse_channel_csv(io.BytesIO(path.read_bytes()))
+
+
+# --- writer: byte-identical to the row-by-row definition --------------------
+
+EDGE_FLOATS = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e-310, 1e-5, -1e-5,
+    1e16, -1e16, -1.2345678901234567e300, 0.1, -2.5, 1.7976931348623157e308, 1.0 / 3.0,
+]
+
+
+def _oracle_csv(snapshots):
+    rows = [CSV_HEADER]
+    for s in range(snapshots.snapshots):
+        for b in range(snapshots.branches):
+            for k in range(snapshots.n_bins):
+                h = snapshots.coeffs[s, b, k]
+                f = float(snapshots.freqs_hz[k])
+                rows.append(f"{s},{b},{k},{f!r},{float(h.real)!r},{float(h.imag)!r}")
+    return "\n".join(rows) + "\n"
+
+
+def _edge_set():
+    rng = np.random.default_rng(5)
+    values = np.array(EDGE_FLOATS)
+    re_part = rng.choice(values, size=(3, 2, 4))
+    im_part = rng.choice(values, size=(3, 2, 4))
+    coeffs = np.empty((3, 2, 4), dtype=complex)
+    coeffs.real, coeffs.imag = re_part, im_part
+    return SnapshotSet(freqs_hz=np.array([5e-324, 1e-5, 1.0, 1e16]), coeffs=coeffs)
+
+
+def test_writer_matches_the_row_by_row_definition(tmp_path):
+    snaps = _edge_set()
+    expected = _oracle_csv(snaps)
+    buf = io.StringIO()
+    write_channel_csv(snaps, buf)
+    assert buf.getvalue() == expected
+    path = tmp_path / "chan.csv"
+    write_channel_csv(snaps, path)
+    assert path.read_bytes() == expected.encode("utf-8")
+    for many_rows in (_make_set(n_snapshots=7, n_branches=3, n_bins=5, seed=2),):
+        buf = io.StringIO()
+        write_channel_csv(many_rows, buf)
+        assert buf.getvalue() == _oracle_csv(many_rows)
+
+
+def test_edge_floats_round_trip_bit_for_bit():
+    snaps = _edge_set()
+    buf = io.StringIO()
+    write_channel_csv(snaps, buf)
+    buf.seek(0)
+    back = parse_channel_csv(buf)
+    assert back.coeffs.tobytes() == snaps.coeffs.tobytes()
+    assert back.freqs_hz.tobytes() == snaps.freqs_hz.tobytes()
+
+
+def test_failing_chunks_leave_the_previous_file_and_no_temporary(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("previous\n")
+
+    def chunks():
+        yield "first,"
+        yield "second,"
+        raise RuntimeError("generator failed")
+
+    with pytest.raises(RuntimeError, match="generator failed"):
+        _write_atomic(path, chunks())
+    assert path.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    _write_atomic(path, iter(["a,", "b\n"]))
+    assert path.read_text() == "a,b\n"
+    _write_atomic(path, "whole text\n")
+    assert path.read_text() == "whole text\n"
+
+
+def test_parse_reports_a_repeat_with_another_frequency_as_a_duplicate():
+    err = _parse_error(f"{ROW}\n0,0,0,6e9,1,0\n")
+    assert str(err) == "line 3: duplicate cell (snapshot=0, branch=0, bin=0)"
