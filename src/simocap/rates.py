@@ -23,7 +23,7 @@ import numpy as np
 
 from .alloc import PowerAllocation, equal_power, optimal_allocation, waterfill
 from .channel import GainMatrix, ParallelChannel
-from .specfun import NumericError, gamma_expectation_batch, reg_gamma_q
+from .specfun import NumericError, _gamma_q, gamma_expectation_batch, reg_gamma_q
 
 __all__ = [
     "LN2",
@@ -85,36 +85,34 @@ def jensen_upper(channel: ParallelChannel, alloc: PowerAllocation) -> float:
 
 
 def _markov_terms(a, shape, theta, p, n0: float) -> np.ndarray:
-    # a * Q(m*L, x) with x = (n0/p)(e^a - 1)/theta, elementwise
-    from scipy.special import gammaincc
-
-    return a * gammaincc(shape, (n0 / p) * np.expm1(a) / theta)
+    # a * Q(m*L, x), x = (n0/p)(e^a - 1)/theta; an overflowing x is inf, where Q = 0
+    with np.errstate(over="ignore"):
+        x = (n0 / p) * np.expm1(a) / theta
+    return a * _gamma_q(shape, x)[0]
 
 
 def _max_markov_terms(shape, theta, p, n0: float) -> np.ndarray:
     # Per subchannel: a coarse log-grid scan over a, then safeguarded Newton
     # steps on h'(a) = 0 for h(a) = a*Q(k, x), x = c*(e^a - 1), c = n0/(p*theta),
     # from the best grid point and inside the bracket of its neighbours.
-    # With phi the gamma density at x,
+    # With phi the gamma density at x, so that x*phi is the kernel's density,
     #   h'  = Q - a*(x + c)*phi,
     #   h'' = -(x + c)*phi*(2 + a + a*(x + c)*((k - 1)/x - 1)).
     # The sign of h' shrinks the bracket; where h'' >= 0 or the Newton point
     # leaves the closed bracket, the step bisects it instead.  A maximum at
     # an end of the range collapses the bracket onto that end, which is then
     # returned exactly.
-    from scipy.special import gammaincc, gammaln
-
     grid = np.geomspace(1e-6, _A_MAX, 48)
     i = np.argmax(_markov_terms(grid, shape[:, None], theta[:, None], p[:, None], n0), axis=1)
     lo = grid[np.maximum(i - 1, 0)]
     hi = grid[np.minimum(i + 1, grid.size - 1)]
     a = grid[i]
     c = (n0 / p) / theta
-    log_gamma_k = gammaln(shape)
     for _ in range(_ITER_CAP):
         x = c * np.expm1(a)
-        xc_phi = (x + c) * np.exp((shape - 1.0) * np.log(x) - x - log_gamma_k)
-        d1 = gammaincc(shape, x) - a * xc_phi
+        q, log_x_phi = _gamma_q(shape, x)
+        xc_phi = (1.0 + c / x) * np.exp(log_x_phi)
+        d1 = q - a * xc_phi
         d2 = -xc_phi * (2.0 + a + a * (x + c) * ((shape - 1.0) / x - 1.0))
         rising = d1 > 0.0
         lo = np.where(rising, a, lo)

@@ -339,9 +339,9 @@ def _modules_after(script_lines, roots=("scipy",)):
 
 
 def test_import_and_csv_paths_do_not_load_scipy(tmp_path):
-    # scipy is imported only by the special functions, on first use, so a
-    # fresh interpreter that imports the CLI and runs gen-synthetic and
-    # ingest never loads it.
+    # only exp_integral_e1 imports scipy, on first use, so a fresh
+    # interpreter that imports the CLI and runs gen-synthetic and ingest
+    # never loads it.
     chan = str(tmp_path / "chan.csv")
     stats = str(tmp_path / "stats.json")
     gen = ["gen-synthetic", "--n-bins", "4", "--l-values", "2", "--n-snapshots", "30"]
@@ -360,8 +360,25 @@ def test_optimal_bounds_sweep_does_not_load_scipy_linalg(tmp_path):
     out = str(tmp_path / "opt.csv")
     sweep = ["bounds-sweep", "--n-bins", "4", "--snr-db", "0", "--strategies", "optimal"]
     loaded = _modules_after([f"assert cli.main({sweep!r} + ['--output', {out!r}]) == 0"])
-    assert "scipy.special" in loaded
+    assert loaded == []
     assert not [m for m in loaded if m.startswith("scipy.linalg")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds-sweep", "--n-bins", "4", "--snr-db=-10,0,10"],
+        ["bounds-sweep", "--n-bins", "4", "--snr-db=-10,0,10", "--a-rule", "alpha=0.5"],
+        ["mpe-study", "--n-bins", "4", "--l-values", "1,2,4", "--snr-db", "0"],
+    ],
+    ids=["a-rule-max", "a-rule-alpha", "mpe-study"],
+)
+def test_compute_commands_do_not_load_scipy(tmp_path, argv):
+    # the Markov bound's incomplete gamma function is the library's own
+    # numpy kernel, so no compute command loads any part of scipy
+    out = str(tmp_path / "out.csv")
+    loaded = _modules_after([f"assert cli.main({argv!r} + ['--output', {out!r}]) == 0"])
+    assert loaded == []
 
 
 def test_bounds_sweep_does_not_load_a_process_pool(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,17 @@ def test_markov_lower_is_a_valid_lower_bound():
         rate = exact_rate(ch, alloc)
         for kwargs in ({}, {"alpha": 0.5}, {"a_values": [0.3] * n}):
             assert markov_lower(ch, alloc, **kwargs) <= rate + 1e-9
+
+
+def test_markov_lower_overflowing_a_values_give_zero_terms_without_warning():
+    # e^a overflows past a = 709.78, so x = (n0/p)(e^a - 1)/theta is
+    # infinite and the term is a*Q(k, inf) = 0, not a warning or a nan
+    ch = ParallelChannel(theta=[1.0, 1.0, 1.0], m=1.0, L=1, n0=1.0, p_total=3.0)
+    alloc = equal_power(3, 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = markov_lower(ch, alloc, a_values=[800.0, math.log(2.0), 1e300])
+    assert math.isclose(value, math.log(2.0) * math.exp(-1.0), rel_tol=1e-12)
 
 
 def test_markov_lower_vanishes_as_a_goes_to_zero():

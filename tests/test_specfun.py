@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from simocap import specfun
 from simocap.specfun import (
     NumericError,
     exp_integral_e1,
@@ -55,6 +56,56 @@ def test_reg_gamma_q_matches_reference_including_large_shapes():
             assert math.isclose(mine, ref, rel_tol=1e-10)
         else:
             assert mine <= 1e-290
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.5, 4.0, 16.0, 64.0, 1e3, 1e4, 1e5])
+def test_gamma_q_kernel_matches_mpmath(k, monkeypatch):
+    # Q(k, x) and D = log(x^k e^-x / Gamma(k)) against 30-digit mpmath, for
+    # x/k from 1e-3 to 30 and over the band k +- 5 sqrt(k).
+    #
+    # The tolerance is derived, not fitted.  D is a sum of a few terms, each
+    # formed with a few roundings, so |error in D| <= 4 eps M, where M is the
+    # size of its terms: k|ln x| + x + |ln Gamma(k)| below k = 16, and
+    # k|ln(x/k)| + |x - k| + ln(k) / 2 + 1 on the Stirling form from 16 on.
+    # exp(D) then carries that error relative, plus eps.  Each series term or
+    # fraction step multiplies in a factor with at most 4 roundings, so N of
+    # them add at most 4 N eps.  N is bounded by setting the kernel's cap:
+    # below x = k + 1 the term ratio x/(k+n) is at most (k+1)/(k+n), so the
+    # terms fall like exp(-n^2 / (2(k+n))) and reach eps within about
+    # 9 sqrt(k) + 40 terms; the cap 10 sqrt(k) + 80 is checked at block ends,
+    # so at most 64 more are taken.  Below x = k + 1, Q = 1 - P carries P's
+    # error times P/Q.  Below the normal range only absolute error counts.
+    mp = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    cap = int(10.0 * math.sqrt(k) + 80.0)
+    monkeypatch.setattr(specfun, "_Q_ITER_CAP", cap)
+    xs = np.concatenate([k * np.geomspace(1e-3, 30.0, 41), k + 5.0 * math.sqrt(k) * np.linspace(-1, 1, 11)])
+    xs = xs[xs > 0.0]
+    q, log_d = specfun._gamma_q(k, np.append(xs, 0.0))
+    assert q[-1] == 1.0 and log_d[-1] == -math.inf
+    with mp.workdps(30):
+        for x, got_q, got_d in zip(xs.tolist(), q, log_d):
+            ref_q = mp.gammainc(k, x, mp.inf, regularized=True)
+            ref_d = k * mp.log(x) - x - mp.loggamma(k)
+            if k < 16.0:
+                size = k * abs(math.log(x)) + x + abs(math.lgamma(k))
+            else:
+                size = k * abs(math.log(x / k)) + abs(x - k) + 0.5 * math.log(k) + 1.0
+            tol_d = 4.0 * eps * size
+            tol_q = tol_d + eps + 4.0 * eps * (cap + 64)
+            if x < k + 1.0:
+                tol_q *= max(1.0, float((1 - ref_q) / ref_q))
+            assert abs(got_d - float(ref_d)) <= tol_d, x
+            assert abs(got_q - float(ref_q)) <= tol_q * float(ref_q) + 2.0**-1072, x
+
+
+def test_gamma_q_raises_at_its_iteration_cap(monkeypatch):
+    # at shape 100 both the series (x = 99) and the fraction (x = 110) need
+    # more than their first block of 8 terms or steps
+    monkeypatch.setattr(specfun, "_Q_ITER_CAP", 1)
+    for x in (99.0, 110.0):
+        with pytest.raises(NumericError):
+            reg_gamma_q(100.0, x)
 
 
 def test_reg_gamma_q_rejects_bad_domain():
@@ -158,3 +209,22 @@ def test_gamma_expectation_matches_mpmath_oracle(shape):
                 ref = mp.quad(lambda g: f(g) * mp.exp((a - 1) * mp.log(g) - g - log_norm), breaks)
                 est = gamma_expectation(integrand(c, np), shape, 1.0)
                 assert est == pytest.approx(float(ref), rel=1e-13, abs=0.0), (name, c)
+
+
+@pytest.mark.parametrize("shape", [0.5, 1.0, 3.0, 16.0, 128.0, 1e3, 1e4])
+def test_gamma_expectation_moves_by_at_most_1e13_when_h_is_halved(shape):
+    # an independent rule at half the library's step: the same window and
+    # density exp(shape*(u - expm1(u))) in u = log(g/shape), h/2 apart.  If
+    # the library's step under-resolved an integrand, halving it would move
+    # the value; 1e-13 is the accuracy the rule is held to against mpmath.
+    h = min(0.2, 0.5 / math.sqrt(shape)) / 2.0
+    lo = -1.0 - 45.0 / shape
+    hi = math.log1p(12.0 / math.sqrt(shape) + 60.0 / shape)
+    u = h * np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
+    weights = np.exp(shape * (u - np.expm1(u)))
+    nodes, weights = shape * np.exp(u), weights / weights.sum()
+    for c in np.geomspace(1e-3, 1e9, 7):
+        for name, integrand in _ORACLE_INTEGRANDS.items():
+            f = integrand(c, np)
+            fine = float(f(nodes) @ weights)
+            assert gamma_expectation(f, shape, 1.0) == pytest.approx(fine, rel=1e-13, abs=0.0), (name, c)
