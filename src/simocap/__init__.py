@@ -50,7 +50,6 @@ from .rates import (
     awgn_reference,
     bound_ratio,
     bound_ratio_expansion,
-    convergence_point,
     convergence_study,
     empirical_rate,
     evaluate_bounds,
@@ -58,7 +57,6 @@ from .rates import (
     jensen_upper,
     markov_lower,
     mpe,
-    pointwise_mi,
     ratio_gamma_term,
     ratio_log_term,
     resolve_strategy,
@@ -66,8 +64,6 @@ from .rates import (
 )
 from .specfun import (
     NumericError,
-    exp_integral_e1,
-    gamma_expectation,
     gamma_expectation_batch,
     reg_gamma_q,
 )

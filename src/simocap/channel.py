@@ -130,14 +130,9 @@ def build_decay_profile(
 
 @dataclass(frozen=True, eq=False)
 class GainMatrix:
-    """Realized subchannel gains indexed by (snapshot, subchannel).
-
-    ``seed`` records the generator seed that produced the matrix; it is
-    None for measured data.
-    """
+    """Realized subchannel gains indexed by (snapshot, subchannel)."""
 
     values: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -173,7 +168,7 @@ def sample_gains(channel: ParallelChannel, n_snapshots: int, seed: int) -> GainM
         values[:, n] = rng.gamma(
             shape=channel.shape[n], scale=channel.theta[n], size=int(n_snapshots)
         )
-    return GainMatrix(values=values, seed=int(seed))
+    return GainMatrix(values=values)
 
 
 def fit_gamma_moments(samples) -> tuple[float, float]:

@@ -98,7 +98,8 @@ def parse_channel_csv(
     ``source`` is a path or a readable file object.  Row order is
     immaterial; duplicate or missing cells, ragged rows, non-numeric
     fields, and inconsistent per-bin frequencies are rejected with the
-    first offending line number in file order.  An optional inclusive
+    first offending line number in file order; bytes that are not UTF-8
+    are reported first, wherever they are.  An optional inclusive
     [f_min_hz, f_max_hz] filter keeps only the bins inside the band; it
     must keep at least one.  Rows are read in blocks and converted a
     column at a time, so peak memory stays near the size of the file.
@@ -117,19 +118,26 @@ def _line_blocks(fh):
     # lists of lines without their endings, about _READ_SIZE characters
     # at a time; decoding bytes block by block is exact because a "\n"
     # byte never falls inside a UTF-8 character
-    pending = []
+    pending, line = [], 1  # the file line that starts the next block
     while data := fh.read(_READ_SIZE):
         cut = data.rfind(b"\n" if isinstance(data, bytes) else "\n") + 1
         if cut:
-            yield _split_lines(data[:0].join(pending + [data[:cut]]))
+            lines = _split_lines(data[:0].join(pending + [data[:cut]]), line)
+            line += len(lines)
+            yield lines
             pending = []
         pending.append(data[cut:])
     if any(pending):
-        yield _split_lines(pending[0][:0].join(pending))
+        yield _split_lines(pending[0][:0].join(pending), line)
 
 
-def _split_lines(text) -> list[str]:
-    text = text.decode("utf-8") if isinstance(text, bytes) else text
+def _split_lines(text, line: int) -> list[str]:
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line += text.count(b"\n", 0, exc.start)
+            raise ParseError(f"byte {text[exc.start]:#04x} is not valid UTF-8", line=line) from None
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
@@ -364,7 +372,7 @@ def simo_gains(snapshots: SnapshotSet, branch_ids) -> GainMatrix:
         if int(b) != b or not (0 <= b < snapshots.branches):
             raise ValueError(f"invalid branch id {b!r} (have {snapshots.branches} branches)")
     sel = np.abs(snapshots.coeffs[:, [int(b) for b in ids], :]) ** 2
-    return GainMatrix(values=sel.sum(axis=1), seed=None)
+    return GainMatrix(values=sel.sum(axis=1))
 
 
 def empirical_means(gains: GainMatrix) -> np.ndarray:

@@ -33,7 +33,6 @@ __all__ = [
     "RatioParams",
     "ConvergencePoint",
     "ConvergenceStudy",
-    "pointwise_mi",
     "jensen_upper",
     "markov_lower",
     "exact_rate",
@@ -45,7 +44,6 @@ __all__ = [
     "bound_ratio_expansion",
     "awgn_reference",
     "evaluate_bounds",
-    "convergence_point",
     "convergence_study",
     "resolve_strategy",
     "snr_db_to_power",
@@ -61,13 +59,6 @@ _A_STEP_TOLERANCE = 1e-10  # relative Newton step in a; the term's error is its 
 
 class MetricUndefinedError(ValueError):
     """The requested metric is undefined for the given inputs."""
-
-
-def pointwise_mi(gain: float, p: float, n0: float) -> float:
-    """Mutual information log(1 + p*gain/n0) of one subchannel realization."""
-    if gain < 0.0 or p < 0.0 or n0 <= 0.0:
-        raise ValueError("need gain >= 0, p >= 0, n0 > 0")
-    return math.log1p(p * gain / n0)
 
 
 def _alloc_powers(channel: ParallelChannel, alloc: PowerAllocation) -> np.ndarray:
@@ -384,23 +375,6 @@ class ConvergenceStudy:
     slope: float
 
 
-def convergence_point(
-    channel: ParallelChannel,
-    strategy: str | Callable[[ParallelChannel], PowerAllocation],
-    L: int,
-) -> ConvergencePoint:
-    """The bound gap of one channel at diversity order L.
-
-    The upper bound is the Jensen bound at statistical waterfilling and
-    the lower bound is the exact rate of the requested strategy.
-    """
-    swf = waterfill(channel.mean_gains, channel.n0, channel.p_total)
-    alloc = swf if strategy == "statistical-waterfill" else resolve_strategy(channel, strategy)
-    c_upper = jensen_upper(channel, swf)
-    c_lower = exact_rate(channel, alloc)
-    return ConvergencePoint(int(L), c_upper, c_lower, mpe(c_upper, c_lower))
-
-
 def convergence_study(
     profile: Callable[[int], ParallelChannel],
     strategy: str | Callable[[ParallelChannel], PowerAllocation],
@@ -425,7 +399,11 @@ def convergence_study(
     for L in ls:
         ch = profile(int(L))
         ch = ch.with_power(snr_db_to_power(ch.n, ch.n0, snr_db))
-        points.append(convergence_point(ch, strategy, int(L)))
+        swf = waterfill(ch.mean_gains, ch.n0, ch.p_total)
+        alloc = swf if strategy == "statistical-waterfill" else resolve_strategy(ch, strategy)
+        c_upper = jensen_upper(ch, swf)
+        c_lower = exact_rate(ch, alloc)
+        points.append(ConvergencePoint(int(L), c_upper, c_lower, mpe(c_upper, c_lower)))
 
     slope = float(
         np.polyfit(

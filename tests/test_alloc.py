@@ -7,7 +7,7 @@ from simocap import alloc as alloc_module
 from simocap.alloc import PowerAllocation, equal_power, optimal_allocation, waterfill
 from simocap.channel import ParallelChannel, build_decay_profile
 from simocap.rates import exact_rate, jensen_upper, snr_db_to_power
-from simocap.specfun import NumericError, gamma_expectation
+from simocap.specfun import NumericError, gamma_expectation_batch
 
 
 def test_waterfill_single_channel():
@@ -164,7 +164,7 @@ def _assert_kkt(ch, powers):
     active = powers > 0.0
     marginals = np.array(
         [
-            gamma_expectation(lambda g, p=p: g / (ch.n0 + p * g), shape, theta)
+            gamma_expectation_batch(lambda g, rows, p=p: g / (ch.n0 + p * g), [shape], [theta])[0]
             for shape, theta, p in zip(ch.shape[active], ch.theta[active], powers[active])
         ]
     )

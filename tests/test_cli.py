@@ -339,9 +339,8 @@ def _modules_after(script_lines, roots=("scipy",)):
 
 
 def test_import_and_csv_paths_do_not_load_scipy(tmp_path):
-    # only exp_integral_e1 imports scipy, on first use, so a fresh
-    # interpreter that imports the CLI and runs gen-synthetic and ingest
-    # never loads it.
+    # nothing in the package imports scipy, so a fresh interpreter that
+    # imports the CLI and runs gen-synthetic and ingest never loads it.
     chan = str(tmp_path / "chan.csv")
     stats = str(tmp_path / "stats.json")
     gen = ["gen-synthetic", "--n-bins", "4", "--l-values", "2", "--n-snapshots", "30"]
@@ -379,6 +378,50 @@ def test_compute_commands_do_not_load_scipy(tmp_path, argv):
     out = str(tmp_path / "out.csv")
     loaded = _modules_after([f"assert cli.main({argv!r} + ['--output', {out!r}]) == 0"])
     assert loaded == []
+
+
+_BLOCK_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+import simocap
+import simocap.cli as cli
+"""
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    # stricter than the per-command checks above: an import of scipy or
+    # any scipy.* module fails, and import simocap plus every subcommand
+    # must still succeed in a fresh interpreter
+    chan, stats, out = (str(tmp_path / name) for name in ("chan.csv", "stats.json", "out.csv"))
+    sweep = ["bounds-sweep", "--n-bins", "4", "--snr-db=-10,0,10",
+             "--strategies", "statistical-waterfill,equal,optimal", "--output", out]
+    commands = [
+        ["waterfill", "--means", "1,2,0.5"],
+        sweep + ["--a-rule", "max"],
+        sweep + ["--a-rule", "alpha=0.5"],
+        ["mpe-study", "--n-bins", "4", "--l-values", "1,2,4", "--snr-db", "0", "--output", out],
+        ["gen-synthetic", "--n-bins", "4", "--l-values", "2", "--n-snapshots", "30",
+         "--output", chan],
+        ["ingest", "--input", chan, "--output", stats],
+    ]
+    script = _BLOCK_SCIPY + "\n".join(
+        [f"assert cli.main({argv!r}) == 0, {argv[0]!r}" for argv in commands]
+        + ["try:\n    import scipy\nexcept ImportError:\n    print('scipy is blocked')"]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=_subprocess_env(), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    # the last line shows that the block was in force throughout
+    assert done.stdout.endswith("scipy is blocked\n"), done.stdout
+    assert len(json.loads(Path(stats).read_text())["bins"]) == 4
 
 
 def test_bounds_sweep_does_not_load_a_process_pool(tmp_path):

@@ -178,10 +178,10 @@ def test_empirical_means_behaviour():
     gains = simo_gains(snaps, range(snaps.branches))
     means = empirical_means(gains)
     assert means.shape == (snaps.n_bins,)
-    single = type(gains)(values=gains.values[:1], seed=None)
+    single = type(gains)(values=gains.values[:1])
     assert np.array_equal(empirical_means(single), gains.values[0])
     rng = np.random.default_rng(0)
-    shuffled = type(gains)(values=gains.values[rng.permutation(6)], seed=None)
+    shuffled = type(gains)(values=gains.values[rng.permutation(6)])
     assert np.allclose(empirical_means(shuffled), means, rtol=1e-14)
 
 
@@ -339,13 +339,15 @@ def test_parse_reports_the_same_fault_whatever_the_block_size(body, monkeypatch)
 
 def test_parse_reports_undecodable_bytes_before_any_fault(tmp_path, monkeypatch):
     path = tmp_path / "bad.csv"
-    # the ragged row is read blocks before the undecodable byte
+    # at 8 bytes a read, the ragged row on line 3 is read blocks before the
+    # undecodable byte on line 5; at the default size all is one block
     path.write_bytes(f"{CSV_HEADER}\n{ROW}\n0,0,1\n{ROW}\n".encode() + b"0,0,1,6e9,\xff,0\n")
-    monkeypatch.setattr(ingest, "_READ_SIZE", 8)
-    with pytest.raises(UnicodeDecodeError):
-        parse_channel_csv(path)
-    with pytest.raises(UnicodeDecodeError):
-        parse_channel_csv(io.BytesIO(path.read_bytes()))
+    for read_size in (8, ingest._READ_SIZE):
+        monkeypatch.setattr(ingest, "_READ_SIZE", read_size)
+        for source in (path, io.BytesIO(path.read_bytes())):
+            with pytest.raises(ParseError, match="^line 5: byte 0xff is not valid UTF-8$") as err:
+                parse_channel_csv(source)
+            assert err.value.line == 5, read_size
 
 
 # --- writer: byte-identical to the row-by-row definition --------------------

@@ -21,12 +21,11 @@ from simocap.rates import (
     jensen_upper,
     markov_lower,
     mpe,
-    pointwise_mi,
     ratio_gamma_term,
     ratio_log_term,
     snr_db_to_power,
 )
-from simocap.specfun import NumericError, exp_integral_e1, reg_gamma_q
+from simocap.specfun import NumericError, _gamma_q
 
 
 def _single(theta=1.0, m=1.0, L=1, n0=1.0, p=1.0):
@@ -40,21 +39,11 @@ def _rate_of_one(theta, m, L, p, n0):
     return exact_rate(ch, PowerAllocation(np.array([p])))
 
 
-def test_pointwise_mi_basics():
-    assert pointwise_mi(1.0, 0.0, 1.0) == 0.0
-    assert math.isclose(pointwise_mi(1.0, 1.0, 1.0), math.log(2.0), rel_tol=1e-15)
-    x = 0.01
-    assert abs(pointwise_mi(x, 1.0, 1.0) - x) / x < 0.005
-    with pytest.raises(ValueError):
-        pointwise_mi(-1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        pointwise_mi(1.0, 1.0, 0.0)
-
-
 def test_ergodic_mi_exponential_closed_form():
+    mpmath = pytest.importorskip("mpmath")
     spec = (1.0, 1.0, 1)  # theta, m, L
     value = _rate_of_one(*spec, 1.0, 1.0)
-    assert math.isclose(value, math.e * exp_integral_e1(1.0), rel_tol=1e-9)
+    assert math.isclose(value, math.e * float(mpmath.e1(1.0)), rel_tol=1e-9)
     assert _rate_of_one(*spec, 0.0, 1.0) == 0.0
 
 
@@ -68,7 +57,7 @@ def test_ergodic_mi_never_exceeds_rate_at_mean_gain():
         )
         p = 10 ** rng.uniform(-1, 1)
         mu = theta * m * L
-        assert _rate_of_one(theta, m, L, p, 1.0) <= pointwise_mi(mu, p, 1.0) + 1e-12
+        assert _rate_of_one(theta, m, L, p, 1.0) <= math.log1p(p * mu / 1.0) + 1e-12
 
 
 def test_ergodic_mi_matches_monte_carlo():
@@ -203,9 +192,12 @@ def test_markov_lower_max_rule_beats_a_fine_grid():
     for theta, m, L, n0, p in singles:
         single = ParallelChannel([theta], m, L, n0=n0, p_total=1.0)
         best = markov_lower(single, PowerAllocation(np.array([p])))
-        for a in grid:
-            term = a * reg_gamma_q(m * L, (n0 / p) * math.expm1(a) / theta)
-            assert best >= term * (1.0 - 4e-16), (theta, m, L, p, a)
+        # Q over the whole grid in one kernel call, at x formed with
+        # math.expm1: np.expm1 can differ by an ulp, which moves tail terms
+        x = np.array([(n0 / p) * math.expm1(a) / theta for a in grid.tolist()])
+        terms = grid * _gamma_q(m * L, x)[0]
+        worst = int(np.argmax(terms))
+        assert best >= terms[worst] * (1.0 - 4e-16), (theta, m, L, p, grid[worst])
 
 
 def _mpmath_max_markov_term(mpmath, k, c):
@@ -258,10 +250,11 @@ def test_markov_max_rule_raises_at_its_iteration_cap(monkeypatch):
 
 
 def test_exact_rate_additivity_and_jensen_domination():
+    mpmath = pytest.importorskip("mpmath")
     ch = ParallelChannel(theta=[1.0, 1.0], m=1.0, L=1, n0=1.0, p_total=2.0)
     alloc = equal_power(2, 2.0)
     rate = exact_rate(ch, alloc)
-    assert math.isclose(rate, 2.0 * math.e * exp_integral_e1(1.0), rel_tol=1e-9)
+    assert math.isclose(rate, 2.0 * math.e * float(mpmath.e1(1.0)), rel_tol=1e-9)
     assert rate <= jensen_upper(ch, alloc)
     half = PowerAllocation(np.array([2.0, 0.0]))
     assert math.isclose(exact_rate(ch, half), _rate_of_one(1.0, 1.0, 1, 2.0, 1.0), rel_tol=1e-12)
@@ -299,15 +292,15 @@ def test_empirical_rate_single_snapshot_and_permutation_invariance():
     alloc = equal_power(3, 1.0)
     gains = sample_gains(ch, 50, seed=5)
     single = empirical_rate(
-        type(gains)(values=gains.values[:1], seed=None), alloc, ch.n0
+        type(gains)(values=gains.values[:1]), alloc, ch.n0
     )
     expected = sum(
-        pointwise_mi(float(g), float(p), ch.n0)
+        math.log1p(float(p) * float(g) / ch.n0)
         for g, p in zip(gains.values[0], alloc.powers)
     )
     assert math.isclose(single, expected, rel_tol=1e-12)
     rng = np.random.default_rng(0)
-    shuffled = type(gains)(values=gains.values[rng.permutation(50)], seed=None)
+    shuffled = type(gains)(values=gains.values[rng.permutation(50)])
     assert math.isclose(
         empirical_rate(gains, alloc, ch.n0), empirical_rate(shuffled, alloc, ch.n0), rel_tol=1e-12
     )

