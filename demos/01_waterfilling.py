@@ -40,7 +40,8 @@ def main():
 
     # statistical vs instantaneous waterfilling on a fading channel
     means = np.array([0.4, 0.9, 1.6, 2.3])
-    channel = ParallelChannel(theta=means / 2.0, m=1.0, L=2, n0=1.0, p_total=2.0)
+    # two Rayleigh branches (m = 1, L = 2) per subchannel: gain Gamma(2, mean/2)
+    channel = ParallelChannel(theta=means / 2.0, shape=2.0, n0=1.0, p_total=2.0)
     statistical = waterfill(channel.mean_gains, channel.n0, channel.p_total)
     snapshot = sample_gains(channel, 1, seed=4).values[0]
     instantaneous = waterfill(

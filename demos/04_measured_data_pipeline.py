@@ -5,7 +5,7 @@ Measured multi-antenna channel data enters as one complex coefficient per
 
   parse CSV -> normalize (pooled mean |h|^2 = 1) -> sum |h|^2 over
   branches (SIMO combining) -> average over snapshots -> moment-fit a
-  gamma law per bin.
+  gamma law per bin -> capacity bounds of the fitted channel.
 
 Here the recording is synthesized from a known channel so every recovered
 quantity can be compared against the truth.  The same chain runs from the
@@ -17,16 +17,29 @@ import io
 import numpy as np
 
 from simocap import (
+    ParallelChannel,
     build_decay_profile,
     empirical_means,
+    exact_rate,
     fit_gamma_moments,
     generate_snapshots,
+    jensen_upper,
+    markov_lower,
     normalize_unit_mean,
     parse_channel_csv,
     pooled_mean_gain,
     simo_gains,
+    snr_db_to_power,
+    waterfill,
     write_channel_csv,
 )
+
+
+def print_rates(label, channel):
+    # Jensen upper bound, exact rate and Markov lower bound at statistical waterfilling
+    swf = waterfill(channel.mean_gains, channel.n0, channel.p_total)
+    rates = jensen_upper(channel, swf), exact_rate(channel, swf), markov_lower(channel, swf)
+    print(f"  {label:<16}" + "".join(f"{r:12.4f}" for r in rates))
 
 
 def main():
@@ -34,7 +47,7 @@ def main():
     truth = build_decay_profile(
         6, 5e9, 6e9, decay_exponent=3.0, m=1.0, L=branches, n0=1.0, p_total=1.0
     )
-    snapshots = generate_snapshots(truth, n_snapshots=4000, seed=2)
+    snapshots = generate_snapshots(truth, n_snapshots=4000, seed=2, n_branches=branches)
     print(f"synthesized {snapshots.snapshots} snapshots x {snapshots.branches} branches "
           f"x {snapshots.n_bins} bins from a known f^-3 channel")
 
@@ -56,10 +69,20 @@ def main():
     expected = truth.mean_gains * branches / truth.mean_gains.mean()
 
     print("\n  bin   freq_GHz   mean gain   expected   fit shape (true 4.0)")
-    for j in range(normalized.n_bins):
-        shape, _ = fit_gamma_moments(gains.values[:, j])
+    fits = [fit_gamma_moments(gains.values[:, j]) for j in range(normalized.n_bins)]
+    for j, (shape, _) in enumerate(fits):
         print(f"  {j:3d}   {normalized.freqs_hz[j] / 1e9:8.3f}   {means[j]:9.3f}"
               f"   {expected[j]:8.3f}   {shape:9.3f}")
+
+    # a fitted (shape, scale) per bin is a channel entry; next to it, the
+    # true law of the normalized gains, Gamma(m*L, expected/(m*L)), at 5 dB
+    shapes, scales = (np.array(v) for v in zip(*fits))
+    p_total = snr_db_to_power(normalized.n_bins, 1.0, 5.0)
+    fitted = ParallelChannel(theta=scales, shape=shapes, n0=1.0, p_total=p_total)
+    true = ParallelChannel(expected / truth.shape, truth.shape, n0=1.0, p_total=p_total)
+    print(f"\n  {'at 5 dB, nats':<16}" + "".join(f"{h:>12}" for h in ("Jensen", "exact", "Markov")))
+    print_rates("fitted channel", fitted)
+    print_rates("true channel", true)
     print("\nthe moment fits recover the combined shape m*L per bin, so the")
     print("capacity machinery can be driven directly from measured data.")
 

@@ -1,9 +1,9 @@
 """Capacity bounds and power loading for parallel channels of SIMO fading subchannels.
 
 The library models a parallel channel whose subchannels each combine L
-independent Nakagami-m diversity branches (gamma-distributed power
-gains).  A ``ParallelChannel`` holds the per-subchannel parameters as
-arrays ``theta``, ``m`` and ``L``.  The library provides:
+independent Nakagami-m diversity branches, so each power gain is
+Gamma(m*L, theta).  A ``ParallelChannel`` holds these laws as arrays
+``theta`` and ``shape``.  The library provides:
 
 * exact water-level power allocation (statistical or instantaneous) and
   the exact distribution-aware optimum over the power simplex,

@@ -1,10 +1,10 @@
 """Parallel channels of gamma-fading SIMO subchannels.
 
-A subchannel bundles L independent Nakagami-m branches with common scale
-theta and shape m, so its combined power gain is Gamma(m*L, theta) with
-mean theta*m*L.  A parallel channel holds N such subchannels as parameter
-arrays ``theta``, ``m`` and ``L`` (index n is subchannel n), sharing one
-noise level and one total power budget.
+A subchannel that combines L independent Nakagami-m branches of common
+scale theta has power gain Gamma(m*L, theta), and the bounds depend on it
+only through that law.  A parallel channel holds N such laws as arrays
+``theta`` and ``shape`` (index n is subchannel n), sharing one noise level
+and one total power budget; m and L are arguments of the builders only.
 """
 
 import math
@@ -39,34 +39,30 @@ def _per_subchannel(name: str, value, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ParallelChannel:
-    """N gamma-fading SIMO subchannels sharing one noise level and power budget.
+    """N gamma-fading subchannels sharing one noise level and power budget.
 
-    Subchannel n has per-branch gamma scale theta[n] (linear power gain
-    units), Nakagami shape m[n] >= 0.5 on each of its L[n] diversity
-    branches, and optionally a center frequency freqs_hz[n].  ``m`` and
-    ``L`` may be given once for all subchannels.  Every array is stored as
-    a read-only 1-D float copy, next to the derived ``shape`` = m*L and
-    ``mean_gains`` = theta*m*L.
+    Subchannel n has power gain Gamma(shape[n], theta[n]) with scale
+    theta[n] > 0 (linear power gain units) and shape[n] >= 0.5, and
+    optionally a center frequency freqs_hz[n].  ``shape`` may be given once
+    for all subchannels.  Every array is stored as a read-only 1-D float
+    copy, next to the derived ``mean_gains`` = theta*shape.
     """
 
     theta: np.ndarray
-    m: np.ndarray
-    L: np.ndarray
+    shape: np.ndarray
     n0: float
     p_total: float
     freqs_hz: np.ndarray | None = None
-    shape: np.ndarray = field(init=False, repr=False)
     mean_gains: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = np.size(self.theta)
         if n < 1:
             raise ValueError("a parallel channel needs at least one subchannel")
-        theta, m, L = (_per_subchannel(k, getattr(self, k), n) for k in ("theta", "m", "L"))
+        theta, shape = (_per_subchannel(k, getattr(self, k), n) for k in ("theta", "shape"))
         for name, values, ok, rule in (
-            ("L", L, (L >= 1.0) & (L == np.floor(L)), "a positive integer"),
             ("theta", theta, theta > 0.0, "positive and finite"),
-            ("m", m, m >= 0.5, ">= 0.5"),
+            ("shape", shape, shape >= 0.5, "finite and >= 0.5"),
         ):
             bad = values[~(np.isfinite(values) & ok)]
             if bad.size:
@@ -77,15 +73,14 @@ class ParallelChannel:
         if not (math.isfinite(p_total) and p_total > 0.0):
             raise ValueError(f"p_total must be positive and finite, got {p_total!r}")
         freqs = None if self.freqs_hz is None else _per_subchannel("freqs_hz", self.freqs_hz, n)
-        shape = _per_subchannel("shape", m * L, n)
-        mean_gains = _per_subchannel("mean_gains", theta * m * L, n)
-        fields = dict(theta=theta, m=m, L=L, n0=n0, p_total=p_total, freqs_hz=freqs)
-        for name, value in dict(fields, shape=shape, mean_gains=mean_gains).items():
+        mean_gains = _per_subchannel("mean_gains", theta * shape, n)
+        fields = dict(theta=theta, shape=shape, n0=n0, p_total=p_total, freqs_hz=freqs)
+        for name, value in dict(fields, mean_gains=mean_gains).items():
             object.__setattr__(self, name, value)
 
     def __reduce__(self):
         # pickle and deepcopy rebuild through __init__, so copies stay read-only
-        return type(self), (self.theta, self.m, self.L, self.n0, self.p_total, self.freqs_hz)
+        return type(self), (self.theta, self.shape, self.n0, self.p_total, self.freqs_hz)
 
     @property
     def n(self) -> int:
@@ -109,10 +104,13 @@ def build_decay_profile(
     """Frequency-selective profile with mean gains falling off like f^(-decay_exponent).
 
     Bin frequencies span [f_lo_hz, f_hi_hz] uniformly (endpoints included;
-    a single bin sits at the band center).  Mean gains are renormalized so
-    their average over bins is exactly one, and each subchannel's scale is
-    theta = mu / (m * L).
+    a single bin sits at the band center).  Mean gains mu average exactly
+    one over bins, and L Nakagami-m branches give bin n Gamma(mL, mu_n/(mL)).
     """
+    if not (m >= 0.5 and math.isfinite(m)):
+        raise ValueError(f"m must be >= 0.5, got {m!r}")
+    if not (L >= 1 and float(L).is_integer()):
+        raise ValueError(f"L must be a positive integer, got {L!r}")
     if n_bins < 1 or int(n_bins) != n_bins:
         raise ValueError("n_bins must be a positive integer")
     if not (f_hi_hz > f_lo_hz > 0.0):
@@ -125,7 +123,8 @@ def build_decay_profile(
         freqs = np.linspace(f_lo_hz, f_hi_hz, int(n_bins))
     weights = freqs ** (-float(decay_exponent))
     mu = weights / weights.mean()
-    return ParallelChannel(theta=mu / (m * L), m=m, L=L, n0=n0, p_total=p_total, freqs_hz=freqs)
+    shape = m * L
+    return ParallelChannel(theta=mu / shape, shape=shape, n0=n0, p_total=p_total, freqs_hz=freqs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +151,7 @@ class GainMatrix:
 
 
 def sample_gains(channel: ParallelChannel, n_snapshots: int, seed: int) -> GainMatrix:
-    """Draw i.i.d. gains, one Gamma(m*L, theta) column per subchannel.
+    """Draw i.i.d. gains, one Gamma(shape, theta) column per subchannel.
 
     The stream for subchannel n is derived from (seed, n) through a
     SeedSequence spawn key, so the result is bit-identical for identical

@@ -310,7 +310,8 @@ def cmd_gen_synthetic(args) -> int:
     if not cfg.output_path:
         raise ValueError("an output path is required (--output)")
     ch = _profile_channel(cfg, int(cfg.l_values[0]), 0.0)
-    snapshots = generate_snapshots(ch, cfg.n_snapshots, cfg.seed, n_branches=args.branches)
+    branches = int(cfg.l_values[0]) if args.branches is None else args.branches
+    snapshots = generate_snapshots(ch, cfg.n_snapshots, cfg.seed, branches)
     write_channel_csv(snapshots, cfg.output_path)
     _write_sidecar(cfg.output_path, "gen-synthetic", cfg, extra={"branches": snapshots.branches})
     return EXIT_OK
@@ -408,7 +409,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gen = subparsers.add_parser("gen-synthetic", help="generate a synthetic channel CSV")
     _add_config_flags(p_gen)
-    p_gen.add_argument("--branches", type=int, help="branch count (default: the profile's L)")
+    branches_help = "branch count (default: L); each bin's Gamma(mL, theta) law is split over them"
+    p_gen.add_argument("--branches", type=int, help=branches_help)
     p_gen.set_defaults(handler=cmd_gen_synthetic)
 
     p_in = subparsers.add_parser("ingest", help="statistics of a measured channel CSV (JSON)")

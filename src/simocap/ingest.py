@@ -313,23 +313,20 @@ def generate_snapshots(
     channel: ParallelChannel,
     n_snapshots: int,
     seed: int,
-    n_branches: int | None = None,
+    n_branches: int,
 ) -> SnapshotSet:
     """Synthesize format-conformant snapshots from a parallel channel.
 
-    Each branch coefficient has an independent Gamma(m_n, theta_n) power
-    gain and a uniform phase, so summing |h|^2 over the channel's L
-    branches reproduces the Gamma(m_n*L, theta_n) subchannel gains.
-    Output is bit-exact reproducible per seed.  Bin frequencies come from
-    the channel's ``freqs_hz`` (an increasing index grid if it has none).
+    Each of the n_branches coefficients of bin n has an independent
+    Gamma(shape_n/n_branches, theta_n) power gain and a uniform phase, so
+    summing |h|^2 over all branches reproduces the Gamma(shape_n, theta_n)
+    subchannel gains.  Output is bit-exact reproducible per seed.  Bin
+    frequencies come from the channel's ``freqs_hz`` (an increasing index
+    grid if it has none).
     """
     if n_snapshots < 1 or int(n_snapshots) != n_snapshots:
         raise ValueError("n_snapshots must be a positive integer")
-    if n_branches is None:
-        if np.any(channel.L != channel.L[0]):
-            raise ValueError("give n_branches explicitly when subchannel L varies")
-        n_branches = int(channel.L[0])
-    if n_branches < 1:
+    if not (n_branches >= 1 and float(n_branches).is_integer()):
         raise ValueError("n_branches must be a positive integer")
 
     if channel.freqs_hz is None:
@@ -341,7 +338,7 @@ def generate_snapshots(
     shape = (int(n_snapshots), int(n_branches))
     coeffs = np.empty(shape + (channel.n,), dtype=complex)
     for n in range(channel.n):
-        power = rng.gamma(shape=channel.m[n], scale=channel.theta[n], size=shape)
+        power = rng.gamma(shape=channel.shape[n] / n_branches, scale=channel.theta[n], size=shape)
         phase = rng.uniform(0.0, 2.0 * np.pi, size=shape)
         coeffs[:, :, n] = np.sqrt(power) * np.exp(1j * phase)
     return SnapshotSet(freqs_hz=freqs, coeffs=coeffs)

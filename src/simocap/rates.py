@@ -7,7 +7,7 @@ over a parallel channel with mean gains {mu_n}:
 * upper bound (Jensen):        sum_n log(1 + p_n mu_n / n0), evaluated at
   the statistical-waterfilling allocation it upper-bounds the capacity;
 * achievable rate:             sum_n E[log(1 + p_n g_n / n0)];
-* lower bound (Markov):        sum_n a_n * Q(m_n L_n, x_n) with
+* lower bound (Markov):        sum_n a_n * Q(shape_n, x_n) with
   x_n = (n0/p_n)(e^{a_n} - 1)/theta_n, valid for any a_n > 0.
 
 The single-subchannel ratio of the Markov lower to the Jensen upper bound
@@ -76,7 +76,7 @@ def jensen_upper(channel: ParallelChannel, alloc: PowerAllocation) -> float:
 
 
 def _markov_terms(a, shape, theta, p, n0: float) -> np.ndarray:
-    # a * Q(m*L, x), x = (n0/p)(e^a - 1)/theta; an overflowing x is inf, where Q = 0
+    # a * Q(shape, x), x = (n0/p)(e^a - 1)/theta; an overflowing x is inf, where Q = 0
     with np.errstate(over="ignore"):
         x = (n0 / p) * np.expm1(a) / theta
     return a * _gamma_q(shape, x)[0]
@@ -126,10 +126,10 @@ def markov_lower(
 ) -> float:
     """Markov-inequality lower bound sum_n a_n * Pr(g_n >= (n0/p_n)(e^{a_n}-1)).
 
-    The free parameters a_n > 0 can be given explicitly (``a_values``),
-    derived from the closed-form rule a_n = log(1 + alpha*beta_n*L) with
-    beta_n = p_n*theta_n*m_n/n0 (``alpha``), or, by default, chosen per
-    subchannel by numerical maximization of the term over a in [1e-6, 50].
+    The free parameters a_n > 0 are given explicitly (``a_values``), set by
+    the rule a_n = log(1 + alpha*p_n*mu_n/n0), the paper's
+    log(1 + alpha*beta*L) (``alpha``), or, by default, chosen per subchannel
+    by numerical maximization of the term over a in [1e-6, 50].
     Zero-power subchannels contribute zero.  Raises ``NumericError`` if
     the maximization does not converge.
     """
@@ -153,8 +153,7 @@ def markov_lower(
             raise ValueError(f"a must be positive where power is positive (index {bad[0]})")
         terms = _markov_terms(a[on], shape, theta, p, n0)
     elif alpha is not None:
-        beta = p * theta * channel.m[on] / n0
-        terms = _markov_terms(np.log1p(alpha * beta * channel.L[on]), shape, theta, p, n0)
+        terms = _markov_terms(np.log1p(alpha * (p * theta / n0) * shape), shape, theta, p, n0)
     else:
         terms = _max_markov_terms(shape, theta, p, n0)
     return float(terms.sum())

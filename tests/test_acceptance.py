@@ -175,8 +175,7 @@ def test_criterion_3_bound_sandwich_randomized():
             subs = [
                 (
                     10 ** rng.uniform(-1, 1),
-                    float(rng.choice([0.5, 1.0, 2.0, 4.0])),
-                    int(rng.integers(1, 9)),
+                    float(rng.choice([0.5, 1.0, 2.0, 4.0])) * int(rng.integers(1, 9)),
                 )
                 for _ in range(n)
             ]
@@ -240,7 +239,7 @@ def test_criterion_4a_ratio_limit_at_large_diversity():
         # The default max a-rule maximizes over a family that contains
         # a = log(1 + alpha_L*beta*L), so on the same subchannel (beta =
         # p*theta*m/n0 = 1) its bound quotient is at least the alpha_L ratio.
-        ch = ParallelChannel(theta=[1.0], m=1.0, L=L, n0=1.0, p_total=1.0)
+        ch = ParallelChannel(theta=[1.0], shape=1.0 * L, n0=1.0, p_total=1.0)
         alloc = PowerAllocation(np.array([1.0]))
         quotient = markov_lower(ch, alloc) / jensen_upper(ch, alloc)
         assert quotient >= value, f"max-rule quotient {quotient:.6f} below alpha_L ratio {value:.6f}"
@@ -266,7 +265,7 @@ def test_criterion_4c_ratio_identity_with_bound_quotient():
             n0 = 10 ** rng.uniform(-0.5, 0.5)
             p = 10 ** rng.uniform(-1, 1)
             alpha = float(rng.uniform(0.1, 0.9))
-            ch = ParallelChannel([theta], m, L, n0=n0, p_total=p)
+            ch = ParallelChannel([theta], m * L, n0=n0, p_total=p)
             alloc = PowerAllocation(np.array([p]))
             quotient = markov_lower(ch, alloc, alpha=alpha) / jensen_upper(ch, alloc)
             direct = bound_ratio(RatioParams(m=m, L=L, beta=p * theta * m / n0, alpha=alpha))
@@ -280,8 +279,7 @@ def test_criterion_5_quadrature_against_monte_carlo():
         for _ in range(20):
             ch = ParallelChannel(
                 theta=[10 ** rng.uniform(-1, 1)],
-                m=float(rng.choice([0.5, 1.0, 2.0, 4.0])),
-                L=int(rng.integers(1, 9)),
+                shape=float(rng.choice([0.5, 1.0, 2.0, 4.0])) * int(rng.integers(1, 9)),
                 n0=1.0,
                 p_total=1.0,
             )
@@ -294,7 +292,7 @@ def test_criterion_5_quadrature_against_monte_carlo():
                 f"quad {value} vs MC {draws.mean()} (se {se:.2e})"
             )
         closed = math.e * float(mpmath.e1(1.0))
-        unit_channel = ParallelChannel(theta=[1.0], m=1.0, L=1, n0=1.0, p_total=1.0)
+        unit_channel = ParallelChannel(theta=[1.0], shape=1.0, n0=1.0, p_total=1.0)
         unit = exact_rate(unit_channel, PowerAllocation(np.array([1.0])))
         assert abs(unit - 0.5963474) <= 1e-6
         assert math.isclose(unit, closed, rel_tol=1e-9)
@@ -337,8 +335,7 @@ def test_criterion_7_exact_optimum_grid_search_and_dominance():
             subs = [
                 (
                     10 ** rng.uniform(-1, 0.5),
-                    float(rng.choice([0.5, 1.0, 2.0])),
-                    int(rng.integers(1, 5)),
+                    float(rng.choice([0.5, 1.0, 2.0])) * int(rng.integers(1, 5)),
                 )
                 for _ in range(2)
             ]
@@ -379,7 +376,7 @@ MALFORMED_FIXTURES = [
 def test_criterion_8_ingestion_pipeline(tmp_path):
     with criterion("ingestion pipeline: recovery within 4 sigma, unit pooled mean, fixtures rejected"):
         ch = build_decay_profile(4, 5e9, 6e9, 3.0, 1.0, 4, 1.0, 1.0)
-        snapshots = generate_snapshots(ch, 10_000, seed=314)
+        snapshots = generate_snapshots(ch, 10_000, seed=314, n_branches=4)
         buf = io.StringIO()
         write_channel_csv(snapshots, buf)
         buf.seek(0)

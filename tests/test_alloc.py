@@ -96,14 +96,14 @@ def test_power_allocation_validation():
 
 
 def test_optimal_allocation_symmetric_channel_is_equal_power():
-    ch = ParallelChannel(theta=[0.5, 0.5, 0.5], m=1.0, L=2, n0=1.0, p_total=3.0)
+    ch = ParallelChannel(theta=[0.5, 0.5, 0.5], shape=2.0, n0=1.0, p_total=3.0)
     alloc = optimal_allocation(ch)
     assert np.allclose(alloc.powers, 1.0, rtol=1e-6)
     assert math.isclose(alloc.total, 3.0, rel_tol=1e-12)
 
 
 def test_optimal_allocation_matches_grid_search():
-    ch = ParallelChannel(theta=[1.0, 0.25], m=1.0, L=2, n0=1.0, p_total=1.0)
+    ch = ParallelChannel(theta=[1.0, 0.25], shape=2.0, n0=1.0, p_total=1.0)
     alloc = optimal_allocation(ch)
     grid = np.arange(0.0, 1.0 + 1e-12, 1e-3)
     best_p1, best_val = 0.0, -math.inf
@@ -121,8 +121,7 @@ def test_optimal_allocation_dominates_simpler_strategies():
         subs = [
             (
                 10 ** rng.uniform(-1, 1),
-                float(rng.choice([0.5, 1.0, 2.0])),
-                int(rng.integers(1, 5)),
+                float(rng.choice([0.5, 1.0, 2.0])) * int(rng.integers(1, 5)),
             )
             for _ in range(2)
         ]
@@ -137,7 +136,7 @@ def test_optimal_allocation_dominates_simpler_strategies():
 
 def test_optimal_allocation_flattens_with_diversity():
     def channel_for(L):
-        return ParallelChannel(theta=[0.4, 0.8, 1.2, 1.6], m=1.0, L=L, n0=1.0, p_total=4.0)
+        return ParallelChannel(theta=[0.4, 0.8, 1.2, 1.6], shape=1.0 * L, n0=1.0, p_total=4.0)
 
     deviations = []
     for L in (2, 64):
@@ -149,7 +148,7 @@ def test_optimal_allocation_flattens_with_diversity():
 def test_optimal_allocation_objective_beats_waterfilling_jensen_gap():
     # the optimum can only lose to waterfilling on the Jensen surrogate,
     # never on the exact objective
-    ch = ParallelChannel(theta=[2.0, 0.1], m=[0.5, 2.0], L=[1, 3], n0=1.0, p_total=2.0)
+    ch = ParallelChannel(theta=[2.0, 0.1], shape=[0.5 * 1, 2.0 * 3], n0=1.0, p_total=2.0)
     opt = optimal_allocation(ch)
     swf = waterfill(ch.mean_gains, ch.n0, ch.p_total)
     assert exact_rate(ch, opt) >= exact_rate(ch, swf) - 1e-9
@@ -182,7 +181,7 @@ def test_optimal_allocation_meets_kkt_on_mixed_shapes():
     subs = []
     for i, mu in enumerate(np.geomspace(0.02, 3.0, 16)):
         m, L = ms[i % 3], ls[(i // 3) % 3]
-        subs.append((mu / (m * L), m, L))
+        subs.append((mu / (m * L), m * L))
     ch = ParallelChannel(*zip(*subs), n0=1.0, p_total=16.0)
     active = _assert_kkt(ch, optimal_allocation(ch).powers)
     assert 2 <= active.sum() < ch.n
@@ -202,7 +201,7 @@ def test_optimal_allocation_meets_kkt_on_588_bin_profiles(m, snr_db, n_active):
 
 
 def test_optimal_allocation_raises_at_the_iteration_cap(monkeypatch):
-    ch = ParallelChannel(theta=[2.0, 0.1], m=[0.5, 2.0], L=[1, 3], n0=1.0, p_total=2.0)
+    ch = ParallelChannel(theta=[2.0, 0.1], shape=[0.5 * 1, 2.0 * 3], n0=1.0, p_total=2.0)
     _assert_kkt(ch, optimal_allocation(ch).powers)
     # with a cap of 1 the solver only evaluates statistical waterfilling,
     # which is not optimal here

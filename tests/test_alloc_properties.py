@@ -22,7 +22,7 @@ subchannels = st.tuples(
 @given(st.lists(subchannels, min_size=1, max_size=12), st.floats(-5.0, 5.0))
 def test_optimal_allocation_meets_kkt_and_beats_simpler_loadings(subs, log_p_total):
     log_mu, m, L = (np.array(v) for v in zip(*subs))
-    ch = ParallelChannel(10.0**log_mu / (m * L), m, L, n0=1.0, p_total=10.0**log_p_total)
+    ch = ParallelChannel(10.0**log_mu / (m * L), m * L, n0=1.0, p_total=10.0**log_p_total)
     opt = optimal_allocation(ch)
     powers = opt.powers
     marginals = gamma_expectation_batch(

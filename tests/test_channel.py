@@ -16,57 +16,61 @@ from simocap.channel import (
 )
 
 
-def _one(theta, m, L):
-    return ParallelChannel(theta=[theta], m=m, L=L, n0=1.0, p_total=1.0)
+def _one(theta, shape):
+    return ParallelChannel(theta=[theta], shape=shape, n0=1.0, p_total=1.0)
 
 
 def test_mean_gain_is_theta_m_l():
-    assert _one(theta=1.0, m=1.0, L=1).mean_gains[0] == 1.0
-    assert _one(theta=0.5, m=2.0, L=4).mean_gains[0] == 4.0
-    assert _one(theta=2.0, m=0.5, L=3).mean_gains[0] == 3.0
+    # the mean of Gamma(shape, theta) is theta*shape, with shape = m*L
+    assert _one(theta=1.0, shape=1.0 * 1).mean_gains[0] == 1.0
+    assert _one(theta=0.5, shape=2.0 * 4).mean_gains[0] == 4.0
+    assert _one(theta=2.0, shape=0.5 * 3).mean_gains[0] == 3.0
 
 
 def test_subchannel_spec_validation():
-    with pytest.raises(ValueError):
-        _one(theta=0.0, m=1.0, L=1)
-    with pytest.raises(ValueError):
-        _one(theta=1.0, m=0.4, L=1)
-    with pytest.raises(ValueError):
-        _one(theta=1.0, m=1.0, L=0)
-    with pytest.raises(ValueError):
-        _one(theta=1.0, m=1.0, L=1.5)
+    # shape >= 0.5 is every law m >= 0.5, L >= 1 gives, with or without
+    # an integer L behind it
+    for theta in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="theta must be positive and finite"):
+            _one(theta=theta, shape=1.0)
+    for shape in (0.4, 0.0, -2.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="shape must be finite and >= 0.5"):
+            _one(theta=1.0, shape=shape)
+    for shape in (0.5, 0.7 * 3, 1.5, 64.0):
+        assert _one(theta=1.0, shape=shape).shape[0] == shape
 
 
 def test_parallel_channel_validation():
     with pytest.raises(ValueError):
-        ParallelChannel(theta=[], m=1.0, L=2, n0=1.0, p_total=1.0)
+        ParallelChannel(theta=[], shape=2.0, n0=1.0, p_total=1.0)
     with pytest.raises(ValueError):
-        ParallelChannel(theta=[1.0], m=1.0, L=2, n0=0.0, p_total=1.0)
+        ParallelChannel(theta=[1.0], shape=2.0, n0=0.0, p_total=1.0)
     with pytest.raises(ValueError):
-        ParallelChannel(theta=[1.0], m=1.0, L=2, n0=1.0, p_total=-1.0)
-    ch = ParallelChannel(theta=[1.0, 1.0], m=1.0, L=2, n0=1.0, p_total=3.0)
+        ParallelChannel(theta=[1.0], shape=2.0, n0=1.0, p_total=-1.0)
+    ch = ParallelChannel(theta=[1.0, 1.0], shape=2.0, n0=1.0, p_total=3.0)
     assert ch.n == 2
     assert np.allclose(ch.mean_gains, [2.0, 2.0])
     assert ch.with_power(5.0).p_total == 5.0
 
 
 def test_parallel_channel_array_validation():
-    # m and L given once are broadcast; per-subchannel arrays must match theta
-    ch = ParallelChannel(theta=[1.0, 0.5], m=[1.0, 2.0], L=3, n0=1.0, p_total=1.0)
-    assert np.array_equal(ch.L, [3.0, 3.0])
-    assert np.array_equal(ch.shape, [3.0, 6.0])
+    # a shape given once is broadcast; per-subchannel arrays must match theta
+    ch = ParallelChannel(theta=[1.0, 0.5], shape=3.0, n0=1.0, p_total=1.0)
+    assert np.array_equal(ch.shape, [3.0, 3.0])
+    assert np.array_equal(ch.mean_gains, [3.0, 1.5])
+    ch = ParallelChannel(theta=[1.0, 0.5], shape=[3.0, 6.0], n0=1.0, p_total=1.0)
     assert np.array_equal(ch.mean_gains, [3.0, 3.0])
-    with pytest.raises(ValueError, match="m needs one entry per subchannel"):
-        ParallelChannel(theta=[1.0, 0.5], m=[1.0, 2.0, 4.0], L=3, n0=1.0, p_total=1.0)
-    with pytest.raises(ValueError, match="L needs one entry per subchannel"):
-        ParallelChannel(theta=[1.0, 0.5], m=1.0, L=[3], n0=1.0, p_total=1.0)
-    with pytest.raises(ValueError, match="L must be a positive integer"):
-        ParallelChannel(theta=[1.0], m=1.0, L=math.inf, n0=1.0, p_total=1.0)
+    with pytest.raises(ValueError, match="shape needs one entry per subchannel"):
+        ParallelChannel(theta=[1.0, 0.5], shape=[3.0, 6.0, 12.0], n0=1.0, p_total=1.0)
+    with pytest.raises(ValueError, match="shape needs one entry per subchannel"):
+        ParallelChannel(theta=[1.0, 0.5], shape=[3.0], n0=1.0, p_total=1.0)
+    with pytest.raises(ValueError, match="shape must be finite and >= 0.5"):
+        ParallelChannel(theta=[1.0, 0.5], shape=[3.0, math.inf], n0=1.0, p_total=1.0)
     with pytest.raises(ValueError, match="freqs_hz needs one entry per subchannel"):
-        ParallelChannel(theta=[1.0, 0.5], m=1.0, L=1, n0=1.0, p_total=1.0, freqs_hz=[5e9])
+        ParallelChannel(theta=[1.0, 0.5], shape=1.0, n0=1.0, p_total=1.0, freqs_hz=[5e9])
     # the stored arrays are read-only copies
     theta = np.array([1.0, 0.5])
-    ch = ParallelChannel(theta=theta, m=1.0, L=1, n0=1.0, p_total=1.0)
+    ch = ParallelChannel(theta=theta, shape=1.0, n0=1.0, p_total=1.0)
     with pytest.raises(ValueError):
         ch.theta[0] = 2.0
     theta[0] = 2.0
@@ -79,7 +83,7 @@ def test_parallel_channel_array_validation():
 def test_copies_of_a_channel_stay_read_only(clone):
     ch = build_decay_profile(5, 5e9, 6e9, 3.0, 0.5, 3, 2.0, 7.0)
     twin = clone(ch)
-    for name in ("theta", "m", "L", "freqs_hz", "shape", "mean_gains"):
+    for name in ("theta", "shape", "freqs_hz", "mean_gains"):
         assert np.array_equal(getattr(twin, name), getattr(ch, name)), name
         assert not getattr(twin, name).flags.writeable, name
     assert (twin.n0, twin.p_total) == (ch.n0, ch.p_total)
@@ -106,9 +110,10 @@ def test_full_band_profile_is_unit_average():
     freqs = ch.freqs_hz
     assert freqs[0] == 5e9 and freqs[-1] == 6e9
     assert np.all(np.diff(freqs) > 0)
-    # theta carries the normalized mean: theta = mu / (m * L)
-    for theta, m, L, mu in zip(ch.theta, ch.m, ch.L, ch.mean_gains):
-        assert math.isclose(theta, mu / (m * L), rel_tol=1e-14)
+    # every bin has the law Gamma(m*L, mu/(m*L)), m = 1, L = 4
+    assert np.array_equal(ch.shape, np.full(588, 4.0))
+    for theta, mu in zip(ch.theta, ch.mean_gains):
+        assert math.isclose(theta, mu / 4.0, rel_tol=1e-14)
 
 
 def test_single_bin_profile_sits_at_band_center():
@@ -128,6 +133,21 @@ def test_decay_profile_rejects_bad_band():
         build_decay_profile(4, 5e9, 6e9, -1.0, 1.0, 1, 1.0, 1.0)
 
 
+def test_decay_profile_checks_its_branch_structure():
+    # m >= 0.5 and a positive integer L, as the channel itself checked
+    # before it held only shape = m*L
+    for m in (0.4, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="m must be >= 0.5"):
+            build_decay_profile(4, 5e9, 6e9, 3.0, m, 1, 1.0, 1.0)
+    for L in (0, -2, 1.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="L must be a positive integer"):
+            build_decay_profile(4, 5e9, 6e9, 3.0, 1.0, L, 1.0, 1.0)
+    ch = build_decay_profile(4, 5e9, 6e9, 3.0, 0.7, 3, 1.0, 1.0)
+    assert np.array_equal(ch.shape, np.full(4, 0.7 * 3))
+    mu = build_decay_profile(4, 5e9, 6e9, 3.0, 1.0, 1, 1.0, 1.0).mean_gains
+    assert np.array_equal(ch.theta, mu / (0.7 * 3))
+
+
 def test_sample_gains_is_deterministic_per_seed():
     ch = build_decay_profile(3, 5e9, 6e9, 3.0, 1.0, 2, 1.0, 1.0)
     a = sample_gains(ch, 64, seed=42)
@@ -138,15 +158,15 @@ def test_sample_gains_is_deterministic_per_seed():
 
 
 def test_sample_gains_mean_matches_clt_bound():
-    ch = ParallelChannel(theta=[1.0], m=1.0, L=4, n0=1.0, p_total=1.0)
+    ch = ParallelChannel(theta=[1.0], shape=4.0, n0=1.0, p_total=1.0)
     draws = sample_gains(ch, 100_000, seed=7).values[:, 0]
-    # Var(g) = m*L*theta^2 = 4
+    # Var(g) = shape*theta^2 = 4
     assert abs(draws.mean() - 4.0) <= 4.0 * math.sqrt(4.0 / 100_000)
 
 
 def test_sample_gains_match_sum_of_exponentials():
     # integer shape: Gamma(3, 1) is the law of a sum of 3 unit exponentials
-    ch = ParallelChannel(theta=[1.0], m=1.0, L=3, n0=1.0, p_total=1.0)
+    ch = ParallelChannel(theta=[1.0], shape=3.0, n0=1.0, p_total=1.0)
     gamma_draws = sample_gains(ch, 10_000, seed=123).values[:, 0]
     rng = np.random.default_rng(321)
     exp_sums = rng.exponential(1.0, size=(10_000, 3)).sum(axis=1)
@@ -156,7 +176,7 @@ def test_sample_gains_match_sum_of_exponentials():
 
 
 def test_sample_gains_rejects_zero_snapshots():
-    ch = ParallelChannel(theta=[1.0], m=1.0, L=1, n0=1.0, p_total=1.0)
+    ch = ParallelChannel(theta=[1.0], shape=1.0, n0=1.0, p_total=1.0)
     with pytest.raises(ValueError):
         sample_gains(ch, 0, seed=1)
 
@@ -186,7 +206,7 @@ def test_fit_gamma_moments_degenerate_inputs():
 
 
 def test_fit_recovers_sampled_parameters():
-    ch = ParallelChannel(theta=[0.25], m=1.0, L=4, n0=1.0, p_total=1.0)
+    ch = ParallelChannel(theta=[0.25], shape=4.0, n0=1.0, p_total=1.0)
     draws = sample_gains(ch, 100_000, seed=5).values[:, 0]
     shape, scale = fit_gamma_moments(draws)
     assert abs(shape - 4.0) / 4.0 < 0.05
@@ -197,7 +217,7 @@ def test_fit_recovers_sampled_parameters():
 @pytest.mark.parametrize("L", [1, 4])
 @pytest.mark.parametrize("theta", [0.5, 2.0])
 def test_sampling_and_fitting_are_consistent(m, L, theta):
-    ch = ParallelChannel(theta=[theta], m=m, L=L, n0=1.0, p_total=1.0)
+    ch = ParallelChannel(theta=[theta], shape=m * L, n0=1.0, p_total=1.0)
     draws = sample_gains(ch, 100_000, seed=int(1000 * m + 10 * L + theta)).values[:, 0]
     mu = ch.mean_gains[0]
     sigma = math.sqrt(m * L * theta**2 / 100_000)

@@ -28,7 +28,7 @@ MINIMAL = f"{CSV_HEADER}\n0,0,0,5e9,1,0\n"
 
 def _make_set(n_snapshots=3, n_branches=2, n_bins=2, seed=0):
     ch = build_decay_profile(n_bins, 5e9, 6e9, 3.0, 1.0, n_branches, 1.0, 1.0)
-    return generate_snapshots(ch, n_snapshots, seed=seed)
+    return generate_snapshots(ch, n_snapshots, seed=seed, n_branches=n_branches)
 
 
 def test_parse_minimal_file():
@@ -186,34 +186,54 @@ def test_empirical_means_behaviour():
 
 
 def test_empirical_means_clt_bound():
-    ch = ParallelChannel(theta=[1.0], m=1.0, L=4, n0=1.0, p_total=1.0)
-    snaps = generate_snapshots(ch, 100_000, seed=21)
+    ch = ParallelChannel(theta=[1.0], shape=4.0, n0=1.0, p_total=1.0)
+    snaps = generate_snapshots(ch, 100_000, seed=21, n_branches=4)
     means = empirical_means(simo_gains(snaps, range(4)))
-    sigma = math.sqrt(4.0 / 100_000)  # Var = m*L*theta^2 = 4
+    sigma = math.sqrt(4.0 / 100_000)  # Var = shape*theta^2 = 4
     assert abs(means[0] - 4.0) <= 4.0 * sigma
 
 
 def test_generator_is_deterministic_and_validates():
     ch = build_decay_profile(3, 5e9, 6e9, 3.0, 1.0, 2, 1.0, 1.0)
-    a = generate_snapshots(ch, 20, seed=1)
-    b = generate_snapshots(ch, 20, seed=1)
-    c = generate_snapshots(ch, 20, seed=2)
+    a = generate_snapshots(ch, 20, seed=1, n_branches=2)
+    b = generate_snapshots(ch, 20, seed=1, n_branches=2)
+    c = generate_snapshots(ch, 20, seed=2, n_branches=2)
     assert np.array_equal(a.coeffs, b.coeffs)
     assert not np.array_equal(a.coeffs, c.coeffs)
     with pytest.raises(ValueError):
-        generate_snapshots(ch, 0, seed=1)
-    mixed = ParallelChannel(theta=[1.0, 1.0], m=1.0, L=[2, 3], n0=1.0, p_total=1.0)
-    with pytest.raises(ValueError):
-        generate_snapshots(mixed, 5, seed=1)
-    explicit = generate_snapshots(mixed, 5, seed=1, n_branches=2)
-    assert explicit.branches == 2
+        generate_snapshots(ch, 0, seed=1, n_branches=2)
+    for bad in (0, -1, 1.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="n_branches must be a positive integer"):
+            generate_snapshots(ch, 5, seed=1, n_branches=bad)
+    # the branch count is the caller's: a channel holds only each bin's law
+    with pytest.raises(TypeError):
+        generate_snapshots(ch, 5, seed=1)
+    assert generate_snapshots(ch, 5, seed=1, n_branches=3).branches == 3
+
+
+@pytest.mark.parametrize("n_branches", [1, 2, 4, 8])
+def test_generated_branches_sum_to_the_channel_law(n_branches):
+    # Each branch draws Gamma(k/n_branches, theta), so the SIMO sum over all
+    # branches is Gamma(k, theta) whatever the branch count.  Its mean and
+    # second moment are theta*k and theta^2*k*(k+1); their standard errors
+    # over N snapshots follow from the gamma moments
+    #   E[g^j] = theta^j * k*(k+1)*...*(k+j-1).
+    k, theta, n = 4.0, 0.5, 50_000
+    ch = ParallelChannel(theta=[theta], shape=k, n0=1.0, p_total=1.0)
+    snaps = generate_snapshots(ch, n, seed=17, n_branches=n_branches)
+    g = simo_gains(snaps, range(n_branches)).values[:, 0]
+    moment = [theta**j * math.prod(k + i for i in range(j)) for j in range(5)]
+    se_mean = math.sqrt((moment[2] - moment[1] ** 2) / n)
+    se_square = math.sqrt((moment[4] - moment[2] ** 2) / n)
+    assert abs(g.mean() - theta * k) <= 4.0 * se_mean
+    assert abs(np.mean(g**2) - theta**2 * k * (k + 1)) <= 4.0 * se_square
 
 
 def test_pipeline_recovers_profile_means():
     # parse -> normalize -> combine -> average recovers gains proportional
     # to the profile means within sampling error
     ch = build_decay_profile(4, 5e9, 6e9, 3.0, 1.0, 4, 1.0, 1.0)
-    snaps = generate_snapshots(ch, 10_000, seed=9)
+    snaps = generate_snapshots(ch, 10_000, seed=9, n_branches=4)
     buf = io.StringIO()
     write_channel_csv(snaps, buf)
     buf.seek(0)

@@ -29,13 +29,13 @@ from simocap.specfun import NumericError, _gamma_q
 
 
 def _single(theta=1.0, m=1.0, L=1, n0=1.0, p=1.0):
-    ch = ParallelChannel(theta=[theta], m=m, L=L, n0=n0, p_total=p)
+    ch = ParallelChannel(theta=[theta], shape=m * L, n0=n0, p_total=p)
     return ch, PowerAllocation(np.array([p]))
 
 
 def _rate_of_one(theta, m, L, p, n0):
     # E[log(1 + p*g/n0)] for g ~ Gamma(m*L, theta): the exact rate of one subchannel
-    ch = ParallelChannel(theta=[theta], m=m, L=L, n0=n0, p_total=1.0)
+    ch = ParallelChannel(theta=[theta], shape=m * L, n0=n0, p_total=1.0)
     return exact_rate(ch, PowerAllocation(np.array([p])))
 
 
@@ -73,7 +73,7 @@ def test_ergodic_mi_matches_monte_carlo():
 def test_jensen_upper_basics():
     ch, alloc = _single()
     assert math.isclose(jensen_upper(ch, alloc), math.log(2.0), rel_tol=1e-15)
-    ch2 = ParallelChannel(theta=[1.0, 2.0], m=1.0, L=1, n0=1.0, p_total=1.0)
+    ch2 = ParallelChannel(theta=[1.0, 2.0], shape=1.0, n0=1.0, p_total=1.0)
     zero_second = PowerAllocation(np.array([1.0, 0.0]))
     assert math.isclose(jensen_upper(ch2, zero_second), math.log(2.0), rel_tol=1e-15)
     with pytest.raises(ValueError):
@@ -82,7 +82,7 @@ def test_jensen_upper_basics():
 
 def test_jensen_at_waterfill_beats_random_allocations():
     rng = np.random.default_rng(1)
-    ch = ParallelChannel(theta=[0.2, 0.7, 1.9], m=1.0, L=2, n0=1.0, p_total=2.0)
+    ch = ParallelChannel(theta=[0.2, 0.7, 1.9], shape=2.0, n0=1.0, p_total=2.0)
     swf = waterfill(ch.mean_gains, ch.n0, ch.p_total)
     best = jensen_upper(ch, swf)
     for powers in rng.dirichlet(np.ones(3), size=1000) * ch.p_total:
@@ -103,8 +103,7 @@ def test_markov_lower_is_a_valid_lower_bound():
         subs = [
             (
                 10 ** rng.uniform(-1, 1),
-                float(rng.choice([0.5, 1.0, 2.0])),
-                int(rng.integers(1, 6)),
+                float(rng.choice([0.5, 1.0, 2.0])) * int(rng.integers(1, 6)),
             )
             for _ in range(n)
         ]
@@ -118,7 +117,7 @@ def test_markov_lower_is_a_valid_lower_bound():
 def test_markov_lower_overflowing_a_values_give_zero_terms_without_warning():
     # e^a overflows past a = 709.78, so x = (n0/p)(e^a - 1)/theta is
     # infinite and the term is a*Q(k, inf) = 0, not a warning or a nan
-    ch = ParallelChannel(theta=[1.0, 1.0, 1.0], m=1.0, L=1, n0=1.0, p_total=3.0)
+    ch = ParallelChannel(theta=[1.0, 1.0, 1.0], shape=1.0, n0=1.0, p_total=3.0)
     alloc = equal_power(3, 3.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -142,7 +141,7 @@ def test_markov_lower_argument_validation():
 
 
 def test_markov_lower_skips_zero_power_subchannels():
-    ch = ParallelChannel(theta=[1.0, 1.0], m=1.0, L=1, n0=1.0, p_total=1.0)
+    ch = ParallelChannel(theta=[1.0, 1.0], shape=1.0, n0=1.0, p_total=1.0)
     alloc = PowerAllocation(np.array([1.0, 0.0]))
     with_zero = markov_lower(ch, alloc, a_values=[math.log(2.0), -5.0])
     # the a value on the unpowered subchannel is irrelevant
@@ -150,11 +149,11 @@ def test_markov_lower_skips_zero_power_subchannels():
 
 
 def _mixed_channel_12():
-    # every (m, L) pair of {0.5, 1, 2} x {1, 3, 8}, three of them twice;
-    # equal power except one unpowered subchannel
+    # the shape m*L of every (m, L) pair of {0.5, 1, 2} x {1, 3, 8}, three
+    # of them twice; equal power except one unpowered subchannel
     ms, ls = (0.5, 1.0, 2.0), (1, 3, 8)
     subs = [
-        (theta, ms[i % 3], ls[(i // 3) % 3])
+        (theta, ms[i % 3] * ls[(i // 3) % 3])
         for i, theta in enumerate(np.geomspace(0.05, 3.0, 12))
     ]
     powers = np.full(12, 0.5)
@@ -169,7 +168,7 @@ def test_markov_lower_mixed_channel_is_sum_of_single_subchannels():
     for rule in ({}, {"alpha": 0.5}, {"a_values": a_values}):
         parts = []
         for i, p in enumerate(alloc.powers):
-            single = ParallelChannel([ch.theta[i]], ch.m[i], ch.L[i], n0=ch.n0, p_total=1.0)
+            single = ParallelChannel([ch.theta[i]], ch.shape[i], n0=ch.n0, p_total=1.0)
             one = {"a_values": [a_values[i]]} if "a_values" in rule else rule
             parts.append(markov_lower(single, PowerAllocation(np.array([p])), **one))
         assert parts[4] == 0.0
@@ -185,19 +184,19 @@ def test_markov_lower_max_rule_beats_a_fine_grid():
     # the first grid point on.
     ch, alloc = _mixed_channel_12()
     singles = [
-        (ch.theta[i], ch.m[i], ch.L[i], ch.n0, p) for i, p in enumerate(alloc.powers) if p > 0.0
+        (ch.theta[i], ch.shape[i], ch.n0, p) for i, p in enumerate(alloc.powers) if p > 0.0
     ]
-    singles += [(1.0, 2.0, 64, 1.0, 1e25), (1.0, 2.0, 64, 1.0, 1e-9)]
+    singles += [(1.0, 2.0 * 64, 1.0, 1e25), (1.0, 2.0 * 64, 1.0, 1e-9)]
     grid = np.geomspace(1e-6, 50.0, 2000)
-    for theta, m, L, n0, p in singles:
-        single = ParallelChannel([theta], m, L, n0=n0, p_total=1.0)
+    for theta, shape, n0, p in singles:
+        single = ParallelChannel([theta], shape, n0=n0, p_total=1.0)
         best = markov_lower(single, PowerAllocation(np.array([p])))
         # Q over the whole grid in one kernel call, at x formed with
         # math.expm1: np.expm1 can differ by an ulp, which moves tail terms
         x = np.array([(n0 / p) * math.expm1(a) / theta for a in grid.tolist()])
-        terms = grid * _gamma_q(m * L, x)[0]
+        terms = grid * _gamma_q(shape, x)[0]
         worst = int(np.argmax(terms))
-        assert best >= terms[worst] * (1.0 - 4e-16), (theta, m, L, p, grid[worst])
+        assert best >= terms[worst] * (1.0 - 4e-16), (theta, shape, p, grid[worst])
 
 
 def _mpmath_max_markov_term(mpmath, k, c):
@@ -242,6 +241,30 @@ def test_markov_max_rule_matches_mpmath_maximiser(k):
         ), c
 
 
+def test_markov_alpha_rule_matches_mpmath_on_a_mixed_channel():
+    # a_n = log(1 + alpha*p_n*mu_n/n0), mu_n = theta_n*k_n, and the term is
+    # a_n*Q(k_n, x_n) with x_n = (n0/p_n)*(e^a_n - 1)/theta_n.  The shapes
+    # cover m = 0.5 with L = 1, m = 0.7 with L = 3 (not a power of two) and
+    # m = 1 with L = 64; the fourth subchannel is unpowered.
+    mpmath = pytest.importorskip("mpmath")
+    shapes = [0.5, 0.7 * 3, 64.0, 4.0, 1.0]
+    thetas = [1.7, 0.35, 0.02, 0.5, 3.0]
+    powers = np.array([0.4, 2.5, 7.0, 0.0, 0.05])
+    n0, alpha = 0.8, 0.5
+    ch = ParallelChannel(thetas, shapes, n0=n0, p_total=powers.sum())
+    with mpmath.workdps(30):
+        terms = []
+        for k, theta, p in zip(shapes, thetas, powers.tolist()):
+            if p > 0.0:
+                k, theta, p = mpmath.mpf(k), mpmath.mpf(theta), mpmath.mpf(p)
+                a = mpmath.log1p(alpha * p * theta * k / n0)
+                x = (n0 / p) * mpmath.expm1(a) / theta
+                terms.append(a * mpmath.gammainc(k, x, mpmath.inf, regularized=True))
+        oracle = float(mpmath.fsum(terms))
+    value = markov_lower(ch, PowerAllocation(powers), alpha=alpha)
+    assert value == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+
 def test_markov_max_rule_raises_at_its_iteration_cap(monkeypatch):
     monkeypatch.setattr(rates, "_ITER_CAP", 1)
     ch, alloc = _single(theta=1.0, m=2.0, L=4, p=3.0)
@@ -251,7 +274,7 @@ def test_markov_max_rule_raises_at_its_iteration_cap(monkeypatch):
 
 def test_exact_rate_additivity_and_jensen_domination():
     mpmath = pytest.importorskip("mpmath")
-    ch = ParallelChannel(theta=[1.0, 1.0], m=1.0, L=1, n0=1.0, p_total=2.0)
+    ch = ParallelChannel(theta=[1.0, 1.0], shape=1.0, n0=1.0, p_total=2.0)
     alloc = equal_power(2, 2.0)
     rate = exact_rate(ch, alloc)
     assert math.isclose(rate, 2.0 * math.e * float(mpmath.e1(1.0)), rel_tol=1e-9)
@@ -382,12 +405,12 @@ def test_ratio_expansion_tracks_exact_ratio_at_large_diversity():
 
 
 def test_awgn_reference_symmetric_case_and_identity():
-    ch = ParallelChannel(theta=[1.0, 1.0], m=1.0, L=1, n0=1.0, p_total=2.0)
+    ch = ParallelChannel(theta=[1.0, 1.0], shape=1.0, n0=1.0, p_total=2.0)
     assert math.isclose(awgn_reference(ch), 2.0 * math.log(2.0), rel_tol=1e-12)
     rng = np.random.default_rng(5)
     for _ in range(10):
         subs = [
-            (10 ** rng.uniform(-1, 1), 1.0, int(rng.integers(1, 5)))
+            (10 ** rng.uniform(-1, 1), 1.0 * int(rng.integers(1, 5)))
             for _ in range(int(rng.integers(1, 6)))
         ]
         chr_ = ParallelChannel(*zip(*subs), n0=1.0, p_total=10 ** rng.uniform(-0.5, 1))
@@ -418,8 +441,7 @@ def test_bound_sandwich_on_random_instances():
         subs = [
             (
                 10 ** rng.uniform(-1, 1),
-                float(rng.choice([0.5, 1.0, 2.0, 4.0])),
-                int(rng.integers(1, 9)),
+                float(rng.choice([0.5, 1.0, 2.0, 4.0])) * int(rng.integers(1, 9)),
             )
             for _ in range(n)
         ]

@@ -24,7 +24,7 @@ subchannels = st.tuples(
 def test_markov_lower_exact_and_jensen_are_ordered_for_every_a_rule(subs, alpha):
     log_mu, m, L, log_p, a = zip(*subs)
     m, L = np.array(m), np.array(L)
-    ch = ParallelChannel(10.0 ** np.array(log_mu) / (m * L), m, L, n0=1.0, p_total=1.0)
+    ch = ParallelChannel(10.0 ** np.array(log_mu) / (m * L), m * L, n0=1.0, p_total=1.0)
     alloc = PowerAllocation(np.array([0.0 if v is None else 10.0**v for v in log_p]))
     # Both inequalities hold exactly (Markov's, then Jensen's); the slack is
     # the quadrature's 1e-13 relative accuracy on the exact rate.
