@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ParallelChannel
+from .channel import ParallelChannel, _positive
 from .specfun import NumericError, gamma_expectation_batch
 
 __all__ = [
@@ -84,9 +84,12 @@ def waterfill(
         raise ValueError("gains must be a 1-D vector")
     if not np.all(np.isfinite(g)) or np.any(g <= 0.0):
         raise ValueError("all gains must be positive and finite")
-    if not (n0 > 0.0 and p_total > 0.0):
-        raise ValueError("n0 and p_total must be positive")
-    powers, nu = _waterlevel(n0 / g, np.ones(g.size), p_total)
+    n0, p_total = _positive("n0", n0), _positive("p_total", p_total)
+    with np.errstate(over="ignore"):  # an infinite threshold is never reached
+        levels = n0 / g
+    if np.all(np.isinf(levels)):
+        raise ValueError("n0/g overflows for every gain; no subchannel can be powered")
+    powers, nu = _waterlevel(levels, np.ones(g.size), p_total)
     return PowerAllocation(powers=powers, water_level=nu, strategy_tag=strategy_tag)
 
 
@@ -94,8 +97,7 @@ def equal_power(n: int, p_total: float) -> PowerAllocation:
     """Balanced allocation: each of n subchannels gets p_total / n."""
     if n < 1 or int(n) != n:
         raise ValueError("n must be a positive integer")
-    if not (p_total > 0.0):
-        raise ValueError("p_total must be positive")
+    p_total = _positive("p_total", p_total)
     return PowerAllocation(powers=np.full(int(n), p_total / n), strategy_tag="equal")
 
 

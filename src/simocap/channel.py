@@ -37,12 +37,19 @@ def _per_subchannel(name: str, value, n: int) -> np.ndarray:
     return arr
 
 
+def _positive(name: str, value) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class ParallelChannel:
     """N gamma-fading subchannels sharing one noise level and power budget.
 
     Subchannel n has power gain Gamma(shape[n], theta[n]) with scale
-    theta[n] > 0 (linear power gain units) and shape[n] >= 0.5, and
+    theta[n] > 0 (linear power gain units) and shape[n] >= 0.1, and
     optionally a center frequency freqs_hz[n].  ``shape`` may be given once
     for all subchannels.  Every array is stored as a read-only 1-D float
     copy, next to the derived ``mean_gains`` = theta*shape.
@@ -62,16 +69,12 @@ class ParallelChannel:
         theta, shape = (_per_subchannel(k, getattr(self, k), n) for k in ("theta", "shape"))
         for name, values, ok, rule in (
             ("theta", theta, theta > 0.0, "positive and finite"),
-            ("shape", shape, shape >= 0.5, "finite and >= 0.5"),
+            ("shape", shape, shape >= 0.1, "finite and >= 0.1"),
         ):
             bad = values[~(np.isfinite(values) & ok)]
             if bad.size:
                 raise ValueError(f"{name} must be {rule}, got {float(bad[0])!r}")
-        n0, p_total = float(self.n0), float(self.p_total)
-        if not (math.isfinite(n0) and n0 > 0.0):
-            raise ValueError(f"n0 must be positive and finite, got {n0!r}")
-        if not (math.isfinite(p_total) and p_total > 0.0):
-            raise ValueError(f"p_total must be positive and finite, got {p_total!r}")
+        n0, p_total = _positive("n0", self.n0), _positive("p_total", self.p_total)
         freqs = None if self.freqs_hz is None else _per_subchannel("freqs_hz", self.freqs_hz, n)
         mean_gains = _per_subchannel("mean_gains", theta * shape, n)
         fields = dict(theta=theta, shape=shape, n0=n0, p_total=p_total, freqs_hz=freqs)
@@ -113,8 +116,8 @@ def build_decay_profile(
         raise ValueError(f"L must be a positive integer, got {L!r}")
     if n_bins < 1 or int(n_bins) != n_bins:
         raise ValueError("n_bins must be a positive integer")
-    if not (f_hi_hz > f_lo_hz > 0.0):
-        raise ValueError(f"need f_hi_hz > f_lo_hz > 0, got [{f_lo_hz!r}, {f_hi_hz!r}]")
+    if not (math.isfinite(f_hi_hz) and f_hi_hz > f_lo_hz > 0.0):
+        raise ValueError(f"need finite f_hi_hz > f_lo_hz > 0, got [{f_lo_hz!r}, {f_hi_hz!r}]")
     if not (decay_exponent >= 0.0 and math.isfinite(decay_exponent)):
         raise ValueError("decay_exponent must be nonnegative and finite")
     if n_bins == 1:

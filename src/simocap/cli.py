@@ -15,7 +15,8 @@ Exit codes: 0 success, 2 input or validation error, 3 output error,
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -23,8 +24,6 @@ from . import __version__
 from .alloc import waterfill
 from .channel import FitError, build_decay_profile, fit_gamma_moments
 from .ingest import (
-    NormalizationError,
-    ParseError,
     empirical_means,
     generate_snapshots,
     normalize_unit_mean,
@@ -73,6 +72,7 @@ BOUNDS_COLUMNS = (
     "mpe_percent",
 )
 MPE_COLUMNS = ("L", "snr_db", "c_upper", "c_lower_exact", "mpe_percent")
+RATE_COLUMNS = ("c_upper", "c_lower_exact", "c_lower_markov", "c_awgn_ref")
 
 
 @dataclass
@@ -82,24 +82,18 @@ class ExperimentConfig:
     n_bins: int = 64
     decay_exponent: float = 3.0
     m: float = 1.0
-    l_values: list = field(default_factory=lambda: [4])
-    snr_db_values: list = field(default_factory=lambda: [float(s) for s in range(-20, 21)])
+    l_values: list[int] = field(default_factory=lambda: [4])
+    snr_db_values: list[float] = field(default_factory=lambda: [float(s) for s in range(-20, 21)])
     n_snapshots: int = 441
     seed: int = 0
-    strategies: list = field(default_factory=lambda: ["statistical-waterfill", "equal"])
+    strategies: list[str] = field(default_factory=lambda: ["statistical-waterfill", "equal"])
     a_rule: str = "max"
     rate_units: str = "nats"
     output_path: str = ""
 
     def validate(self):
-        if not (self.f_hi_hz > self.f_lo_hz > 0.0):
-            raise ValueError("need f_hi_hz > f_lo_hz > 0")
-        if self.n_bins < 1:
-            raise ValueError("n_bins must be a positive integer")
-        if self.decay_exponent < 0.0:
-            raise ValueError("decay_exponent must be nonnegative")
-        if self.m < 0.5:
-            raise ValueError("m must be >= 0.5")
+        # the band, n_bins, decay exponent and m are checked by build_decay_profile,
+        # which every config command calls before it writes anything
         if not self.l_values or any(int(v) != v or v < 1 for v in self.l_values):
             raise ValueError("l_values must be a non-empty list of positive integers")
         if not self.snr_db_values:
@@ -111,6 +105,19 @@ class ExperimentConfig:
         _parse_a_rule(self.a_rule)
         if self.rate_units not in ("nats", "bits"):
             raise ValueError("rate_units must be 'nats' or 'bits'")
+
+
+# what a field's flag needs beyond --<field name with dashes> and its type
+_FLAG_NAMES = {"snr_db_values": "--snr-db", "output_path": "--output"}
+_FLAG_OPTIONS = {
+    "l_values": {"help": "comma-separated diversity orders"},
+    "snr_db_values": {"help": "comma-separated SNR values in dB"},
+    "strategies": {"help": "comma-separated strategy tags"},
+    "a_rule": {"help": "'max' or 'alpha=<value>'"},
+    "rate_units": {"choices": ("nats", "bits")},
+    "output_path": {"help": "output file path"},
+}
+_TYPE_NAMES = {float: "number", int: "integer", str: "string"}
 
 
 def _parse_a_rule(a_rule: str) -> float | None:
@@ -125,31 +132,8 @@ def _parse_a_rule(a_rule: str) -> float | None:
     raise ValueError(f"a_rule must be 'max' or 'alpha=<value>', got {a_rule!r}")
 
 
-def _parse_float_list(text: str) -> list:
-    return [float(part) for part in text.split(",") if part != ""]
-
-
-def _parse_int_list(text: str) -> list:
-    return [int(part) for part in text.split(",") if part != ""]
-
-
-# field -> (type of the value or of each list element, whether it is a list)
-_CONFIG_FIELDS = {
-    "f_lo_hz": (float, False),
-    "f_hi_hz": (float, False),
-    "n_bins": (int, False),
-    "decay_exponent": (float, False),
-    "m": (float, False),
-    "l_values": (int, True),
-    "snr_db_values": (float, True),
-    "n_snapshots": (int, False),
-    "seed": (int, False),
-    "strategies": (str, True),
-    "a_rule": (str, False),
-    "rate_units": (str, False),
-    "output_path": (str, False),
-}
-_TYPE_NAMES = {float: "number", int: "integer", str: "string"}
+def _parse_list(text: str, typ) -> list:
+    return [typ(part) for part in text.split(",") if part]
 
 
 def _is_json_value(typ, value) -> bool:
@@ -161,19 +145,20 @@ def _is_json_value(typ, value) -> bool:
     return typ is float or float(value).is_integer()
 
 
-def _check_config_field(key: str, value) -> None:
-    typ, is_list = _CONFIG_FIELDS[key]
-    if is_list:
+def _check_config_field(f, value) -> None:
+    if get_origin(f.type) is list:
+        (typ,) = get_args(f.type)
         ok = isinstance(value, list) and all(_is_json_value(typ, v) for v in value)
+        kind = f"a list of {_TYPE_NAMES[typ]}s"
     else:
-        ok = _is_json_value(typ, value)
+        ok, kind = _is_json_value(f.type, value), f"a {_TYPE_NAMES[f.type]}"
     if not ok:
-        kind = f"a list of {_TYPE_NAMES[typ]}s" if is_list else f"a {_TYPE_NAMES[typ]}"
-        raise ValueError(f"config field {key!r} must be {kind}, got {value!r}")
+        raise ValueError(f"config field {f.name!r} must be {kind}, got {value!r}")
 
 
 def _load_config(args: argparse.Namespace, overrides: dict | None = None) -> ExperimentConfig:
     cfg = ExperimentConfig(**(overrides or {}))
+    config_fields = {f.name: f for f in fields(ExperimentConfig)}
     if getattr(args, "config", None):
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -185,18 +170,20 @@ def _load_config(args: argparse.Namespace, overrides: dict | None = None) -> Exp
         if not isinstance(document, dict):
             raise ValueError("config document must be a JSON object")
         for key, value in document.items():
-            if key not in _CONFIG_FIELDS:
+            if key not in config_fields:
                 raise ValueError(f"unknown config field {key!r}")
-            _check_config_field(key, value)
+            _check_config_field(config_fields[key], value)
             setattr(cfg, key, value)
-    for key, (typ, is_list) in _CONFIG_FIELDS.items():
+    for key, f in config_fields.items():
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             # argparse converts the scalar flags; list flags are comma-separated
-            if is_list:
-                flag_value = [typ(part) for part in flag_value.split(",") if part]
+            if get_origin(f.type) is list:
+                flag_value = _parse_list(flag_value, *get_args(f.type))
             setattr(cfg, key, flag_value)
     cfg.validate()
+    if not cfg.output_path:
+        raise ValueError("an output path is required (--output)")
     return cfg
 
 
@@ -220,13 +207,18 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _write_csv(cfg: ExperimentConfig, header, rows) -> None:
+    # rates are computed in nats; in bits, the rate columns are divided by ln 2
+    to_bits = [cfg.rate_units == "bits" and col in RATE_COLUMNS for col in header]
     lines = [",".join(header)]
-    lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
-    _write_atomic(path, "\n".join(lines) + "\n")
+    lines.extend(
+        ",".join(_format_cell(v / LN2 if bits else v) for v, bits in zip(row, to_bits))
+        for row in rows
+    )
+    _write_atomic(cfg.output_path, "\n".join(lines) + "\n")
 
 
-def _write_sidecar(path: str, command: str, cfg: ExperimentConfig, extra: dict | None = None):
+def _write_sidecar(cfg: ExperimentConfig, command: str, extra: dict | None = None):
     meta = {
         "command": command,
         "config": asdict(cfg),
@@ -239,12 +231,12 @@ def _write_sidecar(path: str, command: str, cfg: ExperimentConfig, extra: dict |
     }
     if extra:
         meta.update(extra)
-    _write_atomic(path + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _write_atomic(cfg.output_path + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_waterfill(args) -> int:
     try:
-        means = _parse_float_list(args.means)
+        means = _parse_list(args.means, float)
     except ValueError:
         print(f"error: could not parse means {args.means!r}", file=sys.stderr)
         return EXIT_INPUT
@@ -263,20 +255,16 @@ def cmd_waterfill(args) -> int:
 
 def cmd_bounds_sweep(args) -> int:
     cfg = _load_config(args)
-    if not cfg.output_path:
-        raise ValueError("an output path is required (--output)")
     alpha = _parse_a_rule(cfg.a_rule)
     rows = []
     for snr in map(float, cfg.snr_db_values):
         ch = _profile_channel(cfg, int(cfg.l_values[0]), snr)
         for strategy in cfg.strategies:
             report = evaluate_bounds(ch, resolve_strategy(ch, strategy), snr, alpha=alpha)
-            if cfg.rate_units == "bits":
-                report = report.in_bits()
             rows.append((snr, strategy, *(getattr(report, col) for col in BOUNDS_COLUMNS[2:])))
     rows.sort(key=lambda row: row[:2])
-    _write_csv(cfg.output_path, BOUNDS_COLUMNS, rows)
-    _write_sidecar(cfg.output_path, "bounds-sweep", cfg)
+    _write_csv(cfg, BOUNDS_COLUMNS, rows)
+    _write_sidecar(cfg, "bounds-sweep")
     return EXIT_OK
 
 
@@ -285,35 +273,26 @@ def cmd_mpe_study(args) -> int:
         args,
         overrides={"snr_db_values": [-10.0, 5.0], "l_values": [1, 2, 4, 8, 16]},
     )
-    if not cfg.output_path:
-        raise ValueError("an output path is required (--output)")
-    nats_per_unit = LN2 if cfg.rate_units == "bits" else 1.0
     rows, slopes = [], {}
     for snr in map(float, cfg.snr_db_values):
         study = convergence_study(
             lambda L: _profile_channel(cfg, L, snr), "statistical-waterfill", cfg.l_values, snr
         )
-        rows.extend(
-            (p.L, snr, p.c_upper / nats_per_unit, p.c_lower_exact / nats_per_unit, p.mpe_percent)
-            for p in study.points
-        )
+        rows.extend((p.L, snr, p.c_upper, p.c_lower_exact, p.mpe_percent) for p in study.points)
         slopes[repr(snr)] = study.slope
     rows.sort(key=lambda row: row[:2])
-
-    _write_csv(cfg.output_path, MPE_COLUMNS, rows)
-    _write_sidecar(cfg.output_path, "mpe-study", cfg, extra={"mpe_slope_by_snr_db": slopes})
+    _write_csv(cfg, MPE_COLUMNS, rows)
+    _write_sidecar(cfg, "mpe-study", extra={"mpe_slope_by_snr_db": slopes})
     return EXIT_OK
 
 
 def cmd_gen_synthetic(args) -> int:
     cfg = _load_config(args)
-    if not cfg.output_path:
-        raise ValueError("an output path is required (--output)")
     ch = _profile_channel(cfg, int(cfg.l_values[0]), 0.0)
     branches = int(cfg.l_values[0]) if args.branches is None else args.branches
     snapshots = generate_snapshots(ch, cfg.n_snapshots, cfg.seed, branches)
     write_channel_csv(snapshots, cfg.output_path)
-    _write_sidecar(cfg.output_path, "gen-synthetic", cfg, extra={"branches": snapshots.branches})
+    _write_sidecar(cfg, "gen-synthetic", extra={"branches": snapshots.branches})
     return EXIT_OK
 
 
@@ -326,7 +305,7 @@ def cmd_ingest(args) -> int:
     pooled = pooled_mean_gain(raw)
     normalized = normalize_unit_mean(raw)
     branch_ids = (
-        _parse_int_list(args.branches) if args.branches else list(range(normalized.branches))
+        _parse_list(args.branches, int) if args.branches else list(range(normalized.branches))
     )
     gains = simo_gains(normalized, branch_ids)
     means = empirical_means(gains)
@@ -370,19 +349,11 @@ def cmd_ingest(args) -> int:
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file; flags override its fields")
-    sub.add_argument("--f-lo-hz", dest="f_lo_hz", type=float)
-    sub.add_argument("--f-hi-hz", dest="f_hi_hz", type=float)
-    sub.add_argument("--n-bins", dest="n_bins", type=int)
-    sub.add_argument("--decay-exponent", dest="decay_exponent", type=float)
-    sub.add_argument("--m", dest="m", type=float)
-    sub.add_argument("--l-values", dest="l_values", help="comma-separated diversity orders")
-    sub.add_argument("--snr-db", dest="snr_db_values", help="comma-separated SNR values in dB")
-    sub.add_argument("--n-snapshots", dest="n_snapshots", type=int)
-    sub.add_argument("--seed", dest="seed", type=int)
-    sub.add_argument("--strategies", dest="strategies", help="comma-separated strategy tags")
-    sub.add_argument("--a-rule", dest="a_rule", help="'max' or 'alpha=<value>'")
-    sub.add_argument("--rate-units", dest="rate_units", choices=("nats", "bits"))
-    sub.add_argument("--output", dest="output_path", help="output file path")
+    for f in fields(ExperimentConfig):
+        flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+        # list flags stay text until _load_config splits them
+        typ = str if get_origin(f.type) is list else f.type
+        sub.add_argument(flag, dest=f.name, type=typ, **_FLAG_OPTIONS.get(f.name, {}))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -431,7 +402,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ParseError, NormalizationError, FitError, ValueError) as exc:
+    except ValueError as exc:  # ParseError, NormalizationError and FitError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

@@ -1,7 +1,7 @@
 """Mutual information, capacity bounds, and convergence diagnostics.
 
-Rates are in nats throughout; conversion to bits happens only at output
-formatting (``BoundsReport.in_bits``).  For a feasible allocation {p_n}
+Rates are in nats throughout; conversion to bits (division by ``LN2``)
+happens only when the CLI writes its CSV.  For a feasible allocation {p_n}
 over a parallel channel with mean gains {mu_n}:
 
 * upper bound (Jensen):        sum_n log(1 + p_n mu_n / n0), evaluated at
@@ -16,7 +16,7 @@ it and ``bound_ratio_expansion`` its leading-order factorization.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -286,16 +286,6 @@ class BoundsReport:
     c_awgn_ref: float
     normalized_upper: float
     normalized_lower: float
-
-    def in_bits(self) -> "BoundsReport":
-        """Same report with every rate field converted from nats to bits."""
-        return replace(
-            self,
-            c_upper=self.c_upper / LN2,
-            c_lower_exact=self.c_lower_exact / LN2,
-            c_lower_markov=self.c_lower_markov / LN2,
-            c_awgn_ref=self.c_awgn_ref / LN2,
-        )
 
 
 def snr_db_to_power(channel_n: int, n0: float, snr_db: float) -> float:

@@ -35,6 +35,27 @@ def test_waterfill_rejects_nonpositive_gains():
         waterfill([1.0, -2.0], 1.0, 1.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+def test_waterfill_and_equal_power_reject_a_bad_noise_or_budget(value):
+    # the same wording as ParallelChannel's checks of n0 and p_total
+    message = f"must be positive and finite, got {value!r}"
+    with pytest.raises(ValueError, match=f"^n0 {message}$"):
+        waterfill([1.0, 2.0], value, 1.0)
+    with pytest.raises(ValueError, match=f"^p_total {message}$"):
+        waterfill([1.0, 2.0], 1.0, value)
+    with pytest.raises(ValueError, match=f"^p_total {message}$"):
+        equal_power(2, value)
+
+
+def test_waterfill_leaves_a_subchannel_with_an_overflowing_threshold_unpowered():
+    # n0/g overflows for g = 1e-320: that threshold is infinite, silently
+    alloc = waterfill([1.0, 1e-320], 1.0, 1.0)
+    assert np.array_equal(alloc.powers, [1.0, 0.0])
+    assert alloc.water_level == 2.0
+    with pytest.raises(ValueError, match="overflows for every gain"):
+        waterfill([1e-320, 2e-320], 1.0, 1.0)
+
+
 def test_waterfill_scale_invariance():
     gains = np.array([0.3, 1.1, 2.7, 0.9])
     a = waterfill(gains, n0=1.0, p_total=2.0)

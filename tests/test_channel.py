@@ -28,15 +28,15 @@ def test_mean_gain_is_theta_m_l():
 
 
 def test_subchannel_spec_validation():
-    # shape >= 0.5 is every law m >= 0.5, L >= 1 gives, with or without
-    # an integer L behind it
+    # shape >= 0.1 covers every law m >= 0.5, L >= 1 gives, with or without
+    # an integer L behind it, and the moment fits of measured bins below 0.5
     for theta in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="theta must be positive and finite"):
             _one(theta=theta, shape=1.0)
-    for shape in (0.4, 0.0, -2.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="shape must be finite and >= 0.5"):
+    for shape in (0.09, 0.0, -2.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="shape must be finite and >= 0.1"):
             _one(theta=1.0, shape=shape)
-    for shape in (0.5, 0.7 * 3, 1.5, 64.0):
+    for shape in (0.1, 0.33, 0.5, 0.7 * 3, 1.5, 64.0):
         assert _one(theta=1.0, shape=shape).shape[0] == shape
 
 
@@ -64,7 +64,7 @@ def test_parallel_channel_array_validation():
         ParallelChannel(theta=[1.0, 0.5], shape=[3.0, 6.0, 12.0], n0=1.0, p_total=1.0)
     with pytest.raises(ValueError, match="shape needs one entry per subchannel"):
         ParallelChannel(theta=[1.0, 0.5], shape=[3.0], n0=1.0, p_total=1.0)
-    with pytest.raises(ValueError, match="shape must be finite and >= 0.5"):
+    with pytest.raises(ValueError, match="shape must be finite and >= 0.1"):
         ParallelChannel(theta=[1.0, 0.5], shape=[3.0, math.inf], n0=1.0, p_total=1.0)
     with pytest.raises(ValueError, match="freqs_hz needs one entry per subchannel"):
         ParallelChannel(theta=[1.0, 0.5], shape=1.0, n0=1.0, p_total=1.0, freqs_hz=[5e9])
@@ -123,10 +123,9 @@ def test_single_bin_profile_sits_at_band_center():
 
 
 def test_decay_profile_rejects_bad_band():
-    with pytest.raises(ValueError):
-        build_decay_profile(4, 6e9, 5e9, 3.0, 1.0, 1, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        build_decay_profile(4, 0.0, 6e9, 3.0, 1.0, 1, 1.0, 1.0)
+    for f_lo, f_hi in ((6e9, 5e9), (0.0, 6e9), (5e9, math.inf), (math.nan, 6e9), (5e9, math.nan)):
+        with pytest.raises(ValueError, match="need finite f_hi_hz > f_lo_hz > 0"):
+            build_decay_profile(4, f_lo, f_hi, 3.0, 1.0, 1, 1.0, 1.0)
     with pytest.raises(ValueError):
         build_decay_profile(0, 5e9, 6e9, 3.0, 1.0, 1, 1.0, 1.0)
     with pytest.raises(ValueError):

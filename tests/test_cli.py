@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +44,38 @@ def test_waterfill_rejects_non_numeric_mean(capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "error" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--n0", "inf"], "n0 must be positive and finite, got inf"),
+        (["--n0", "nan"], "n0 must be positive and finite, got nan"),
+        (["--p-total", "inf"], "p_total must be positive and finite, got inf"),
+        (["--p-total", "0"], "p_total must be positive and finite, got 0.0"),
+    ],
+)
+def test_waterfill_rejects_a_bad_noise_or_budget(capsys, flags, message):
+    assert cli.main(["waterfill", "--means", "1,2", *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_waterfill_overflowing_thresholds_raise_no_warning(capsys):
+    # n0/g overflows for g = 1e-320; that subchannel is left unpowered, and
+    # if every threshold overflows, the input is rejected with a message
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["waterfill", "--means", "1,1e-320"]) == 0
+        captured = capsys.readouterr()
+        assert cli.main(["waterfill", "--means", "1e-320"]) == 2
+    assert captured.out == (
+        "subchannel,gain,power\n0,1.0,1.0\n1,1e-320,0.0\n"
+        "water_level = 2.0\nactive_subchannels = 1 / 2\n"
+    )
+    assert captured.err == ""
+    assert capsys.readouterr().err == (
+        "error: n0/g overflows for every gain; no subchannel can be powered\n"
+    )
 
 
 def test_bounds_sweep_flat_profile_rows_coincide(tmp_path):
@@ -100,6 +134,22 @@ def test_bounds_sweep_bits_units(tmp_path):
         assert math.isclose(float(row_b[col]), float(row_n[col]) / ln2, rel_tol=1e-12)
     for col in ("normalized_upper", "normalized_lower", "mpe_percent"):
         assert math.isclose(float(row_b[col]), float(row_n[col]), rel_tol=1e-12)
+
+
+def test_mpe_study_bits_units(tmp_path):
+    # the rate columns are the nats values divided by ln 2; the rest is unchanged
+    nats = tmp_path / "nats.csv"
+    bits = tmp_path / "bits.csv"
+    base = ["mpe-study", "--n-bins", "4", "--l-values", "1,2,4", "--snr-db=-10,5"]
+    assert cli.main(base + ["--output", str(nats)]) == 0
+    assert cli.main(base + ["--rate-units", "bits", "--output", str(bits)]) == 0
+    rows_n, rows_b = _read_rows(nats), _read_rows(bits)
+    assert len(rows_n) == len(rows_b) == 6
+    for row_n, row_b in zip(rows_n, rows_b):
+        for col in ("c_upper", "c_lower_exact"):
+            assert float(row_b[col]) == float(row_n[col]) / rates.LN2
+        for col in ("L", "snr_db", "mpe_percent"):
+            assert row_b[col] == row_n[col]
 
 
 def test_bounds_sweep_csv_is_plain_lf_and_parses_back(tmp_path):
@@ -266,6 +316,55 @@ def test_integral_float_config_fields_are_accepted(tmp_path):
     assert len(_read_rows(out)) == 2
 
 
+# for every config field: its flag, the flag's text, and the value both give
+_CONFIG_SURFACE = {
+    "f_lo_hz": ("--f-lo-hz", "4.5e9", 4.5e9),
+    "f_hi_hz": ("--f-hi-hz", "6.5e9", 6.5e9),
+    "n_bins": ("--n-bins", "3", 3),
+    "decay_exponent": ("--decay-exponent", "2.0", 2.0),
+    "m": ("--m", "2.0", 2.0),
+    "l_values": ("--l-values", "2,3", [2, 3]),
+    "snr_db_values": ("--snr-db", "1.0,2.0", [1.0, 2.0]),
+    "n_snapshots": ("--n-snapshots", "7", 7),
+    "seed": ("--seed", "5", 5),
+    "strategies": ("--strategies", "equal,optimal", ["equal", "optimal"]),
+    "a_rule": ("--a-rule", "alpha=0.25", "alpha=0.25"),
+    "rate_units": ("--rate-units", "bits", "bits"),
+    "output_path": ("--output", None, None),
+}
+
+
+def test_config_surface_table_names_every_field():
+    assert list(_CONFIG_SURFACE) == [f.name for f in fields(cli.ExperimentConfig)]
+    defaults = cli.ExperimentConfig()
+    for name, (_, _, value) in _CONFIG_SURFACE.items():
+        assert value != getattr(defaults, name), name
+
+
+@pytest.mark.parametrize("source", ["flag", "json"])
+@pytest.mark.parametrize("name", list(_CONFIG_SURFACE))
+def test_every_config_field_reaches_the_sidecar(tmp_path, name, source):
+    # a non-default value set by the field's flag or by its JSON key
+    flag, text, value = _CONFIG_SURFACE[name]
+    out = tmp_path / "sweep.csv"
+    if name == "output_path":
+        text = value = str(out)
+    base = {"n_bins": 2, "snr_db_values": [0.0]}
+    argv = ["bounds-sweep"]
+    if source == "flag":
+        argv += ["--n-bins", "2", "--snr-db=0", flag, text]
+    else:
+        base[name] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(base))
+    argv += ["--config", str(config)]
+    if name != "output_path":
+        argv += ["--output", str(out)]
+    assert cli.main(argv) == 0
+    meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+    assert meta["config"][name] == value
+
+
 def test_gen_synthetic_is_deterministic(tmp_path):
     args = ["gen-synthetic", "--n-bins", "3", "--l-values", "2", "--n-snapshots", "5", "--seed", "9"]
     a = tmp_path / "a.csv"
@@ -295,6 +394,30 @@ def test_gen_then_ingest_round_trip(tmp_path):
     means = np.array([b["mean_gain"] for b in doc["bins"]])
     assert np.all(means > 0)
     assert all(b["fit_shape"] is not None for b in doc["bins"])
+
+
+def test_channel_from_fits_below_shape_one_half(tmp_path):
+    # m = 0.5, L = 1 fits scatter around 0.5; a channel built from the fits
+    # solves, and its bounds keep their order, from -10 to 20 dB
+    chan = tmp_path / "chan.csv"
+    stats = tmp_path / "stats.json"
+    assert cli.main(["gen-synthetic", "--n-bins", "64", "--m", "0.5", "--l-values", "1",
+                     "--output", str(chan)]) == 0
+    assert cli.main(["ingest", "--input", str(chan), "--output", str(stats)]) == 0
+    bins = json.loads(stats.read_text())["bins"]
+    shapes = np.array([b["fit_shape"] for b in bins])
+    scales = np.array([b["fit_scale"] for b in bins])
+    assert shapes.min() < 0.5 < shapes.max()
+    for snr_db in (-10.0, 5.0, 20.0):
+        p_total = rates.snr_db_to_power(64, 1.0, snr_db)
+        ch = simocap.ParallelChannel(theta=scales, shape=shapes, n0=1.0, p_total=p_total)
+        swf = alloc.waterfill(ch.mean_gains, ch.n0, ch.p_total)
+        opt = alloc.optimal_allocation(ch)
+        assert math.isclose(opt.total, p_total, rel_tol=1e-12)
+        for loading in (swf, opt):
+            bounds = [f(ch, loading) for f in (rates.markov_lower, rates.exact_rate, rates.jensen_upper)]
+            assert bounds == sorted(bounds)
+        assert rates.exact_rate(ch, opt) >= rates.exact_rate(ch, swf)
 
 
 def _subprocess_env():
