@@ -10,7 +10,7 @@ instantaneous waterfilling.
 
 import numpy as np
 
-from simocap import ParallelChannel, sample_gains, waterfill
+from simocap import ParallelChannel, generate_snapshots, simo_gains, waterfill
 
 
 def show(title, gains, alloc):
@@ -43,7 +43,7 @@ def main():
     # two Rayleigh branches (m = 1, L = 2) per subchannel: gain Gamma(2, mean/2)
     channel = ParallelChannel(theta=means / 2.0, shape=2.0, n0=1.0, p_total=2.0)
     statistical = waterfill(channel.mean_gains, channel.n0, channel.p_total)
-    snapshot = sample_gains(channel, 1, seed=4).values[0]
+    snapshot = simo_gains(generate_snapshots(channel, 1, seed=4, n_branches=2), range(2))[0]
     instantaneous = waterfill(
         snapshot, channel.n0, channel.p_total, strategy_tag="instantaneous-waterfill"
     )

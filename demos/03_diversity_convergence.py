@@ -16,7 +16,6 @@ import numpy as np
 
 from simocap import (
     PowerAllocation,
-    RatioParams,
     bound_ratio,
     bound_ratio_expansion,
     build_decay_profile,
@@ -52,7 +51,7 @@ def main():
     print("\nLower/upper bound ratio for one subchannel (m=1, beta=1, alpha=0.5):")
     print("        L      exact ratio    leading-order expansion")
     for L in (10, 100, 1000, 10_000, 100_000):
-        exact = bound_ratio(RatioParams(m=1.0, L=L, beta=1.0, alpha=0.5))
+        exact = bound_ratio(m=1.0, L=L, beta=1.0, alpha=0.5)
         log_term, gamma_term = bound_ratio_expansion(1.0, float(L), 0.5)
         print(f"  {L:7d}   {exact:12.6f}   {log_term * gamma_term:12.6f}")
     print("  the ratio approaches 1, but only logarithmically in L.")

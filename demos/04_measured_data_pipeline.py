@@ -19,7 +19,6 @@ import numpy as np
 from simocap import (
     ParallelChannel,
     build_decay_profile,
-    empirical_means,
     exact_rate,
     fit_gamma_moments,
     generate_snapshots,
@@ -63,13 +62,13 @@ def main():
     print(f"pooled mean gain after normalization:  {pooled_mean_gain(normalized):.12f}")
 
     gains = simo_gains(normalized, branch_ids=range(branches))
-    means = empirical_means(gains)
+    means = gains.mean(axis=0)
     # after per-branch normalization the expected combined mean is
     # mu_n * L / average(mu)
     expected = truth.mean_gains * branches / truth.mean_gains.mean()
 
     print("\n  bin   freq_GHz   mean gain   expected   fit shape (true 4.0)")
-    fits = [fit_gamma_moments(gains.values[:, j]) for j in range(normalized.n_bins)]
+    fits = [fit_gamma_moments(gains[:, j]) for j in range(normalized.n_bins)]
     for j, (shape, _) in enumerate(fits):
         print(f"  {j:3d}   {normalized.freqs_hz[j] / 1e9:8.3f}   {means[j]:9.3f}"
               f"   {expected[j]:8.3f}   {shape:9.3f}")

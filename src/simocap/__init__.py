@@ -23,17 +23,14 @@ __version__ = "0.1.0"
 from .alloc import PowerAllocation, equal_power, optimal_allocation, waterfill
 from .channel import (
     FitError,
-    GainMatrix,
     ParallelChannel,
     build_decay_profile,
     fit_gamma_moments,
-    sample_gains,
 )
 from .ingest import (
     NormalizationError,
     ParseError,
     SnapshotSet,
-    empirical_means,
     generate_snapshots,
     normalize_unit_mean,
     parse_channel_csv,
@@ -46,7 +43,6 @@ from .rates import (
     ConvergencePoint,
     ConvergenceStudy,
     MetricUndefinedError,
-    RatioParams,
     awgn_reference,
     bound_ratio,
     bound_ratio_expansion,

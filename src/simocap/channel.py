@@ -12,12 +12,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .specfun import _SHAPE_MAX, _SHAPE_MIN
+
 __all__ = [
     "FitError",
     "ParallelChannel",
-    "GainMatrix",
     "build_decay_profile",
-    "sample_gains",
     "fit_gamma_moments",
 ]
 
@@ -44,12 +44,21 @@ def _positive(name: str, value) -> float:
     return value
 
 
+def _branch_shape(m: float, L) -> float:
+    # shape m*L of the gain summed over L Nakagami-m branches
+    if not (m >= 0.5 and math.isfinite(m)):
+        raise ValueError(f"m must be >= 0.5, got {m!r}")
+    if not (L >= 1 and float(L).is_integer()):
+        raise ValueError(f"L must be a positive integer, got {L!r}")
+    return m * L
+
+
 @dataclass(frozen=True, eq=False)
 class ParallelChannel:
     """N gamma-fading subchannels sharing one noise level and power budget.
 
     Subchannel n has power gain Gamma(shape[n], theta[n]) with scale
-    theta[n] > 0 (linear power gain units) and shape[n] >= 0.1, and
+    theta[n] > 0 (linear power gain units) and shape[n] in [0.1, 1e5], and
     optionally a center frequency freqs_hz[n].  ``shape`` may be given once
     for all subchannels.  Every array is stored as a read-only 1-D float
     copy, next to the derived ``mean_gains`` = theta*shape.
@@ -69,7 +78,8 @@ class ParallelChannel:
         theta, shape = (_per_subchannel(k, getattr(self, k), n) for k in ("theta", "shape"))
         for name, values, ok, rule in (
             ("theta", theta, theta > 0.0, "positive and finite"),
-            ("shape", shape, shape >= 0.1, "finite and >= 0.1"),
+            ("shape", shape, (shape >= _SHAPE_MIN) & (shape <= _SHAPE_MAX),
+             f"finite and in [{_SHAPE_MIN:g}, {_SHAPE_MAX:g}]"),
         ):
             bad = values[~(np.isfinite(values) & ok)]
             if bad.size:
@@ -110,10 +120,7 @@ def build_decay_profile(
     a single bin sits at the band center).  Mean gains mu average exactly
     one over bins, and L Nakagami-m branches give bin n Gamma(mL, mu_n/(mL)).
     """
-    if not (m >= 0.5 and math.isfinite(m)):
-        raise ValueError(f"m must be >= 0.5, got {m!r}")
-    if not (L >= 1 and float(L).is_integer()):
-        raise ValueError(f"L must be a positive integer, got {L!r}")
+    shape = _branch_shape(m, L)
     if n_bins < 1 or int(n_bins) != n_bins:
         raise ValueError("n_bins must be a positive integer")
     if not (math.isfinite(f_hi_hz) and f_hi_hz > f_lo_hz > 0.0):
@@ -126,51 +133,7 @@ def build_decay_profile(
         freqs = np.linspace(f_lo_hz, f_hi_hz, int(n_bins))
     weights = freqs ** (-float(decay_exponent))
     mu = weights / weights.mean()
-    shape = m * L
     return ParallelChannel(theta=mu / shape, shape=shape, n0=n0, p_total=p_total, freqs_hz=freqs)
-
-
-@dataclass(frozen=True, eq=False)
-class GainMatrix:
-    """Realized subchannel gains indexed by (snapshot, subchannel)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
-            raise ValueError("values must be a (snapshots, subchannels) matrix")
-        if not np.all(values >= 0.0):
-            raise ValueError("gains must be nonnegative")
-
-    @property
-    def snapshots(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_subchannels(self) -> int:
-        return self.values.shape[1]
-
-
-def sample_gains(channel: ParallelChannel, n_snapshots: int, seed: int) -> GainMatrix:
-    """Draw i.i.d. gains, one Gamma(shape, theta) column per subchannel.
-
-    The stream for subchannel n is derived from (seed, n) through a
-    SeedSequence spawn key, so the result is bit-identical for identical
-    inputs and independent of any evaluation order across subchannels.
-    numpy's gamma generator implements the Marsaglia-Tsang squeeze with
-    the shape<1 boost transform.
-    """
-    if n_snapshots < 1 or int(n_snapshots) != n_snapshots:
-        raise ValueError("n_snapshots must be a positive integer")
-    values = np.empty((int(n_snapshots), channel.n))
-    for n in range(channel.n):
-        rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(n,)))
-        values[:, n] = rng.gamma(
-            shape=channel.shape[n], scale=channel.theta[n], size=int(n_snapshots)
-        )
-    return GainMatrix(values=values)
 
 
 def fit_gamma_moments(samples) -> tuple[float, float]:

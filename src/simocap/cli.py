@@ -24,7 +24,6 @@ from . import __version__
 from .alloc import waterfill
 from .channel import FitError, build_decay_profile, fit_gamma_moments
 from .ingest import (
-    empirical_means,
     generate_snapshots,
     normalize_unit_mean,
     parse_channel_csv,
@@ -308,12 +307,12 @@ def cmd_ingest(args) -> int:
         _parse_list(args.branches, int) if args.branches else list(range(normalized.branches))
     )
     gains = simo_gains(normalized, branch_ids)
-    means = empirical_means(gains)
+    means = gains.mean(axis=0)
 
     bins = []
     for j in range(normalized.n_bins):
         try:
-            fit_shape, fit_scale = fit_gamma_moments(gains.values[:, j])
+            fit_shape, fit_scale = fit_gamma_moments(gains[:, j])
         except FitError:
             fit_shape = fit_scale = None
         bins.append(

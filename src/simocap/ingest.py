@@ -8,12 +8,12 @@ coefficient:
 with 0-based integer indices in the first three columns, decimal reals in
 the rest, LF or CRLF line endings, and exactly one row for every
 (snapshot, branch, bin) cell.  Processing follows
-parse -> normalize_unit_mean -> simo_gains -> empirical_means: the
+parse -> normalize_unit_mean -> simo_gains -> mean over snapshots: the
 normalization applies one scalar to all coefficients so the pooled mean
 of |h|^2 over snapshots, branches and bins is one (per-branch
 normalization would distort SIMO combining), and SIMO gains sum |h|^2
 over the selected branches, turning frequency bins into parallel
-subchannels.
+subchannels.  The realized gains are a plain (snapshots, bins) array.
 """
 
 import math
@@ -24,7 +24,7 @@ from itertools import chain
 
 import numpy as np
 
-from .channel import GainMatrix, ParallelChannel
+from .channel import ParallelChannel
 
 __all__ = [
     "CSV_HEADER",
@@ -37,7 +37,6 @@ __all__ = [
     "pooled_mean_gain",
     "normalize_unit_mean",
     "simo_gains",
-    "empirical_means",
 ]
 
 CSV_HEADER = "snapshot,branch,bin,freq_hz,re,im"
@@ -358,8 +357,8 @@ def normalize_unit_mean(snapshots: SnapshotSet) -> SnapshotSet:
     return SnapshotSet(freqs_hz=snapshots.freqs_hz, coeffs=snapshots.coeffs * scale)
 
 
-def simo_gains(snapshots: SnapshotSet, branch_ids) -> GainMatrix:
-    """Combined SIMO gains: sum of |h|^2 over the selected branches, per (snapshot, bin)."""
+def simo_gains(snapshots: SnapshotSet, branch_ids) -> np.ndarray:
+    """Combined SIMO gains: sum of |h|^2 over the selected branches, a (snapshots, bins) array."""
     ids = list(branch_ids)
     if not ids:
         raise ValueError("branch_ids must be non-empty")
@@ -369,9 +368,4 @@ def simo_gains(snapshots: SnapshotSet, branch_ids) -> GainMatrix:
         if int(b) != b or not (0 <= b < snapshots.branches):
             raise ValueError(f"invalid branch id {b!r} (have {snapshots.branches} branches)")
     sel = np.abs(snapshots.coeffs[:, [int(b) for b in ids], :]) ** 2
-    return GainMatrix(values=sel.sum(axis=1))
-
-
-def empirical_means(gains: GainMatrix) -> np.ndarray:
-    """Per-subchannel mean gain averaged over snapshots."""
-    return gains.values.mean(axis=0)
+    return sel.sum(axis=1)

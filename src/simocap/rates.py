@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .alloc import PowerAllocation, equal_power, optimal_allocation, waterfill
-from .channel import GainMatrix, ParallelChannel
+from .channel import ParallelChannel, _branch_shape, _positive
 from .specfun import NumericError, _gamma_q, gamma_expectation_batch, reg_gamma_q
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "STRATEGY_TAGS",
     "MetricUndefinedError",
     "BoundsReport",
-    "RatioParams",
     "ConvergencePoint",
     "ConvergenceStudy",
     "jensen_upper",
@@ -59,6 +58,13 @@ _A_STEP_TOLERANCE = 1e-10  # relative Newton step in a; the term's error is its 
 
 class MetricUndefinedError(ValueError):
     """The requested metric is undefined for the given inputs."""
+
+
+def _alpha(value) -> float:
+    value = float(value)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"alpha must lie strictly between 0 and 1, got {value!r}")
+    return value
 
 
 def _alloc_powers(channel: ParallelChannel, alloc: PowerAllocation) -> np.ndarray:
@@ -138,8 +144,8 @@ def markov_lower(
     powers = _alloc_powers(channel, alloc)
     if a_values is not None and len(a_values) != channel.n:
         raise ValueError("a_values length does not match the channel")
-    if alpha is not None and not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    if alpha is not None:
+        alpha = _alpha(alpha)
 
     n0 = channel.n0
     on = powers > 0.0
@@ -170,18 +176,22 @@ def exact_rate(channel: ParallelChannel, alloc: PowerAllocation) -> float:
     return float(rates.sum())
 
 
-def empirical_rate(gains: GainMatrix, alloc: PowerAllocation, n0: float) -> float:
-    """Snapshot-averaged sum rate over realized gains."""
-    if n0 <= 0.0:
-        raise ValueError("n0 must be positive")
-    if gains.snapshots < 1:
-        raise ValueError("need at least one snapshot")
-    if gains.n_subchannels != alloc.n:
+def empirical_rate(gains, alloc: PowerAllocation, n0: float) -> float:
+    """Snapshot-averaged sum rate over realized gains.
+
+    ``gains`` is a (snapshots, subchannels) array of finite nonnegative
+    gains, such as ``simo_gains`` returns, with one column per power.
+    """
+    n0 = _positive("n0", n0)
+    gains = np.asarray(gains, dtype=float)
+    if gains.ndim != 2 or gains.shape[0] < 1 or gains.shape[1] != alloc.n:
         raise ValueError(
-            f"gain matrix has {gains.n_subchannels} subchannels but the "
-            f"allocation has {alloc.n}"
+            f"gains must be a (snapshots, {alloc.n}) array with at least one snapshot, "
+            f"got shape {gains.shape}"
         )
-    per_snapshot = np.log1p(gains.values * (alloc.powers / n0)).sum(axis=1)
+    if not np.all(np.isfinite(gains) & (gains >= 0.0)):
+        raise ValueError("gains must be finite and nonnegative")
+    per_snapshot = np.log1p(gains * (alloc.powers / n0)).sum(axis=1)
     return float(per_snapshot.mean())
 
 
@@ -196,46 +206,24 @@ def mpe(c_upper: float, c_lower: float) -> float:
     return 100.0 * (c_upper - c_lower) / c_lower
 
 
-@dataclass(frozen=True)
-class RatioParams:
-    """Single-subchannel parameters of the lower/upper bound ratio.
-
-    beta is the normalized SNR p*theta*m/n0 of the subchannel; alpha in
-    (0, 1) selects the closed-form Markov parameter a = log(1 + alpha*beta*L).
-    """
-
-    m: float
-    L: int
-    beta: float
-    alpha: float
-
-    def __post_init__(self):
-        if not (self.m >= 0.5 and math.isfinite(self.m)):
-            raise ValueError("m must be >= 0.5")
-        if int(self.L) != self.L or self.L < 1:
-            raise ValueError("L must be a positive integer")
-        if not (self.beta > 0.0 and math.isfinite(self.beta)):
-            raise ValueError("beta must be positive and finite")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must lie strictly between 0 and 1")
-
-
-def bound_ratio(params: RatioParams) -> float:
+def bound_ratio(m: float, L: int, beta: float, alpha: float) -> float:
     """Ratio of the Markov lower to the Jensen upper bound for one subchannel.
 
-    log(1 + alpha*beta*L) / log(1 + beta*L) * Q(m*L, alpha*m*L); strictly
-    inside (0, 1) and increasing to 1 as L grows.
+    The subchannel combines L Nakagami-m branches (m >= 0.5, L a positive
+    integer) at normalized SNR beta = p*theta*m/n0 > 0, and alpha in (0, 1)
+    selects the closed-form Markov parameter a = log(1 + alpha*beta*L).
+    The ratio log(1 + alpha*beta*L) / log(1 + beta*L) * Q(m*L, alpha*m*L)
+    is strictly inside (0, 1) and increases to 1 as L grows.
     """
-    m, L, beta, alpha = params.m, params.L, params.beta, params.alpha
+    shape, beta, alpha = _branch_shape(m, L), _positive("beta", beta), _alpha(alpha)
     num = math.log1p(alpha * beta * L)
     den = math.log1p(beta * L)
-    return (num / den) * reg_gamma_q(m * L, alpha * m * L)
+    return (num / den) * reg_gamma_q(shape, alpha * shape)
 
 
 def ratio_log_term(alpha: float, L: float) -> float:
     """Leading logarithmic factor 1 + log(alpha)/log(L) of the ratio expansion."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    alpha = _alpha(alpha)
     if not (L >= 2.0):
         raise ValueError("the logarithmic term needs L >= 2")
     return 1.0 + math.log(alpha) / math.log(L)
@@ -243,8 +231,7 @@ def ratio_log_term(alpha: float, L: float) -> float:
 
 def ratio_gamma_term(m: float, L: float, alpha: float) -> float:
     """Leading gamma-function factor 1 - (alpha*e^(1-alpha))^(mL) / ((1-alpha)*sqrt(2*pi*mL))."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    alpha = _alpha(alpha)
     if not (m >= 0.5 and L >= 1.0):
         raise ValueError("need m >= 0.5 and L >= 1")
     mL = m * L

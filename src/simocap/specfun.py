@@ -31,19 +31,26 @@ class NumericError(RuntimeError):
     """A numerical routine could not produce a trustworthy result."""
 
 
+# shapes where Q and the gamma quadrature are held to mpmath: below 0.1,
+# Q = 1 - P for x < k + 1 loses eps*P/Q relative, which grows without
+# bound; the quadrature's node count grows like sqrt(shape), 656 at 1e5
+_SHAPE_MIN, _SHAPE_MAX = 0.1, 1e5
+
+
 def reg_gamma_q(a: float, x: float) -> float:
     """Regularized upper incomplete gamma function Q(a, x) in [0, 1].
 
     Q(a, x) = Gamma(a, x) / Gamma(a) is the probability that a gamma
     variate with shape ``a`` and unit scale exceeds ``x``.  Within 1e-13
     relative of mpmath for shapes 0.1 to 1e5 (3e-14 at shape 0.1, near
-    x = 1.07), |log Q| eps deep in the tail; Q = 1 - P for x < a + 1 loses
-    eps*P/Q relative, which grows without bound as the shape falls below 0.1.
-    Raises ``NumericError`` if its expansion does not converge.
+    x = 1.07), |log Q| eps deep in the tail.  Raises ``ValueError`` for a
+    shape below 0.1, where Q = 1 - P for x < a + 1 would lose eps*P/Q
+    relative without bound, and ``NumericError`` if its expansion does
+    not converge.
     """
     a, x = float(a), float(x)
-    if not math.isfinite(a) or a <= 0.0:
-        raise ValueError(f"a must be positive and finite, got {a!r}")
+    if not (math.isfinite(a) and a >= _SHAPE_MIN):
+        raise ValueError(f"a must be finite and >= {_SHAPE_MIN}, got {a!r}")
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"x must be nonnegative and finite, got {x!r}")
     return float(_gamma_q(a, x)[0])
@@ -142,7 +149,7 @@ def _gamma_grid(shape: float):
     2014).  h resolves the density's width 1/sqrt(shape); the window
     drops tails of relative weight below about 1e-19.  Normalizing the
     weights replaces 1/Gamma(shape), which cancels badly at large shapes.
-    Shapes 0.1, 0.5, 128 and 1e4 get 2288, 480, 51 and 224 nodes.
+    Shapes 0.1, 0.5, 128, 1e4 and 1e5 get 2288, 480, 51, 224 and 656 nodes.
     """
     h = min(0.2, 0.5 / math.sqrt(shape))
     lo = -1.0 - 45.0 / shape
@@ -165,7 +172,7 @@ def gamma_expectation_batch(f, shapes, scales) -> np.ndarray:
     has no stopping test and no node cap.  It converges geometrically when
     f is analytic near the positive axis and grows at most polynomially,
     as the library's log1p(c*g), g/(1 + c*g) and its square do, and
-    matches 30-digit mpmath to 1e-13 relative over shapes 0.1 to 1e4 and
+    matches 30-digit mpmath to 1e-13 relative over shapes 0.1 to 1e5 and
     c from 1e-3 to 1e9.  A discontinuous f gets an O(h) error with no
     signal: E[g >= 2] at shape 4, scale 0.5 is off by 7.8e-2.  Raises
     ``NumericError`` if ``f`` returns a non-finite value at any node.

@@ -19,7 +19,6 @@ from simocap import cli
 from simocap.alloc import PowerAllocation, equal_power, optimal_allocation, waterfill
 from simocap.channel import ParallelChannel, build_decay_profile
 from simocap.ingest import (
-    empirical_means,
     generate_snapshots,
     normalize_unit_mean,
     parse_channel_csv,
@@ -28,7 +27,6 @@ from simocap.ingest import (
     write_channel_csv,
 )
 from simocap.rates import (
-    RatioParams,
     bound_ratio,
     bound_ratio_expansion,
     convergence_study,
@@ -210,7 +208,7 @@ def test_criterion_4a_ratio_limit_at_large_diversity():
         orders = [10, 30, 100, 300, 1_000, 3_000, 10_000, 30_000, 100_000]
         ratios = []
         for L in orders:
-            value = bound_ratio(RatioParams(m=1.0, L=L, beta=1.0, alpha=alpha))
+            value = bound_ratio(m=1.0, L=L, beta=1.0, alpha=alpha)
             oracle = _mpmath_bound_ratio(mpmath, 1, L, 1, alpha)
             assert abs(value - oracle) <= 1e-12 * oracle, f"L={L}: {value!r} vs mpmath {oracle!r}"
             log_den = math.log1p(L)
@@ -231,7 +229,7 @@ def test_criterion_4a_ratio_limit_at_large_diversity():
         # log factor is 1 + log(alpha_L)/log(L) + ... ~ 0.9992.
         L = 100_000
         alpha_l = 1.0 - 3.0 / math.sqrt(L)
-        value = bound_ratio(RatioParams(m=1.0, L=L, beta=1.0, alpha=alpha_l))
+        value = bound_ratio(m=1.0, L=L, beta=1.0, alpha=alpha_l)
         oracle = _mpmath_bound_ratio(mpmath, 1, L, 1, alpha_l)
         assert abs(value - oracle) <= 1e-12 * oracle, f"{value!r} vs mpmath {oracle!r}"
         assert value >= 0.98, f"bound ratio at L=1e5 with alpha_L is {value:.6f}"
@@ -248,7 +246,7 @@ def test_criterion_4a_ratio_limit_at_large_diversity():
 def test_criterion_4b_ratio_matches_expansion():
     with criterion("ratio expansion within 0.02 of the exact ratio for L >= 1e4"):
         for L in (10_000, 30_000, 100_000):
-            exact = bound_ratio(RatioParams(m=1.0, L=L, beta=1.0, alpha=0.5))
+            exact = bound_ratio(m=1.0, L=L, beta=1.0, alpha=0.5)
             log_term, gamma_term = bound_ratio_expansion(1.0, float(L), 0.5)
             assert abs(exact - log_term * gamma_term) <= 0.02, (
                 f"L={L}: exact {exact:.6f} vs expansion {log_term * gamma_term:.6f}"
@@ -268,7 +266,7 @@ def test_criterion_4c_ratio_identity_with_bound_quotient():
             ch = ParallelChannel([theta], m * L, n0=n0, p_total=p)
             alloc = PowerAllocation(np.array([p]))
             quotient = markov_lower(ch, alloc, alpha=alpha) / jensen_upper(ch, alloc)
-            direct = bound_ratio(RatioParams(m=m, L=L, beta=p * theta * m / n0, alpha=alpha))
+            direct = bound_ratio(m=m, L=L, beta=p * theta * m / n0, alpha=alpha)
             assert abs(quotient - direct) <= 1e-12
 
 
@@ -387,10 +385,10 @@ def test_criterion_8_ingestion_pipeline(tmp_path):
         assert np.allclose(again.coeffs, normalized.coeffs, rtol=1e-12)
 
         gains = simo_gains(normalized, range(4))
-        observed = empirical_means(gains)
+        observed = gains.mean(axis=0)
         mu = ch.mean_gains
         expected = mu * 4.0 / mu.mean()
-        sigma = gains.values.std(axis=0, ddof=1) / math.sqrt(gains.snapshots)
+        sigma = gains.std(axis=0, ddof=1) / math.sqrt(len(gains))
         assert np.all(np.abs(observed - expected) <= 4.0 * sigma + 1e-9), (
             f"means {observed} vs expected {expected}"
         )

@@ -207,6 +207,17 @@ def test_overflowing_snr_exits_2(tmp_path, command):
     assert "Traceback" not in done.stderr
 
 
+def test_diversity_order_past_the_shape_ceiling_exits_2(tmp_path, capsys):
+    # shape m*L = 1e20 lies past 1e5, the largest shape the quadrature is
+    # held to; its node count grows like sqrt(shape), to 2e10 nodes here
+    out = tmp_path / "y.csv"
+    argv = ["bounds-sweep", "--n-bins", "2", "--snr-db=0",
+            "--l-values", "99999999999999999999", "--output", str(out)]
+    assert cli.main(argv) == 2
+    assert "shape must be finite and in [0.1, 100000], got 1e+20" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bounds_sweep_supports_optimal_strategy(tmp_path):
     out = tmp_path / "opt.csv"
     rc = cli.main(

@@ -14,7 +14,6 @@ from simocap.ingest import (
     ParseError,
     SnapshotSet,
     _write_atomic,
-    empirical_means,
     generate_snapshots,
     normalize_unit_mean,
     parse_channel_csv,
@@ -147,20 +146,22 @@ def test_normalize_rejects_all_zero():
 def test_simo_gains_single_branch_and_additivity():
     snaps = _make_set(n_snapshots=5, n_branches=2, n_bins=3, seed=4)
     one = simo_gains(snaps, [0])
-    assert np.allclose(one.values, np.abs(snaps.coeffs[:, 0, :]) ** 2, rtol=1e-14)
+    # realized gains are a plain float (snapshots, bins) array
+    assert type(one) is np.ndarray and one.dtype == float and one.shape == (5, 3)
+    assert np.allclose(one, np.abs(snaps.coeffs[:, 0, :]) ** 2, rtol=1e-14)
     both = simo_gains(snaps, [0, 1])
     assert np.allclose(
-        both.values,
+        both,
         np.abs(snaps.coeffs[:, 0, :]) ** 2 + np.abs(snaps.coeffs[:, 1, :]) ** 2,
         rtol=1e-14,
     )
-    assert np.all(both.values >= 0.0)
+    assert np.all(both >= 0.0)
     # duplicating one branch's data across two branch ids doubles every gain
     doubled = SnapshotSet(
         freqs_hz=snaps.freqs_hz,
         coeffs=np.concatenate([snaps.coeffs[:, :1], snaps.coeffs[:, :1]], axis=1),
     )
-    assert np.allclose(simo_gains(doubled, [0, 1]).values, 2.0 * one.values, rtol=1e-14)
+    assert np.allclose(simo_gains(doubled, [0, 1]), 2.0 * one, rtol=1e-14)
 
 
 def test_simo_gains_rejects_bad_branch_ids():
@@ -173,22 +174,10 @@ def test_simo_gains_rejects_bad_branch_ids():
         simo_gains(snaps, [5])
 
 
-def test_empirical_means_behaviour():
-    snaps = _make_set(n_snapshots=6, seed=8)
-    gains = simo_gains(snaps, range(snaps.branches))
-    means = empirical_means(gains)
-    assert means.shape == (snaps.n_bins,)
-    single = type(gains)(values=gains.values[:1])
-    assert np.array_equal(empirical_means(single), gains.values[0])
-    rng = np.random.default_rng(0)
-    shuffled = type(gains)(values=gains.values[rng.permutation(6)])
-    assert np.allclose(empirical_means(shuffled), means, rtol=1e-14)
-
-
 def test_empirical_means_clt_bound():
     ch = ParallelChannel(theta=[1.0], shape=4.0, n0=1.0, p_total=1.0)
     snaps = generate_snapshots(ch, 100_000, seed=21, n_branches=4)
-    means = empirical_means(simo_gains(snaps, range(4)))
+    means = simo_gains(snaps, range(4)).mean(axis=0)
     sigma = math.sqrt(4.0 / 100_000)  # Var = shape*theta^2 = 4
     assert abs(means[0] - 4.0) <= 4.0 * sigma
 
@@ -221,7 +210,7 @@ def test_generated_branches_sum_to_the_channel_law(n_branches):
     k, theta, n = 4.0, 0.5, 50_000
     ch = ParallelChannel(theta=[theta], shape=k, n0=1.0, p_total=1.0)
     snaps = generate_snapshots(ch, n, seed=17, n_branches=n_branches)
-    g = simo_gains(snaps, range(n_branches)).values[:, 0]
+    g = simo_gains(snaps, range(n_branches))[:, 0]
     moment = [theta**j * math.prod(k + i for i in range(j)) for j in range(5)]
     se_mean = math.sqrt((moment[2] - moment[1] ** 2) / n)
     se_square = math.sqrt((moment[4] - moment[2] ** 2) / n)
@@ -240,10 +229,10 @@ def test_pipeline_recovers_profile_means():
     parsed = parse_channel_csv(buf)
     normalized = normalize_unit_mean(parsed)
     gains = simo_gains(normalized, range(4))
-    observed = empirical_means(gains)
+    observed = gains.mean(axis=0)
     mu = ch.mean_gains
     expected = mu * 4.0 / mu.mean()  # SIMO combining gain over unit per-branch average
-    sample_sigma = gains.values.std(axis=0, ddof=1) / math.sqrt(gains.snapshots)
+    sample_sigma = gains.std(axis=0, ddof=1) / math.sqrt(len(gains))
     assert np.all(np.abs(observed - expected) <= 4.0 * sample_sigma + 1e-9)
 
 

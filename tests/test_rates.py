@@ -6,10 +6,10 @@ import pytest
 
 from simocap import rates
 from simocap.alloc import PowerAllocation, equal_power, waterfill
-from simocap.channel import ParallelChannel, build_decay_profile, sample_gains
+from simocap.channel import ParallelChannel, build_decay_profile
+from simocap.ingest import generate_snapshots, simo_gains
 from simocap.rates import (
     MetricUndefinedError,
-    RatioParams,
     awgn_reference,
     bound_ratio,
     bound_ratio_expansion,
@@ -228,7 +228,7 @@ def _mpmath_max_markov_term(mpmath, k, c):
         return float(a * q(a))
 
 
-@pytest.mark.parametrize("k", [0.1, 0.33, 0.5, 1.0, 4.0, 64.0, 1e3])
+@pytest.mark.parametrize("k", [0.1, 0.33, 0.5, 1.0, 4.0, 64.0, 1e3, 1e5])
 def test_markov_max_rule_matches_mpmath_maximiser(k):
     # one subchannel with theta = n0 = 1 and p = 1/c, so the term is
     # a*Q(k, c*expm1(a)); the tolerance is the one reg_gamma_q is held to
@@ -302,9 +302,9 @@ def test_exact_rate_matches_integer_shape_closed_form_at_20_db():
 def test_empirical_rate_matches_exact_rate():
     ch = build_decay_profile(4, 5e9, 6e9, 3.0, 1.0, 2, 1.0, 4.0)
     alloc = waterfill(ch.mean_gains, ch.n0, ch.p_total)
-    gains = sample_gains(ch, 100_000, seed=77)
+    gains = simo_gains(generate_snapshots(ch, 100_000, seed=77, n_branches=2), range(2))
     emp = empirical_rate(gains, alloc, ch.n0)
-    per_snapshot = np.log1p(gains.values * (alloc.powers / ch.n0)).sum(axis=1)
+    per_snapshot = np.log1p(gains * (alloc.powers / ch.n0)).sum(axis=1)
     se = per_snapshot.std(ddof=1) / math.sqrt(per_snapshot.size)
     assert abs(emp - exact_rate(ch, alloc)) <= 3.0 * se
 
@@ -312,20 +312,37 @@ def test_empirical_rate_matches_exact_rate():
 def test_empirical_rate_single_snapshot_and_permutation_invariance():
     ch = build_decay_profile(3, 5e9, 6e9, 3.0, 1.0, 2, 1.0, 1.0)
     alloc = equal_power(3, 1.0)
-    gains = sample_gains(ch, 50, seed=5)
-    single = empirical_rate(
-        type(gains)(values=gains.values[:1]), alloc, ch.n0
-    )
+    gains = simo_gains(generate_snapshots(ch, 50, seed=5, n_branches=2), range(2))
+    single = empirical_rate(gains[:1], alloc, ch.n0)
     expected = sum(
         math.log1p(float(p) * float(g) / ch.n0)
-        for g, p in zip(gains.values[0], alloc.powers)
+        for g, p in zip(gains[0], alloc.powers)
     )
     assert math.isclose(single, expected, rel_tol=1e-12)
     rng = np.random.default_rng(0)
-    shuffled = type(gains)(values=gains.values[rng.permutation(50)])
+    shuffled = gains[rng.permutation(50)]
     assert math.isclose(
         empirical_rate(gains, alloc, ch.n0), empirical_rate(shuffled, alloc, ch.n0), rel_tol=1e-12
     )
+
+
+def test_empirical_rate_validates_its_inputs():
+    alloc = equal_power(2, 1.0)
+    gains = np.array([[1.0, 2.0], [0.5, 0.0]])
+    assert empirical_rate(gains.tolist(), alloc, 1.0) == empirical_rate(gains, alloc, 1.0)
+    # the noise level is checked as waterfill checks it: nan and inf are not noise levels
+    for n0 in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="n0 must be positive and finite"):
+            empirical_rate(gains, alloc, n0)
+    # a (snapshots, subchannels) array with one column per power, at least one row
+    for shape_fault in (gains[0], gains[:, :1], gains[:0], gains[None]):
+        with pytest.raises(ValueError, match=r"gains must be a \(snapshots, 2\) array"):
+            empirical_rate(shape_fault, alloc, 1.0)
+    for bad in (-0.5, math.nan, math.inf):
+        faulty = gains.copy()
+        faulty[1, 0] = bad
+        with pytest.raises(ValueError, match="gains must be finite and nonnegative"):
+            empirical_rate(faulty, alloc, 1.0)
 
 
 def test_mpe_values_and_errors():
@@ -339,27 +356,52 @@ def test_mpe_values_and_errors():
 
 def test_bound_ratio_direct_value():
     # m=1, L=1, beta=1, alpha=0.5: log(1.5)/log(2) * exp(-1/2)
-    value = bound_ratio(RatioParams(m=1.0, L=1, beta=1.0, alpha=0.5))
+    value = bound_ratio(m=1.0, L=1, beta=1.0, alpha=0.5)
     expected = math.log(1.5) / math.log(2.0) * math.exp(-0.5)
     assert math.isclose(value, expected, rel_tol=1e-12)
+
+
+def test_bound_ratio_validates_its_parameters():
+    for m in (0.4, math.inf, math.nan):
+        with pytest.raises(ValueError, match="m must be >= 0.5"):
+            bound_ratio(m=m, L=1, beta=1.0, alpha=0.5)
+    for L in (0, 1.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="L must be a positive integer"):
+            bound_ratio(m=1.0, L=L, beta=1.0, alpha=0.5)
+    for beta in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            bound_ratio(m=1.0, L=1, beta=beta, alpha=0.5)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, math.inf, math.nan])
+def test_every_alpha_rule_rejects_alpha_outside_the_unit_interval(alpha):
+    ch, alloc = _single()
+    calls = (
+        lambda: markov_lower(ch, alloc, alpha=alpha),
+        lambda: bound_ratio(m=1.0, L=4, beta=1.0, alpha=alpha),
+        lambda: ratio_log_term(alpha, 4.0),
+        lambda: ratio_gamma_term(1.0, 4.0, alpha),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
+            call()
 
 
 def test_bound_ratio_stays_inside_unit_interval():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        params = RatioParams(
+        value = bound_ratio(
             m=float(rng.choice([0.5, 1.0, 2.0, 4.0])),
             L=int(rng.integers(1, 50)),
             beta=10 ** rng.uniform(-1, 2),
             alpha=float(rng.uniform(0.05, 0.95)),
         )
-        value = bound_ratio(params)
         assert 0.0 < value < 1.0
 
 
 def test_bound_ratio_increases_toward_one():
     values = [
-        bound_ratio(RatioParams(m=1.0, L=L, beta=1.0, alpha=0.5)) for L in (10, 100, 1000)
+        bound_ratio(m=1.0, L=L, beta=1.0, alpha=0.5) for L in (10, 100, 1000)
     ]
     assert values[0] < values[1] < values[2]
     # closed-form cross-check of the L=10 point through the Poisson sum
@@ -379,7 +421,7 @@ def test_bound_ratio_equals_bound_quotient_for_single_subchannel():
         alpha = float(rng.uniform(0.1, 0.9))
         ch, alloc = _single(theta=theta, m=m, L=L, n0=n0, p=p)
         quotient = markov_lower(ch, alloc, alpha=alpha) / jensen_upper(ch, alloc)
-        direct = bound_ratio(RatioParams(m=m, L=L, beta=p * theta * m / n0, alpha=alpha))
+        direct = bound_ratio(m=m, L=L, beta=p * theta * m / n0, alpha=alpha)
         assert abs(quotient - direct) <= 1e-12
 
 
@@ -398,7 +440,7 @@ def test_ratio_expansion_terms():
 
 def test_ratio_expansion_tracks_exact_ratio_at_large_diversity():
     for L in (10_000, 30_000, 100_000):
-        exact = bound_ratio(RatioParams(m=1.0, L=L, beta=1.0, alpha=0.5))
+        exact = bound_ratio(m=1.0, L=L, beta=1.0, alpha=0.5)
         log_term, gamma_term = bound_ratio_expansion(1.0, float(L), 0.5)
         assert abs(exact - log_term * gamma_term) <= 0.02
 

@@ -107,6 +107,15 @@ def test_gamma_q_raises_at_its_iteration_cap(monkeypatch):
             reg_gamma_q(100.0, x)
 
 
+def test_reg_gamma_q_rejects_shapes_below_its_accurate_range():
+    # below shape 0.1, Q = 1 - P loses eps*P/Q relative without bound
+    # (2.4e-6 at (1e-10, 0.5) against mpmath), so the function refuses it
+    for a in (0.0999, 1e-3, 1e-10, 1e-300):
+        with pytest.raises(ValueError, match="a must be finite and >= 0.1"):
+            reg_gamma_q(a, 0.5)
+    assert 0.0 < reg_gamma_q(0.1, 0.5) < 1.0  # the floor itself is in range
+
+
 def test_reg_gamma_q_rejects_bad_domain():
     with pytest.raises(ValueError):
         reg_gamma_q(0.0, 1.0)
@@ -165,9 +174,9 @@ _ORACLE_INTEGRANDS = {
 }
 
 
-@pytest.mark.parametrize("shape", [0.1, 0.33, 0.5, 1.0, 4.0, 128.0, 1e4])
+@pytest.mark.parametrize("shape", [0.1, 0.33, 0.5, 1.0, 4.0, 128.0, 1e4, 1e5])
 def test_gamma_expectation_matches_mpmath_oracle(shape):
-    # the library's three integrands for shapes 0.5 to 1e4 and twelve
+    # the library's three integrands for shapes 0.1 to 1e5 and twelve
     # decades of c, against a 30-digit quadrature of the gamma density; the
     # breakpoints let mpmath resolve the knee of each integrand at g = 1/c
     # and the density's peak near g = shape
@@ -185,7 +194,7 @@ def test_gamma_expectation_matches_mpmath_oracle(shape):
                 assert est == pytest.approx(float(ref), rel=1e-13, abs=0.0), (name, c)
 
 
-@pytest.mark.parametrize("shape", [0.1, 0.33, 0.5, 1.0, 3.0, 16.0, 128.0, 1e3, 1e4])
+@pytest.mark.parametrize("shape", [0.1, 0.33, 0.5, 1.0, 3.0, 16.0, 128.0, 1e3, 1e4, 1e5])
 def test_gamma_expectation_moves_by_at_most_1e13_when_h_is_halved(shape):
     # an independent rule at half the library's step: the same window and
     # density exp(shape*(u - expm1(u))) in u = log(g/shape), h/2 apart.  If
