@@ -10,8 +10,9 @@ Gamma(m*L, theta).  A ``ParallelChannel`` holds these laws as arrays
 * Jensen upper and Markov lower bounds on the ergodic capacity, the
   achievable rate of any allocation, and the maximum-percent-error gap
   certificate between them,
-* the single-subchannel lower/upper bound ratio with its large-diversity
-  expansion, and convergence studies of the gap versus diversity order,
+* one table of bounds, rates and gaps over diversity orders, SNRs and
+  strategies, and the single-subchannel lower/upper bound ratio with its
+  large-diversity expansion,
 * ingestion and normalization of measured frequency-response data in a
   flat CSV interchange format, plus a matching synthetic generator.
 
@@ -39,22 +40,16 @@ from .ingest import (
     write_channel_csv,
 )
 from .rates import (
-    BoundsReport,
-    ConvergencePoint,
-    ConvergenceStudy,
     MetricUndefinedError,
-    awgn_reference,
     bound_ratio,
     bound_ratio_expansion,
-    convergence_study,
     empirical_rate,
-    evaluate_bounds,
     exact_rate,
     jensen_upper,
     markov_lower,
     mpe,
-    ratio_gamma_term,
-    ratio_log_term,
+    mpe_slope,
+    rate_table,
     resolve_strategy,
     snr_db_to_power,
 )

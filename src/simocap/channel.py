@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .specfun import _SHAPE_MAX, _SHAPE_MIN
+from .specfun import _check_shapes
 
 __all__ = [
     "FitError",
@@ -48,7 +48,11 @@ def _branch_shape(m: float, L) -> float:
     # shape m*L of the gain summed over L Nakagami-m branches
     if not (m >= 0.5 and math.isfinite(m)):
         raise ValueError(f"m must be >= 0.5, got {m!r}")
-    if not (L >= 1 and float(L).is_integer()):
+    try:
+        whole = float(L).is_integer()
+    except OverflowError:  # an integer past the largest float
+        raise ValueError("L must be a positive integer below 1.8e308, got a larger one") from None
+    if not (L >= 1 and whole):
         raise ValueError(f"L must be a positive integer, got {L!r}")
     return m * L
 
@@ -76,14 +80,10 @@ class ParallelChannel:
         if n < 1:
             raise ValueError("a parallel channel needs at least one subchannel")
         theta, shape = (_per_subchannel(k, getattr(self, k), n) for k in ("theta", "shape"))
-        for name, values, ok, rule in (
-            ("theta", theta, theta > 0.0, "positive and finite"),
-            ("shape", shape, (shape >= _SHAPE_MIN) & (shape <= _SHAPE_MAX),
-             f"finite and in [{_SHAPE_MIN:g}, {_SHAPE_MAX:g}]"),
-        ):
-            bad = values[~(np.isfinite(values) & ok)]
-            if bad.size:
-                raise ValueError(f"{name} must be {rule}, got {float(bad[0])!r}")
+        bad = theta[~(np.isfinite(theta) & (theta > 0.0))]
+        if bad.size:
+            raise ValueError(f"theta must be positive and finite, got {float(bad[0])!r}")
+        _check_shapes(shape)
         n0, p_total = _positive("n0", self.n0), _positive("p_total", self.p_total)
         freqs = None if self.freqs_hz is None else _per_subchannel("freqs_hz", self.freqs_hz, n)
         mean_gains = _per_subchannel("mean_gains", theta * shape, n)

@@ -32,14 +32,7 @@ from .ingest import (
     write_channel_csv,
     _write_atomic,
 )
-from .rates import (
-    LN2,
-    STRATEGY_TAGS,
-    convergence_study,
-    evaluate_bounds,
-    resolve_strategy,
-    snr_db_to_power,
-)
+from .rates import LN2, STRATEGY_TAGS, mpe_slope, rate_table
 from .specfun import NumericError
 
 EXIT_OK = 0
@@ -186,8 +179,8 @@ def _load_config(args: argparse.Namespace, overrides: dict | None = None) -> Exp
     return cfg
 
 
-def _profile_channel(cfg: ExperimentConfig, L: int, snr_db: float):
-    ch = build_decay_profile(
+def _profile_channel(cfg: ExperimentConfig, L: int):
+    return build_decay_profile(
         n_bins=cfg.n_bins,
         f_lo_hz=cfg.f_lo_hz,
         f_hi_hz=cfg.f_hi_hz,
@@ -197,7 +190,6 @@ def _profile_channel(cfg: ExperimentConfig, L: int, snr_db: float):
         n0=NOISE_VAR,
         p_total=1.0,
     )
-    return ch.with_power(snr_db_to_power(ch.n, ch.n0, snr_db))
 
 
 def _format_cell(value) -> str:
@@ -254,14 +246,17 @@ def cmd_waterfill(args) -> int:
 
 def cmd_bounds_sweep(args) -> int:
     cfg = _load_config(args)
-    alpha = _parse_a_rule(cfg.a_rule)
-    rows = []
-    for snr in map(float, cfg.snr_db_values):
-        ch = _profile_channel(cfg, int(cfg.l_values[0]), snr)
-        for strategy in cfg.strategies:
-            report = evaluate_bounds(ch, resolve_strategy(ch, strategy), snr, alpha=alpha)
-            rows.append((snr, strategy, *(getattr(report, col) for col in BOUNDS_COLUMNS[2:])))
-    rows.sort(key=lambda row: row[:2])
+    table = rate_table(
+        lambda L: _profile_channel(cfg, L), cfg.l_values[:1], cfg.snr_db_values, cfg.strategies,
+        alpha=_parse_a_rule(cfg.a_rule),
+    )
+    c_awgn = table["c_upper"]  # the table's upper bound is the AWGN reference
+    table.update(
+        c_awgn_ref=c_awgn,
+        normalized_upper=table["c_upper"] / c_awgn,
+        normalized_lower=table["c_lower_exact"] / c_awgn,
+    )
+    rows = sorted(zip(*(table[col].tolist() for col in BOUNDS_COLUMNS)), key=lambda row: row[:2])
     _write_csv(cfg, BOUNDS_COLUMNS, rows)
     _write_sidecar(cfg, "bounds-sweep")
     return EXIT_OK
@@ -272,14 +267,17 @@ def cmd_mpe_study(args) -> int:
         args,
         overrides={"snr_db_values": [-10.0, 5.0], "l_values": [1, 2, 4, 8, 16]},
     )
-    rows, slopes = [], {}
-    for snr in map(float, cfg.snr_db_values):
-        study = convergence_study(
-            lambda L: _profile_channel(cfg, L, snr), "statistical-waterfill", cfg.l_values, snr
-        )
-        rows.extend((p.L, snr, p.c_upper, p.c_lower_exact, p.mpe_percent) for p in study.points)
-        slopes[repr(snr)] = study.slope
-    rows.sort(key=lambda row: row[:2])
+    table = rate_table(
+        lambda L: _profile_channel(cfg, L), cfg.l_values, cfg.snr_db_values,
+        ["statistical-waterfill"], markov=False,
+    )
+    # the grid runs over L, then SNR: one column of MPEs per SNR
+    mpe_by_snr = table["mpe_percent"].reshape(len(cfg.l_values), -1).T
+    slopes = {
+        repr(float(snr)): mpe_slope(cfg.l_values, mpes)
+        for snr, mpes in zip(cfg.snr_db_values, mpe_by_snr)
+    }
+    rows = sorted(zip(*(table[col].tolist() for col in MPE_COLUMNS)), key=lambda row: row[:2])
     _write_csv(cfg, MPE_COLUMNS, rows)
     _write_sidecar(cfg, "mpe-study", extra={"mpe_slope_by_snr_db": slopes})
     return EXIT_OK
@@ -287,7 +285,7 @@ def cmd_mpe_study(args) -> int:
 
 def cmd_gen_synthetic(args) -> int:
     cfg = _load_config(args)
-    ch = _profile_channel(cfg, int(cfg.l_values[0]), 0.0)
+    ch = _profile_channel(cfg, int(cfg.l_values[0]))
     branches = int(cfg.l_values[0]) if args.branches is None else args.branches
     snapshots = generate_snapshots(ch, cfg.n_snapshots, cfg.seed, branches)
     write_channel_csv(snapshots, cfg.output_path)

@@ -16,7 +16,6 @@ it and ``bound_ratio_expansion`` its leading-order factorization.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,21 +28,15 @@ __all__ = [
     "LN2",
     "STRATEGY_TAGS",
     "MetricUndefinedError",
-    "BoundsReport",
-    "ConvergencePoint",
-    "ConvergenceStudy",
     "jensen_upper",
     "markov_lower",
     "exact_rate",
     "empirical_rate",
     "mpe",
     "bound_ratio",
-    "ratio_log_term",
-    "ratio_gamma_term",
     "bound_ratio_expansion",
-    "awgn_reference",
-    "evaluate_bounds",
-    "convergence_study",
+    "rate_table",
+    "mpe_slope",
     "resolve_strategy",
     "snr_db_to_power",
 ]
@@ -221,58 +214,27 @@ def bound_ratio(m: float, L: int, beta: float, alpha: float) -> float:
     return (num / den) * reg_gamma_q(shape, alpha * shape)
 
 
-def ratio_log_term(alpha: float, L: float) -> float:
-    """Leading logarithmic factor 1 + log(alpha)/log(L) of the ratio expansion."""
-    alpha = _alpha(alpha)
-    if not (L >= 2.0):
-        raise ValueError("the logarithmic term needs L >= 2")
-    return 1.0 + math.log(alpha) / math.log(L)
-
-
-def ratio_gamma_term(m: float, L: float, alpha: float) -> float:
-    """Leading gamma-function factor 1 - (alpha*e^(1-alpha))^(mL) / ((1-alpha)*sqrt(2*pi*mL))."""
-    alpha = _alpha(alpha)
-    if not (m >= 0.5 and L >= 1.0):
-        raise ValueError("need m >= 0.5 and L >= 1")
-    mL = m * L
-    # alpha*e^(1-alpha) < 1 on (0,1), so the exponent is always negative.
-    geometric = math.exp(mL * (math.log(alpha) + 1.0 - alpha))
-    return 1.0 - geometric / ((1.0 - alpha) * math.sqrt(2.0 * math.pi * mL))
-
-
 def bound_ratio_expansion(m: float, L: float, alpha: float) -> tuple[float, float]:
     """Leading-order factors of the large-L expansion of ``bound_ratio``.
 
-    Returns (log_term, gamma_term) without their vanishing corrections;
-    their product approximates the exact ratio for large L.
+    Returns (log_term, gamma_term) without their vanishing corrections,
+    for m >= 0.5 and L >= 2:
+
+        log_term   = 1 + log(alpha)/log(L)
+        gamma_term = 1 - (alpha*e^(1-alpha))^(mL) / ((1-alpha)*sqrt(2*pi*mL))
+
+    Their product approximates the exact ratio for large L.
     """
-    return ratio_log_term(alpha, L), ratio_gamma_term(m, L, alpha)
-
-
-def awgn_reference(channel: ParallelChannel) -> float:
-    """Capacity of the deterministic parallel channel with gains fixed at the means.
-
-    Waterfilling on the mean gains is optimal there, so this equals the
-    Jensen upper bound evaluated at the statistical-waterfilling
-    allocation.  Used to normalize rate sweeps.
-    """
-    swf = waterfill(channel.mean_gains, channel.n0, channel.p_total)
-    return jensen_upper(channel, swf)
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    """Bounds, achievable rate proxy, and normalized rates for one configuration."""
-
-    snr_db: float
-    strategy_tag: str
-    c_upper: float
-    c_lower_exact: float
-    c_lower_markov: float
-    mpe_percent: float
-    c_awgn_ref: float
-    normalized_upper: float
-    normalized_lower: float
+    alpha = _alpha(alpha)
+    if not (L >= 2.0):
+        raise ValueError("the logarithmic term needs L >= 2")
+    if not (m >= 0.5):
+        raise ValueError(f"m must be >= 0.5, got {m!r}")
+    mL = m * L
+    # alpha*e^(1-alpha) < 1 on (0,1), so the exponent is always negative.
+    geometric = math.exp(mL * (math.log(alpha) + 1.0 - alpha))
+    log_term = 1.0 + math.log(alpha) / math.log(L)
+    return log_term, 1.0 - geometric / ((1.0 - alpha) * math.sqrt(2.0 * math.pi * mL))
 
 
 def snr_db_to_power(channel_n: int, n0: float, snr_db: float) -> float:
@@ -304,86 +266,68 @@ def resolve_strategy(
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def evaluate_bounds(
-    channel: ParallelChannel,
-    alloc: PowerAllocation,
-    snr_db: float,
-    alpha: float | None = None,
-) -> BoundsReport:
-    """Full bound report for one allocation on one channel.
-
-    The upper bound is always the Jensen bound at the statistical-
-    waterfilling allocation (the bound on capacity itself); the lower
-    bounds are evaluated at the given allocation, so the MPE certifies how
-    far that allocation can be from optimal.  The upper bound doubles as
-    the AWGN reference (see ``awgn_reference``), so ``normalized_upper``
-    is 1.
-    """
-    swf = waterfill(channel.mean_gains, channel.n0, channel.p_total)
-    c_upper = jensen_upper(channel, swf)
-    c_lower_exact = exact_rate(channel, alloc)
-    c_lower_markov = markov_lower(channel, alloc, alpha=alpha)
-    c_awgn = c_upper  # the same waterfill and Jensen sum as awgn_reference
-    return BoundsReport(
-        snr_db=snr_db,
-        strategy_tag=alloc.strategy_tag,
-        c_upper=c_upper,
-        c_lower_exact=c_lower_exact,
-        c_lower_markov=c_lower_markov,
-        mpe_percent=mpe(c_upper, c_lower_exact),
-        c_awgn_ref=c_awgn,
-        normalized_upper=c_upper / c_awgn,
-        normalized_lower=c_lower_exact / c_awgn,
-    )
+_TABLE_COLUMNS = (
+    "L", "snr_db", "strategy", "c_upper", "c_lower_exact", "c_lower_markov", "mpe_percent"
+)
 
 
-@dataclass(frozen=True)
-class ConvergencePoint:
-    L: int
-    c_upper: float
-    c_lower_exact: float
-    mpe_percent: float
-
-
-@dataclass(frozen=True)
-class ConvergenceStudy:
-    points: tuple
-    slope: float
-
-
-def convergence_study(
+def rate_table(
     profile: Callable[[int], ParallelChannel],
-    strategy: str | Callable[[ParallelChannel], PowerAllocation],
-    l_list: Sequence[int],
-    snr_db: float,
-) -> ConvergenceStudy:
-    """Bound gap versus diversity order, with a fitted log-log MPE slope.
+    l_values: Sequence[int],
+    snr_db_values: Sequence[float],
+    strategies: Sequence[str | Callable[[ParallelChannel], PowerAllocation]],
+    *,
+    alpha: float | None = None,
+    markov: bool = True,
+) -> dict[str, np.ndarray]:
+    """Bounds and rates over a grid of diversity orders, SNRs and strategies.
 
-    ``profile`` maps a diversity order L to a parallel channel; its power
-    budget is overridden to match ``snr_db``.  For each L the upper bound
-    is the Jensen bound at statistical waterfilling and the lower bound is
-    the exact rate of the requested strategy.  The slope is an unweighted
-    least-squares fit of log(MPE) against log(L).
+    ``profile(L)`` gives the channel of diversity order L once, and
+    ``snr_db_to_power`` sets its power budget for each SNR.  A strategy
+    is a tag or a callable, as ``resolve_strategy`` accepts.
+
+    ``c_upper`` is the Jensen bound at the statistical-waterfilling
+    allocation, the bound on capacity itself.  Waterfilling on the mean
+    gains is optimal for the deterministic channel with gains fixed at
+    their means, so ``c_upper`` is also that channel's capacity: the AWGN
+    reference that normalizes rate sweeps.  The lower bounds are taken at
+    each strategy's allocation: ``c_lower_exact`` is its ``exact_rate``,
+    and ``c_lower_markov`` its ``markov_lower`` with ``alpha``, or NaN
+    without ``markov``.  So ``mpe_percent``, ``mpe(c_upper,
+    c_lower_exact)``, certifies how far the allocation can be from optimal.
+
+    Returns the columns ``L``, ``snr_db``, ``strategy`` (the allocation's
+    ``strategy_tag``), ``c_upper``, ``c_lower_exact``, ``c_lower_markov``
+    and ``mpe_percent`` as arrays, one row per (L, SNR, strategy) in grid
+    order.
     """
-    ls = list(l_list)
+    rows = []
+    for L in l_values:
+        base = profile(L)
+        for snr_db in map(float, snr_db_values):
+            ch = base.with_power(snr_db_to_power(base.n, base.n0, snr_db))
+            swf = waterfill(ch.mean_gains, ch.n0, ch.p_total)
+            c_upper = jensen_upper(ch, swf)
+            for strategy in strategies:
+                is_swf = strategy == "statistical-waterfill"
+                alloc = swf if is_swf else resolve_strategy(ch, strategy)
+                c_exact = exact_rate(ch, alloc)
+                c_markov = markov_lower(ch, alloc, alpha=alpha) if markov else math.nan
+                rows.append((int(L), snr_db, alloc.strategy_tag, c_upper, c_exact, c_markov,
+                             mpe(c_upper, c_exact)))
+    columns = list(zip(*rows)) or [()] * len(_TABLE_COLUMNS)
+    return {name: np.array(column) for name, column in zip(_TABLE_COLUMNS, columns)}
+
+
+def mpe_slope(l_values: Sequence[int], mpe_percent) -> float:
+    """Log-log slope of the MPE versus the diversity order.
+
+    An unweighted least-squares fit of log(MPE) against log(L), over at
+    least 3 strictly increasing orders, one MPE per order.
+    """
+    ls = list(l_values)
     if len(ls) < 3:
         raise ValueError("need at least 3 diversity orders to fit a slope")
     if any(b <= a for a, b in zip(ls, ls[1:])):
         raise ValueError("l_list must be strictly increasing")
-
-    points = []
-    for L in ls:
-        ch = profile(int(L))
-        ch = ch.with_power(snr_db_to_power(ch.n, ch.n0, snr_db))
-        swf = waterfill(ch.mean_gains, ch.n0, ch.p_total)
-        alloc = swf if strategy == "statistical-waterfill" else resolve_strategy(ch, strategy)
-        c_upper = jensen_upper(ch, swf)
-        c_lower = exact_rate(ch, alloc)
-        points.append(ConvergencePoint(int(L), c_upper, c_lower, mpe(c_upper, c_lower)))
-
-    slope = float(
-        np.polyfit(
-            np.log([p.L for p in points]), np.log([p.mpe_percent for p in points]), 1
-        )[0]
-    )
-    return ConvergenceStudy(points=tuple(points), slope=slope)
+    return float(np.polyfit(np.log(ls), np.log(mpe_percent), 1)[0])

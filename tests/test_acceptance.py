@@ -29,10 +29,11 @@ from simocap.ingest import (
 from simocap.rates import (
     bound_ratio,
     bound_ratio_expansion,
-    convergence_study,
     exact_rate,
     jensen_upper,
     markov_lower,
+    mpe_slope,
+    rate_table,
     snr_db_to_power,
 )
 
@@ -148,20 +149,22 @@ def test_criterion_2_convergence_separation():
     with criterion("waterfilling gap shrinks in L and outpaces a fixed allocation"):
         profile = _cubic_profile()
         orders = [1, 2, 4, 8, 16]
-        swf = convergence_study(profile, "statistical-waterfill", orders, 5.0)
-        mpes = [p.mpe_percent for p in swf.points]
-        assert all(b < a for a, b in zip(mpes, mpes[1:])), f"not decreasing: {mpes}"
-        assert mpes[3] / mpes[2] < 0.6, f"MPE(8)/MPE(4) = {mpes[3] / mpes[2]:.3f}"
-
         weights = 1.0 + 0.3 * np.cos(2.0 * np.pi * np.arange(64) / 64.0)
         weights /= weights.sum()
 
         def fixed_custom(ch):
             return PowerAllocation(weights * ch.p_total, strategy_tag="custom")
 
-        custom = convergence_study(profile, fixed_custom, orders, 5.0)
-        assert swf.slope < custom.slope, (
-            f"slopes: waterfilling {swf.slope:.3f} vs fixed {custom.slope:.3f}"
+        table = rate_table(
+            profile, orders, [5.0], ["statistical-waterfill", fixed_custom], markov=False
+        )
+        mpes, custom = table["mpe_percent"].reshape(len(orders), 2).T
+        assert all(b < a for a, b in zip(mpes, mpes[1:])), f"not decreasing: {mpes}"
+        assert mpes[3] / mpes[2] < 0.6, f"MPE(8)/MPE(4) = {mpes[3] / mpes[2]:.3f}"
+
+        swf_slope, custom_slope = mpe_slope(orders, mpes), mpe_slope(orders, custom)
+        assert swf_slope < custom_slope, (
+            f"slopes: waterfilling {swf_slope:.3f} vs fixed {custom_slope:.3f}"
         )
 
 

@@ -175,7 +175,7 @@ def test_bounds_sweep_reports_numeric_failures(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise NumericError("synthetic failure")
 
-    monkeypatch.setattr(cli, "evaluate_bounds", boom)
+    monkeypatch.setattr(cli, "rate_table", boom)
     rc = cli.main(["bounds-sweep", "--n-bins", "4", "--snr-db=0", "--output", str(tmp_path / "x.csv")])
     assert rc == 4
 
@@ -215,6 +215,16 @@ def test_diversity_order_past_the_shape_ceiling_exits_2(tmp_path, capsys):
             "--l-values", "99999999999999999999", "--output", str(out)]
     assert cli.main(argv) == 2
     assert "shape must be finite and in [0.1, 100000], got 1e+20" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_diversity_order_past_the_largest_float_exits_2(tmp_path, capsys):
+    # float(L) overflows for an integer L of 400 digits
+    out = tmp_path / "y.csv"
+    argv = ["bounds-sweep", "--n-bins", "2", "--snr-db=0",
+            "--l-values", "1" + "0" * 400, "--output", str(out)]
+    assert cli.main(argv) == 2
+    assert "L must be a positive integer below 1.8e308" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -5,23 +5,20 @@ import numpy as np
 import pytest
 
 from simocap import rates
-from simocap.alloc import PowerAllocation, equal_power, waterfill
+from simocap.alloc import PowerAllocation, equal_power, optimal_allocation, waterfill
 from simocap.channel import ParallelChannel, build_decay_profile
 from simocap.ingest import generate_snapshots, simo_gains
 from simocap.rates import (
     MetricUndefinedError,
-    awgn_reference,
     bound_ratio,
     bound_ratio_expansion,
-    convergence_study,
     empirical_rate,
-    evaluate_bounds,
     exact_rate,
     jensen_upper,
     markov_lower,
     mpe,
-    ratio_gamma_term,
-    ratio_log_term,
+    mpe_slope,
+    rate_table,
     snr_db_to_power,
 )
 from simocap.specfun import NumericError, _gamma_q
@@ -379,8 +376,7 @@ def test_every_alpha_rule_rejects_alpha_outside_the_unit_interval(alpha):
     calls = (
         lambda: markov_lower(ch, alloc, alpha=alpha),
         lambda: bound_ratio(m=1.0, L=4, beta=1.0, alpha=alpha),
-        lambda: ratio_log_term(alpha, 4.0),
-        lambda: ratio_gamma_term(1.0, 4.0, alpha),
+        lambda: bound_ratio_expansion(1.0, 4.0, alpha),
     )
     for call in calls:
         with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
@@ -426,16 +422,16 @@ def test_bound_ratio_equals_bound_quotient_for_single_subchannel():
 
 
 def test_ratio_expansion_terms():
-    assert math.isclose(
-        ratio_log_term(0.5, math.exp(2.0)), 1.0 + math.log(0.5) / 2.0, rel_tol=1e-12
-    )
+    log_term = bound_ratio_expansion(1.0, math.exp(2.0), 0.5)[0]
+    assert math.isclose(log_term, 1.0 + math.log(0.5) / 2.0, rel_tol=1e-12)
+    # the gamma term depends on m*L only; m*L = 1 here
     expected_gamma = 1.0 - (0.5 * math.exp(0.5)) / (0.5 * math.sqrt(2.0 * math.pi))
-    assert math.isclose(ratio_gamma_term(1.0, 1.0, 0.5), expected_gamma, rel_tol=1e-12)
-    assert ratio_gamma_term(1.0, 100.0, 0.5) > 0.999999
-    with pytest.raises(ValueError):
-        ratio_log_term(0.5, 1.5)
-    log_term, gamma_term = bound_ratio_expansion(1.0, 100.0, 0.5)
-    assert math.isclose(log_term * gamma_term, ratio_log_term(0.5, 100.0) * ratio_gamma_term(1.0, 100.0, 0.5), rel_tol=1e-15)
+    assert math.isclose(bound_ratio_expansion(0.5, 2.0, 0.5)[1], expected_gamma, rel_tol=1e-12)
+    assert bound_ratio_expansion(1.0, 100.0, 0.5)[1] > 0.999999
+    with pytest.raises(ValueError, match="needs L >= 2"):
+        bound_ratio_expansion(1.0, 1.5, 0.5)
+    with pytest.raises(ValueError, match="m must be >= 0.5"):
+        bound_ratio_expansion(0.4, 100.0, 0.5)
 
 
 def test_ratio_expansion_tracks_exact_ratio_at_large_diversity():
@@ -446,34 +442,66 @@ def test_ratio_expansion_tracks_exact_ratio_at_large_diversity():
 
 
 def test_awgn_reference_symmetric_case_and_identity():
-    ch = ParallelChannel(theta=[1.0, 1.0], shape=1.0, n0=1.0, p_total=2.0)
-    assert math.isclose(awgn_reference(ch), 2.0 * math.log(2.0), rel_tol=1e-12)
+    # the table's c_upper is the AWGN reference: waterfilling on the means is
+    # optimal for the channel with gains fixed there, and 0 dB gives p_total = 2
+    ch = ParallelChannel(theta=[1.0, 1.0], shape=1.0, n0=1.0, p_total=1.0)
+    table = rate_table(lambda L: ch, [1], [0.0], ["equal"], markov=False)
+    assert math.isclose(table["c_upper"][0], 2.0 * math.log(2.0), rel_tol=1e-12)
     rng = np.random.default_rng(5)
     for _ in range(10):
         subs = [
             (10 ** rng.uniform(-1, 1), 1.0 * int(rng.integers(1, 5)))
             for _ in range(int(rng.integers(1, 6)))
         ]
-        chr_ = ParallelChannel(*zip(*subs), n0=1.0, p_total=10 ** rng.uniform(-0.5, 1))
-        swf = waterfill(chr_.mean_gains, chr_.n0, chr_.p_total)
-        assert math.isclose(awgn_reference(chr_), jensen_upper(chr_, swf), rel_tol=1e-15)
+        chr_ = ParallelChannel(*zip(*subs), n0=1.0, p_total=1.0)
+        snr_db = 10.0 * math.log10(10 ** rng.uniform(-0.5, 1) / chr_.n)  # budget 10**U(-0.5, 1)
+        table = rate_table(lambda L: chr_, [1], [snr_db], ["equal"], markov=False)
+        at_snr = chr_.with_power(snr_db_to_power(chr_.n, chr_.n0, snr_db))
+        swf = waterfill(at_snr.mean_gains, at_snr.n0, at_snr.p_total)
+        assert table["c_upper"][0] == jensen_upper(at_snr, swf)
 
 
-def test_evaluate_bounds_report():
-    # the report is in nats; the CLI's bits tests cover the conversion
-    ch = build_decay_profile(8, 5e9, 6e9, 3.0, 1.0, 4, 1.0, 1.0).with_power(
-        snr_db_to_power(8, 1.0, 5.0)
-    )
-    alloc = waterfill(ch.mean_gains, ch.n0, ch.p_total)
-    report = evaluate_bounds(ch, alloc, snr_db=5.0)
-    assert report.c_upper >= report.c_lower_exact >= report.c_lower_markov >= 0.0
-    assert report.normalized_upper == 1.0
-    assert 0.0 < report.normalized_lower <= 1.0
-    assert report.c_upper == jensen_upper(ch, alloc)
-    assert report.c_lower_exact == exact_rate(ch, alloc)
-    assert report.c_lower_markov == markov_lower(ch, alloc)
-    assert report.c_awgn_ref == awgn_reference(ch)
-    assert report.mpe_percent == mpe(report.c_upper, report.c_lower_exact)
+def test_rate_table_columns_equal_the_primitives():
+    # the table is in nats; the CLI's bits tests cover the conversion
+    profile = _cubic_profile(8)
+    strategies = ["statistical-waterfill", "equal", "optimal"]
+    for alpha in (None, 0.5):
+        table = rate_table(profile, [2, 4], [-5.0, 5.0], strategies, alpha=alpha)
+        assert list(table) == [
+            "L", "snr_db", "strategy", "c_upper", "c_lower_exact", "c_lower_markov", "mpe_percent"
+        ]
+        assert all(column.shape == (12,) for column in table.values())
+        row = 0
+        for L in (2, 4):
+            for snr_db in (-5.0, 5.0):
+                ch = profile(L).with_power(snr_db_to_power(8, 1.0, snr_db))
+                swf = waterfill(ch.mean_gains, ch.n0, ch.p_total)
+                allocs = (swf, equal_power(ch.n, ch.p_total), optimal_allocation(ch))
+                for strategy, alloc in zip(strategies, allocs):
+                    assert table["L"][row] == L
+                    assert table["snr_db"][row] == snr_db
+                    assert table["strategy"][row] == strategy
+                    c_upper = table["c_upper"][row]
+                    c_exact = table["c_lower_exact"][row]
+                    c_markov = table["c_lower_markov"][row]
+                    assert c_upper == jensen_upper(ch, swf)
+                    assert c_exact == exact_rate(ch, alloc)
+                    assert c_markov == markov_lower(ch, alloc, alpha=alpha)
+                    assert table["mpe_percent"][row] == mpe(c_upper, c_exact)
+                    assert c_upper >= c_exact >= c_markov >= 0.0
+                    row += 1
+
+
+def test_rate_table_without_markov_and_with_a_callable_strategy():
+    def fixed(ch):
+        return PowerAllocation(np.full(ch.n, ch.p_total / ch.n), strategy_tag="fixed-equal")
+
+    table = rate_table(_cubic_profile(8), [4], [0.0, 10.0], [fixed, "equal"], markov=False)
+    assert np.isnan(table["c_lower_markov"]).all()
+    assert table["strategy"].tolist() == ["fixed-equal", "equal", "fixed-equal", "equal"]
+    # the callable gives equal power, so its rows repeat the "equal" rows
+    for name in ("c_upper", "c_lower_exact", "mpe_percent"):
+        assert np.array_equal(table[name][0::2], table[name][1::2])
 
 
 def test_bound_sandwich_on_random_instances():
@@ -506,11 +534,13 @@ def _cubic_profile(n_bins=64):
 
 
 def test_convergence_study_gap_shrinks_with_diversity():
-    study = convergence_study(_cubic_profile(), "statistical-waterfill", [1, 2, 4, 8, 16], 5.0)
-    mpes = [p.mpe_percent for p in study.points]
+    orders = [1, 2, 4, 8, 16]
+    table = rate_table(_cubic_profile(), orders, [5.0], ["statistical-waterfill"], markov=False)
+    mpes = table["mpe_percent"]
+    assert table["L"].tolist() == orders
     assert all(b < a for a, b in zip(mpes, mpes[1:]))
     assert mpes[3] / mpes[2] < 0.6
-    assert study.slope < 0.0
+    assert mpe_slope(orders, mpes) < 0.0
 
 
 def test_convergence_study_separates_waterfilling_from_fixed_allocation():
@@ -521,17 +551,21 @@ def test_convergence_study_separates_waterfilling_from_fixed_allocation():
     def fixed_custom(ch):
         return PowerAllocation(weights * ch.p_total, strategy_tag="custom")
 
-    swf = convergence_study(profile, "statistical-waterfill", [1, 2, 4, 8, 16], 5.0)
-    custom = convergence_study(profile, fixed_custom, [1, 2, 4, 8, 16], 5.0)
-    assert swf.slope < custom.slope
+    orders = [1, 2, 4, 8, 16]
+    table = rate_table(
+        profile, orders, [5.0], ["statistical-waterfill", fixed_custom], markov=False
+    )
+    swf, custom = table["mpe_percent"].reshape(len(orders), 2).T
+    assert mpe_slope(orders, swf) < mpe_slope(orders, custom)
 
 
 def test_convergence_study_input_validation():
-    profile = _cubic_profile(4)
-    with pytest.raises(ValueError):
-        convergence_study(profile, "statistical-waterfill", [1, 2], 5.0)
-    with pytest.raises(ValueError):
-        convergence_study(profile, "statistical-waterfill", [1, 4, 2], 5.0)
+    with pytest.raises(ValueError, match="need at least 3 diversity orders"):
+        mpe_slope([1, 2], [2.0, 1.0])
+    with pytest.raises(ValueError, match="must be strictly increasing"):
+        mpe_slope([1, 4, 2], [3.0, 2.0, 1.0])
+    # a power law MPE = 8/L has slope -1
+    assert math.isclose(mpe_slope([1, 2, 4, 8], [8.0, 4.0, 2.0, 1.0]), -1.0, rel_tol=1e-12)
 
 
 def test_waterfill_rate_ratio_is_insensitive_to_perturbations():

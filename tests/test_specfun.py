@@ -166,6 +166,13 @@ def test_gamma_expectation_rejects_bad_parameters():
         gamma_expectation_batch(lambda g, rows: g, [1.0], [-1.0])
 
 
+@pytest.mark.parametrize("shape", [0.01, 0.0999, 1.0001e5, 1e8, math.inf, math.nan])
+def test_gamma_expectation_rejects_shapes_outside_its_accurate_range(shape):
+    # [0.1, 1e5] is where the rule is held to mpmath; shape 1e8 would take 20,024 nodes
+    with pytest.raises(ValueError, match=r"shape must be finite and in \[0.1, 100000\]"):
+        gamma_expectation_batch(lambda g, rows: g, [2.0, shape], [1.0, 1.0])
+
+
 # each integrand is built for a numeric library: numpy, or mpmath for the oracle
 _ORACLE_INTEGRANDS = {
     "log1p(cg)": lambda c, lib: lambda g: lib.log1p(c * g),
