@@ -43,11 +43,11 @@ def main():
 
     # the Markov bound's free parameter: closed-form rule vs maximization
     channel = base.with_power(snr_db_to_power(n_bins, base.n0, 0.0))
-    alloc = equal_power(channel.n, channel.p_total)
+    powers = equal_power(channel.n, channel.p_total)
     print("\nMarkov lower bound at 0 dB under different parameter rules:")
     for alpha in (0.3, 0.6, 0.9):
-        print(f"  alpha = {alpha:.1f}: {markov_lower(channel, alloc, alpha=alpha):8.4f} nats")
-    print(f"  maximized per subchannel: {markov_lower(channel, alloc):8.4f} nats")
+        print(f"  alpha = {alpha:.1f}: {markov_lower(channel, powers, alpha=alpha):8.4f} nats")
+    print(f"  maximized per subchannel: {markov_lower(channel, powers):8.4f} nats")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ diagnostics quantify this:
 import numpy as np
 
 from simocap import (
-    PowerAllocation,
     bound_ratio,
     bound_ratio_expansion,
     build_decay_profile,
@@ -36,7 +35,7 @@ def main():
         profile,
         orders,
         [5.0],
-        ["statistical-waterfill", lambda ch: PowerAllocation(weights * ch.p_total)],
+        ["statistical-waterfill", lambda ch: weights * ch.p_total],
         markov=False,
     )
     # one row per (L, strategy): waterfilling's MPEs, then the fixed allocation's

@@ -36,7 +36,7 @@ from simocap import (
 
 def print_rates(label, channel):
     # Jensen upper bound, exact rate and Markov lower bound at statistical waterfilling
-    swf = waterfill(channel.mean_gains, channel.n0, channel.p_total)
+    swf = waterfill(channel.mean_gains, channel.n0, channel.p_total)[0]
     rates = jensen_upper(channel, swf), exact_rate(channel, swf), markov_lower(channel, swf)
     print(f"  {label:<16}" + "".join(f"{r:12.4f}" for r in rates))
 

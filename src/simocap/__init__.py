@@ -3,7 +3,8 @@
 The library models a parallel channel whose subchannels each combine L
 independent Nakagami-m diversity branches, so each power gain is
 Gamma(m*L, theta).  A ``ParallelChannel`` holds these laws as arrays
-``theta`` and ``shape``.  The library provides:
+``theta`` and ``shape``, and an allocation is a plain array of powers,
+one per subchannel.  The library provides:
 
 * exact water-level power allocation (statistical or instantaneous) and
   the exact distribution-aware optimum over the power simplex,
@@ -21,7 +22,7 @@ Rates are in nats unless explicitly converted to bits.
 
 __version__ = "0.1.0"
 
-from .alloc import PowerAllocation, equal_power, optimal_allocation, waterfill
+from .alloc import equal_power, optimal_allocation, waterfill
 from .channel import (
     FitError,
     ParallelChannel,
@@ -50,7 +51,6 @@ from .rates import (
     mpe,
     mpe_slope,
     rate_table,
-    resolve_strategy,
     snr_db_to_power,
 )
 from .specfun import (

@@ -1,5 +1,6 @@
 """Power allocation strategies over a parallel channel.
 
+An allocation is a float array of nonnegative per-subchannel powers.
 ``waterfill`` is the exact active-set water-level solver; fed the mean
 gains it is statistical waterfilling, fed realized gains it is
 instantaneous waterfilling.  ``optimal_allocation`` maximizes the exact
@@ -7,15 +8,12 @@ ergodic sum rate over the power simplex when only the gain distributions
 are known at the transmitter.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channel import ParallelChannel, _positive
+from .channel import ParallelChannel, _positive, _positive_integer
 from .specfun import NumericError, gamma_expectation_batch
 
 __all__ = [
-    "PowerAllocation",
     "waterfill",
     "equal_power",
     "optimal_allocation",
@@ -23,31 +21,6 @@ __all__ = [
 
 _ITER_CAP = 50
 _KKT_TOLERANCE = 1e-12  # relative spread of the active marginal utilities at the optimum
-
-
-@dataclass(frozen=True, eq=False)
-class PowerAllocation:
-    """Nonnegative per-subchannel powers, optionally with a water level."""
-
-    powers: np.ndarray
-    water_level: float | None = None
-    strategy_tag: str = "custom"
-
-    def __post_init__(self):
-        powers = np.asarray(self.powers, dtype=float)
-        object.__setattr__(self, "powers", powers)
-        if powers.ndim != 1 or powers.size < 1:
-            raise ValueError("powers must be a 1-D vector")
-        if not np.all(np.isfinite(powers)) or np.any(powers < 0.0):
-            raise ValueError("powers must be nonnegative and finite")
-
-    @property
-    def n(self) -> int:
-        return self.powers.size
-
-    @property
-    def total(self) -> float:
-        return float(self.powers.sum())
 
 
 def _waterlevel(levels: np.ndarray, slopes: np.ndarray, total: float):
@@ -69,15 +42,13 @@ def _waterlevel(levels: np.ndarray, slopes: np.ndarray, total: float):
     return powers, nu
 
 
-def waterfill(
-    gains, n0: float, p_total: float, strategy_tag: str = "statistical-waterfill"
-) -> PowerAllocation:
+def waterfill(gains, n0: float, p_total: float) -> tuple[np.ndarray, float]:
     """Exact water-level allocation p_n = max(0, nu - n0/g_n), sum p_n = p_total.
 
-    The active-set solution over the thresholds n0/g_n with unit slopes.
-    Fed mean gains this is statistical waterfilling (the default tag);
-    pass realized gains and ``strategy_tag="instantaneous-waterfill"``
-    for the full-knowledge variant.
+    Returns the powers and the water level nu: the active-set solution
+    over the thresholds n0/g_n with unit slopes.  Fed mean gains this is
+    statistical waterfilling; fed realized gains it is the full-knowledge
+    instantaneous variant.
     """
     g = np.asarray(gains, dtype=float)
     if g.ndim != 1 or g.size < 1:
@@ -89,19 +60,17 @@ def waterfill(
         levels = n0 / g
     if np.all(np.isinf(levels)):
         raise ValueError("n0/g overflows for every gain; no subchannel can be powered")
-    powers, nu = _waterlevel(levels, np.ones(g.size), p_total)
-    return PowerAllocation(powers=powers, water_level=nu, strategy_tag=strategy_tag)
+    return _waterlevel(levels, np.ones(g.size), p_total)
 
 
-def equal_power(n: int, p_total: float) -> PowerAllocation:
+def equal_power(n: int, p_total: float) -> np.ndarray:
     """Balanced allocation: each of n subchannels gets p_total / n."""
-    if n < 1 or int(n) != n:
-        raise ValueError("n must be a positive integer")
+    _positive_integer("n", n)
     p_total = _positive("p_total", p_total)
-    return PowerAllocation(powers=np.full(int(n), p_total / n), strategy_tag="equal")
+    return np.full(int(n), p_total / n)
 
 
-def optimal_allocation(channel: ParallelChannel) -> PowerAllocation:
+def optimal_allocation(channel: ParallelChannel) -> np.ndarray:
     """Exact maximizer of the ergodic sum rate over the power simplex.
 
     The objective sum_n E[log(1 + p_n*g_n/n0)] is strictly concave, so the
@@ -116,7 +85,7 @@ def optimal_allocation(channel: ParallelChannel) -> PowerAllocation:
     agree to 1e-12 relative and no inactive mu_n/n0 exceeds them.
     """
     n0, p_total = channel.n0, channel.p_total
-    powers = waterfill(channel.mean_gains, n0, p_total).powers
+    powers = waterfill(channel.mean_gains, n0, p_total)[0]
 
     def expectation(k):
         # E[(g/(n0 + p*g))**k] on every subchannel at the current powers, in
@@ -134,7 +103,7 @@ def optimal_allocation(channel: ParallelChannel) -> PowerAllocation:
         lam = marginal[on].max()
         if lam - marginal[on].min() <= _KKT_TOLERANCE * lam and np.all(marginal[~on] <= lam):
             # waterfilling's powers, if already optimal, may cancel against its water level
-            return PowerAllocation(powers * (p_total / powers.sum()), strategy_tag="optimal")
+            return powers * (p_total / powers.sum())
         # levels measured from lam keep the step free of cancellation
         curvature = expectation(2)
         powers = _waterlevel((lam - marginal) - powers * curvature, 1.0 / curvature, p_total)[0]

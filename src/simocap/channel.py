@@ -44,16 +44,23 @@ def _positive(name: str, value) -> float:
     return value
 
 
+def _positive_integer(name: str, value) -> None:
+    # a count, such as L or a number of bins: a whole number from 1 to the largest float
+    try:
+        whole = float(value).is_integer()
+    except OverflowError:  # an integer past the largest float
+        raise ValueError(
+            f"{name} must be a positive integer below 1.8e308, got a larger one"
+        ) from None
+    if not (value >= 1 and whole):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def _branch_shape(m: float, L) -> float:
     # shape m*L of the gain summed over L Nakagami-m branches
     if not (m >= 0.5 and math.isfinite(m)):
         raise ValueError(f"m must be >= 0.5, got {m!r}")
-    try:
-        whole = float(L).is_integer()
-    except OverflowError:  # an integer past the largest float
-        raise ValueError("L must be a positive integer below 1.8e308, got a larger one") from None
-    if not (L >= 1 and whole):
-        raise ValueError(f"L must be a positive integer, got {L!r}")
+    _positive_integer("L", L)
     return m * L
 
 
@@ -121,8 +128,7 @@ def build_decay_profile(
     one over bins, and L Nakagami-m branches give bin n Gamma(mL, mu_n/(mL)).
     """
     shape = _branch_shape(m, L)
-    if n_bins < 1 or int(n_bins) != n_bins:
-        raise ValueError("n_bins must be a positive integer")
+    _positive_integer("n_bins", n_bins)
     if not (math.isfinite(f_hi_hz) and f_hi_hz > f_lo_hz > 0.0):
         raise ValueError(f"need finite f_hi_hz > f_lo_hz > 0, got [{f_lo_hz!r}, {f_hi_hz!r}]")
     if not (decay_exponent >= 0.0 and math.isfinite(decay_exponent)):
@@ -138,9 +144,7 @@ def build_decay_profile(
 
 def fit_gamma_moments(samples) -> tuple[float, float]:
     """Method-of-moments gamma fit: shape = mean^2/var, scale = var/mean."""
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 1:
-        arr = arr.ravel()
+    arr = np.asarray(samples, dtype=float).ravel()
     if arr.size < 2:
         raise FitError("need at least 2 samples to fit a gamma distribution")
     if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):

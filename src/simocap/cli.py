@@ -229,18 +229,16 @@ def cmd_waterfill(args) -> int:
     try:
         means = _parse_list(args.means, float)
     except ValueError:
-        print(f"error: could not parse means {args.means!r}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"could not parse means {args.means!r}") from None
     if not means:
-        print("error: no means given", file=sys.stderr)
-        return EXIT_INPUT
-    alloc = waterfill(means, args.n0, args.p_total)
+        raise ValueError("no means given")
+    powers, water_level = waterfill(means, args.n0, args.p_total)
     print("subchannel,gain,power")
-    for i, (g, p) in enumerate(zip(means, alloc.powers)):
+    for i, (g, p) in enumerate(zip(means, powers)):
         print(f"{i},{float(g)!r},{float(p)!r}")
-    active = int(np.count_nonzero(alloc.powers > 0.0))
-    print(f"water_level = {float(alloc.water_level)!r}")
-    print(f"active_subchannels = {active} / {alloc.n}")
+    active = int(np.count_nonzero(powers > 0.0))
+    print(f"water_level = {float(water_level)!r}")
+    print(f"active_subchannels = {active} / {powers.size}")
     return EXIT_OK
 
 
@@ -296,9 +294,8 @@ def cmd_gen_synthetic(args) -> int:
 def cmd_ingest(args) -> int:
     try:
         raw = parse_channel_csv(args.input, f_min_hz=args.f_min_hz, f_max_hz=args.f_max_hz)
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except OSError as exc:  # an unreadable input is an input error, not an output error
+        raise ValueError(f"cannot read {args.input}: {exc}") from exc
     pooled = pooled_mean_gain(raw)
     normalized = normalize_unit_mean(raw)
     branch_ids = (
@@ -399,7 +396,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:  # ParseError, NormalizationError and FitError among them
+    except (ValueError, MemoryError) as exc:  # MemoryError: an input too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

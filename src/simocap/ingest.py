@@ -24,7 +24,7 @@ from itertools import chain
 
 import numpy as np
 
-from .channel import ParallelChannel
+from .channel import ParallelChannel, _positive_integer
 
 __all__ = [
     "CSV_HEADER",
@@ -323,10 +323,8 @@ def generate_snapshots(
     frequencies come from the channel's ``freqs_hz`` (an increasing index
     grid if it has none).
     """
-    if n_snapshots < 1 or int(n_snapshots) != n_snapshots:
-        raise ValueError("n_snapshots must be a positive integer")
-    if not (n_branches >= 1 and float(n_branches).is_integer()):
-        raise ValueError("n_branches must be a positive integer")
+    _positive_integer("n_snapshots", n_snapshots)
+    _positive_integer("n_branches", n_branches)
 
     if channel.freqs_hz is None:
         freqs = np.arange(1.0, channel.n + 1.0) * 1e6

@@ -1,8 +1,8 @@
 """Mutual information, capacity bounds, and convergence diagnostics.
 
 Rates are in nats throughout; conversion to bits (division by ``LN2``)
-happens only when the CLI writes its CSV.  For a feasible allocation {p_n}
-over a parallel channel with mean gains {mu_n}:
+happens only when the CLI writes its CSV.  For a powers array {p_n} on a
+parallel channel with mean gains {mu_n}:
 
 * upper bound (Jensen):        sum_n log(1 + p_n mu_n / n0), evaluated at
   the statistical-waterfilling allocation it upper-bounds the capacity;
@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .alloc import PowerAllocation, equal_power, optimal_allocation, waterfill
+from .alloc import equal_power, optimal_allocation, waterfill
 from .channel import ParallelChannel, _branch_shape, _positive
 from .specfun import NumericError, _gamma_q, gamma_expectation_batch, reg_gamma_q
 
@@ -37,12 +37,10 @@ __all__ = [
     "bound_ratio_expansion",
     "rate_table",
     "mpe_slope",
-    "resolve_strategy",
     "snr_db_to_power",
 ]
 
 LN2 = math.log(2.0)
-STRATEGY_TAGS = ("statistical-waterfill", "equal", "optimal")
 
 _A_MAX = 50.0
 _ITER_CAP = 50
@@ -60,17 +58,18 @@ def _alpha(value) -> float:
     return value
 
 
-def _alloc_powers(channel: ParallelChannel, alloc: PowerAllocation) -> np.ndarray:
-    if alloc.n != channel.n:
-        raise ValueError(
-            f"allocation has {alloc.n} powers but the channel has {channel.n} subchannels"
-        )
-    return alloc.powers
+def _powers(powers, n: int) -> np.ndarray:
+    powers = np.asarray(powers, dtype=float)
+    if powers.shape != (n,):
+        raise ValueError(f"powers must be a 1-D vector of {n} entries, got shape {powers.shape}")
+    if not np.all(np.isfinite(powers)) or np.any(powers < 0.0):
+        raise ValueError("powers must be nonnegative and finite")
+    return powers
 
 
-def jensen_upper(channel: ParallelChannel, alloc: PowerAllocation) -> float:
+def jensen_upper(channel: ParallelChannel, powers) -> float:
     """Concavity bound sum_n log(1 + p_n*mu_n/n0) on the ergodic sum rate."""
-    powers = _alloc_powers(channel, alloc)
+    powers = _powers(powers, channel.n)
     return float(np.log1p(powers * channel.mean_gains / channel.n0).sum())
 
 
@@ -119,22 +118,22 @@ def _max_markov_terms(shape, theta, p, n0: float) -> np.ndarray:
 
 def markov_lower(
     channel: ParallelChannel,
-    alloc: PowerAllocation,
+    powers,
     a_values: Sequence[float] | None = None,
     alpha: float | None = None,
 ) -> float:
     """Markov-inequality lower bound sum_n a_n * Pr(g_n >= (n0/p_n)(e^{a_n}-1)).
 
-    The free parameters a_n > 0 are given explicitly (``a_values``), set by
-    the rule a_n = log(1 + alpha*p_n*mu_n/n0), the paper's
-    log(1 + alpha*beta*L) (``alpha``), or, by default, chosen per subchannel
-    by numerical maximization of the term over a in [1e-6, 50].
+    The free parameters a_n, positive and finite, are given explicitly
+    (``a_values``), set by the rule a_n = log(1 + alpha*p_n*mu_n/n0), the
+    paper's log(1 + alpha*beta*L) (``alpha``), or, by default, chosen per
+    subchannel by numerical maximization of the term over a in [1e-6, 50].
     Zero-power subchannels contribute zero.  Raises ``NumericError`` if
     the maximization does not converge.
     """
     if a_values is not None and alpha is not None:
         raise ValueError("give at most one of a_values and alpha")
-    powers = _alloc_powers(channel, alloc)
+    powers = _powers(powers, channel.n)
     if a_values is not None and len(a_values) != channel.n:
         raise ValueError("a_values length does not match the channel")
     if alpha is not None:
@@ -147,9 +146,11 @@ def markov_lower(
     shape = channel.shape[on]
     if a_values is not None:
         a = np.asarray(a_values, dtype=float)
-        bad = np.flatnonzero(on & (a <= 0.0))
+        bad = np.flatnonzero(on & ~((0.0 < a) & (a < math.inf)))
         if bad.size:
-            raise ValueError(f"a must be positive where power is positive (index {bad[0]})")
+            raise ValueError(
+                f"a must be positive and finite where power is positive (index {bad[0]})"
+            )
         terms = _markov_terms(a[on], shape, theta, p, n0)
     elif alpha is not None:
         terms = _markov_terms(np.log1p(alpha * (p * theta / n0) * shape), shape, theta, p, n0)
@@ -158,9 +159,9 @@ def markov_lower(
     return float(terms.sum())
 
 
-def exact_rate(channel: ParallelChannel, alloc: PowerAllocation) -> float:
+def exact_rate(channel: ParallelChannel, powers) -> float:
     """Ergodic sum rate sum_n E[log(1 + p_n*g_n/n0)] of the allocation."""
-    powers = _alloc_powers(channel, alloc)
+    powers = _powers(powers, channel.n)
     on = powers > 0.0
     c = powers[on] / channel.n0
     rates = gamma_expectation_batch(
@@ -169,22 +170,23 @@ def exact_rate(channel: ParallelChannel, alloc: PowerAllocation) -> float:
     return float(rates.sum())
 
 
-def empirical_rate(gains, alloc: PowerAllocation, n0: float) -> float:
+def empirical_rate(gains, powers, n0: float) -> float:
     """Snapshot-averaged sum rate over realized gains.
 
     ``gains`` is a (snapshots, subchannels) array of finite nonnegative
     gains, such as ``simo_gains`` returns, with one column per power.
     """
     n0 = _positive("n0", n0)
-    gains = np.asarray(gains, dtype=float)
-    if gains.ndim != 2 or gains.shape[0] < 1 or gains.shape[1] != alloc.n:
+    gains, powers = np.asarray(gains, dtype=float), np.asarray(powers, dtype=float)
+    if gains.ndim != 2 or min(gains.shape) < 1 or gains.shape[1] != powers.size:
         raise ValueError(
-            f"gains must be a (snapshots, {alloc.n}) array with at least one snapshot, "
+            f"gains must be a (snapshots, {powers.size}) array with at least one snapshot, "
             f"got shape {gains.shape}"
         )
+    powers = _powers(powers, gains.shape[1])
     if not np.all(np.isfinite(gains) & (gains >= 0.0)):
         raise ValueError("gains must be finite and nonnegative")
-    per_snapshot = np.log1p(gains * (alloc.powers / n0)).sum(axis=1)
+    per_snapshot = np.log1p(gains * (powers / n0)).sum(axis=1)
     return float(per_snapshot.mean())
 
 
@@ -250,21 +252,13 @@ def snr_db_to_power(channel_n: int, n0: float, snr_db: float) -> float:
         raise ValueError(f"SNR {snr_db!r} dB gives a power that overflows") from None
 
 
-def resolve_strategy(
-    channel: ParallelChannel,
-    strategy: str | Callable[[ParallelChannel], PowerAllocation],
-) -> PowerAllocation:
-    """Turn a strategy tag or callable into a concrete allocation."""
-    if callable(strategy):
-        return strategy(channel)
-    if strategy == "statistical-waterfill":
-        return waterfill(channel.mean_gains, channel.n0, channel.p_total)
-    if strategy == "equal":
-        return equal_power(channel.n, channel.p_total)
-    if strategy == "optimal":
-        return optimal_allocation(channel)
-    raise ValueError(f"unknown strategy {strategy!r}")
-
+# each strategy tag's allocation of a channel's power budget
+_STRATEGIES = {
+    "statistical-waterfill": lambda ch: waterfill(ch.mean_gains, ch.n0, ch.p_total)[0],
+    "equal": lambda ch: equal_power(ch.n, ch.p_total),
+    "optimal": optimal_allocation,
+}
+STRATEGY_TAGS = tuple(_STRATEGIES)
 
 _TABLE_COLUMNS = (
     "L", "snr_db", "strategy", "c_upper", "c_lower_exact", "c_lower_markov", "mpe_percent"
@@ -275,7 +269,7 @@ def rate_table(
     profile: Callable[[int], ParallelChannel],
     l_values: Sequence[int],
     snr_db_values: Sequence[float],
-    strategies: Sequence[str | Callable[[ParallelChannel], PowerAllocation]],
+    strategies: Sequence[str | Callable[[ParallelChannel], np.ndarray]],
     *,
     alpha: float | None = None,
     markov: bool = True,
@@ -284,7 +278,8 @@ def rate_table(
 
     ``profile(L)`` gives the channel of diversity order L once, and
     ``snr_db_to_power`` sets its power budget for each SNR.  A strategy
-    is a tag or a callable, as ``resolve_strategy`` accepts.
+    is one of ``STRATEGY_TAGS`` or a callable from the channel to its
+    powers array.
 
     ``c_upper`` is the Jensen bound at the statistical-waterfilling
     allocation, the bound on capacity itself.  Waterfilling on the mean
@@ -296,24 +291,26 @@ def rate_table(
     without ``markov``.  So ``mpe_percent``, ``mpe(c_upper,
     c_lower_exact)``, certifies how far the allocation can be from optimal.
 
-    Returns the columns ``L``, ``snr_db``, ``strategy`` (the allocation's
-    ``strategy_tag``), ``c_upper``, ``c_lower_exact``, ``c_lower_markov``
-    and ``mpe_percent`` as arrays, one row per (L, SNR, strategy) in grid
-    order.
+    Returns the columns ``L``, ``snr_db``, ``strategy`` (the tag, or
+    ``"custom"`` for a callable), ``c_upper``, ``c_lower_exact``,
+    ``c_lower_markov`` and ``mpe_percent`` as arrays, one row per (L, SNR,
+    strategy) in grid order.
     """
+    try:
+        allocators = [("custom", s) if callable(s) else (s, _STRATEGIES[s]) for s in strategies]
+    except KeyError as exc:
+        raise ValueError(f"unknown strategy {exc.args[0]!r}") from None
     rows = []
     for L in l_values:
         base = profile(L)
         for snr_db in map(float, snr_db_values):
             ch = base.with_power(snr_db_to_power(base.n, base.n0, snr_db))
-            swf = waterfill(ch.mean_gains, ch.n0, ch.p_total)
-            c_upper = jensen_upper(ch, swf)
-            for strategy in strategies:
-                is_swf = strategy == "statistical-waterfill"
-                alloc = swf if is_swf else resolve_strategy(ch, strategy)
-                c_exact = exact_rate(ch, alloc)
-                c_markov = markov_lower(ch, alloc, alpha=alpha) if markov else math.nan
-                rows.append((int(L), snr_db, alloc.strategy_tag, c_upper, c_exact, c_markov,
+            c_upper = jensen_upper(ch, _STRATEGIES["statistical-waterfill"](ch))
+            for tag, allocate in allocators:
+                powers = allocate(ch)
+                c_exact = exact_rate(ch, powers)
+                c_markov = markov_lower(ch, powers, alpha=alpha) if markov else math.nan
+                rows.append((int(L), snr_db, tag, c_upper, c_exact, c_markov,
                              mpe(c_upper, c_exact)))
     columns = list(zip(*rows)) or [()] * len(_TABLE_COLUMNS)
     return {name: np.array(column) for name, column in zip(_TABLE_COLUMNS, columns)}

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from simocap import cli
-from simocap.alloc import PowerAllocation, equal_power, optimal_allocation, waterfill
+from simocap.alloc import equal_power, optimal_allocation, waterfill
 from simocap.channel import ParallelChannel, build_decay_profile
 from simocap.ingest import (
     generate_snapshots,
@@ -153,7 +153,7 @@ def test_criterion_2_convergence_separation():
         weights /= weights.sum()
 
         def fixed_custom(ch):
-            return PowerAllocation(weights * ch.p_total, strategy_tag="custom")
+            return weights * ch.p_total
 
         table = rate_table(
             profile, orders, [5.0], ["statistical-waterfill", fixed_custom], markov=False
@@ -182,10 +182,10 @@ def test_criterion_3_bound_sandwich_randomized():
             ]
             snr_db = float(rng.uniform(-20.0, 20.0))
             ch = ParallelChannel(*zip(*subs), n0=1.0, p_total=snr_db_to_power(n, 1.0, snr_db))
-            alloc = waterfill(ch.mean_gains, ch.n0, ch.p_total)
-            lower = markov_lower(ch, alloc)
-            rate = exact_rate(ch, alloc)
-            upper = jensen_upper(ch, alloc)
+            powers = waterfill(ch.mean_gains, ch.n0, ch.p_total)[0]
+            lower = markov_lower(ch, powers)
+            rate = exact_rate(ch, powers)
+            upper = jensen_upper(ch, powers)
             assert rate - lower >= -1e-9, f"markov {lower} > exact {rate}"
             assert upper - rate >= -1e-9, f"exact {rate} > jensen {upper}"
 
@@ -241,8 +241,8 @@ def test_criterion_4a_ratio_limit_at_large_diversity():
         # a = log(1 + alpha_L*beta*L), so on the same subchannel (beta =
         # p*theta*m/n0 = 1) its bound quotient is at least the alpha_L ratio.
         ch = ParallelChannel(theta=[1.0], shape=1.0 * L, n0=1.0, p_total=1.0)
-        alloc = PowerAllocation(np.array([1.0]))
-        quotient = markov_lower(ch, alloc) / jensen_upper(ch, alloc)
+        powers = np.array([1.0])
+        quotient = markov_lower(ch, powers) / jensen_upper(ch, powers)
         assert quotient >= value, f"max-rule quotient {quotient:.6f} below alpha_L ratio {value:.6f}"
 
 
@@ -267,8 +267,8 @@ def test_criterion_4c_ratio_identity_with_bound_quotient():
             p = 10 ** rng.uniform(-1, 1)
             alpha = float(rng.uniform(0.1, 0.9))
             ch = ParallelChannel([theta], m * L, n0=n0, p_total=p)
-            alloc = PowerAllocation(np.array([p]))
-            quotient = markov_lower(ch, alloc, alpha=alpha) / jensen_upper(ch, alloc)
+            powers = np.array([p])
+            quotient = markov_lower(ch, powers, alpha=alpha) / jensen_upper(ch, powers)
             direct = bound_ratio(m=m, L=L, beta=p * theta * m / n0, alpha=alpha)
             assert abs(quotient - direct) <= 1e-12
 
@@ -286,7 +286,7 @@ def test_criterion_5_quadrature_against_monte_carlo():
             )
             p = 10 ** rng.uniform(-1, 1)
             n0 = 1.0
-            value = exact_rate(ch, PowerAllocation(np.array([p])))
+            value = exact_rate(ch, [p])
             draws = np.log1p(p * rng.gamma(ch.shape[0], ch.theta[0], 1_000_000) / n0)
             se = draws.std(ddof=1) / math.sqrt(draws.size)
             assert abs(value - draws.mean()) <= 3.0 * se, (
@@ -294,19 +294,19 @@ def test_criterion_5_quadrature_against_monte_carlo():
             )
         closed = math.e * float(mpmath.e1(1.0))
         unit_channel = ParallelChannel(theta=[1.0], shape=1.0, n0=1.0, p_total=1.0)
-        unit = exact_rate(unit_channel, PowerAllocation(np.array([1.0])))
+        unit = exact_rate(unit_channel, [1.0])
         assert abs(unit - 0.5963474) <= 1e-6
         assert math.isclose(unit, closed, rel_tol=1e-9)
 
 
 def test_criterion_6_waterfilling_exactness():
     with criterion("waterfilling: hand cases to 1e-12, KKT and optimality on 1000 instances"):
-        two = waterfill([1.0, 2.0], 1.0, 1.0)
-        assert np.max(np.abs(two.powers - [0.25, 0.75])) <= 1e-12
-        assert abs(two.water_level - 1.25) <= 1e-12
-        three = waterfill([1.0, 4.0, 0.1], 1.0, 1.0)
-        assert np.max(np.abs(three.powers - [0.125, 0.875, 0.0])) <= 1e-12
-        assert abs(three.water_level - 1.125) <= 1e-12
+        two, two_level = waterfill([1.0, 2.0], 1.0, 1.0)
+        assert np.max(np.abs(two - [0.25, 0.75])) <= 1e-12
+        assert abs(two_level - 1.25) <= 1e-12
+        three, three_level = waterfill([1.0, 4.0, 0.1], 1.0, 1.0)
+        assert np.max(np.abs(three - [0.125, 0.875, 0.0])) <= 1e-12
+        assert abs(three_level - 1.125) <= 1e-12
 
         rng = np.random.default_rng(8)
         for _ in range(1000):
@@ -314,15 +314,15 @@ def test_criterion_6_waterfilling_exactness():
             gains = 10 ** rng.uniform(-1, 1, size=n)
             n0 = 10 ** rng.uniform(-0.5, 0.5)
             p_total = 10 ** rng.uniform(-1, 1)
-            alloc = waterfill(gains, n0, p_total)
-            assert abs(alloc.total - p_total) <= 1e-12 * p_total
+            powers, nu = waterfill(gains, n0, p_total)
+            assert abs(powers.sum() - p_total) <= 1e-12 * p_total
             thresholds = n0 / gains
-            for p, t in zip(alloc.powers, thresholds):
+            for p, t in zip(powers, thresholds):
                 if p > 0.0:
-                    assert abs(p - (alloc.water_level - t)) <= 1e-12 * max(1.0, alloc.water_level)
+                    assert abs(p - (nu - t)) <= 1e-12 * max(1.0, nu)
                 else:
-                    assert alloc.water_level <= t * (1.0 + 1e-12)
-            objective = float(np.log1p(alloc.powers * gains / n0).sum())
+                    assert nu <= t * (1.0 + 1e-12)
+            objective = float(np.log1p(powers * gains / n0).sum())
             candidates = rng.dirichlet(np.ones(n), size=1000) * p_total
             best_random = float(np.log1p(candidates * gains / n0).sum(axis=1).max())
             assert objective >= best_random - 1e-12
@@ -345,16 +345,14 @@ def test_criterion_7_exact_optimum_grid_search_and_dominance():
 
             best_p1, best_val = 0.0, -math.inf
             for p1 in grid:
-                val = exact_rate(ch, PowerAllocation(np.array([p1, 1.0 - p1])))
+                val = exact_rate(ch, [p1, 1.0 - p1])
                 if val > best_val:
                     best_p1, best_val = float(p1), val
-            assert abs(opt.powers[0] - best_p1) <= 5e-3, (
-                f"optimum {opt.powers} vs grid {best_p1}"
-            )
-            assert abs(opt.powers[1] - (1.0 - best_p1)) <= 5e-3
+            assert abs(opt[0] - best_p1) <= 5e-3, f"optimum {opt} vs grid {best_p1}"
+            assert abs(opt[1] - (1.0 - best_p1)) <= 5e-3
 
             opt_rate = exact_rate(ch, opt)
-            swf_rate = exact_rate(ch, waterfill(ch.mean_gains, ch.n0, ch.p_total))
+            swf_rate = exact_rate(ch, waterfill(ch.mean_gains, ch.n0, ch.p_total)[0])
             eq_rate = exact_rate(ch, equal_power(ch.n, ch.p_total))
             assert opt_rate >= swf_rate - 1e-9
             assert opt_rate >= eq_rate - 1e-9

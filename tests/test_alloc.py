@@ -4,28 +4,28 @@ import numpy as np
 import pytest
 
 from simocap import alloc as alloc_module
-from simocap.alloc import PowerAllocation, equal_power, optimal_allocation, waterfill
+from simocap.alloc import equal_power, optimal_allocation, waterfill
 from simocap.channel import ParallelChannel, build_decay_profile
 from simocap.rates import exact_rate, jensen_upper, snr_db_to_power
 from simocap.specfun import NumericError, gamma_expectation_batch
 
 
 def test_waterfill_single_channel():
-    alloc = waterfill([2.0], n0=1.0, p_total=3.0)
-    assert np.allclose(alloc.powers, [3.0])
-    assert math.isclose(alloc.water_level, 3.0 + 0.5, rel_tol=1e-15)
+    powers, water_level = waterfill([2.0], n0=1.0, p_total=3.0)
+    assert np.allclose(powers, [3.0])
+    assert math.isclose(water_level, 3.0 + 0.5, rel_tol=1e-15)
 
 
 def test_waterfill_two_channel_hand_solution():
-    alloc = waterfill([1.0, 2.0], n0=1.0, p_total=1.0)
-    assert np.allclose(alloc.powers, [0.25, 0.75], rtol=0, atol=1e-12)
-    assert abs(alloc.water_level - 1.25) <= 1e-12
+    powers, water_level = waterfill([1.0, 2.0], n0=1.0, p_total=1.0)
+    assert np.allclose(powers, [0.25, 0.75], rtol=0, atol=1e-12)
+    assert abs(water_level - 1.25) <= 1e-12
 
 
 def test_waterfill_with_inactive_channel():
-    alloc = waterfill([1.0, 4.0, 0.1], n0=1.0, p_total=1.0)
-    assert np.allclose(alloc.powers, [0.125, 0.875, 0.0], rtol=0, atol=1e-12)
-    assert abs(alloc.water_level - 1.125) <= 1e-12
+    powers, water_level = waterfill([1.0, 4.0, 0.1], n0=1.0, p_total=1.0)
+    assert np.allclose(powers, [0.125, 0.875, 0.0], rtol=0, atol=1e-12)
+    assert abs(water_level - 1.125) <= 1e-12
 
 
 def test_waterfill_rejects_nonpositive_gains():
@@ -49,18 +49,18 @@ def test_waterfill_and_equal_power_reject_a_bad_noise_or_budget(value):
 
 def test_waterfill_leaves_a_subchannel_with_an_overflowing_threshold_unpowered():
     # n0/g overflows for g = 1e-320: that threshold is infinite, silently
-    alloc = waterfill([1.0, 1e-320], 1.0, 1.0)
-    assert np.array_equal(alloc.powers, [1.0, 0.0])
-    assert alloc.water_level == 2.0
+    powers, water_level = waterfill([1.0, 1e-320], 1.0, 1.0)
+    assert np.array_equal(powers, [1.0, 0.0])
+    assert water_level == 2.0
     with pytest.raises(ValueError, match="overflows for every gain"):
         waterfill([1e-320, 2e-320], 1.0, 1.0)
 
 
 def test_waterfill_scale_invariance():
     gains = np.array([0.3, 1.1, 2.7, 0.9])
-    a = waterfill(gains, n0=1.0, p_total=2.0)
-    b = waterfill(gains * 7.5, n0=7.5, p_total=2.0)
-    assert np.array_equal(a.powers, b.powers)
+    a = waterfill(gains, n0=1.0, p_total=2.0)[0]
+    b = waterfill(gains * 7.5, n0=7.5, p_total=2.0)[0]
+    assert np.array_equal(a, b)
 
 
 def test_waterfill_budget_and_complementary_slackness():
@@ -70,11 +70,10 @@ def test_waterfill_budget_and_complementary_slackness():
         gains = 10 ** rng.uniform(-1, 1, size=n)
         n0 = 10 ** rng.uniform(-0.5, 0.5)
         p_total = 10 ** rng.uniform(-1, 1)
-        alloc = waterfill(gains, n0, p_total)
-        assert abs(alloc.total - p_total) <= 1e-12 * p_total
-        nu = alloc.water_level
+        powers, nu = waterfill(gains, n0, p_total)
+        assert abs(powers.sum() - p_total) <= 1e-12 * p_total
         thresholds = n0 / gains
-        for p, t in zip(alloc.powers, thresholds):
+        for p, t in zip(powers, thresholds):
             if p > 0.0:
                 assert abs(p - (nu - t)) <= 1e-12 * max(1.0, nu)
             else:
@@ -82,8 +81,8 @@ def test_waterfill_budget_and_complementary_slackness():
 
 
 def test_waterfill_ties_activate_together():
-    alloc = waterfill([1.0, 1.0, 4.0], n0=1.0, p_total=0.9)
-    assert alloc.powers[0] == alloc.powers[1]
+    powers = waterfill([1.0, 1.0, 4.0], n0=1.0, p_total=0.9)[0]
+    assert powers[0] == powers[1]
 
 
 def test_waterfill_beats_random_feasible_allocations():
@@ -93,47 +92,40 @@ def test_waterfill_beats_random_feasible_allocations():
         mu = 10 ** rng.uniform(-1, 1, size=n)
         n0 = 1.0
         p_total = 10 ** rng.uniform(-0.5, 1)
-        best = float(np.log1p(waterfill(mu, n0, p_total).powers * mu / n0).sum())
+        best = float(np.log1p(waterfill(mu, n0, p_total)[0] * mu / n0).sum())
         candidates = rng.dirichlet(np.ones(n), size=1000) * p_total
         values = np.log1p(candidates * mu / n0).sum(axis=1)
         assert best >= values.max() - 1e-12
 
 
 def test_equal_power_basics():
-    alloc = equal_power(4, 1.0)
-    assert np.array_equal(alloc.powers, np.full(4, 0.25))
-    assert alloc.total == 1.0
+    powers = equal_power(4, 1.0)
+    assert np.array_equal(powers, np.full(4, 0.25))
+    assert powers.sum() == 1.0
     single = equal_power(1, 2.5)
-    assert np.array_equal(single.powers, [2.5])
+    assert np.array_equal(single, [2.5])
     with pytest.raises(ValueError):
         equal_power(0, 1.0)
 
 
-def test_power_allocation_validation():
-    with pytest.raises(ValueError):
-        PowerAllocation(powers=np.array([1.0, -0.1]))
-    with pytest.raises(ValueError):
-        PowerAllocation(powers=np.array([[1.0]]))
-
-
 def test_optimal_allocation_symmetric_channel_is_equal_power():
     ch = ParallelChannel(theta=[0.5, 0.5, 0.5], shape=2.0, n0=1.0, p_total=3.0)
-    alloc = optimal_allocation(ch)
-    assert np.allclose(alloc.powers, 1.0, rtol=1e-6)
-    assert math.isclose(alloc.total, 3.0, rel_tol=1e-12)
+    powers = optimal_allocation(ch)
+    assert np.allclose(powers, 1.0, rtol=1e-6)
+    assert math.isclose(powers.sum(), 3.0, rel_tol=1e-12)
 
 
 def test_optimal_allocation_matches_grid_search():
     ch = ParallelChannel(theta=[1.0, 0.25], shape=2.0, n0=1.0, p_total=1.0)
-    alloc = optimal_allocation(ch)
+    powers = optimal_allocation(ch)
     grid = np.arange(0.0, 1.0 + 1e-12, 1e-3)
     best_p1, best_val = 0.0, -math.inf
     for p1 in grid:
-        val = exact_rate(ch, PowerAllocation(np.array([p1, 1.0 - p1])))
+        val = exact_rate(ch, [p1, 1.0 - p1])
         if val > best_val:
             best_p1, best_val = p1, val
-    assert abs(alloc.powers[0] - best_p1) <= 5e-3
-    assert abs(alloc.powers[1] - (1.0 - best_p1)) <= 5e-3
+    assert abs(powers[0] - best_p1) <= 5e-3
+    assert abs(powers[1] - (1.0 - best_p1)) <= 5e-3
 
 
 def test_optimal_allocation_dominates_simpler_strategies():
@@ -148,7 +140,7 @@ def test_optimal_allocation_dominates_simpler_strategies():
         ]
         ch = ParallelChannel(*zip(*subs), n0=1.0, p_total=10 ** rng.uniform(-0.5, 1.0))
         opt = optimal_allocation(ch)
-        swf = waterfill(ch.mean_gains, ch.n0, ch.p_total)
+        swf = waterfill(ch.mean_gains, ch.n0, ch.p_total)[0]
         eq = equal_power(ch.n, ch.p_total)
         opt_rate = exact_rate(ch, opt)
         assert opt_rate >= exact_rate(ch, swf) - 1e-9
@@ -161,7 +153,7 @@ def test_optimal_allocation_flattens_with_diversity():
 
     deviations = []
     for L in (2, 64):
-        powers = optimal_allocation(channel_for(L)).powers
+        powers = optimal_allocation(channel_for(L))
         deviations.append(np.max(np.abs(powers - 1.0)))
     assert deviations[1] < deviations[0]
 
@@ -171,7 +163,7 @@ def test_optimal_allocation_objective_beats_waterfilling_jensen_gap():
     # never on the exact objective
     ch = ParallelChannel(theta=[2.0, 0.1], shape=[0.5 * 1, 2.0 * 3], n0=1.0, p_total=2.0)
     opt = optimal_allocation(ch)
-    swf = waterfill(ch.mean_gains, ch.n0, ch.p_total)
+    swf = waterfill(ch.mean_gains, ch.n0, ch.p_total)[0]
     assert exact_rate(ch, opt) >= exact_rate(ch, swf) - 1e-9
     assert jensen_upper(ch, swf) >= jensen_upper(ch, opt) - 1e-12
 
@@ -204,7 +196,7 @@ def test_optimal_allocation_meets_kkt_on_mixed_shapes():
         m, L = ms[i % 3], ls[(i // 3) % 3]
         subs.append((mu / (m * L), m * L))
     ch = ParallelChannel(*zip(*subs), n0=1.0, p_total=16.0)
-    active = _assert_kkt(ch, optimal_allocation(ch).powers)
+    active = _assert_kkt(ch, optimal_allocation(ch))
     assert 2 <= active.sum() < ch.n
 
 
@@ -217,13 +209,13 @@ def test_optimal_allocation_meets_kkt_on_588_bin_profiles(m, snr_db, n_active):
     # the two slowest solves of the former multiplier bisection
     ch = build_decay_profile(588, 5e9, 6e9, 3.0, m=m, L=1, n0=1.0, p_total=1.0)
     ch = ch.with_power(snr_db_to_power(ch.n, ch.n0, snr_db))
-    active = _assert_kkt(ch, optimal_allocation(ch).powers)
+    active = _assert_kkt(ch, optimal_allocation(ch))
     assert active.sum() == n_active
 
 
 def test_optimal_allocation_raises_at_the_iteration_cap(monkeypatch):
     ch = ParallelChannel(theta=[2.0, 0.1], shape=[0.5 * 1, 2.0 * 3], n0=1.0, p_total=2.0)
-    _assert_kkt(ch, optimal_allocation(ch).powers)
+    _assert_kkt(ch, optimal_allocation(ch))
     # with a cap of 1 the solver only evaluates statistical waterfilling,
     # which is not optimal here
     monkeypatch.setattr(alloc_module, "_ITER_CAP", 1)
@@ -238,7 +230,7 @@ def test_waterfill_is_the_unit_slope_active_set_solution():
         n = int(rng.integers(1, 30))
         gains = np.repeat(10 ** rng.uniform(-2, 2, size=n), 3)[: 2 * n]
         n0, p_total = 10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-3, 3)
-        alloc = waterfill(gains, n0, p_total)
+        powers, water_level = waterfill(gains, n0, p_total)
         thresholds = n0 / gains
         order = np.argsort(thresholds, kind="stable")
         k = np.arange(1, gains.size + 1, dtype=float)
@@ -247,5 +239,5 @@ def test_waterfill_is_the_unit_slope_active_set_solution():
         nu = float(nu_candidates[k_star - 1])
         expected = np.zeros(gains.size)
         expected[order[:k_star]] = nu - thresholds[order][:k_star]
-        assert alloc.water_level == nu
-        assert np.array_equal(alloc.powers, expected)
+        assert water_level == nu
+        assert np.array_equal(powers, expected)

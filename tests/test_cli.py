@@ -432,9 +432,9 @@ def test_channel_from_fits_below_shape_one_half(tmp_path):
     for snr_db in (-10.0, 5.0, 20.0):
         p_total = rates.snr_db_to_power(64, 1.0, snr_db)
         ch = simocap.ParallelChannel(theta=scales, shape=shapes, n0=1.0, p_total=p_total)
-        swf = alloc.waterfill(ch.mean_gains, ch.n0, ch.p_total)
+        swf = alloc.waterfill(ch.mean_gains, ch.n0, ch.p_total)[0]
         opt = alloc.optimal_allocation(ch)
-        assert math.isclose(opt.total, p_total, rel_tol=1e-12)
+        assert math.isclose(opt.sum(), p_total, rel_tol=1e-12)
         for loading in (swf, opt):
             bounds = [f(ch, loading) for f in (rates.markov_lower, rates.exact_rate, rates.jensen_upper)]
             assert bounds == sorted(bounds)
@@ -464,6 +464,31 @@ def test_python_dash_m_on_the_cli_module_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert "water_level = 1.25" in done.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 1.25 PiB, 7.11 PiB and 3.55 EiB: past the 128 TiB (2**47 bytes) of
+        # address space of any 64-bit host, so the request itself fails
+        ["gen-synthetic", "--n-bins", "2", "--branches", "100000000000"],
+        ["bounds-sweep", "--n-bins", "1000000000000000", "--snr-db=0"],
+        ["gen-synthetic", "--n-snapshots", "1000000000000000"],
+        # a branch count past the largest float
+        ["gen-synthetic", "--n-bins", "2", "--branches", "1" + "0" * 400],
+    ],
+    ids=["branches-1e11", "n-bins-1e15", "n-snapshots-1e15", "branches-1e400"],
+)
+def test_inputs_too_large_to_allocate_exit_2_without_a_traceback(tmp_path, argv):
+    out = tmp_path / "big.csv"
+    done = subprocess.run(
+        [sys.executable, "-m", "simocap", *argv, "--output", str(out)],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
 
 
 def _modules_after(script_lines, roots=("scipy",)):

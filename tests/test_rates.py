@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from simocap import rates
-from simocap.alloc import PowerAllocation, equal_power, optimal_allocation, waterfill
+from simocap.alloc import equal_power, optimal_allocation, waterfill
 from simocap.channel import ParallelChannel, build_decay_profile
 from simocap.ingest import generate_snapshots, simo_gains
 from simocap.rates import (
@@ -26,13 +26,13 @@ from simocap.specfun import NumericError, _gamma_q
 
 def _single(theta=1.0, m=1.0, L=1, n0=1.0, p=1.0):
     ch = ParallelChannel(theta=[theta], shape=m * L, n0=n0, p_total=p)
-    return ch, PowerAllocation(np.array([p]))
+    return ch, np.array([p])
 
 
 def _rate_of_one(theta, m, L, p, n0):
     # E[log(1 + p*g/n0)] for g ~ Gamma(m*L, theta): the exact rate of one subchannel
     ch = ParallelChannel(theta=[theta], shape=m * L, n0=n0, p_total=1.0)
-    return exact_rate(ch, PowerAllocation(np.array([p])))
+    return exact_rate(ch, [p])
 
 
 def test_ergodic_mi_exponential_closed_form():
@@ -67,28 +67,28 @@ def test_ergodic_mi_matches_monte_carlo():
 
 
 def test_jensen_upper_basics():
-    ch, alloc = _single()
-    assert math.isclose(jensen_upper(ch, alloc), math.log(2.0), rel_tol=1e-15)
+    ch, powers = _single()
+    assert math.isclose(jensen_upper(ch, powers), math.log(2.0), rel_tol=1e-15)
     ch2 = ParallelChannel(theta=[1.0, 2.0], shape=1.0, n0=1.0, p_total=1.0)
-    zero_second = PowerAllocation(np.array([1.0, 0.0]))
+    zero_second = np.array([1.0, 0.0])
     assert math.isclose(jensen_upper(ch2, zero_second), math.log(2.0), rel_tol=1e-15)
     with pytest.raises(ValueError):
-        jensen_upper(ch2, alloc)
+        jensen_upper(ch2, powers)
 
 
 def test_jensen_at_waterfill_beats_random_allocations():
     rng = np.random.default_rng(1)
     ch = ParallelChannel(theta=[0.2, 0.7, 1.9], shape=2.0, n0=1.0, p_total=2.0)
-    swf = waterfill(ch.mean_gains, ch.n0, ch.p_total)
+    swf = waterfill(ch.mean_gains, ch.n0, ch.p_total)[0]
     best = jensen_upper(ch, swf)
     for powers in rng.dirichlet(np.ones(3), size=1000) * ch.p_total:
-        assert best >= jensen_upper(ch, PowerAllocation(powers)) - 1e-12
+        assert best >= jensen_upper(ch, powers) - 1e-12
 
 
 def test_markov_lower_single_exponential_value():
     # one exponential subchannel, a = ln 2: the bound is ln(2) * Q(1, 1) = ln(2)/e
-    ch, alloc = _single()
-    value = markov_lower(ch, alloc, a_values=[math.log(2.0)])
+    ch, powers = _single()
+    value = markov_lower(ch, powers, a_values=[math.log(2.0)])
     assert math.isclose(value, math.log(2.0) * math.exp(-1.0), rel_tol=1e-12)
 
 
@@ -104,42 +104,43 @@ def test_markov_lower_is_a_valid_lower_bound():
             for _ in range(n)
         ]
         ch = ParallelChannel(*zip(*subs), n0=10 ** rng.uniform(-0.5, 0.5), p_total=10 ** rng.uniform(-0.5, 1))
-        alloc = waterfill(ch.mean_gains, ch.n0, ch.p_total)
-        rate = exact_rate(ch, alloc)
+        powers = waterfill(ch.mean_gains, ch.n0, ch.p_total)[0]
+        rate = exact_rate(ch, powers)
         for kwargs in ({}, {"alpha": 0.5}, {"a_values": [0.3] * n}):
-            assert markov_lower(ch, alloc, **kwargs) <= rate + 1e-9
+            assert markov_lower(ch, powers, **kwargs) <= rate + 1e-9
 
 
 def test_markov_lower_overflowing_a_values_give_zero_terms_without_warning():
     # e^a overflows past a = 709.78, so x = (n0/p)(e^a - 1)/theta is
     # infinite and the term is a*Q(k, inf) = 0, not a warning or a nan
     ch = ParallelChannel(theta=[1.0, 1.0, 1.0], shape=1.0, n0=1.0, p_total=3.0)
-    alloc = equal_power(3, 3.0)
+    powers = equal_power(3, 3.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value = markov_lower(ch, alloc, a_values=[800.0, math.log(2.0), 1e300])
+        value = markov_lower(ch, powers, a_values=[800.0, math.log(2.0), 1e300])
     assert math.isclose(value, math.log(2.0) * math.exp(-1.0), rel_tol=1e-12)
 
 
 def test_markov_lower_vanishes_as_a_goes_to_zero():
-    ch, alloc = _single()
-    assert markov_lower(ch, alloc, a_values=[1e-12]) < 1e-11
+    ch, powers = _single()
+    assert markov_lower(ch, powers, a_values=[1e-12]) < 1e-11
 
 
 def test_markov_lower_argument_validation():
-    ch, alloc = _single()
+    ch, powers = _single()
+    for a in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"a must be positive and finite .*\(index 0\)"):
+            markov_lower(ch, powers, a_values=[a])
     with pytest.raises(ValueError):
-        markov_lower(ch, alloc, a_values=[-1.0])
+        markov_lower(ch, powers, alpha=1.5)
     with pytest.raises(ValueError):
-        markov_lower(ch, alloc, alpha=1.5)
-    with pytest.raises(ValueError):
-        markov_lower(ch, alloc, a_values=[0.5], alpha=0.5)
+        markov_lower(ch, powers, a_values=[0.5], alpha=0.5)
 
 
 def test_markov_lower_skips_zero_power_subchannels():
     ch = ParallelChannel(theta=[1.0, 1.0], shape=1.0, n0=1.0, p_total=1.0)
-    alloc = PowerAllocation(np.array([1.0, 0.0]))
-    with_zero = markov_lower(ch, alloc, a_values=[math.log(2.0), -5.0])
+    powers = np.array([1.0, 0.0])
+    with_zero = markov_lower(ch, powers, a_values=[math.log(2.0), -5.0])
     # the a value on the unpowered subchannel is irrelevant
     assert math.isclose(with_zero, math.log(2.0) * math.exp(-1.0), rel_tol=1e-12)
 
@@ -154,21 +155,21 @@ def _mixed_channel_12():
     ]
     powers = np.full(12, 0.5)
     powers[4] = 0.0
-    return ParallelChannel(*zip(*subs), n0=1.0, p_total=powers.sum()), PowerAllocation(powers)
+    return ParallelChannel(*zip(*subs), n0=1.0, p_total=powers.sum()), powers
 
 
 def test_markov_lower_mixed_channel_is_sum_of_single_subchannels():
-    ch, alloc = _mixed_channel_12()
+    ch, powers = _mixed_channel_12()
     a_values = np.linspace(0.2, 2.0, 12)
     a_values[4] = -1.0  # ignored on the unpowered subchannel
     for rule in ({}, {"alpha": 0.5}, {"a_values": a_values}):
         parts = []
-        for i, p in enumerate(alloc.powers):
+        for i, p in enumerate(powers):
             single = ParallelChannel([ch.theta[i]], ch.shape[i], n0=ch.n0, p_total=1.0)
             one = {"a_values": [a_values[i]]} if "a_values" in rule else rule
-            parts.append(markov_lower(single, PowerAllocation(np.array([p])), **one))
+            parts.append(markov_lower(single, [p], **one))
         assert parts[4] == 0.0
-        assert math.isclose(markov_lower(ch, alloc, **rule), math.fsum(parts), rel_tol=1e-14)
+        assert math.isclose(markov_lower(ch, powers, **rule), math.fsum(parts), rel_tol=1e-14)
 
 
 def test_markov_lower_max_rule_beats_a_fine_grid():
@@ -178,15 +179,15 @@ def test_markov_lower_max_rule_beats_a_fine_grid():
     # range (0, 50], where the maxima of the last two channels sit: at
     # huge power the term is a*Q(k, ~0) = a, at tiny power it falls from
     # the first grid point on.
-    ch, alloc = _mixed_channel_12()
+    ch, powers = _mixed_channel_12()
     singles = [
-        (ch.theta[i], ch.shape[i], ch.n0, p) for i, p in enumerate(alloc.powers) if p > 0.0
+        (ch.theta[i], ch.shape[i], ch.n0, p) for i, p in enumerate(powers) if p > 0.0
     ]
     singles += [(1.0, 2.0 * 64, 1.0, 1e25), (1.0, 2.0 * 64, 1.0, 1e-9)]
     grid = np.geomspace(1e-6, 50.0, 2000)
     for theta, shape, n0, p in singles:
         single = ParallelChannel([theta], shape, n0=n0, p_total=1.0)
-        best = markov_lower(single, PowerAllocation(np.array([p])))
+        best = markov_lower(single, [p])
         # Q over the whole grid in one kernel call, at x formed with
         # math.expm1: np.expm1 can differ by an ulp, which moves tail terms
         x = np.array([(n0 / p) * math.expm1(a) / theta for a in grid.tolist()])
@@ -231,9 +232,9 @@ def test_markov_max_rule_matches_mpmath_maximiser(k):
     # a*Q(k, c*expm1(a)); the tolerance is the one reg_gamma_q is held to
     mpmath = pytest.importorskip("mpmath")
     for c in (1e-3, 0.15, 1.0, 30.0):
-        ch, alloc = _single(theta=1.0, m=k, L=1, p=1.0 / c)
+        ch, powers = _single(theta=1.0, m=k, L=1, p=1.0 / c)
         assert math.isclose(
-            markov_lower(ch, alloc), _mpmath_max_markov_term(mpmath, k, c), rel_tol=1e-10
+            markov_lower(ch, powers), _mpmath_max_markov_term(mpmath, k, c), rel_tol=1e-10
         ), c
 
 
@@ -257,25 +258,25 @@ def test_markov_alpha_rule_matches_mpmath_on_a_mixed_channel():
                 x = (n0 / p) * mpmath.expm1(a) / theta
                 terms.append(a * mpmath.gammainc(k, x, mpmath.inf, regularized=True))
         oracle = float(mpmath.fsum(terms))
-    value = markov_lower(ch, PowerAllocation(powers), alpha=alpha)
+    value = markov_lower(ch, powers, alpha=alpha)
     assert value == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
 
 def test_markov_max_rule_raises_at_its_iteration_cap(monkeypatch):
     monkeypatch.setattr(rates, "_ITER_CAP", 1)
-    ch, alloc = _single(theta=1.0, m=2.0, L=4, p=3.0)
+    ch, powers = _single(theta=1.0, m=2.0, L=4, p=3.0)
     with pytest.raises(NumericError):
-        markov_lower(ch, alloc)
+        markov_lower(ch, powers)
 
 
 def test_exact_rate_additivity_and_jensen_domination():
     mpmath = pytest.importorskip("mpmath")
     ch = ParallelChannel(theta=[1.0, 1.0], shape=1.0, n0=1.0, p_total=2.0)
-    alloc = equal_power(2, 2.0)
-    rate = exact_rate(ch, alloc)
+    powers = equal_power(2, 2.0)
+    rate = exact_rate(ch, powers)
     assert math.isclose(rate, 2.0 * math.e * float(mpmath.e1(1.0)), rel_tol=1e-9)
-    assert rate <= jensen_upper(ch, alloc)
-    half = PowerAllocation(np.array([2.0, 0.0]))
+    assert rate <= jensen_upper(ch, powers)
+    half = np.array([2.0, 0.0])
     assert math.isclose(exact_rate(ch, half), _rate_of_one(1.0, 1.0, 1, 2.0, 1.0), rel_tol=1e-12)
 
 
@@ -286,60 +287,60 @@ def test_exact_rate_matches_integer_shape_closed_form_at_20_db():
     mp = pytest.importorskip("mpmath")
     ch = build_decay_profile(64, 5e9, 6e9, 3.0, 1.0, 4, 1.0, 1.0)
     ch = ch.with_power(snr_db_to_power(ch.n, ch.n0, 20.0))
-    alloc = waterfill(ch.mean_gains, ch.n0, ch.p_total)
+    powers = waterfill(ch.mean_gains, ch.n0, ch.p_total)[0]
     with mp.workdps(30):
         ref = mp.mpf(0)
-        for theta, p in zip(ch.theta, alloc.powers):
+        for theta, p in zip(ch.theta, powers):
             if p > 0.0:
                 s = ch.n0 / (mp.mpf(float(p)) * mp.mpf(float(theta)))
                 ref += mp.exp(s) * mp.fsum(s**j * mp.gammainc(-j, s) for j in range(4))
-    assert exact_rate(ch, alloc) == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+    assert exact_rate(ch, powers) == pytest.approx(float(ref), rel=1e-13, abs=0.0)
 
 
 def test_empirical_rate_matches_exact_rate():
     ch = build_decay_profile(4, 5e9, 6e9, 3.0, 1.0, 2, 1.0, 4.0)
-    alloc = waterfill(ch.mean_gains, ch.n0, ch.p_total)
+    powers = waterfill(ch.mean_gains, ch.n0, ch.p_total)[0]
     gains = simo_gains(generate_snapshots(ch, 100_000, seed=77, n_branches=2), range(2))
-    emp = empirical_rate(gains, alloc, ch.n0)
-    per_snapshot = np.log1p(gains * (alloc.powers / ch.n0)).sum(axis=1)
+    emp = empirical_rate(gains, powers, ch.n0)
+    per_snapshot = np.log1p(gains * (powers / ch.n0)).sum(axis=1)
     se = per_snapshot.std(ddof=1) / math.sqrt(per_snapshot.size)
-    assert abs(emp - exact_rate(ch, alloc)) <= 3.0 * se
+    assert abs(emp - exact_rate(ch, powers)) <= 3.0 * se
 
 
 def test_empirical_rate_single_snapshot_and_permutation_invariance():
     ch = build_decay_profile(3, 5e9, 6e9, 3.0, 1.0, 2, 1.0, 1.0)
-    alloc = equal_power(3, 1.0)
+    powers = equal_power(3, 1.0)
     gains = simo_gains(generate_snapshots(ch, 50, seed=5, n_branches=2), range(2))
-    single = empirical_rate(gains[:1], alloc, ch.n0)
+    single = empirical_rate(gains[:1], powers, ch.n0)
     expected = sum(
         math.log1p(float(p) * float(g) / ch.n0)
-        for g, p in zip(gains[0], alloc.powers)
+        for g, p in zip(gains[0], powers)
     )
     assert math.isclose(single, expected, rel_tol=1e-12)
     rng = np.random.default_rng(0)
     shuffled = gains[rng.permutation(50)]
     assert math.isclose(
-        empirical_rate(gains, alloc, ch.n0), empirical_rate(shuffled, alloc, ch.n0), rel_tol=1e-12
+        empirical_rate(gains, powers, ch.n0), empirical_rate(shuffled, powers, ch.n0), rel_tol=1e-12
     )
 
 
 def test_empirical_rate_validates_its_inputs():
-    alloc = equal_power(2, 1.0)
+    powers = equal_power(2, 1.0)
     gains = np.array([[1.0, 2.0], [0.5, 0.0]])
-    assert empirical_rate(gains.tolist(), alloc, 1.0) == empirical_rate(gains, alloc, 1.0)
+    assert empirical_rate(gains.tolist(), powers, 1.0) == empirical_rate(gains, powers, 1.0)
     # the noise level is checked as waterfill checks it: nan and inf are not noise levels
     for n0 in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="n0 must be positive and finite"):
-            empirical_rate(gains, alloc, n0)
+            empirical_rate(gains, powers, n0)
     # a (snapshots, subchannels) array with one column per power, at least one row
     for shape_fault in (gains[0], gains[:, :1], gains[:0], gains[None]):
         with pytest.raises(ValueError, match=r"gains must be a \(snapshots, 2\) array"):
-            empirical_rate(shape_fault, alloc, 1.0)
+            empirical_rate(shape_fault, powers, 1.0)
     for bad in (-0.5, math.nan, math.inf):
         faulty = gains.copy()
         faulty[1, 0] = bad
         with pytest.raises(ValueError, match="gains must be finite and nonnegative"):
-            empirical_rate(faulty, alloc, 1.0)
+            empirical_rate(faulty, powers, 1.0)
 
 
 def test_mpe_values_and_errors():
@@ -372,9 +373,9 @@ def test_bound_ratio_validates_its_parameters():
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, math.inf, math.nan])
 def test_every_alpha_rule_rejects_alpha_outside_the_unit_interval(alpha):
-    ch, alloc = _single()
+    ch, powers = _single()
     calls = (
-        lambda: markov_lower(ch, alloc, alpha=alpha),
+        lambda: markov_lower(ch, powers, alpha=alpha),
         lambda: bound_ratio(m=1.0, L=4, beta=1.0, alpha=alpha),
         lambda: bound_ratio_expansion(1.0, 4.0, alpha),
     )
@@ -415,8 +416,8 @@ def test_bound_ratio_equals_bound_quotient_for_single_subchannel():
         n0 = 10 ** rng.uniform(-0.5, 0.5)
         p = 10 ** rng.uniform(-1, 1)
         alpha = float(rng.uniform(0.1, 0.9))
-        ch, alloc = _single(theta=theta, m=m, L=L, n0=n0, p=p)
-        quotient = markov_lower(ch, alloc, alpha=alpha) / jensen_upper(ch, alloc)
+        ch, powers = _single(theta=theta, m=m, L=L, n0=n0, p=p)
+        quotient = markov_lower(ch, powers, alpha=alpha) / jensen_upper(ch, powers)
         direct = bound_ratio(m=m, L=L, beta=p * theta * m / n0, alpha=alpha)
         assert abs(quotient - direct) <= 1e-12
 
@@ -457,7 +458,7 @@ def test_awgn_reference_symmetric_case_and_identity():
         snr_db = 10.0 * math.log10(10 ** rng.uniform(-0.5, 1) / chr_.n)  # budget 10**U(-0.5, 1)
         table = rate_table(lambda L: chr_, [1], [snr_db], ["equal"], markov=False)
         at_snr = chr_.with_power(snr_db_to_power(chr_.n, chr_.n0, snr_db))
-        swf = waterfill(at_snr.mean_gains, at_snr.n0, at_snr.p_total)
+        swf = waterfill(at_snr.mean_gains, at_snr.n0, at_snr.p_total)[0]
         assert table["c_upper"][0] == jensen_upper(at_snr, swf)
 
 
@@ -475,9 +476,9 @@ def test_rate_table_columns_equal_the_primitives():
         for L in (2, 4):
             for snr_db in (-5.0, 5.0):
                 ch = profile(L).with_power(snr_db_to_power(8, 1.0, snr_db))
-                swf = waterfill(ch.mean_gains, ch.n0, ch.p_total)
+                swf = waterfill(ch.mean_gains, ch.n0, ch.p_total)[0]
                 allocs = (swf, equal_power(ch.n, ch.p_total), optimal_allocation(ch))
-                for strategy, alloc in zip(strategies, allocs):
+                for strategy, powers in zip(strategies, allocs):
                     assert table["L"][row] == L
                     assert table["snr_db"][row] == snr_db
                     assert table["strategy"][row] == strategy
@@ -485,8 +486,8 @@ def test_rate_table_columns_equal_the_primitives():
                     c_exact = table["c_lower_exact"][row]
                     c_markov = table["c_lower_markov"][row]
                     assert c_upper == jensen_upper(ch, swf)
-                    assert c_exact == exact_rate(ch, alloc)
-                    assert c_markov == markov_lower(ch, alloc, alpha=alpha)
+                    assert c_exact == exact_rate(ch, powers)
+                    assert c_markov == markov_lower(ch, powers, alpha=alpha)
                     assert table["mpe_percent"][row] == mpe(c_upper, c_exact)
                     assert c_upper >= c_exact >= c_markov >= 0.0
                     row += 1
@@ -494,14 +495,45 @@ def test_rate_table_columns_equal_the_primitives():
 
 def test_rate_table_without_markov_and_with_a_callable_strategy():
     def fixed(ch):
-        return PowerAllocation(np.full(ch.n, ch.p_total / ch.n), strategy_tag="fixed-equal")
+        return np.full(ch.n, ch.p_total / ch.n)
 
     table = rate_table(_cubic_profile(8), [4], [0.0, 10.0], [fixed, "equal"], markov=False)
     assert np.isnan(table["c_lower_markov"]).all()
-    assert table["strategy"].tolist() == ["fixed-equal", "equal", "fixed-equal", "equal"]
+    assert table["strategy"].tolist() == ["custom", "equal", "custom", "equal"]
     # the callable gives equal power, so its rows repeat the "equal" rows
     for name in ("c_upper", "c_lower_exact", "mpe_percent"):
         assert np.array_equal(table[name][0::2], table[name][1::2])
+
+
+def test_rate_table_rejects_an_unknown_tag_and_a_wrong_length_allocation():
+    profile = _cubic_profile(8)
+    with pytest.raises(ValueError, match="unknown strategy 'waterfill'"):
+        rate_table(profile, [4], [0.0], ["equal", "waterfill"])
+
+    def short(ch):
+        return np.full(ch.n - 1, ch.p_total / (ch.n - 1))
+
+    with pytest.raises(ValueError, match="powers must be a 1-D vector of 8 entries"):
+        rate_table(profile, [4], [0.0], [short])
+
+
+@pytest.mark.parametrize(
+    "powers",
+    [[[1.0, 1.0]], [1.0], [1.0, -0.1], [1.0, math.nan], [1.0, math.inf]],
+    ids=["2-D", "too-short", "negative", "nan", "inf"],
+)
+def test_every_rate_rejects_bad_powers(powers):
+    # an allocation is a plain array, so each rate checks the powers it is given
+    ch = ParallelChannel(theta=[1.0, 2.0], shape=1.0, n0=1.0, p_total=2.0)
+    calls = (
+        lambda: jensen_upper(ch, powers),
+        lambda: exact_rate(ch, powers),
+        lambda: markov_lower(ch, powers),
+        lambda: empirical_rate(np.ones((3, 2)), powers, 1.0),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=r"powers must be|gains must be a \(snapshots, 1\)"):
+            call()
 
 
 def test_bound_sandwich_on_random_instances():
@@ -518,10 +550,10 @@ def test_bound_sandwich_on_random_instances():
         n0 = 1.0
         snr_db = rng.uniform(-20, 20)
         ch = ParallelChannel(*zip(*subs), n0=n0, p_total=snr_db_to_power(n, n0, snr_db))
-        alloc = waterfill(ch.mean_gains, ch.n0, ch.p_total)
-        lower = markov_lower(ch, alloc)
-        rate = exact_rate(ch, alloc)
-        upper = jensen_upper(ch, alloc)
+        powers = waterfill(ch.mean_gains, ch.n0, ch.p_total)[0]
+        lower = markov_lower(ch, powers)
+        rate = exact_rate(ch, powers)
+        upper = jensen_upper(ch, powers)
         assert rate - lower >= -1e-9
         assert upper - rate >= -1e-9
 
@@ -549,7 +581,7 @@ def test_convergence_study_separates_waterfilling_from_fixed_allocation():
     weights /= weights.sum()
 
     def fixed_custom(ch):
-        return PowerAllocation(weights * ch.p_total, strategy_tag="custom")
+        return weights * ch.p_total
 
     orders = [1, 2, 4, 8, 16]
     table = rate_table(
@@ -571,12 +603,12 @@ def test_convergence_study_input_validation():
 def test_waterfill_rate_ratio_is_insensitive_to_perturbations():
     profile = _cubic_profile()
     ch = profile(64).with_power(snr_db_to_power(64, 1.0, 5.0))
-    swf = waterfill(ch.mean_gains, ch.n0, ch.p_total)
+    swf = waterfill(ch.mean_gains, ch.n0, ch.p_total)[0]
     upper = jensen_upper(ch, swf)
     base = exact_rate(ch, swf) / upper
     rng = np.random.default_rng(7)
     for _ in range(5):
-        perturbed = swf.powers * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, ch.n))
-        perturbed = PowerAllocation(perturbed * ch.p_total / perturbed.sum())
+        perturbed = swf * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, ch.n))
+        perturbed = perturbed * ch.p_total / perturbed.sum()
         ratio = exact_rate(ch, perturbed) / upper
         assert abs(ratio - base) <= 0.01

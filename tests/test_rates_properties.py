@@ -6,7 +6,6 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from simocap.alloc import PowerAllocation  # noqa: E402
 from simocap.channel import ParallelChannel  # noqa: E402
 from simocap.rates import exact_rate, jensen_upper, markov_lower  # noqa: E402
 
@@ -25,10 +24,10 @@ def test_markov_lower_exact_and_jensen_are_ordered_for_every_a_rule(subs, alpha)
     log_mu, m, L, log_p, a = zip(*subs)
     m, L = np.array(m), np.array(L)
     ch = ParallelChannel(10.0 ** np.array(log_mu) / (m * L), m * L, n0=1.0, p_total=1.0)
-    alloc = PowerAllocation(np.array([0.0 if v is None else 10.0**v for v in log_p]))
+    powers = np.array([0.0 if v is None else 10.0**v for v in log_p])
     # Both inequalities hold exactly (Markov's, then Jensen's); the slack is
     # the quadrature's 1e-13 relative accuracy on the exact rate.
-    exact = exact_rate(ch, alloc)
-    assert exact <= jensen_upper(ch, alloc) + 1e-13 * exact
+    exact = exact_rate(ch, powers)
+    assert exact <= jensen_upper(ch, powers) + 1e-13 * exact
     for rule in ({}, {"alpha": alpha}, {"a_values": list(a)}):
-        assert markov_lower(ch, alloc, **rule) <= exact * (1.0 + 1e-13), rule
+        assert markov_lower(ch, powers, **rule) <= exact * (1.0 + 1e-13), rule
