@@ -41,10 +41,11 @@ def main():
     # statistical vs instantaneous waterfilling on a fading channel
     means = np.array([0.4, 0.9, 1.6, 2.3])
     # two Rayleigh branches (m = 1, L = 2) per subchannel: gain Gamma(2, mean/2)
-    channel = ParallelChannel(theta=means / 2.0, shape=2.0, n0=1.0, p_total=2.0)
-    statistical = waterfill(channel.mean_gains, channel.n0, channel.p_total)[0]
+    channel = ParallelChannel(theta=means / 2.0, shape=2.0, n0=1.0)
+    p_total = 2.0
+    statistical = waterfill(channel.mean_gains, channel.n0, p_total)[0]
     snapshot = simo_gains(generate_snapshots(channel, 1, seed=4, n_branches=2), range(2))[0]
-    instantaneous = waterfill(snapshot, channel.n0, channel.p_total)[0]
+    instantaneous = waterfill(snapshot, channel.n0, p_total)[0]
     print("\nStatistical (mean gains) vs instantaneous (one snapshot):")
     print("  mean gains:", np.round(channel.mean_gains, 3))
     print("  snapshot:  ", np.round(snapshot, 3))

@@ -22,12 +22,12 @@ def main():
 
     def profile(L):
         return build_decay_profile(
-            n_bins, 5e9, 6e9, decay_exponent=3.0, m=1.0, L=L, n0=1.0, p_total=1.0
+            n_bins, 5e9, 6e9, decay_exponent=3.0, m=1.0, L=L, n0=1.0
         )
 
-    base = profile(4)
+    channel = profile(4)
     print(f"{n_bins} bins over 5-6 GHz, mean gain falling like f^-3, "
-          f"spread {base.mean_gains.min():.3f}..{base.mean_gains.max():.3f} (avg 1)")
+          f"spread {channel.mean_gains.min():.3f}..{channel.mean_gains.max():.3f} (avg 1)")
 
     # rates are normalized by the AWGN reference, which is the upper bound
     table = rate_table(
@@ -42,8 +42,7 @@ def main():
     print("where only the strongest subchannels deserve power.")
 
     # the Markov bound's free parameter: closed-form rule vs maximization
-    channel = base.with_power(snr_db_to_power(n_bins, base.n0, 0.0))
-    powers = equal_power(channel.n, channel.p_total)
+    powers = equal_power(n_bins, snr_db_to_power(n_bins, channel.n0, 0.0))
     print("\nMarkov lower bound at 0 dB under different parameter rules:")
     for alpha in (0.3, 0.6, 0.9):
         print(f"  alpha = {alpha:.1f}: {markov_lower(channel, powers, alpha=alpha):8.4f} nats")

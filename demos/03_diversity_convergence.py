@@ -24,7 +24,7 @@ from simocap import (
 
 
 def profile(L):
-    return build_decay_profile(64, 5e9, 6e9, 3.0, 1.0, L, 1.0, 1.0)
+    return build_decay_profile(64, 5e9, 6e9, 3.0, 1.0, L, 1.0)
 
 
 def main():
@@ -35,7 +35,7 @@ def main():
         profile,
         orders,
         [5.0],
-        ["statistical-waterfill", lambda ch: weights * ch.p_total],
+        ["statistical-waterfill", lambda ch, p_total: weights * p_total],
         markov=False,
     )
     # one row per (L, strategy): waterfilling's MPEs, then the fixed allocation's

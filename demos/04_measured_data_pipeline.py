@@ -34,9 +34,9 @@ from simocap import (
 )
 
 
-def print_rates(label, channel):
+def print_rates(label, channel, p_total):
     # Jensen upper bound, exact rate and Markov lower bound at statistical waterfilling
-    swf = waterfill(channel.mean_gains, channel.n0, channel.p_total)[0]
+    swf = waterfill(channel.mean_gains, channel.n0, p_total)[0]
     rates = jensen_upper(channel, swf), exact_rate(channel, swf), markov_lower(channel, swf)
     print(f"  {label:<16}" + "".join(f"{r:12.4f}" for r in rates))
 
@@ -44,7 +44,7 @@ def print_rates(label, channel):
 def main():
     branches = 4
     truth = build_decay_profile(
-        6, 5e9, 6e9, decay_exponent=3.0, m=1.0, L=branches, n0=1.0, p_total=1.0
+        6, 5e9, 6e9, decay_exponent=3.0, m=1.0, L=branches, n0=1.0
     )
     snapshots = generate_snapshots(truth, n_snapshots=4000, seed=2, n_branches=branches)
     print(f"synthesized {snapshots.snapshots} snapshots x {snapshots.branches} branches "
@@ -77,11 +77,11 @@ def main():
     # true law of the normalized gains, Gamma(m*L, expected/(m*L)), at 5 dB
     shapes, scales = (np.array(v) for v in zip(*fits))
     p_total = snr_db_to_power(normalized.n_bins, 1.0, 5.0)
-    fitted = ParallelChannel(theta=scales, shape=shapes, n0=1.0, p_total=p_total)
-    true = ParallelChannel(expected / truth.shape, truth.shape, n0=1.0, p_total=p_total)
+    fitted = ParallelChannel(theta=scales, shape=shapes, n0=1.0)
+    true = ParallelChannel(expected / truth.shape, truth.shape, n0=1.0)
     print(f"\n  {'at 5 dB, nats':<16}" + "".join(f"{h:>12}" for h in ("Jensen", "exact", "Markov")))
-    print_rates("fitted channel", fitted)
-    print_rates("true channel", true)
+    print_rates("fitted channel", fitted, p_total)
+    print_rates("true channel", true, p_total)
     print("\nthe moment fits recover the combined shape m*L per bin, so the")
     print("capacity machinery can be driven directly from measured data.")
 

@@ -3,8 +3,9 @@
 The library models a parallel channel whose subchannels each combine L
 independent Nakagami-m diversity branches, so each power gain is
 Gamma(m*L, theta).  A ``ParallelChannel`` holds these laws as arrays
-``theta`` and ``shape``, and an allocation is a plain array of powers,
-one per subchannel.  The library provides:
+``theta`` and ``shape`` next to one noise level.  Each allocator takes
+the total power budget it splits, and an allocation is a plain array of
+powers, one per subchannel.  The library provides:
 
 * exact water-level power allocation (statistical or instantaneous) and
   the exact distribution-aware optimum over the power simplex,

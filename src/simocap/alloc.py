@@ -1,6 +1,7 @@
 """Power allocation strategies over a parallel channel.
 
-An allocation is a float array of nonnegative per-subchannel powers.
+An allocation is a float array of nonnegative per-subchannel powers, and
+every allocator takes the total power budget ``p_total`` it splits.
 ``waterfill`` is the exact active-set water-level solver; fed the mean
 gains it is statistical waterfilling, fed realized gains it is
 instantaneous waterfilling.  ``optimal_allocation`` maximizes the exact
@@ -70,8 +71,8 @@ def equal_power(n: int, p_total: float) -> np.ndarray:
     return np.full(int(n), p_total / n)
 
 
-def optimal_allocation(channel: ParallelChannel) -> np.ndarray:
-    """Exact maximizer of the ergodic sum rate over the power simplex.
+def optimal_allocation(channel: ParallelChannel, p_total: float) -> np.ndarray:
+    """Exact maximizer of the ergodic sum rate over the power simplex sum p_n = p_total.
 
     The objective sum_n E[log(1 + p_n*g_n/n0)] is strictly concave, so the
     optimum is characterized by a shared multiplier lam on the marginal
@@ -84,7 +85,7 @@ def optimal_allocation(channel: ParallelChannel) -> np.ndarray:
     waterfilling with slopes 1/D_n.  It stops once the active marginals
     agree to 1e-12 relative and no inactive mu_n/n0 exceeds them.
     """
-    n0, p_total = channel.n0, channel.p_total
+    n0, p_total = channel.n0, _positive("p_total", p_total)
     powers = waterfill(channel.mean_gains, n0, p_total)[0]
 
     def expectation(k):

@@ -3,12 +3,13 @@
 A subchannel that combines L independent Nakagami-m branches of common
 scale theta has power gain Gamma(m*L, theta), and the bounds depend on it
 only through that law.  A parallel channel holds N such laws as arrays
-``theta`` and ``shape`` (index n is subchannel n), sharing one noise level
-and one total power budget; m and L are arguments of the builders only.
+``theta`` and ``shape`` (index n is subchannel n), sharing one noise
+level; m and L are arguments of the builders only, and the total power
+budget is an argument of the allocators.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,8 +45,14 @@ def _positive(name: str, value) -> float:
     return value
 
 
-def _positive_integer(name: str, value) -> None:
-    # a count, such as L or a number of bins: a whole number from 1 to the largest float
+# the entries of the longest float64 array numpy can address; past it, numpy's own
+# errors name no input (linspace even raises IndexError within 512 of the intp maximum)
+_COUNT_MAX = int(np.iinfo(np.intp).max) // np.dtype(float).itemsize
+
+
+def _positive_integer(name: str, value, most=_COUNT_MAX) -> None:
+    # a count, such as L or a number of bins: a whole number from 1 to the largest float,
+    # and by default no more than the entries of the longest float array
     try:
         whole = float(value).is_integer()
     except OverflowError:  # an integer past the largest float
@@ -54,19 +61,21 @@ def _positive_integer(name: str, value) -> None:
         ) from None
     if not (value >= 1 and whole):
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    if value > most:
+        raise ValueError(f"{name} must be a positive integer at most {most}, got {value!r}")
 
 
 def _branch_shape(m: float, L) -> float:
-    # shape m*L of the gain summed over L Nakagami-m branches
+    # shape m*L of the gain summed over L Nakagami-m branches; L sizes no array
     if not (m >= 0.5 and math.isfinite(m)):
         raise ValueError(f"m must be >= 0.5, got {m!r}")
-    _positive_integer("L", L)
+    _positive_integer("L", L, most=math.inf)
     return m * L
 
 
 @dataclass(frozen=True, eq=False)
 class ParallelChannel:
-    """N gamma-fading subchannels sharing one noise level and power budget.
+    """N gamma-fading subchannels sharing one noise level.
 
     Subchannel n has power gain Gamma(shape[n], theta[n]) with scale
     theta[n] > 0 (linear power gain units) and shape[n] in [0.1, 1e5], and
@@ -78,7 +87,6 @@ class ParallelChannel:
     theta: np.ndarray
     shape: np.ndarray
     n0: float
-    p_total: float
     freqs_hz: np.ndarray | None = None
     mean_gains: np.ndarray = field(init=False, repr=False)
 
@@ -91,24 +99,20 @@ class ParallelChannel:
         if bad.size:
             raise ValueError(f"theta must be positive and finite, got {float(bad[0])!r}")
         _check_shapes(shape)
-        n0, p_total = _positive("n0", self.n0), _positive("p_total", self.p_total)
+        n0 = _positive("n0", self.n0)
         freqs = None if self.freqs_hz is None else _per_subchannel("freqs_hz", self.freqs_hz, n)
         mean_gains = _per_subchannel("mean_gains", theta * shape, n)
-        fields = dict(theta=theta, shape=shape, n0=n0, p_total=p_total, freqs_hz=freqs)
+        fields = dict(theta=theta, shape=shape, n0=n0, freqs_hz=freqs)
         for name, value in dict(fields, mean_gains=mean_gains).items():
             object.__setattr__(self, name, value)
 
     def __reduce__(self):
         # pickle and deepcopy rebuild through __init__, so copies stay read-only
-        return type(self), (self.theta, self.shape, self.n0, self.p_total, self.freqs_hz)
+        return type(self), (self.theta, self.shape, self.n0, self.freqs_hz)
 
     @property
     def n(self) -> int:
         return self.theta.size
-
-    def with_power(self, p_total: float) -> "ParallelChannel":
-        """Same channel under a different total power budget."""
-        return replace(self, p_total=p_total)
 
 
 def build_decay_profile(
@@ -119,7 +123,6 @@ def build_decay_profile(
     m: float,
     L: int,
     n0: float,
-    p_total: float,
 ) -> ParallelChannel:
     """Frequency-selective profile with mean gains falling off like f^(-decay_exponent).
 
@@ -139,7 +142,7 @@ def build_decay_profile(
         freqs = np.linspace(f_lo_hz, f_hi_hz, int(n_bins))
     weights = freqs ** (-float(decay_exponent))
     mu = weights / weights.mean()
-    return ParallelChannel(theta=mu / shape, shape=shape, n0=n0, p_total=p_total, freqs_hz=freqs)
+    return ParallelChannel(theta=mu / shape, shape=shape, n0=n0, freqs_hz=freqs)
 
 
 def fit_gamma_moments(samples) -> tuple[float, float]:

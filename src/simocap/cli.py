@@ -32,7 +32,7 @@ from .ingest import (
     write_channel_csv,
     _write_atomic,
 )
-from .rates import LN2, STRATEGY_TAGS, mpe_slope, rate_table
+from .rates import LN2, STRATEGY_TAGS, _alpha, mpe_slope, rate_table
 from .specfun import NumericError
 
 EXIT_OK = 0
@@ -116,12 +116,14 @@ def _parse_a_rule(a_rule: str) -> float | None:
     """'max' selects per-subchannel maximization; 'alpha=X' the closed-form rule."""
     if a_rule == "max":
         return None
-    if a_rule.startswith("alpha="):
-        alpha = float(a_rule[len("alpha="):])
-        if not (0.0 < alpha < 1.0):
-            raise ValueError("a_rule alpha must lie strictly between 0 and 1")
-        return alpha
-    raise ValueError(f"a_rule must be 'max' or 'alpha=<value>', got {a_rule!r}")
+    name, _, value = a_rule.partition("=")
+    try:
+        alpha = float(value) if name == "alpha" else None
+    except ValueError:  # not a number
+        alpha = None
+    if alpha is None:
+        raise ValueError(f"a_rule must be 'max' or 'alpha=<value>', got {a_rule!r}")
+    return _alpha(alpha)
 
 
 def _parse_list(text: str, typ) -> list:
@@ -188,7 +190,6 @@ def _profile_channel(cfg: ExperimentConfig, L: int):
         m=cfg.m,
         L=L,
         n0=NOISE_VAR,
-        p_total=1.0,
     )
 
 

@@ -116,46 +116,24 @@ def _max_markov_terms(shape, theta, p, n0: float) -> np.ndarray:
     raise NumericError(f"Markov parameter search did not converge in {_ITER_CAP} steps")
 
 
-def markov_lower(
-    channel: ParallelChannel,
-    powers,
-    a_values: Sequence[float] | None = None,
-    alpha: float | None = None,
-) -> float:
+def markov_lower(channel: ParallelChannel, powers, alpha: float | None = None) -> float:
     """Markov-inequality lower bound sum_n a_n * Pr(g_n >= (n0/p_n)(e^{a_n}-1)).
 
-    The free parameters a_n, positive and finite, are given explicitly
-    (``a_values``), set by the rule a_n = log(1 + alpha*p_n*mu_n/n0), the
-    paper's log(1 + alpha*beta*L) (``alpha``), or, by default, chosen per
-    subchannel by numerical maximization of the term over a in [1e-6, 50].
-    Zero-power subchannels contribute zero.  Raises ``NumericError`` if
-    the maximization does not converge.
+    The free parameters a_n > 0 are set by the rule a_n = log(1 +
+    alpha*p_n*mu_n/n0), the paper's log(1 + alpha*beta*L) (``alpha``), or,
+    by default, chosen per subchannel by numerical maximization of the
+    term over a in [1e-6, 50].  Zero-power subchannels contribute zero.
+    Raises ``NumericError`` if the maximization does not converge.
     """
-    if a_values is not None and alpha is not None:
-        raise ValueError("give at most one of a_values and alpha")
     powers = _powers(powers, channel.n)
-    if a_values is not None and len(a_values) != channel.n:
-        raise ValueError("a_values length does not match the channel")
-    if alpha is not None:
-        alpha = _alpha(alpha)
-
     n0 = channel.n0
     on = powers > 0.0
-    p = powers[on]
-    theta = channel.theta[on]
-    shape = channel.shape[on]
-    if a_values is not None:
-        a = np.asarray(a_values, dtype=float)
-        bad = np.flatnonzero(on & ~((0.0 < a) & (a < math.inf)))
-        if bad.size:
-            raise ValueError(
-                f"a must be positive and finite where power is positive (index {bad[0]})"
-            )
-        terms = _markov_terms(a[on], shape, theta, p, n0)
-    elif alpha is not None:
-        terms = _markov_terms(np.log1p(alpha * (p * theta / n0) * shape), shape, theta, p, n0)
-    else:
+    p, theta, shape = powers[on], channel.theta[on], channel.shape[on]
+    if alpha is None:
         terms = _max_markov_terms(shape, theta, p, n0)
+    else:
+        a = np.log1p(_alpha(alpha) * (p * theta / n0) * shape)
+        terms = _markov_terms(a, shape, theta, p, n0)
     return float(terms.sum())
 
 
@@ -252,10 +230,10 @@ def snr_db_to_power(channel_n: int, n0: float, snr_db: float) -> float:
         raise ValueError(f"SNR {snr_db!r} dB gives a power that overflows") from None
 
 
-# each strategy tag's allocation of a channel's power budget
+# each strategy tag's allocation of a power budget over a channel
 _STRATEGIES = {
-    "statistical-waterfill": lambda ch: waterfill(ch.mean_gains, ch.n0, ch.p_total)[0],
-    "equal": lambda ch: equal_power(ch.n, ch.p_total),
+    "statistical-waterfill": lambda ch, p_total: waterfill(ch.mean_gains, ch.n0, p_total)[0],
+    "equal": lambda ch, p_total: equal_power(ch.n, p_total),
     "optimal": optimal_allocation,
 }
 STRATEGY_TAGS = tuple(_STRATEGIES)
@@ -269,17 +247,17 @@ def rate_table(
     profile: Callable[[int], ParallelChannel],
     l_values: Sequence[int],
     snr_db_values: Sequence[float],
-    strategies: Sequence[str | Callable[[ParallelChannel], np.ndarray]],
+    strategies: Sequence[str | Callable[[ParallelChannel, float], np.ndarray]],
     *,
     alpha: float | None = None,
     markov: bool = True,
 ) -> dict[str, np.ndarray]:
     """Bounds and rates over a grid of diversity orders, SNRs and strategies.
 
-    ``profile(L)`` gives the channel of diversity order L once, and
-    ``snr_db_to_power`` sets its power budget for each SNR.  A strategy
-    is one of ``STRATEGY_TAGS`` or a callable from the channel to its
-    powers array.
+    ``profile(L)`` gives the channel of diversity order L, built once per
+    L; each SNR gives the power budget ``snr_db_to_power(n, n0, snr_db)``
+    that every strategy splits.  A strategy is one of ``STRATEGY_TAGS`` or
+    a callable ``(channel, p_total) -> powers``.
 
     ``c_upper`` is the Jensen bound at the statistical-waterfilling
     allocation, the bound on capacity itself.  Waterfilling on the mean
@@ -302,12 +280,12 @@ def rate_table(
         raise ValueError(f"unknown strategy {exc.args[0]!r}") from None
     rows = []
     for L in l_values:
-        base = profile(L)
+        ch = profile(L)
         for snr_db in map(float, snr_db_values):
-            ch = base.with_power(snr_db_to_power(base.n, base.n0, snr_db))
-            c_upper = jensen_upper(ch, _STRATEGIES["statistical-waterfill"](ch))
+            p_total = snr_db_to_power(ch.n, ch.n0, snr_db)
+            c_upper = jensen_upper(ch, _STRATEGIES["statistical-waterfill"](ch, p_total))
             for tag, allocate in allocators:
-                powers = allocate(ch)
+                powers = allocate(ch, p_total)
                 c_exact = exact_rate(ch, powers)
                 c_markov = markov_lower(ch, powers, alpha=alpha) if markov else math.nan
                 rows.append((int(L), snr_db, tag, c_upper, c_exact, c_markov,

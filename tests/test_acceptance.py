@@ -50,7 +50,7 @@ def criterion(label):
 
 def _cubic_profile(n_bins=64):
     def profile(L):
-        return build_decay_profile(n_bins, 5e9, 6e9, 3.0, 1.0, L, 1.0, 1.0)
+        return build_decay_profile(n_bins, 5e9, 6e9, 3.0, 1.0, L, 1.0)
 
     return profile
 
@@ -152,8 +152,8 @@ def test_criterion_2_convergence_separation():
         weights = 1.0 + 0.3 * np.cos(2.0 * np.pi * np.arange(64) / 64.0)
         weights /= weights.sum()
 
-        def fixed_custom(ch):
-            return weights * ch.p_total
+        def fixed_custom(ch, p_total):
+            return weights * p_total
 
         table = rate_table(
             profile, orders, [5.0], ["statistical-waterfill", fixed_custom], markov=False
@@ -181,8 +181,8 @@ def test_criterion_3_bound_sandwich_randomized():
                 for _ in range(n)
             ]
             snr_db = float(rng.uniform(-20.0, 20.0))
-            ch = ParallelChannel(*zip(*subs), n0=1.0, p_total=snr_db_to_power(n, 1.0, snr_db))
-            powers = waterfill(ch.mean_gains, ch.n0, ch.p_total)[0]
+            ch = ParallelChannel(*zip(*subs), n0=1.0)
+            powers = waterfill(ch.mean_gains, ch.n0, snr_db_to_power(n, 1.0, snr_db))[0]
             lower = markov_lower(ch, powers)
             rate = exact_rate(ch, powers)
             upper = jensen_upper(ch, powers)
@@ -240,7 +240,7 @@ def test_criterion_4a_ratio_limit_at_large_diversity():
         # The default max a-rule maximizes over a family that contains
         # a = log(1 + alpha_L*beta*L), so on the same subchannel (beta =
         # p*theta*m/n0 = 1) its bound quotient is at least the alpha_L ratio.
-        ch = ParallelChannel(theta=[1.0], shape=1.0 * L, n0=1.0, p_total=1.0)
+        ch = ParallelChannel(theta=[1.0], shape=1.0 * L, n0=1.0)
         powers = np.array([1.0])
         quotient = markov_lower(ch, powers) / jensen_upper(ch, powers)
         assert quotient >= value, f"max-rule quotient {quotient:.6f} below alpha_L ratio {value:.6f}"
@@ -266,7 +266,7 @@ def test_criterion_4c_ratio_identity_with_bound_quotient():
             n0 = 10 ** rng.uniform(-0.5, 0.5)
             p = 10 ** rng.uniform(-1, 1)
             alpha = float(rng.uniform(0.1, 0.9))
-            ch = ParallelChannel([theta], m * L, n0=n0, p_total=p)
+            ch = ParallelChannel([theta], m * L, n0=n0)
             powers = np.array([p])
             quotient = markov_lower(ch, powers, alpha=alpha) / jensen_upper(ch, powers)
             direct = bound_ratio(m=m, L=L, beta=p * theta * m / n0, alpha=alpha)
@@ -282,7 +282,6 @@ def test_criterion_5_quadrature_against_monte_carlo():
                 theta=[10 ** rng.uniform(-1, 1)],
                 shape=float(rng.choice([0.5, 1.0, 2.0, 4.0])) * int(rng.integers(1, 9)),
                 n0=1.0,
-                p_total=1.0,
             )
             p = 10 ** rng.uniform(-1, 1)
             n0 = 1.0
@@ -293,7 +292,7 @@ def test_criterion_5_quadrature_against_monte_carlo():
                 f"quad {value} vs MC {draws.mean()} (se {se:.2e})"
             )
         closed = math.e * float(mpmath.e1(1.0))
-        unit_channel = ParallelChannel(theta=[1.0], shape=1.0, n0=1.0, p_total=1.0)
+        unit_channel = ParallelChannel(theta=[1.0], shape=1.0, n0=1.0)
         unit = exact_rate(unit_channel, [1.0])
         assert abs(unit - 0.5963474) <= 1e-6
         assert math.isclose(unit, closed, rel_tol=1e-9)
@@ -340,8 +339,8 @@ def test_criterion_7_exact_optimum_grid_search_and_dominance():
                 )
                 for _ in range(2)
             ]
-            ch = ParallelChannel(*zip(*subs), n0=1.0, p_total=1.0)
-            opt = optimal_allocation(ch)
+            ch = ParallelChannel(*zip(*subs), n0=1.0)
+            opt = optimal_allocation(ch, 1.0)
 
             best_p1, best_val = 0.0, -math.inf
             for p1 in grid:
@@ -352,8 +351,8 @@ def test_criterion_7_exact_optimum_grid_search_and_dominance():
             assert abs(opt[1] - (1.0 - best_p1)) <= 5e-3
 
             opt_rate = exact_rate(ch, opt)
-            swf_rate = exact_rate(ch, waterfill(ch.mean_gains, ch.n0, ch.p_total)[0])
-            eq_rate = exact_rate(ch, equal_power(ch.n, ch.p_total))
+            swf_rate = exact_rate(ch, waterfill(ch.mean_gains, ch.n0, 1.0)[0])
+            eq_rate = exact_rate(ch, equal_power(ch.n, 1.0))
             assert opt_rate >= swf_rate - 1e-9
             assert opt_rate >= eq_rate - 1e-9
 
@@ -374,7 +373,7 @@ MALFORMED_FIXTURES = [
 
 def test_criterion_8_ingestion_pipeline(tmp_path):
     with criterion("ingestion pipeline: recovery within 4 sigma, unit pooled mean, fixtures rejected"):
-        ch = build_decay_profile(4, 5e9, 6e9, 3.0, 1.0, 4, 1.0, 1.0)
+        ch = build_decay_profile(4, 5e9, 6e9, 3.0, 1.0, 4, 1.0)
         snapshots = generate_snapshots(ch, 10_000, seed=314, n_branches=4)
         buf = io.StringIO()
         write_channel_csv(snapshots, buf)

@@ -37,7 +37,7 @@ def test_waterfill_rejects_nonpositive_gains():
 
 @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
 def test_waterfill_and_equal_power_reject_a_bad_noise_or_budget(value):
-    # the same wording as ParallelChannel's checks of n0 and p_total
+    # the same wording as ParallelChannel's check of n0
     message = f"must be positive and finite, got {value!r}"
     with pytest.raises(ValueError, match=f"^n0 {message}$"):
         waterfill([1.0, 2.0], value, 1.0)
@@ -45,6 +45,8 @@ def test_waterfill_and_equal_power_reject_a_bad_noise_or_budget(value):
         waterfill([1.0, 2.0], 1.0, value)
     with pytest.raises(ValueError, match=f"^p_total {message}$"):
         equal_power(2, value)
+    with pytest.raises(ValueError, match=f"^p_total {message}$"):
+        optimal_allocation(ParallelChannel(theta=[1.0, 2.0], shape=1.0, n0=1.0), value)
 
 
 def test_waterfill_leaves_a_subchannel_with_an_overflowing_threshold_unpowered():
@@ -106,18 +108,20 @@ def test_equal_power_basics():
     assert np.array_equal(single, [2.5])
     with pytest.raises(ValueError):
         equal_power(0, 1.0)
+    with pytest.raises(ValueError, match="^n must be a positive integer at most "):
+        equal_power(10**20, 1.0)  # past the longest array numpy can index
 
 
 def test_optimal_allocation_symmetric_channel_is_equal_power():
-    ch = ParallelChannel(theta=[0.5, 0.5, 0.5], shape=2.0, n0=1.0, p_total=3.0)
-    powers = optimal_allocation(ch)
+    ch = ParallelChannel(theta=[0.5, 0.5, 0.5], shape=2.0, n0=1.0)
+    powers = optimal_allocation(ch, 3.0)
     assert np.allclose(powers, 1.0, rtol=1e-6)
     assert math.isclose(powers.sum(), 3.0, rel_tol=1e-12)
 
 
 def test_optimal_allocation_matches_grid_search():
-    ch = ParallelChannel(theta=[1.0, 0.25], shape=2.0, n0=1.0, p_total=1.0)
-    powers = optimal_allocation(ch)
+    ch = ParallelChannel(theta=[1.0, 0.25], shape=2.0, n0=1.0)
+    powers = optimal_allocation(ch, 1.0)
     grid = np.arange(0.0, 1.0 + 1e-12, 1e-3)
     best_p1, best_val = 0.0, -math.inf
     for p1 in grid:
@@ -138,10 +142,10 @@ def test_optimal_allocation_dominates_simpler_strategies():
             )
             for _ in range(2)
         ]
-        ch = ParallelChannel(*zip(*subs), n0=1.0, p_total=10 ** rng.uniform(-0.5, 1.0))
-        opt = optimal_allocation(ch)
-        swf = waterfill(ch.mean_gains, ch.n0, ch.p_total)[0]
-        eq = equal_power(ch.n, ch.p_total)
+        ch, p_total = ParallelChannel(*zip(*subs), n0=1.0), 10 ** rng.uniform(-0.5, 1.0)
+        opt = optimal_allocation(ch, p_total)
+        swf = waterfill(ch.mean_gains, ch.n0, p_total)[0]
+        eq = equal_power(ch.n, p_total)
         opt_rate = exact_rate(ch, opt)
         assert opt_rate >= exact_rate(ch, swf) - 1e-9
         assert opt_rate >= exact_rate(ch, eq) - 1e-9
@@ -149,11 +153,11 @@ def test_optimal_allocation_dominates_simpler_strategies():
 
 def test_optimal_allocation_flattens_with_diversity():
     def channel_for(L):
-        return ParallelChannel(theta=[0.4, 0.8, 1.2, 1.6], shape=1.0 * L, n0=1.0, p_total=4.0)
+        return ParallelChannel(theta=[0.4, 0.8, 1.2, 1.6], shape=1.0 * L, n0=1.0)
 
     deviations = []
     for L in (2, 64):
-        powers = optimal_allocation(channel_for(L))
+        powers = optimal_allocation(channel_for(L), 4.0)
         deviations.append(np.max(np.abs(powers - 1.0)))
     assert deviations[1] < deviations[0]
 
@@ -161,14 +165,14 @@ def test_optimal_allocation_flattens_with_diversity():
 def test_optimal_allocation_objective_beats_waterfilling_jensen_gap():
     # the optimum can only lose to waterfilling on the Jensen surrogate,
     # never on the exact objective
-    ch = ParallelChannel(theta=[2.0, 0.1], shape=[0.5 * 1, 2.0 * 3], n0=1.0, p_total=2.0)
-    opt = optimal_allocation(ch)
-    swf = waterfill(ch.mean_gains, ch.n0, ch.p_total)[0]
+    ch = ParallelChannel(theta=[2.0, 0.1], shape=[0.5 * 1, 2.0 * 3], n0=1.0)
+    opt = optimal_allocation(ch, 2.0)
+    swf = waterfill(ch.mean_gains, ch.n0, 2.0)[0]
     assert exact_rate(ch, opt) >= exact_rate(ch, swf) - 1e-9
     assert jensen_upper(ch, swf) >= jensen_upper(ch, opt) - 1e-12
 
 
-def _assert_kkt(ch, powers):
+def _assert_kkt(ch, p_total, powers):
     # At the optimum the active marginal utilities E[g/(n0 + p*g)] share one
     # value lam, and every inactive subchannel's marginal at p = 0, mu/n0,
     # is at most lam.  The solver stops once the active marginals agree to
@@ -183,7 +187,7 @@ def _assert_kkt(ch, powers):
     lam = marginals.max()
     assert lam - marginals.min() <= 1e-12 * lam
     assert np.all(ch.mean_gains[~active] / ch.n0 <= lam)
-    assert math.isclose(powers.sum(), ch.p_total, rel_tol=1e-12)
+    assert math.isclose(powers.sum(), p_total, rel_tol=1e-12)
     return active
 
 
@@ -195,8 +199,8 @@ def test_optimal_allocation_meets_kkt_on_mixed_shapes():
     for i, mu in enumerate(np.geomspace(0.02, 3.0, 16)):
         m, L = ms[i % 3], ls[(i // 3) % 3]
         subs.append((mu / (m * L), m * L))
-    ch = ParallelChannel(*zip(*subs), n0=1.0, p_total=16.0)
-    active = _assert_kkt(ch, optimal_allocation(ch))
+    ch = ParallelChannel(*zip(*subs), n0=1.0)
+    active = _assert_kkt(ch, 16.0, optimal_allocation(ch, 16.0))
     assert 2 <= active.sum() < ch.n
 
 
@@ -207,20 +211,20 @@ def test_optimal_allocation_meets_kkt_on_mixed_shapes():
 )
 def test_optimal_allocation_meets_kkt_on_588_bin_profiles(m, snr_db, n_active):
     # the two slowest solves of the former multiplier bisection
-    ch = build_decay_profile(588, 5e9, 6e9, 3.0, m=m, L=1, n0=1.0, p_total=1.0)
-    ch = ch.with_power(snr_db_to_power(ch.n, ch.n0, snr_db))
-    active = _assert_kkt(ch, optimal_allocation(ch))
+    ch = build_decay_profile(588, 5e9, 6e9, 3.0, m=m, L=1, n0=1.0)
+    p_total = snr_db_to_power(ch.n, ch.n0, snr_db)
+    active = _assert_kkt(ch, p_total, optimal_allocation(ch, p_total))
     assert active.sum() == n_active
 
 
 def test_optimal_allocation_raises_at_the_iteration_cap(monkeypatch):
-    ch = ParallelChannel(theta=[2.0, 0.1], shape=[0.5 * 1, 2.0 * 3], n0=1.0, p_total=2.0)
-    _assert_kkt(ch, optimal_allocation(ch))
+    ch = ParallelChannel(theta=[2.0, 0.1], shape=[0.5 * 1, 2.0 * 3], n0=1.0)
+    _assert_kkt(ch, 2.0, optimal_allocation(ch, 2.0))
     # with a cap of 1 the solver only evaluates statistical waterfilling,
     # which is not optimal here
     monkeypatch.setattr(alloc_module, "_ITER_CAP", 1)
     with pytest.raises(NumericError, match="did not converge"):
-        optimal_allocation(ch)
+        optimal_allocation(ch, 2.0)
 
 
 def test_waterfill_is_the_unit_slope_active_set_solution():

@@ -22,8 +22,8 @@ subchannels = st.tuples(
 @given(st.lists(subchannels, min_size=1, max_size=12), st.floats(-5.0, 5.0))
 def test_optimal_allocation_meets_kkt_and_beats_simpler_loadings(subs, log_p_total):
     log_mu, m, L = (np.array(v) for v in zip(*subs))
-    ch = ParallelChannel(10.0**log_mu / (m * L), m * L, n0=1.0, p_total=10.0**log_p_total)
-    powers = optimal_allocation(ch)
+    ch, p_total = ParallelChannel(10.0**log_mu / (m * L), m * L, n0=1.0), 10.0**log_p_total
+    powers = optimal_allocation(ch, p_total)
     marginals = gamma_expectation_batch(
         lambda g, rows: g / (ch.n0 + powers[rows, None] * g), ch.shape, ch.theta
     )
@@ -36,6 +36,6 @@ def test_optimal_allocation_meets_kkt_and_beats_simpler_loadings(subs, log_p_tot
     # lam*d, and waterfilling's powers overspend by a few ulps of its water
     # level, which is far above p_total at low SNR.
     opt_rate = exact_rate(ch, powers)
-    for other in (waterfill(ch.mean_gains, ch.n0, ch.p_total)[0], equal_power(ch.n, ch.p_total)):
-        overspent = max(0.0, other.sum() - ch.p_total)
+    for other in (waterfill(ch.mean_gains, ch.n0, p_total)[0], equal_power(ch.n, p_total)):
+        overspent = max(0.0, other.sum() - p_total)
         assert opt_rate >= exact_rate(ch, other) - lam * overspent - 1e-13 * opt_rate

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 
@@ -16,7 +17,7 @@ from simocap.ingest import generate_snapshots, simo_gains
 
 
 def _one(theta, shape):
-    return ParallelChannel(theta=[theta], shape=shape, n0=1.0, p_total=1.0)
+    return ParallelChannel(theta=[theta], shape=shape, n0=1.0)
 
 
 def _draws(theta, shape, n, seed, n_branches):
@@ -49,35 +50,37 @@ def test_subchannel_spec_validation():
 
 def test_parallel_channel_validation():
     with pytest.raises(ValueError):
-        ParallelChannel(theta=[], shape=2.0, n0=1.0, p_total=1.0)
+        ParallelChannel(theta=[], shape=2.0, n0=1.0)
     with pytest.raises(ValueError):
-        ParallelChannel(theta=[1.0], shape=2.0, n0=0.0, p_total=1.0)
-    with pytest.raises(ValueError):
-        ParallelChannel(theta=[1.0], shape=2.0, n0=1.0, p_total=-1.0)
-    ch = ParallelChannel(theta=[1.0, 1.0], shape=2.0, n0=1.0, p_total=3.0)
+        ParallelChannel(theta=[1.0], shape=2.0, n0=0.0)
+    with pytest.raises(TypeError):  # the power budget is an argument of the allocators
+        ParallelChannel(theta=[1.0], shape=2.0, n0=1.0, p_total=1.0)
+    ch = ParallelChannel(theta=[1.0, 1.0], shape=2.0, n0=1.0)
     assert ch.n == 2
     assert np.allclose(ch.mean_gains, [2.0, 2.0])
-    assert ch.with_power(5.0).p_total == 5.0
+    assert [f.name for f in dataclasses.fields(ch)] == [
+        "theta", "shape", "n0", "freqs_hz", "mean_gains"
+    ]
 
 
 def test_parallel_channel_array_validation():
     # a shape given once is broadcast; per-subchannel arrays must match theta
-    ch = ParallelChannel(theta=[1.0, 0.5], shape=3.0, n0=1.0, p_total=1.0)
+    ch = ParallelChannel(theta=[1.0, 0.5], shape=3.0, n0=1.0)
     assert np.array_equal(ch.shape, [3.0, 3.0])
     assert np.array_equal(ch.mean_gains, [3.0, 1.5])
-    ch = ParallelChannel(theta=[1.0, 0.5], shape=[3.0, 6.0], n0=1.0, p_total=1.0)
+    ch = ParallelChannel(theta=[1.0, 0.5], shape=[3.0, 6.0], n0=1.0)
     assert np.array_equal(ch.mean_gains, [3.0, 3.0])
     with pytest.raises(ValueError, match="shape needs one entry per subchannel"):
-        ParallelChannel(theta=[1.0, 0.5], shape=[3.0, 6.0, 12.0], n0=1.0, p_total=1.0)
+        ParallelChannel(theta=[1.0, 0.5], shape=[3.0, 6.0, 12.0], n0=1.0)
     with pytest.raises(ValueError, match="shape needs one entry per subchannel"):
-        ParallelChannel(theta=[1.0, 0.5], shape=[3.0], n0=1.0, p_total=1.0)
+        ParallelChannel(theta=[1.0, 0.5], shape=[3.0], n0=1.0)
     with pytest.raises(ValueError, match="shape must be finite and in"):
-        ParallelChannel(theta=[1.0, 0.5], shape=[3.0, math.inf], n0=1.0, p_total=1.0)
+        ParallelChannel(theta=[1.0, 0.5], shape=[3.0, math.inf], n0=1.0)
     with pytest.raises(ValueError, match="freqs_hz needs one entry per subchannel"):
-        ParallelChannel(theta=[1.0, 0.5], shape=1.0, n0=1.0, p_total=1.0, freqs_hz=[5e9])
+        ParallelChannel(theta=[1.0, 0.5], shape=1.0, n0=1.0, freqs_hz=[5e9])
     # the stored arrays are read-only copies
     theta = np.array([1.0, 0.5])
-    ch = ParallelChannel(theta=theta, shape=1.0, n0=1.0, p_total=1.0)
+    ch = ParallelChannel(theta=theta, shape=1.0, n0=1.0)
     with pytest.raises(ValueError):
         ch.theta[0] = 2.0
     theta[0] = 2.0
@@ -88,22 +91,22 @@ def test_parallel_channel_array_validation():
     "clone", [lambda ch: pickle.loads(pickle.dumps(ch)), copy.deepcopy], ids=["pickle", "deepcopy"]
 )
 def test_copies_of_a_channel_stay_read_only(clone):
-    ch = build_decay_profile(5, 5e9, 6e9, 3.0, 0.5, 3, 2.0, 7.0)
+    ch = build_decay_profile(5, 5e9, 6e9, 3.0, 0.5, 3, 2.0)
     twin = clone(ch)
     for name in ("theta", "shape", "freqs_hz", "mean_gains"):
         assert np.array_equal(getattr(twin, name), getattr(ch, name)), name
         assert not getattr(twin, name).flags.writeable, name
-    assert (twin.n0, twin.p_total) == (ch.n0, ch.p_total)
+    assert twin.n0 == ch.n0
 
 
 def test_flat_profile_has_unit_gains():
-    ch = build_decay_profile(8, 5e9, 6e9, 0.0, 1.0, 2, 1.0, 1.0)
+    ch = build_decay_profile(8, 5e9, 6e9, 0.0, 1.0, 2, 1.0)
     assert np.allclose(ch.mean_gains, 1.0, atol=1e-14)
 
 
 def test_two_bin_cubic_decay_profile():
     # mean gains proportional to 1/5^3 and 1/6^3, renormalized to unit average
-    ch = build_decay_profile(2, 5e9, 6e9, 3.0, 1.0, 1, 1.0, 1.0)
+    ch = build_decay_profile(2, 5e9, 6e9, 3.0, 1.0, 1, 1.0)
     w = np.array([5.0**-3, 6.0**-3])
     expected = w / w.mean()
     assert np.allclose(ch.mean_gains, expected, rtol=1e-14)
@@ -111,7 +114,7 @@ def test_two_bin_cubic_decay_profile():
 
 
 def test_full_band_profile_is_unit_average():
-    ch = build_decay_profile(588, 5e9, 6e9, 3.0, 1.0, 4, 1.0, 1.0)
+    ch = build_decay_profile(588, 5e9, 6e9, 3.0, 1.0, 4, 1.0)
     assert ch.n == 588
     assert abs(ch.mean_gains.mean() - 1.0) < 1e-12
     freqs = ch.freqs_hz
@@ -124,7 +127,7 @@ def test_full_band_profile_is_unit_average():
 
 
 def test_single_bin_profile_sits_at_band_center():
-    ch = build_decay_profile(1, 5e9, 6e9, 3.0, 1.0, 2, 1.0, 1.0)
+    ch = build_decay_profile(1, 5e9, 6e9, 3.0, 1.0, 2, 1.0)
     assert ch.freqs_hz[0] == 5.5e9
     assert math.isclose(ch.mean_gains[0], 1.0, rel_tol=1e-14)
 
@@ -132,11 +135,11 @@ def test_single_bin_profile_sits_at_band_center():
 def test_decay_profile_rejects_bad_band():
     for f_lo, f_hi in ((6e9, 5e9), (0.0, 6e9), (5e9, math.inf), (math.nan, 6e9), (5e9, math.nan)):
         with pytest.raises(ValueError, match="need finite f_hi_hz > f_lo_hz > 0"):
-            build_decay_profile(4, f_lo, f_hi, 3.0, 1.0, 1, 1.0, 1.0)
+            build_decay_profile(4, f_lo, f_hi, 3.0, 1.0, 1, 1.0)
     with pytest.raises(ValueError):
-        build_decay_profile(0, 5e9, 6e9, 3.0, 1.0, 1, 1.0, 1.0)
+        build_decay_profile(0, 5e9, 6e9, 3.0, 1.0, 1, 1.0)
     with pytest.raises(ValueError):
-        build_decay_profile(4, 5e9, 6e9, -1.0, 1.0, 1, 1.0, 1.0)
+        build_decay_profile(4, 5e9, 6e9, -1.0, 1.0, 1, 1.0)
 
 
 def test_decay_profile_checks_its_branch_structure():
@@ -144,13 +147,13 @@ def test_decay_profile_checks_its_branch_structure():
     # before it held only shape = m*L
     for m in (0.4, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="m must be >= 0.5"):
-            build_decay_profile(4, 5e9, 6e9, 3.0, m, 1, 1.0, 1.0)
+            build_decay_profile(4, 5e9, 6e9, 3.0, m, 1, 1.0)
     for L in (0, -2, 1.5, math.inf, math.nan):
         with pytest.raises(ValueError, match="L must be a positive integer"):
-            build_decay_profile(4, 5e9, 6e9, 3.0, 1.0, L, 1.0, 1.0)
-    ch = build_decay_profile(4, 5e9, 6e9, 3.0, 0.7, 3, 1.0, 1.0)
+            build_decay_profile(4, 5e9, 6e9, 3.0, 1.0, L, 1.0)
+    ch = build_decay_profile(4, 5e9, 6e9, 3.0, 0.7, 3, 1.0)
     assert np.array_equal(ch.shape, np.full(4, 0.7 * 3))
-    mu = build_decay_profile(4, 5e9, 6e9, 3.0, 1.0, 1, 1.0, 1.0).mean_gains
+    mu = build_decay_profile(4, 5e9, 6e9, 3.0, 1.0, 1, 1.0).mean_gains
     assert np.array_equal(ch.theta, mu / (0.7 * 3))
 
 

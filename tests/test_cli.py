@@ -431,9 +431,9 @@ def test_channel_from_fits_below_shape_one_half(tmp_path):
     assert shapes.min() < 0.5 < shapes.max()
     for snr_db in (-10.0, 5.0, 20.0):
         p_total = rates.snr_db_to_power(64, 1.0, snr_db)
-        ch = simocap.ParallelChannel(theta=scales, shape=shapes, n0=1.0, p_total=p_total)
-        swf = alloc.waterfill(ch.mean_gains, ch.n0, ch.p_total)[0]
-        opt = alloc.optimal_allocation(ch)
+        ch = simocap.ParallelChannel(theta=scales, shape=shapes, n0=1.0)
+        swf = alloc.waterfill(ch.mean_gains, ch.n0, p_total)[0]
+        opt = alloc.optimal_allocation(ch, p_total)
         assert math.isclose(opt.sum(), p_total, rel_tol=1e-12)
         for loading in (swf, opt):
             bounds = [f(ch, loading) for f in (rates.markov_lower, rates.exact_rate, rates.jensen_upper)]
@@ -488,6 +488,48 @@ def test_inputs_too_large_to_allocate_exit_2_without_a_traceback(tmp_path, argv)
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: ")
     assert "Traceback" not in done.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["bounds-sweep", "--n-bins", "1" + "0" * 20, "--snr-db=0"], "n_bins"),
+        # numpy's linspace raises IndexError at the largest intp
+        (["bounds-sweep", "--n-bins", str(2**63 - 1), "--snr-db=0"], "n_bins"),
+        (["gen-synthetic", "--n-bins", "2", "--n-snapshots", "1" + "0" * 20], "n_snapshots"),
+        (["gen-synthetic", "--n-bins", "2", "--branches", "1" + "0" * 20], "n_branches"),
+    ],
+    ids=["n-bins-1e20", "n-bins-2**63-1", "n-snapshots-1e20", "branches-1e20"],
+)
+def test_counts_past_the_largest_array_length_exit_2_and_name_the_count(tmp_path, argv, name):
+    # no float64 array of more than 2**63 bytes can even be asked for, so
+    # a longer count is an input error whose message names the count
+    out = tmp_path / "big.csv"
+    done = subprocess.run(
+        [sys.executable, "-m", "simocap", *argv, "--output", str(out)],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith(f"error: {name} must be a positive integer at most ")
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "a_rule, message",
+    [
+        ("alpha=abc", "a_rule must be 'max' or 'alpha=<value>', got 'alpha=abc'"),
+        ("alpha=2", "alpha must lie strictly between 0 and 1"),
+        ("alpha=nan", "alpha must lie strictly between 0 and 1"),
+    ],
+    ids=["abc", "2", "nan"],
+)
+def test_a_rule_with_a_bad_alpha_exits_2(tmp_path, capsys, a_rule, message):
+    out = tmp_path / "x.csv"
+    argv = ["bounds-sweep", "--n-bins", "2", "--snr-db=0", "--a-rule", a_rule, "--output", str(out)]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

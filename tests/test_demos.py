@@ -1,6 +1,7 @@
-"""Smoke test: every demo script runs to completion and prints something."""
+"""Smoke tests: every demo script, and the README's Python code, run to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,12 +12,26 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(demo):
+def _run(argv, cwd=None):
+    # a fresh interpreter that finds this checkout's package first
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    done = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
+    return subprocess.run(
+        [sys.executable, *argv], env=env, cwd=cwd, capture_output=True, text=True, timeout=120
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    done = _run([str(demo)])
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def test_readme_python_blocks_run(tmp_path):
+    # every ```python block of the README, in order, as one script
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    assert blocks
+    done = _run(["-c", "\n".join(blocks)], cwd=tmp_path)
+    assert done.returncode == 0, done.stderr

@@ -26,7 +26,7 @@ MINIMAL = f"{CSV_HEADER}\n0,0,0,5e9,1,0\n"
 
 
 def _make_set(n_snapshots=3, n_branches=2, n_bins=2, seed=0):
-    ch = build_decay_profile(n_bins, 5e9, 6e9, 3.0, 1.0, n_branches, 1.0, 1.0)
+    ch = build_decay_profile(n_bins, 5e9, 6e9, 3.0, 1.0, n_branches, 1.0)
     return generate_snapshots(ch, n_snapshots, seed=seed, n_branches=n_branches)
 
 
@@ -175,7 +175,7 @@ def test_simo_gains_rejects_bad_branch_ids():
 
 
 def test_empirical_means_clt_bound():
-    ch = ParallelChannel(theta=[1.0], shape=4.0, n0=1.0, p_total=1.0)
+    ch = ParallelChannel(theta=[1.0], shape=4.0, n0=1.0)
     snaps = generate_snapshots(ch, 100_000, seed=21, n_branches=4)
     means = simo_gains(snaps, range(4)).mean(axis=0)
     sigma = math.sqrt(4.0 / 100_000)  # Var = shape*theta^2 = 4
@@ -183,7 +183,7 @@ def test_empirical_means_clt_bound():
 
 
 def test_generator_is_deterministic_and_validates():
-    ch = build_decay_profile(3, 5e9, 6e9, 3.0, 1.0, 2, 1.0, 1.0)
+    ch = build_decay_profile(3, 5e9, 6e9, 3.0, 1.0, 2, 1.0)
     a = generate_snapshots(ch, 20, seed=1, n_branches=2)
     b = generate_snapshots(ch, 20, seed=1, n_branches=2)
     c = generate_snapshots(ch, 20, seed=2, n_branches=2)
@@ -208,7 +208,7 @@ def test_generated_branches_sum_to_the_channel_law(n_branches):
     # over N snapshots follow from the gamma moments
     #   E[g^j] = theta^j * k*(k+1)*...*(k+j-1).
     k, theta, n = 4.0, 0.5, 50_000
-    ch = ParallelChannel(theta=[theta], shape=k, n0=1.0, p_total=1.0)
+    ch = ParallelChannel(theta=[theta], shape=k, n0=1.0)
     snaps = generate_snapshots(ch, n, seed=17, n_branches=n_branches)
     g = simo_gains(snaps, range(n_branches))[:, 0]
     moment = [theta**j * math.prod(k + i for i in range(j)) for j in range(5)]
@@ -221,7 +221,7 @@ def test_generated_branches_sum_to_the_channel_law(n_branches):
 def test_pipeline_recovers_profile_means():
     # parse -> normalize -> combine -> average recovers gains proportional
     # to the profile means within sampling error
-    ch = build_decay_profile(4, 5e9, 6e9, 3.0, 1.0, 4, 1.0, 1.0)
+    ch = build_decay_profile(4, 5e9, 6e9, 3.0, 1.0, 4, 1.0)
     snaps = generate_snapshots(ch, 10_000, seed=9, n_branches=4)
     buf = io.StringIO()
     write_channel_csv(snaps, buf)

@@ -7,7 +7,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from simocap.channel import ParallelChannel  # noqa: E402
-from simocap.rates import exact_rate, jensen_upper, markov_lower  # noqa: E402
+from simocap.rates import _markov_terms, exact_rate, jensen_upper, markov_lower  # noqa: E402
 
 subchannels = st.tuples(
     st.floats(-3.0, 3.0),  # log10 of the mean gain
@@ -23,11 +23,15 @@ subchannels = st.tuples(
 def test_markov_lower_exact_and_jensen_are_ordered_for_every_a_rule(subs, alpha):
     log_mu, m, L, log_p, a = zip(*subs)
     m, L = np.array(m), np.array(L)
-    ch = ParallelChannel(10.0 ** np.array(log_mu) / (m * L), m * L, n0=1.0, p_total=1.0)
+    ch = ParallelChannel(10.0 ** np.array(log_mu) / (m * L), m * L, n0=1.0)
     powers = np.array([0.0 if v is None else 10.0**v for v in log_p])
     # Both inequalities hold exactly (Markov's, then Jensen's); the slack is
     # the quadrature's 1e-13 relative accuracy on the exact rate.
     exact = exact_rate(ch, powers)
     assert exact <= jensen_upper(ch, powers) + 1e-13 * exact
-    for rule in ({}, {"alpha": alpha}, {"a_values": list(a)}):
+    for rule in ({}, {"alpha": alpha}):
         assert markov_lower(ch, powers, **rule) <= exact * (1.0 + 1e-13), rule
+    # the explicit rule: the bound's terms at the drawn a, summed over the powered bins
+    on = powers > 0.0
+    at_a = _markov_terms(np.array(a)[on], ch.shape[on], ch.theta[on], powers[on], ch.n0).sum()
+    assert at_a <= exact * (1.0 + 1e-13), a
