@@ -3,9 +3,10 @@
 Measured multi-antenna channel data enters as one complex coefficient per
 (snapshot, branch, frequency bin).  The processing chain is:
 
-  parse CSV -> normalize (pooled mean |h|^2 = 1) -> sum |h|^2 over
-  branches (SIMO combining) -> average over snapshots -> moment-fit a
-  gamma law per bin -> capacity bounds of the fitted channel.
+  parse CSV -> sum |h|^2 over branches (SIMO combining) -> divide by
+  the pooled mean |h|^2 (unit-mean normalization) -> average over
+  snapshots and moment-fit a gamma law, every bin at once -> capacity
+  bounds of the fitted channel.
 
 Here the recording is synthesized from a known channel so every recovered
 quantity can be compared against the truth.  The same chain runs from the
@@ -24,7 +25,6 @@ from simocap import (
     generate_snapshots,
     jensen_upper,
     markov_lower,
-    normalize_unit_mean,
     parse_channel_csv,
     pooled_mean_gain,
     simo_gains,
@@ -57,26 +57,25 @@ def main():
     parsed = parse_channel_csv(buffer)
     print("CSV round trip exact:", bool(np.array_equal(parsed.coeffs, snapshots.coeffs)))
 
-    print(f"pooled mean gain before normalization: {pooled_mean_gain(parsed):.4f}")
-    normalized = normalize_unit_mean(parsed)
-    print(f"pooled mean gain after normalization:  {pooled_mean_gain(normalized):.12f}")
-
-    gains = simo_gains(normalized, branch_ids=range(branches))
+    # one scalar normalizes every coefficient: the pooled mean of |h|^2 becomes 1
+    pooled = pooled_mean_gain(parsed)
+    print(f"pooled mean gain before normalization: {pooled:.4f}")
+    gains = simo_gains(parsed, branch_ids=range(branches)) / pooled
     means = gains.mean(axis=0)
     # after per-branch normalization the expected combined mean is
     # mu_n * L / average(mu)
     expected = truth.mean_gains * branches / truth.mean_gains.mean()
 
+    # one moment fit reduces every bin's column of gains at once
+    shapes, scales = fit_gamma_moments(gains)
     print("\n  bin   freq_GHz   mean gain   expected   fit shape (true 4.0)")
-    fits = [fit_gamma_moments(gains[:, j]) for j in range(normalized.n_bins)]
-    for j, (shape, _) in enumerate(fits):
-        print(f"  {j:3d}   {normalized.freqs_hz[j] / 1e9:8.3f}   {means[j]:9.3f}"
-              f"   {expected[j]:8.3f}   {shape:9.3f}")
+    for j in range(parsed.n_bins):
+        print(f"  {j:3d}   {parsed.freqs_hz[j] / 1e9:8.3f}   {means[j]:9.3f}"
+              f"   {expected[j]:8.3f}   {shapes[j]:9.3f}")
 
     # a fitted (shape, scale) per bin is a channel entry; next to it, the
     # true law of the normalized gains, Gamma(m*L, expected/(m*L)), at 5 dB
-    shapes, scales = (np.array(v) for v in zip(*fits))
-    p_total = snr_db_to_power(normalized.n_bins, 1.0, 5.0)
+    p_total = snr_db_to_power(parsed.n_bins, 1.0, 5.0)
     fitted = ParallelChannel(theta=scales, shape=shapes, n0=1.0)
     true = ParallelChannel(expected / truth.shape, truth.shape, n0=1.0)
     print(f"\n  {'at 5 dB, nats':<16}" + "".join(f"{h:>12}" for h in ("Jensen", "exact", "Markov")))

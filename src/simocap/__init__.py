@@ -15,8 +15,9 @@ powers, one per subchannel.  The library provides:
 * one table of bounds, rates and gaps over diversity orders, SNRs and
   strategies, and the single-subchannel lower/upper bound ratio with its
   large-diversity expansion,
-* ingestion and normalization of measured frequency-response data in a
-  flat CSV interchange format, plus a matching synthetic generator.
+* ingestion of measured frequency-response data in a flat CSV
+  interchange format, with per-bin gamma moment fits of the normalized
+  gains, plus a matching synthetic generator.
 
 Rates are in nats unless explicitly converted to bits.
 """
@@ -24,18 +25,11 @@ Rates are in nats unless explicitly converted to bits.
 __version__ = "0.1.0"
 
 from .alloc import equal_power, optimal_allocation, waterfill
-from .channel import (
-    FitError,
-    ParallelChannel,
-    build_decay_profile,
-    fit_gamma_moments,
-)
+from .channel import ParallelChannel, build_decay_profile, fit_gamma_moments
 from .ingest import (
-    NormalizationError,
     ParseError,
     SnapshotSet,
     generate_snapshots,
-    normalize_unit_mean,
     parse_channel_csv,
     pooled_mean_gain,
     simo_gains,

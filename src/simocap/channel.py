@@ -16,15 +16,10 @@ import numpy as np
 from .specfun import _check_shapes
 
 __all__ = [
-    "FitError",
     "ParallelChannel",
     "build_decay_profile",
     "fit_gamma_moments",
 ]
-
-
-class FitError(ValueError):
-    """A distribution fit is impossible on the given samples."""
 
 
 def _per_subchannel(name: str, value, n: int) -> np.ndarray:
@@ -145,15 +140,21 @@ def build_decay_profile(
     return ParallelChannel(theta=mu / shape, shape=shape, n0=n0, freqs_hz=freqs)
 
 
-def fit_gamma_moments(samples) -> tuple[float, float]:
-    """Method-of-moments gamma fit: shape = mean^2/var, scale = var/mean."""
-    arr = np.asarray(samples, dtype=float).ravel()
-    if arr.size < 2:
-        raise FitError("need at least 2 samples to fit a gamma distribution")
+def fit_gamma_moments(samples) -> tuple[np.ndarray, np.ndarray]:
+    """Method-of-moments gamma fits of every column: shape = mean^2/var, scale = var/mean.
+
+    Samples run along axis 0 of a (snapshots, ...) array, so a (snapshots,
+    bins) array of gains gives one (shape, scale) pair of arrays over bins.
+    A column with fewer than 2 samples or zero variance has no fit: NaN.
+    """
+    arr = np.asarray(samples, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
         raise ValueError("samples must be nonnegative and finite")
-    mean = float(arr.mean())
-    var = float(arr.var())
-    if var <= 0.0:
-        raise FitError("sample variance is zero; gamma fit is degenerate")
-    return mean * mean / var, var / mean
+    if len(arr) < 2:
+        return np.full(arr.shape[1:], np.nan), np.full(arr.shape[1:], np.nan)
+    mean, var = arr.mean(axis=0), arr.var(axis=0)
+    fit = var > 0.0  # nonnegative samples: a positive variance has a positive mean
+    shape, scale = np.full_like(var, np.nan), np.full_like(var, np.nan)
+    np.divide(mean * mean, var, out=shape, where=fit)
+    np.divide(var, mean, out=scale, where=fit)
+    return shape, scale

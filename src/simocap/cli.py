@@ -22,10 +22,9 @@ import numpy as np
 
 from . import __version__
 from .alloc import waterfill
-from .channel import FitError, build_decay_profile, fit_gamma_moments
+from .channel import build_decay_profile, fit_gamma_moments
 from .ingest import (
     generate_snapshots,
-    normalize_unit_mean,
     parse_channel_csv,
     pooled_mean_gain,
     simo_gains,
@@ -298,33 +297,25 @@ def cmd_ingest(args) -> int:
     except OSError as exc:  # an unreadable input is an input error, not an output error
         raise ValueError(f"cannot read {args.input}: {exc}") from exc
     pooled = pooled_mean_gain(raw)
-    normalized = normalize_unit_mean(raw)
-    branch_ids = (
-        _parse_list(args.branches, int) if args.branches else list(range(normalized.branches))
+    branch_ids = _parse_list(args.branches, int) if args.branches else list(range(raw.branches))
+    gains = simo_gains(raw, branch_ids) / pooled
+    # a bin with no fit (NaN) is written as null
+    fit_shape, fit_scale = (
+        np.where(np.isnan(fit), None, fit).tolist() for fit in fit_gamma_moments(gains)
     )
-    gains = simo_gains(normalized, branch_ids)
-    means = gains.mean(axis=0)
-
-    bins = []
-    for j in range(normalized.n_bins):
-        try:
-            fit_shape, fit_scale = fit_gamma_moments(gains[:, j])
-        except FitError:
-            fit_shape = fit_scale = None
-        bins.append(
-            {
-                "bin": j,
-                "freq_hz": float(normalized.freqs_hz[j]),
-                "mean_gain": float(means[j]),
-                "fit_shape": fit_shape,
-                "fit_scale": fit_scale,
-            }
-        )
+    columns = {
+        "bin": range(raw.n_bins),
+        "freq_hz": raw.freqs_hz.tolist(),
+        "mean_gain": gains.mean(axis=0).tolist(),
+        "fit_shape": fit_shape,
+        "fit_scale": fit_scale,
+    }
+    bins = [dict(zip(columns, row)) for row in zip(*columns.values())]
     stats = {
         "snapshots": raw.snapshots,
         "branches_in_file": raw.branches,
         "branches_used": branch_ids,
-        "n_bins": normalized.n_bins,
+        "n_bins": raw.n_bins,
         "pooled_mean_gain_before_normalization": pooled,
         "normalization_scale_on_power": 1.0 / pooled,
         "normalization": (

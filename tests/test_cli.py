@@ -491,18 +491,27 @@ def test_inputs_too_large_to_allocate_exit_2_without_a_traceback(tmp_path, argv)
     assert not out.exists()
 
 
+_AT_MOST = "must be a positive integer at most "
+
+
 @pytest.mark.parametrize(
-    "argv, name",
+    "argv, message",
     [
-        (["bounds-sweep", "--n-bins", "1" + "0" * 20, "--snr-db=0"], "n_bins"),
+        (["bounds-sweep", "--n-bins", "1" + "0" * 20, "--snr-db=0"], "n_bins " + _AT_MOST),
         # numpy's linspace raises IndexError at the largest intp
-        (["bounds-sweep", "--n-bins", str(2**63 - 1), "--snr-db=0"], "n_bins"),
-        (["gen-synthetic", "--n-bins", "2", "--n-snapshots", "1" + "0" * 20], "n_snapshots"),
-        (["gen-synthetic", "--n-bins", "2", "--branches", "1" + "0" * 20], "n_branches"),
+        (["bounds-sweep", "--n-bins", str(2**63 - 1), "--snr-db=0"], "n_bins " + _AT_MOST),
+        (["gen-synthetic", "--n-bins", "2", "--n-snapshots", "1" + "0" * 20],
+         "n_snapshots " + _AT_MOST),
+        (["gen-synthetic", "--n-bins", "2", "--branches", "1" + "0" * 20],
+         "n_branches " + _AT_MOST),
+        # each count alone fits, but not the complex coefficients of all of them
+        (["gen-synthetic", "--n-bins", "64", "--n-snapshots", "1" + "0" * 18],
+         "n_snapshots * n_branches * bins must be at most "),
     ],
-    ids=["n-bins-1e20", "n-bins-2**63-1", "n-snapshots-1e20", "branches-1e20"],
+    ids=["n-bins-1e20", "n-bins-2**63-1", "n-snapshots-1e20", "branches-1e20",
+         "n-snapshots-1e18-by-4-by-64"],
 )
-def test_counts_past_the_largest_array_length_exit_2_and_name_the_count(tmp_path, argv, name):
+def test_counts_past_the_largest_array_length_exit_2_and_name_the_count(tmp_path, argv, message):
     # no float64 array of more than 2**63 bytes can even be asked for, so
     # a longer count is an input error whose message names the count
     out = tmp_path / "big.csv"
@@ -511,7 +520,7 @@ def test_counts_past_the_largest_array_length_exit_2_and_name_the_count(tmp_path
         env=_subprocess_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 2, done.stderr
-    assert done.stderr.startswith(f"error: {name} must be a positive integer at most ")
+    assert done.stderr.startswith("error: " + message)
     assert "Traceback" not in done.stderr
     assert not out.exists()
 
@@ -750,10 +759,12 @@ _ROW = "0,0,0,5e9,1,0\n"
          "missing cell (snapshot=0, branch=0, bin=0)"),
         (_HEADER + _ROW, ["--f-min-hz", "9e9"], "band filter selected no bins"),
         (_HEADER + "0,0,0,6e9,1,0\n0,0,1,5e9,1,0\n", [], "strictly increasing"),
+        # a well-formed file that cannot be normalized
+        (_HEADER + "0,0,0,5e9,0,0\n1,0,0,5e9,0,-0\n", [], "all coefficients are zero"),
     ],
     ids=[
         "empty", "header", "blank", "ragged", "non-numeric", "negative", "inf", "nan",
-        "duplicate", "freq", "no-rows", "missing", "huge-bin", "band", "order",
+        "duplicate", "freq", "no-rows", "missing", "huge-bin", "band", "order", "all-zero",
     ],
 )
 def test_ingest_exits_2_on_every_parse_fault(tmp_path, capsys, content, flags, message):
@@ -771,3 +782,34 @@ def test_ingest_exits_2_on_undecodable_bytes(tmp_path, capsys):
     assert cli.main(["ingest", "--input", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _reject_constant(name):
+    raise AssertionError(f"{name} in the statistics JSON")
+
+
+@pytest.mark.parametrize(
+    "rows, fitted",
+    [
+        # one snapshot: no bin has a variance
+        (["0,0,0,5e9,1,0", "0,0,1,6e9,2,0", "0,1,0,5e9,0,1", "0,1,1,6e9,0,3"], [False, False]),
+        # bin 0 has |h|^2 = 1 in every snapshot, bin 1 varies
+        ([f"{s},0,0,5e9,1,0" for s in range(4)]
+         + [f"{s},0,1,6e9,{h},0" for s, h in enumerate([0, 2, 0, 0])], [False, True]),
+    ],
+    ids=["one-snapshot", "constant-bin"],
+)
+def test_ingest_writes_null_for_bins_without_a_fit(tmp_path, rows, fitted):
+    chan = tmp_path / "chan.csv"
+    chan.write_text(_HEADER + "".join(row + "\n" for row in rows))
+    stats = tmp_path / "stats.json"
+    assert cli.main(["ingest", "--input", str(chan), "--output", str(stats)]) == 0
+    bins = json.loads(stats.read_text(), parse_constant=_reject_constant)["bins"]
+    assert [b["fit_shape"] is not None for b in bins] == fitted
+    assert [b["fit_scale"] is not None for b in bins] == fitted
+    assert all(b["mean_gain"] > 0.0 for b in bins)
+    if fitted[1]:
+        # gains 0, 4, 0, 0 over a pooled mean of 1: mean 1, variance 3
+        assert bins[1]["fit_shape"] == pytest.approx(1.0 / 3.0, rel=1e-15)
+        assert bins[1]["fit_scale"] == pytest.approx(3.0, rel=1e-15)
+

@@ -13,11 +13,13 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _run(argv, cwd=None):
-    # a fresh interpreter that finds this checkout's package first
+    # a fresh interpreter that finds this checkout's package first and, like
+    # the test suite, turns any numpy RuntimeWarning into an error
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     return subprocess.run(
-        [sys.executable, *argv], env=env, cwd=cwd, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error::RuntimeWarning", *argv],
+        env=env, cwd=cwd, capture_output=True, text=True, timeout=120,
     )
 
 

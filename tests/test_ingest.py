@@ -10,12 +10,10 @@ from simocap import ingest
 from simocap.channel import ParallelChannel, build_decay_profile
 from simocap.ingest import (
     CSV_HEADER,
-    NormalizationError,
     ParseError,
     SnapshotSet,
     _write_atomic,
     generate_snapshots,
-    normalize_unit_mean,
     parse_channel_csv,
     pooled_mean_gain,
     simo_gains,
@@ -105,6 +103,15 @@ def test_parse_rejects_non_increasing_frequencies():
         parse_channel_csv(io.StringIO(body))
 
 
+def test_frequency_order_check_holds_across_the_whole_float_range():
+    # the gap between the bins exceeds the largest float; the order check must not overflow
+    body = f"{CSV_HEADER}\n0,0,0,-1.7e308,1,0\n0,0,1,1.7e308,1,0\n"
+    snaps = parse_channel_csv(io.StringIO(body))
+    assert snaps.freqs_hz.tolist() == [-1.7e308, 1.7e308]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        SnapshotSet(freqs_hz=[1.7e308, -1.7e308], coeffs=np.ones((1, 1, 2)))
+
+
 def test_parse_band_filter():
     original = _make_set(n_bins=6)
     buf = io.StringIO()
@@ -120,27 +127,28 @@ def test_parse_band_filter():
 
 
 def test_normalize_unit_mean_postconditions():
+    # dividing the gains by the pooled mean is one scale on every coefficient:
+    # all branches together average to the branch count, one branch scales alone
     snaps = _make_set(n_snapshots=10, seed=3)
-    normalized = normalize_unit_mean(snaps)
-    assert abs(pooled_mean_gain(normalized) - 1.0) < 1e-12
-    twice = normalize_unit_mean(normalized)
-    assert np.allclose(twice.coeffs, normalized.coeffs, rtol=1e-12)
-    # ratios between cells are preserved exactly up to one common scale
-    ratio = normalized.coeffs / snaps.coeffs
-    assert np.allclose(ratio, ratio.flat[0], rtol=1e-12)
+    pooled = pooled_mean_gain(snaps)
+    normalized = simo_gains(snaps, range(2)) / pooled
+    assert abs(normalized.mean() - 2.0) < 1e-12
+    scaled = SnapshotSet(freqs_hz=snaps.freqs_hz, coeffs=snaps.coeffs / math.sqrt(pooled))
+    assert abs(pooled_mean_gain(scaled) - 1.0) < 1e-12
+    assert np.allclose(simo_gains(scaled, [1]), simo_gains(snaps, [1]) / pooled, rtol=1e-12)
 
 
 def test_normalize_constant_magnitude_set():
     coeffs = np.full((2, 2, 2), 2.0 + 0.0j)  # |h|^2 = 4 everywhere
     snaps = SnapshotSet(freqs_hz=np.array([1.0, 2.0]), coeffs=coeffs)
-    normalized = normalize_unit_mean(snaps)
-    assert np.allclose(np.abs(normalized.coeffs), 1.0, rtol=1e-14)
+    assert pooled_mean_gain(snaps) == 4.0
+    assert np.array_equal(simo_gains(snaps, [0]) / pooled_mean_gain(snaps), np.ones((2, 2)))
 
 
 def test_normalize_rejects_all_zero():
     snaps = SnapshotSet(freqs_hz=np.array([1.0]), coeffs=np.zeros((1, 1, 1), dtype=complex))
-    with pytest.raises(NormalizationError):
-        normalize_unit_mean(snaps)
+    with pytest.raises(ValueError, match="all coefficients are zero; cannot normalize"):
+        pooled_mean_gain(snaps)
 
 
 def test_simo_gains_single_branch_and_additivity():
@@ -219,7 +227,7 @@ def test_generated_branches_sum_to_the_channel_law(n_branches):
 
 
 def test_pipeline_recovers_profile_means():
-    # parse -> normalize -> combine -> average recovers gains proportional
+    # parse -> combine -> normalize -> average recovers gains proportional
     # to the profile means within sampling error
     ch = build_decay_profile(4, 5e9, 6e9, 3.0, 1.0, 4, 1.0)
     snaps = generate_snapshots(ch, 10_000, seed=9, n_branches=4)
@@ -227,8 +235,7 @@ def test_pipeline_recovers_profile_means():
     write_channel_csv(snaps, buf)
     buf.seek(0)
     parsed = parse_channel_csv(buf)
-    normalized = normalize_unit_mean(parsed)
-    gains = simo_gains(normalized, range(4))
+    gains = simo_gains(parsed, range(4)) / pooled_mean_gain(parsed)
     observed = gains.mean(axis=0)
     mu = ch.mean_gains
     expected = mu * 4.0 / mu.mean()  # SIMO combining gain over unit per-branch average
