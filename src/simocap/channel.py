@@ -126,7 +126,8 @@ def build_decay_profile(
     one over bins, and L Nakagami-m branches give bin n Gamma(mL, mu_n/(mL)).
     """
     shape = _branch_shape(m, L)
-    _positive_integer("n_bins", n_bins)
+    # linspace counts its length in floats, which round the longest counts up past _COUNT_MAX
+    _positive_integer("n_bins", n_bins, most=_COUNT_MAX // 2)
     if not (math.isfinite(f_hi_hz) and f_hi_hz > f_lo_hz > 0.0):
         raise ValueError(f"need finite f_hi_hz > f_lo_hz > 0, got [{f_lo_hz!r}, {f_hi_hz!r}]")
     if not (decay_exponent >= 0.0 and math.isfinite(decay_exponent)):

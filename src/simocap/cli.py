@@ -3,9 +3,10 @@
 Subcommands: ``waterfill`` (one-shot allocation table), ``bounds-sweep``
 (bounds vs SNR), ``mpe-study`` (bound gap vs diversity order),
 ``gen-synthetic`` (channel CSV generator), and ``ingest`` (measured-data
-statistics).  Configuration is a JSON document whose fields individual
-command-line flags override; every effective value is echoed into a
-``<output>.meta.json`` sidecar so any output file can be reproduced.
+statistics).  A config command reads the ``ExperimentConfig`` fields that
+``COMMAND_FIELDS`` lists for it, as JSON keys that its flags override, and
+echoes them into a ``<output>.meta.json`` sidecar so any output file can be
+reproduced; a key or flag of another command is an input error.
 
 Exit codes: 0 success, 2 input or validation error, 3 output error,
 4 numeric non-convergence.  Outputs are byte-identical for identical
@@ -15,7 +16,7 @@ Exit codes: 0 success, 2 input or validation error, 3 output error,
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import get_args, get_origin
 
 import numpy as np
@@ -41,15 +42,19 @@ EXIT_NUMERIC = 4
 
 NOISE_VAR = 1.0
 
-_SNR_DEFINITION = (
-    "snr_db = 10*log10(p_total / (n_bins * n0)): average per-subchannel "
-    "transmit SNR under the unit-average mean-gain normalization"
-)
-_AWGN_NORMALIZER = (
-    "capacity of the deterministic parallel channel with gains fixed at the "
-    "mean gains, under waterfilled power (equals the Jensen upper bound at "
-    "the statistical-waterfilling allocation)"
-)
+# what the sidecar of a command that writes rates says they mean
+_RATE_NOTES = {
+    "snr_definition": (
+        "snr_db = 10*log10(p_total / (n_bins * n0)): average per-subchannel "
+        "transmit SNR under the unit-average mean-gain normalization"
+    ),
+    "awgn_normalizer": (
+        "capacity of the deterministic parallel channel with gains fixed at the "
+        "mean gains, under waterfilled power (equals the Jensen upper bound at "
+        "the statistical-waterfilling allocation)"
+    ),
+    "upper_bound": "Jensen bound at the statistical-waterfilling allocation",
+}
 
 BOUNDS_COLUMNS = (
     "snr_db",
@@ -82,24 +87,30 @@ class ExperimentConfig:
     rate_units: str = "nats"
     output_path: str = ""
 
-    def validate(self):
-        # the band, n_bins, decay exponent and m are checked by build_decay_profile,
-        # which every config command calls before it writes anything
-        if not self.l_values or any(int(v) != v or v < 1 for v in self.l_values):
-            raise ValueError("l_values must be a non-empty list of positive integers")
+    def validate(self, command: str):
+        # the profile and each L, n_snapshots, the a-rule and mpe-study's orders are checked
+        # before any write by build_decay_profile, generate_snapshots, _parse_a_rule and mpe_slope
+        if command != "mpe-study" and len(self.l_values) != 1:
+            raise ValueError(f"{command} takes exactly one l_values entry, got {self.l_values}")
         if not self.snr_db_values:
             raise ValueError("snr_db_values must be non-empty")
-        if self.n_snapshots < 1:
-            raise ValueError("n_snapshots must be a positive integer")
         if not self.strategies or any(s not in STRATEGY_TAGS for s in self.strategies):
             raise ValueError(f"strategies must be a non-empty subset of {STRATEGY_TAGS}")
-        _parse_a_rule(self.a_rule)
         if self.rate_units not in ("nats", "bits"):
             raise ValueError("rate_units must be 'nats' or 'bits'")
 
 
-# what a field's flag needs beyond --<field name with dashes> and its type
-_FLAG_NAMES = {"snr_db_values": "--snr-db", "output_path": "--output"}
+# the fields each config command reads: the channel profile, the output path and its own
+_PROFILE = ("f_lo_hz", "f_hi_hz", "n_bins", "decay_exponent", "m", "l_values", "output_path")
+COMMAND_FIELDS = {
+    "bounds-sweep": _PROFILE + ("snr_db_values", "strategies", "a_rule", "rate_units"),
+    "mpe-study": _PROFILE + ("snr_db_values", "rate_units"),
+    "gen-synthetic": _PROFILE + ("n_snapshots", "seed"),
+}
+
+# each field's flag, --<field name with dashes> but for two, and what it needs beyond its type
+_FLAGS = {f.name: "--" + f.name.replace("_", "-") for f in fields(ExperimentConfig)}
+_FLAGS.update(snr_db_values="--snr-db", output_path="--output")
 _FLAG_OPTIONS = {
     "l_values": {"help": "comma-separated diversity orders"},
     "snr_db_values": {"help": "comma-separated SNR values in dB"},
@@ -125,8 +136,14 @@ def _parse_a_rule(a_rule: str) -> float | None:
     return _alpha(alpha)
 
 
-def _parse_list(text: str, typ) -> list:
-    return [typ(part) for part in text.split(",") if part]
+def _parse_list(flag: str, text: str, typ) -> list:
+    try:
+        items = [typ(part) for part in text.split(",")]
+    except ValueError:  # an item that is not of the type, such as an empty number
+        items = [""]
+    if "" in items:
+        raise ValueError(f"{flag} must be comma-separated {_TYPE_NAMES[typ]}s, got {text!r}")
+    return items
 
 
 def _is_json_value(typ, value) -> bool:
@@ -151,8 +168,9 @@ def _check_config_field(f, value) -> None:
 
 def _load_config(args: argparse.Namespace, overrides: dict | None = None) -> ExperimentConfig:
     cfg = ExperimentConfig(**(overrides or {}))
-    config_fields = {f.name: f for f in fields(ExperimentConfig)}
-    if getattr(args, "config", None):
+    read = COMMAND_FIELDS[args.command]
+    config_fields = {f.name: f for f in fields(ExperimentConfig) if f.name in read}
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 document = json.load(fh)
@@ -164,7 +182,7 @@ def _load_config(args: argparse.Namespace, overrides: dict | None = None) -> Exp
             raise ValueError("config document must be a JSON object")
         for key, value in document.items():
             if key not in config_fields:
-                raise ValueError(f"unknown config field {key!r}")
+                raise ValueError(f"{args.command} reads no config field {key!r}")
             _check_config_field(config_fields[key], value)
             setattr(cfg, key, value)
     for key, f in config_fields.items():
@@ -172,9 +190,9 @@ def _load_config(args: argparse.Namespace, overrides: dict | None = None) -> Exp
         if flag_value is not None:
             # argparse converts the scalar flags; list flags are comma-separated
             if get_origin(f.type) is list:
-                flag_value = _parse_list(flag_value, *get_args(f.type))
+                flag_value = _parse_list(_FLAGS[key], flag_value, *get_args(f.type))
             setattr(cfg, key, flag_value)
-    cfg.validate()
+    cfg.validate(args.command)
     if not cfg.output_path:
         raise ValueError("an output path is required (--output)")
     return cfg
@@ -182,20 +200,8 @@ def _load_config(args: argparse.Namespace, overrides: dict | None = None) -> Exp
 
 def _profile_channel(cfg: ExperimentConfig, L: int):
     return build_decay_profile(
-        n_bins=cfg.n_bins,
-        f_lo_hz=cfg.f_lo_hz,
-        f_hi_hz=cfg.f_hi_hz,
-        decay_exponent=cfg.decay_exponent,
-        m=cfg.m,
-        L=L,
-        n0=NOISE_VAR,
+        cfg.n_bins, cfg.f_lo_hz, cfg.f_hi_hz, cfg.decay_exponent, cfg.m, L=L, n0=NOISE_VAR
     )
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
 
 
 def _write_csv(cfg: ExperimentConfig, header, rows) -> None:
@@ -203,35 +209,27 @@ def _write_csv(cfg: ExperimentConfig, header, rows) -> None:
     to_bits = [cfg.rate_units == "bits" and col in RATE_COLUMNS for col in header]
     lines = [",".join(header)]
     lines.extend(
-        ",".join(_format_cell(v / LN2 if bits else v) for v, bits in zip(row, to_bits))
+        ",".join(str(v / LN2 if bits else v) for v, bits in zip(row, to_bits))
         for row in rows
     )
     _write_atomic(cfg.output_path, "\n".join(lines) + "\n")
 
 
-def _write_sidecar(cfg: ExperimentConfig, command: str, extra: dict | None = None):
+def _write_sidecar(cfg: ExperimentConfig, command: str, **extra):
     meta = {
         "command": command,
-        "config": asdict(cfg),
+        "config": {name: getattr(cfg, name) for name in COMMAND_FIELDS[command]},
         "noise_variance": NOISE_VAR,
-        "rate_units": cfg.rate_units,
-        "snr_definition": _SNR_DEFINITION,
-        "awgn_normalizer": _AWGN_NORMALIZER,
-        "upper_bound": "Jensen bound at the statistical-waterfilling allocation",
         "version": __version__,
+        **extra,
     }
-    if extra:
-        meta.update(extra)
+    if "rate_units" in meta["config"]:
+        meta.update(rate_units=cfg.rate_units, **_RATE_NOTES)
     _write_atomic(cfg.output_path + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_waterfill(args) -> int:
-    try:
-        means = _parse_list(args.means, float)
-    except ValueError:
-        raise ValueError(f"could not parse means {args.means!r}") from None
-    if not means:
-        raise ValueError("no means given")
+    means = _parse_list("--means", args.means, float)
     powers, water_level = waterfill(means, args.n0, args.p_total)
     print("subchannel,gain,power")
     for i, (g, p) in enumerate(zip(means, powers)):
@@ -245,7 +243,7 @@ def cmd_waterfill(args) -> int:
 def cmd_bounds_sweep(args) -> int:
     cfg = _load_config(args)
     table = rate_table(
-        lambda L: _profile_channel(cfg, L), cfg.l_values[:1], cfg.snr_db_values, cfg.strategies,
+        lambda L: _profile_channel(cfg, L), cfg.l_values, cfg.snr_db_values, cfg.strategies,
         alpha=_parse_a_rule(cfg.a_rule),
     )
     c_awgn = table["c_upper"]  # the table's upper bound is the AWGN reference
@@ -261,23 +259,21 @@ def cmd_bounds_sweep(args) -> int:
 
 
 def cmd_mpe_study(args) -> int:
-    cfg = _load_config(
-        args,
-        overrides={"snr_db_values": [-10.0, 5.0], "l_values": [1, 2, 4, 8, 16]},
-    )
+    defaults = {"snr_db_values": [-10.0, 5.0], "l_values": [1, 2, 4, 8, 16]}
+    cfg = _load_config(args, overrides=defaults)
     table = rate_table(
         lambda L: _profile_channel(cfg, L), cfg.l_values, cfg.snr_db_values,
         ["statistical-waterfill"], markov=False,
     )
     # the grid runs over L, then SNR: one column of MPEs per SNR
-    mpe_by_snr = table["mpe_percent"].reshape(len(cfg.l_values), -1).T
+    mpe_by_snr = table["mpe_percent"].reshape(-1, len(cfg.snr_db_values)).T
     slopes = {
         repr(float(snr)): mpe_slope(cfg.l_values, mpes)
         for snr, mpes in zip(cfg.snr_db_values, mpe_by_snr)
     }
     rows = sorted(zip(*(table[col].tolist() for col in MPE_COLUMNS)), key=lambda row: row[:2])
     _write_csv(cfg, MPE_COLUMNS, rows)
-    _write_sidecar(cfg, "mpe-study", extra={"mpe_slope_by_snr_db": slopes})
+    _write_sidecar(cfg, "mpe-study", mpe_slope_by_snr_db=slopes)
     return EXIT_OK
 
 
@@ -287,7 +283,7 @@ def cmd_gen_synthetic(args) -> int:
     branches = int(cfg.l_values[0]) if args.branches is None else args.branches
     snapshots = generate_snapshots(ch, cfg.n_snapshots, cfg.seed, branches)
     write_channel_csv(snapshots, cfg.output_path)
-    _write_sidecar(cfg, "gen-synthetic", extra={"branches": snapshots.branches})
+    _write_sidecar(cfg, "gen-synthetic", branches=snapshots.branches)
     return EXIT_OK
 
 
@@ -297,7 +293,8 @@ def cmd_ingest(args) -> int:
     except OSError as exc:  # an unreadable input is an input error, not an output error
         raise ValueError(f"cannot read {args.input}: {exc}") from exc
     pooled = pooled_mean_gain(raw)
-    branch_ids = _parse_list(args.branches, int) if args.branches else list(range(raw.branches))
+    ids = args.branches
+    branch_ids = list(range(raw.branches)) if ids is None else _parse_list("--branches", ids, int)
     gains = simo_gains(raw, branch_ids) / pooled
     # a bin with no fit (NaN) is written as null
     fit_shape, fit_scale = (
@@ -333,13 +330,13 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def _add_config_flags(sub: argparse.ArgumentParser) -> None:
+def _add_config_flags(sub: argparse.ArgumentParser, command: str) -> None:
     sub.add_argument("--config", help="JSON config file; flags override its fields")
     for f in fields(ExperimentConfig):
-        flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
-        # list flags stay text until _load_config splits them
-        typ = str if get_origin(f.type) is list else f.type
-        sub.add_argument(flag, dest=f.name, type=typ, **_FLAG_OPTIONS.get(f.name, {}))
+        if f.name in COMMAND_FIELDS[command]:
+            # list flags stay text until _load_config splits them
+            typ = str if get_origin(f.type) is list else f.type
+            sub.add_argument(_FLAGS[f.name], dest=f.name, type=typ, **_FLAG_OPTIONS.get(f.name, {}))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -357,15 +354,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_wf.set_defaults(handler=cmd_waterfill)
 
     p_bs = subparsers.add_parser("bounds-sweep", help="capacity bounds versus SNR (CSV)")
-    _add_config_flags(p_bs)
+    _add_config_flags(p_bs, "bounds-sweep")
     p_bs.set_defaults(handler=cmd_bounds_sweep)
 
     p_mpe = subparsers.add_parser("mpe-study", help="bound gap versus diversity order (CSV)")
-    _add_config_flags(p_mpe)
+    _add_config_flags(p_mpe, "mpe-study")
     p_mpe.set_defaults(handler=cmd_mpe_study)
 
     p_gen = subparsers.add_parser("gen-synthetic", help="generate a synthetic channel CSV")
-    _add_config_flags(p_gen)
+    _add_config_flags(p_gen, "gen-synthetic")
     branches_help = "branch count (default: L); each bin's Gamma(mL, theta) law is split over them"
     p_gen.add_argument("--branches", type=int, help=branches_help)
     p_gen.set_defaults(handler=cmd_gen_synthetic)
@@ -382,7 +379,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, unread = parser.parse_known_args(argv)
+    if unread:  # a flag of another command, or none at all
+        parser.error(f"{args.command}: unrecognized arguments: {' '.join(unread)}")
     try:
         return args.handler(args)
     except NumericError as exc:

@@ -47,6 +47,35 @@ def test_waterfill_rejects_non_numeric_mean(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bounds-sweep", "--snr-db=0,,5"], "--snr-db must be comma-separated numbers, got '0,,5'"),
+        (["bounds-sweep", "--strategies", "equal,,optimal"],
+         "--strategies must be comma-separated strings, got 'equal,,optimal'"),
+        (["mpe-study", "--l-values", "1,2.5,4"],
+         "--l-values must be comma-separated integers, got '1,2.5,4'"),
+        (["waterfill", "--means", "1,,2"], "--means must be comma-separated numbers, got '1,,2'"),
+        (["ingest", "--input", "{chan}", "--branches", "0,"],
+         "--branches must be comma-separated integers, got '0,'"),
+    ],
+    ids=["snr-db-empty-item", "strategies-empty-item", "l-values-not-integer", "means-empty-item",
+         "branches-empty-item"],
+)
+def test_list_flags_with_an_empty_or_malformed_item_exit_2_and_name_the_flag(
+    tmp_path, capsys, argv, message
+):
+    chan = tmp_path / "chan.csv"
+    chan.write_text("snapshot,branch,bin,freq_hz,re,im\n0,0,0,5e9,1,0\n")
+    out = tmp_path / "out.csv"
+    argv = [arg.format(chan=chan) for arg in argv]
+    assert cli.main(argv + ([] if argv[0] == "waterfill" else ["--output", str(out)])) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "flags, message",
     [
         (["--n0", "inf"], "n0 must be positive and finite, got inf"),
@@ -106,12 +135,11 @@ def test_bounds_sweep_waterfilling_gains_at_low_snr(tmp_path):
     )
 
 
-def test_bounds_sweep_is_byte_identical_across_reruns_and_workers(tmp_path, monkeypatch):
-    args = ["bounds-sweep", "--n-bins", "8", "--snr-db=-5,0,5", "--seed", "3"]
+def test_bounds_sweep_is_byte_identical_across_reruns(tmp_path):
+    args = ["bounds-sweep", "--n-bins", "8", "--snr-db=-5,0,5"]
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
     assert cli.main(args + ["--output", str(first)]) == 0
-    monkeypatch.setenv("SIMOCAP_WORKERS", "2")
     assert cli.main(args + ["--output", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
     meta_a = json.loads((tmp_path / "a.csv.meta.json").read_text())
@@ -344,7 +372,7 @@ _CONFIG_SURFACE = {
     "n_bins": ("--n-bins", "3", 3),
     "decay_exponent": ("--decay-exponent", "2.0", 2.0),
     "m": ("--m", "2.0", 2.0),
-    "l_values": ("--l-values", "2,3", [2, 3]),
+    "l_values": ("--l-values", "2", [2]),
     "snr_db_values": ("--snr-db", "1.0,2.0", [1.0, 2.0]),
     "n_snapshots": ("--n-snapshots", "7", 7),
     "seed": ("--seed", "5", 5),
@@ -355,35 +383,97 @@ _CONFIG_SURFACE = {
 }
 
 
+# mpe-study fits its slopes over at least three diversity orders
+_MPE_L_VALUES = ("--l-values", "1,2,3", [1, 2, 3])
+# a small run of each config command, as a JSON document of the fields it reads
+_BASE_CONFIG = {
+    "bounds-sweep": {"n_bins": 2, "snr_db_values": [0.0]},
+    "mpe-study": {"n_bins": 2, "snr_db_values": [0.0], "l_values": [1, 2, 4]},
+    "gen-synthetic": {"n_bins": 2, "n_snapshots": 5},
+}
+_UNREAD = [
+    (c, f.name) for c, names in cli.COMMAND_FIELDS.items()
+    for f in fields(cli.ExperimentConfig) if f.name not in names
+]
+# rate_units and the three notes on what the rates mean
+_RATE_KEYS = {"rate_units", "snr_definition", "awgn_normalizer", "upper_bound"}
+
+
 def test_config_surface_table_names_every_field():
     assert list(_CONFIG_SURFACE) == [f.name for f in fields(cli.ExperimentConfig)]
     defaults = cli.ExperimentConfig()
     for name, (_, _, value) in _CONFIG_SURFACE.items():
         assert value != getattr(defaults, name), name
+    assert _MPE_L_VALUES[2] != _BASE_CONFIG["mpe-study"]["l_values"]
+    assert cli.COMMAND_FIELDS.keys() == _BASE_CONFIG.keys()
+    assert {c: len(names) for c, names in cli.COMMAND_FIELDS.items()} == {
+        "bounds-sweep": 11, "mpe-study": 9, "gen-synthetic": 9
+    }
 
 
 @pytest.mark.parametrize("source", ["flag", "json"])
 @pytest.mark.parametrize("name", list(_CONFIG_SURFACE))
 def test_every_config_field_reaches_the_sidecar(tmp_path, name, source):
-    # a non-default value set by the field's flag or by its JSON key
+    # a non-default value set by the field's flag or by its JSON key, through
+    # every command that reads the field
+    commands = [c for c, names in cli.COMMAND_FIELDS.items() if name in names]
+    assert commands
+    for command in commands:
+        flag, text, value = _CONFIG_SURFACE[name]
+        if (command, name) == ("mpe-study", "l_values"):
+            flag, text, value = _MPE_L_VALUES
+        out = tmp_path / f"{command}.csv"
+        if name == "output_path":
+            text = value = str(out)
+        base = dict(_BASE_CONFIG[command])
+        argv = [command]
+        if source == "flag":
+            argv += [flag, text]
+        else:
+            base[name] = value
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(base))
+        argv += ["--config", str(config)]
+        if name != "output_path":
+            argv += ["--output", str(out)]
+        assert cli.main(argv) == 0, command
+        meta = json.loads((tmp_path / f"{command}.csv.meta.json").read_text())
+        assert meta["config"][name] == value, command
+
+
+@pytest.mark.parametrize("command, name", _UNREAD, ids=[f"{c}-{n}" for c, n in _UNREAD])
+def test_every_command_rejects_the_fields_it_does_not_read(tmp_path, capsys, command, name):
     flag, text, value = _CONFIG_SURFACE[name]
-    out = tmp_path / "sweep.csv"
-    if name == "output_path":
-        text = value = str(out)
-    base = {"n_bins": 2, "snr_db_values": [0.0]}
-    argv = ["bounds-sweep"]
-    if source == "flag":
-        argv += ["--n-bins", "2", "--snr-db=0", flag, text]
-    else:
-        base[name] = value
+    out = tmp_path / "out.csv"
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(base))
-    argv += ["--config", str(config)]
-    if name != "output_path":
-        argv += ["--output", str(out)]
-    assert cli.main(argv) == 0
-    meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
-    assert meta["config"][name] == value
+    config.write_text(json.dumps(dict(_BASE_CONFIG[command], **{name: value})))
+    # the key in the JSON document
+    assert cli.main([command, "--config", str(config), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {command} reads no config field {name!r}\n"
+    # the flag, a usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, flag, text, "--output", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {command}: unrecognized arguments: {flag} {text}\n" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    # without it, the sidecar echoes exactly the fields the command reads
+    config.write_text(json.dumps(_BASE_CONFIG[command]))
+    assert cli.main([command, "--config", str(config), "--output", str(out)]) == 0
+    meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+    assert set(meta["config"]) == set(cli.COMMAND_FIELDS[command])
+    assert _RATE_KEYS & set(meta) == (set() if command == "gen-synthetic" else _RATE_KEYS)
+
+
+@pytest.mark.parametrize("command", ["bounds-sweep", "gen-synthetic"])
+def test_single_order_commands_reject_two_diversity_orders(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--n-bins", "2", "--l-values", "2,4", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {command} takes exactly one l_values entry, got [2, 4]\n"
+    assert not out.exists()
 
 
 def test_gen_synthetic_is_deterministic(tmp_path):
@@ -500,6 +590,8 @@ _AT_MOST = "must be a positive integer at most "
         (["bounds-sweep", "--n-bins", "1" + "0" * 20, "--snr-db=0"], "n_bins " + _AT_MOST),
         # numpy's linspace raises IndexError at the largest intp
         (["bounds-sweep", "--n-bins", str(2**63 - 1), "--snr-db=0"], "n_bins " + _AT_MOST),
+        # a float64 array of the largest length, which linspace's float count rounds up past it
+        (["bounds-sweep", "--n-bins", str(2**60 - 1), "--snr-db=0"], "n_bins " + _AT_MOST),
         (["gen-synthetic", "--n-bins", "2", "--n-snapshots", "1" + "0" * 20],
          "n_snapshots " + _AT_MOST),
         (["gen-synthetic", "--n-bins", "2", "--branches", "1" + "0" * 20],
@@ -508,7 +600,7 @@ _AT_MOST = "must be a positive integer at most "
         (["gen-synthetic", "--n-bins", "64", "--n-snapshots", "1" + "0" * 18],
          "n_snapshots * n_branches * bins must be at most "),
     ],
-    ids=["n-bins-1e20", "n-bins-2**63-1", "n-snapshots-1e20", "branches-1e20",
+    ids=["n-bins-1e20", "n-bins-2**63-1", "n-bins-2**60-1", "n-snapshots-1e20", "branches-1e20",
          "n-snapshots-1e18-by-4-by-64"],
 )
 def test_counts_past_the_largest_array_length_exit_2_and_name_the_count(tmp_path, argv, message):

@@ -1,7 +1,8 @@
-"""Smoke tests: every demo script, and the README's Python code, run to completion."""
+"""Smoke tests: every demo, and the README's Python code and command lines, run to completion."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -37,3 +38,20 @@ def test_readme_python_blocks_run(tmp_path):
     assert blocks
     done = _run(["-c", "\n".join(blocks)], cwd=tmp_path)
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_command_lines_run(tmp_path):
+    # every `simocap ...` line of the README's command-line block, continuation
+    # lines joined, in order and in one directory, so ingest reads the channel
+    # that gen-synthetic wrote
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = re.search(r"^```bash\n(.*?)^```", section, flags=re.MULTILINE | re.DOTALL).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.startswith("simocap ")]
+    assert {argv[1] for argv in commands} == {
+        "waterfill", "bounds-sweep", "mpe-study", "gen-synthetic", "ingest"
+    }
+    for argv in commands:
+        done = _run(["-m", "simocap", *argv[1:]], cwd=tmp_path)
+        assert done.returncode == 0, (argv, done.stderr)
