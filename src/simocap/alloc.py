@@ -12,7 +12,7 @@ are known at the transmitter.
 import numpy as np
 
 from .channel import ParallelChannel, _positive, _positive_integer
-from .specfun import NumericError, gamma_expectation_batch
+from .specfun import NumericError, _expect, _gamma_rule
 
 __all__ = [
     "waterfill",
@@ -61,7 +61,9 @@ def waterfill(gains, n0: float, p_total: float) -> tuple[np.ndarray, float]:
         levels = n0 / g
     if np.all(np.isinf(levels)):
         raise ValueError("n0/g overflows for every gain; no subchannel can be powered")
-    return _waterlevel(levels, np.ones(g.size), p_total)
+    # thresholds measured from the lowest keep low-SNR powers free of cancellation
+    powers, nu = _waterlevel(levels - levels.min(), np.ones(g.size), p_total)
+    return powers, nu + levels.min()
 
 
 def equal_power(n: int, p_total: float) -> np.ndarray:
@@ -87,16 +89,14 @@ def optimal_allocation(channel: ParallelChannel, p_total: float) -> np.ndarray:
     """
     n0, p_total = channel.n0, _positive("p_total", p_total)
     powers = waterfill(channel.mean_gains, n0, p_total)[0]
+    g, weights = _gamma_rule(channel.shape, channel.theta)
 
     def expectation(k):
-        # E[(g/(n0 + p*g))**k] on every subchannel at the current powers, in
-        # place: fresh (bins x nodes) temporaries cost more than the arithmetic
-        def integrand(g, rows):
-            x = powers[rows, None] * g
-            x += n0
-            np.divide(g, x, out=x)
-            return x if k == 1 else np.square(x, out=x)
-        return gamma_expectation_batch(integrand, channel.shape, channel.theta)
+        # E[(g/(n0 + p*g))**k] at the current powers, in place on one (bins x nodes) array
+        x = powers[:, None] * g
+        x += n0
+        np.divide(g, x, out=x)
+        return _expect(x if k == 1 else np.square(x, out=x), weights)
 
     for _ in range(_ITER_CAP):
         marginal = expectation(1)

@@ -288,13 +288,13 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    ids = None if args.branches is None else _parse_list("--branches", args.branches, int)
     try:
         raw = parse_channel_csv(args.input, f_min_hz=args.f_min_hz, f_max_hz=args.f_max_hz)
     except OSError as exc:  # an unreadable input is an input error, not an output error
         raise ValueError(f"cannot read {args.input}: {exc}") from exc
     pooled = pooled_mean_gain(raw)
-    ids = args.branches
-    branch_ids = list(range(raw.branches)) if ids is None else _parse_list("--branches", ids, int)
+    branch_ids = list(range(raw.branches)) if ids is None else ids
     gains = simo_gains(raw, branch_ids) / pooled
     # a bin with no fit (NaN) is written as null
     fit_shape, fit_scale = (

@@ -321,6 +321,8 @@ def generate_snapshots(
     """
     _positive_integer("n_snapshots", n_snapshots)
     _positive_integer("n_branches", n_branches)
+    if int(seed) < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     if int(n_snapshots) * int(n_branches) * channel.n > _COUNT_MAX // 2:  # complex: 2 floats
         raise ValueError(
             f"n_snapshots * n_branches * bins must be at most {_COUNT_MAX // 2} coefficients, "

@@ -141,10 +141,8 @@ def exact_rate(channel: ParallelChannel, powers) -> float:
     """Ergodic sum rate sum_n E[log(1 + p_n*g_n/n0)] of the allocation."""
     powers = _powers(powers, channel.n)
     on = powers > 0.0
-    c = powers[on] / channel.n0
-    rates = gamma_expectation_batch(
-        lambda g, rows: np.log1p(c[rows, None] * g), channel.shape[on], channel.theta[on]
-    )
+    c = powers[on, None] / channel.n0
+    rates = gamma_expectation_batch(lambda g: np.log1p(c * g), channel.shape[on], channel.theta[on])
     return float(rates.sum())
 
 

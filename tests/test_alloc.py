@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from simocap import alloc as alloc_module
+from simocap import alloc as alloc_module, specfun
 from simocap.alloc import equal_power, optimal_allocation, waterfill
 from simocap.channel import ParallelChannel, build_decay_profile
 from simocap.rates import exact_rate, jensen_upper, snr_db_to_power
@@ -85,6 +85,19 @@ def test_waterfill_budget_and_complementary_slackness():
 def test_waterfill_ties_activate_together():
     powers = waterfill([1.0, 1.0, 4.0], n0=1.0, p_total=0.9)[0]
     assert powers[0] == powers[1]
+
+
+def test_waterfill_meets_its_budget_at_low_snr():
+    # far below the thresholds n0/g the powers are tiny next to the water
+    # level; measured from the lowest threshold they still sum to the budget
+    # within n*eps relative (the direct nu - n0/g missed by up to 2.3e-9)
+    eps = np.finfo(float).eps
+    assert waterfill([1e-3], 1.0, 1e-5)[0][0] == 1e-5
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        means, p_total = 10 ** rng.uniform(-3, -2, 8), 10 ** rng.uniform(-5, -3)
+        powers = waterfill(means, 1.0, p_total)[0]
+        assert abs(powers.sum() / p_total - 1.0) <= 8 * eps
 
 
 def test_waterfill_beats_random_feasible_allocations():
@@ -180,7 +193,7 @@ def _assert_kkt(ch, p_total, powers):
     active = powers > 0.0
     marginals = np.array(
         [
-            gamma_expectation_batch(lambda g, rows, p=p: g / (ch.n0 + p * g), [shape], [theta])[0]
+            gamma_expectation_batch(lambda g, p=p: g / (ch.n0 + p * g), [shape], [theta])[0]
             for shape, theta, p in zip(ch.shape[active], ch.theta[active], powers[active])
         ]
     )
@@ -227,6 +240,27 @@ def test_optimal_allocation_raises_at_the_iteration_cap(monkeypatch):
         optimal_allocation(ch, 2.0)
 
 
+def test_optimal_allocation_builds_one_rule_per_solve(monkeypatch):
+    # the quadrature rule depends on the channel only, so every Newton step
+    # applies the one rule built at the start of the solve
+    built, applied = [], []
+
+    def rule(*args):
+        built.append(args)
+        return specfun._gamma_rule(*args)
+
+    def expect(*args):
+        applied.append(args)
+        return specfun._expect(*args)
+
+    monkeypatch.setattr(alloc_module, "_gamma_rule", rule)
+    monkeypatch.setattr(alloc_module, "_expect", expect)
+    ch = ParallelChannel(theta=[2.0, 0.1, 1e-3], shape=[0.5, 6.0, 1e3], n0=1.0)
+    _assert_kkt(ch, 2.0, optimal_allocation(ch, 2.0))
+    assert len(built) == 1
+    assert len(applied) >= 3  # marginals, curvatures and marginals again at least
+
+
 def test_waterfill_is_the_unit_slope_active_set_solution():
     # ties included: every third gain repeats
     rng = np.random.default_rng(5)
@@ -235,7 +269,9 @@ def test_waterfill_is_the_unit_slope_active_set_solution():
         gains = np.repeat(10 ** rng.uniform(-2, 2, size=n), 3)[: 2 * n]
         n0, p_total = 10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-3, 3)
         powers, water_level = waterfill(gains, n0, p_total)
-        thresholds = n0 / gains
+        # the thresholds and the water level measured from the lowest threshold
+        low = (n0 / gains).min()
+        thresholds = n0 / gains - low
         order = np.argsort(thresholds, kind="stable")
         k = np.arange(1, gains.size + 1, dtype=float)
         nu_candidates = (p_total + np.cumsum(thresholds[order])) / k
@@ -243,5 +279,5 @@ def test_waterfill_is_the_unit_slope_active_set_solution():
         nu = float(nu_candidates[k_star - 1])
         expected = np.zeros(gains.size)
         expected[order[:k_star]] = nu - thresholds[order][:k_star]
-        assert water_level == nu
+        assert water_level == nu + low
         assert np.array_equal(powers, expected)

@@ -25,7 +25,7 @@ def test_optimal_allocation_meets_kkt_and_beats_simpler_loadings(subs, log_p_tot
     ch, p_total = ParallelChannel(10.0**log_mu / (m * L), m * L, n0=1.0), 10.0**log_p_total
     powers = optimal_allocation(ch, p_total)
     marginals = gamma_expectation_batch(
-        lambda g, rows: g / (ch.n0 + powers[rows, None] * g), ch.shape, ch.theta
+        lambda g: g / (ch.n0 + powers[:, None] * g), ch.shape, ch.theta
     )
     active = powers > 0.0
     lam = marginals[active].max()

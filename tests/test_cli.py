@@ -57,9 +57,12 @@ def test_waterfill_rejects_non_numeric_mean(capsys):
         (["waterfill", "--means", "1,,2"], "--means must be comma-separated numbers, got '1,,2'"),
         (["ingest", "--input", "{chan}", "--branches", "0,"],
          "--branches must be comma-separated integers, got '0,'"),
+        # the flag is checked before the input is read
+        (["ingest", "--input", "{chan}.missing", "--branches", "0,,1"],
+         "--branches must be comma-separated integers, got '0,,1'"),
     ],
     ids=["snr-db-empty-item", "strategies-empty-item", "l-values-not-integer", "means-empty-item",
-         "branches-empty-item"],
+         "branches-empty-item", "branches-before-a-missing-input"],
 )
 def test_list_flags_with_an_empty_or_malformed_item_exit_2_and_name_the_flag(
     tmp_path, capsys, argv, message
@@ -483,6 +486,21 @@ def test_gen_synthetic_is_deterministic(tmp_path):
     assert cli.main(args + ["--output", str(a)]) == 0
     assert cli.main(args + ["--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_gen_synthetic_negative_seed_exits_2_and_names_seed(tmp_path, capsys, source):
+    out = tmp_path / "chan.csv"
+    argv = ["gen-synthetic", "--n-bins", "2", "--output", str(out)]
+    if source == "flag":
+        argv.append("--seed=-1")
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": -1}))
+        argv += ["--config", str(config)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
+    assert list(tmp_path.glob("chan.csv*")) == []
 
 
 def test_gen_then_ingest_round_trip(tmp_path):

@@ -206,6 +206,10 @@ def test_generator_is_deterministic_and_validates():
     with pytest.raises(TypeError):
         generate_snapshots(ch, 5, seed=1)
     assert generate_snapshots(ch, 5, seed=1, n_branches=3).branches == 3
+    for bad in (-1, -(2**70)):
+        with pytest.raises(ValueError, match=f"^seed must be a nonnegative integer, got {bad}$"):
+            generate_snapshots(ch, 5, seed=bad, n_branches=2)
+    assert generate_snapshots(ch, 5, seed=0, n_branches=2).coeffs.shape == (5, 2, 3)
 
 
 @pytest.mark.parametrize("n_branches", [1, 2, 4, 8])

@@ -130,9 +130,9 @@ def test_reg_gamma_q_rejects_bad_domain():
 def test_gamma_expectation_moments():
     for shape in (0.5, 1.0, 3.0, 40.0, 1e5):
         for scale in (0.25, 1.0, 4.0):
-            mean = gamma_expectation_batch(lambda g, rows: g, [shape], [scale])[0]
+            mean = gamma_expectation_batch(lambda g: g, [shape], [scale])[0]
             assert math.isclose(mean, shape * scale, rel_tol=1e-9)
-            second = gamma_expectation_batch(lambda g, rows: g * g, [shape], [scale])[0]
+            second = gamma_expectation_batch(lambda g: g * g, [shape], [scale])[0]
             assert math.isclose(second, shape * (shape + 1.0) * scale**2, rel_tol=1e-9)
 
 
@@ -141,7 +141,7 @@ def test_gamma_expectation_log_closed_form():
     mpmath = pytest.importorskip("mpmath")
     for c in (0.1, 1.0, 10.0):
         for theta in (0.1, 1.0, 10.0):
-            est = gamma_expectation_batch(lambda g, rows: np.log1p(c * g), [1.0], [theta])[0]
+            est = gamma_expectation_batch(lambda g: np.log1p(c * g), [1.0], [theta])[0]
             ref = math.exp(1.0 / (c * theta)) * float(mpmath.e1(1.0 / (c * theta)))
             assert math.isclose(est, ref, rel_tol=1e-8)
 
@@ -149,28 +149,74 @@ def test_gamma_expectation_log_closed_form():
 def test_gamma_expectation_detects_divergent_integrand():
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(NumericError):
-            gamma_expectation_batch(lambda g, rows: g / (g - g), [2.0], [1.0])
+            gamma_expectation_batch(lambda g: g / (g - g), [2.0], [1.0])
 
 
 def test_gamma_expectation_propagates_integrand_errors():
     # an integrand that cannot take an array is an error, not a cue to
     # evaluate it node by node
     with pytest.raises(TypeError):
-        gamma_expectation_batch(lambda g, rows: math.log1p(g), [2.0], [1.0])
+        gamma_expectation_batch(lambda g: math.log1p(g), [2.0], [1.0])
 
 
 def test_gamma_expectation_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        gamma_expectation_batch(lambda g, rows: g, [0.0], [1.0])
+        gamma_expectation_batch(lambda g: g, [0.0], [1.0])
     with pytest.raises(ValueError):
-        gamma_expectation_batch(lambda g, rows: g, [1.0], [-1.0])
+        gamma_expectation_batch(lambda g: g, [1.0], [-1.0])
 
 
 @pytest.mark.parametrize("shape", [0.01, 0.0999, 1.0001e5, 1e8, math.inf, math.nan])
 def test_gamma_expectation_rejects_shapes_outside_its_accurate_range(shape):
     # [0.1, 1e5] is where the rule is held to mpmath; shape 1e8 would take 20,024 nodes
     with pytest.raises(ValueError, match=r"shape must be finite and in \[0.1, 100000\]"):
-        gamma_expectation_batch(lambda g, rows: g, [2.0, shape], [1.0, 1.0])
+        gamma_expectation_batch(lambda g: g, [2.0, shape], [1.0, 1.0])
+
+
+def _trapezoid_rule(shape, h):
+    # the trapezoid rule in u = log(g/shape) with step h over the library's
+    # window, one shape at a time with Python's math: the density
+    # exp(shape*(u - expm1(u))), normalized to probability weights
+    lo = -1.0 - 45.0 / shape
+    hi = math.log1p(12.0 / math.sqrt(shape) + 60.0 / shape)
+    u = h * np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
+    weights = np.exp(shape * (u - np.expm1(u)))
+    return shape * np.exp(u), weights / weights.sum()
+
+
+@pytest.mark.parametrize(
+    "shape, count", [(0.1, 2288), (0.5, 480), (128.0, 51), (1e4, 224), (1e5, 656)]
+)
+def test_one_row_rule_is_the_per_shape_trapezoid_rule(shape, count):
+    # the node counts the docstring and README state, and the nodes and
+    # weights of the one-shape formula bit for bit
+    nodes, weights = specfun._gamma_rule([shape], [1.0])
+    want_nodes, want_weights = _trapezoid_rule(shape, min(0.2, 0.5 / math.sqrt(shape)))
+    assert nodes.shape == weights.shape == (1, count)
+    assert np.array_equal(nodes[0], want_nodes)
+    assert np.array_equal(weights[0], want_weights)
+    for other in np.geomspace(0.1, 1e5, 61):
+        nodes, weights = specfun._gamma_rule([other], [1.0])
+        want_nodes, want_weights = _trapezoid_rule(other, min(0.2, 0.5 / math.sqrt(other)))
+        assert np.array_equal(nodes[0], want_nodes) and np.array_equal(weights[0], want_weights)
+
+
+def test_gamma_expectation_calls_its_integrand_once_on_every_row():
+    # one call, one argument: the gains of every row, padded to the longest
+    # row (656 nodes at shape 1e5) with its last node at zero weight
+    calls = []
+
+    def f(*args):
+        calls.append(args)
+        return args[0]
+
+    shapes, scales = [0.5, 1e5, 0.5, 3.0], [1.0, 2.0, 3.0, 0.25]
+    means = gamma_expectation_batch(f, shapes, scales)
+    assert len(calls) == 1 and len(calls[0]) == 1
+    (g,) = calls[0]
+    assert g.shape == (4, 656)
+    assert np.all(g[0, 480:] == g[0, 479])
+    assert means == pytest.approx(np.multiply(shapes, scales), rel=1e-13, abs=0.0)
 
 
 # each integrand is built for a numeric library: numpy, or mpmath for the oracle
@@ -197,7 +243,7 @@ def test_gamma_expectation_matches_mpmath_oracle(shape):
             for name, integrand in _ORACLE_INTEGRANDS.items():
                 f = integrand(mp.mpf(c), mp)
                 ref = mp.quad(lambda g: f(g) * mp.exp((a - 1) * mp.log(g) - g - log_norm), breaks)
-                est = gamma_expectation_batch(lambda g, rows: integrand(c, np)(g), [shape], [1.0])[0]
+                est = gamma_expectation_batch(lambda g: integrand(c, np)(g), [shape], [1.0])[0]
                 assert est == pytest.approx(float(ref), rel=1e-13, abs=0.0), (name, c)
 
 
@@ -207,15 +253,34 @@ def test_gamma_expectation_moves_by_at_most_1e13_when_h_is_halved(shape):
     # density exp(shape*(u - expm1(u))) in u = log(g/shape), h/2 apart.  If
     # the library's step under-resolved an integrand, halving it would move
     # the value; 1e-13 is the accuracy the rule is held to against mpmath.
-    h = min(0.2, 0.5 / math.sqrt(shape)) / 2.0
-    lo = -1.0 - 45.0 / shape
-    hi = math.log1p(12.0 / math.sqrt(shape) + 60.0 / shape)
-    u = h * np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
-    weights = np.exp(shape * (u - np.expm1(u)))
-    nodes, weights = shape * np.exp(u), weights / weights.sum()
+    nodes, weights = _trapezoid_rule(shape, min(0.2, 0.5 / math.sqrt(shape)) / 2.0)
     for c in np.geomspace(1e-3, 1e9, 7):
         for name, integrand in _ORACLE_INTEGRANDS.items():
             f = integrand(c, np)
             fine = float(f(nodes) @ weights)
-            est = gamma_expectation_batch(lambda g, rows: f(g), [shape], [1.0])[0]
+            est = gamma_expectation_batch(lambda g: f(g), [shape], [1.0])[0]
             assert est == pytest.approx(fine, rel=1e-13, abs=0.0), (name, c)
+
+
+def test_gamma_expectation_matches_mpmath_on_mixed_shapes_in_one_call():
+    # one call over unsorted, repeated shapes from 0.1 to 1e5, each row with
+    # its own scale and c, so that every row has its own rule and parameters;
+    # the breakpoints are the oracle test's, with the density's peak at
+    # shape*scale
+    mp = pytest.importorskip("mpmath")
+    shapes = np.array([4.0, 1e5, 0.1, 128.0, 0.33, 4.0, 1e4, 0.5, 1.0, 0.1, 16.0, 1e3])
+    scales = np.array([0.5, 2.0, 1.0, 0.01, 3.0, 1.0, 1e-4, 7.0, 1.0, 0.2, 1.0, 0.05])
+    c = np.geomspace(1e-3, 1e9, shapes.size)[[5, 0, 11, 3, 8, 1, 10, 6, 2, 9, 4, 7]]
+    with mp.workdps(30):
+        for name, integrand in _ORACLE_INTEGRANDS.items():
+            est = gamma_expectation_batch(integrand(c[:, None], np), shapes, scales)
+            for k, theta, ci, e in zip(shapes, scales, c, est):
+                a, theta = mp.mpf(k), mp.mpf(theta)
+                log_norm = mp.loggamma(a) + a * mp.log(theta)
+                decades = [mp.mpf(10) ** j for j in range(-16, 2)]
+                breaks = sorted(set([mp.mpf(0), a * theta] + decades)) + [mp.inf]
+                f = integrand(mp.mpf(ci), mp)
+                ref = mp.quad(
+                    lambda g: f(g) * mp.exp((a - 1) * mp.log(g) - g / theta - log_norm), breaks
+                )
+                assert e == pytest.approx(float(ref), rel=1e-13, abs=0.0), (name, k, ci)
