@@ -45,6 +45,7 @@ LN2 = math.log(2.0)
 _A_MAX = 50.0
 _ITER_CAP = 50
 _A_STEP_TOLERANCE = 1e-10  # relative Newton step in a; the term's error is its square
+_MARKOV_CHUNK = 8192  # subchannels per pass of the Markov bound
 
 
 class MetricUndefinedError(ValueError):
@@ -58,10 +59,12 @@ def _alpha(value) -> float:
     return value
 
 
-def _powers(powers, n: int) -> np.ndarray:
+def _powers(powers, n: int, stack: bool = False) -> np.ndarray:
+    # one allocation of n powers, or with ``stack`` also a (rows, n) array of them
     powers = np.asarray(powers, dtype=float)
-    if powers.shape != (n,):
-        raise ValueError(f"powers must be a 1-D vector of {n} entries, got shape {powers.shape}")
+    if powers.shape != (n,) and not (stack and powers.ndim == 2 and powers.shape[1] == n):
+        want = f"a 1-D vector of {n} entries" + (f" or a (rows, {n}) stack" if stack else "")
+        raise ValueError(f"powers must be {want}, got shape {powers.shape}")
     if not np.all(np.isfinite(powers)) or np.any(powers < 0.0):
         raise ValueError("powers must be nonnegative and finite")
     return powers
@@ -90,51 +93,75 @@ def _max_markov_terms(shape, theta, p, n0: float) -> np.ndarray:
     # The sign of h' shrinks the bracket; where h'' >= 0 or the Newton point
     # leaves the closed bracket, the step bisects it instead.  A maximum at
     # an end of the range collapses the bracket onto that end, which is then
-    # returned exactly.
-    grid = np.geomspace(1e-6, _A_MAX, 48)
-    i = np.argmax(_markov_terms(grid, shape[:, None], theta[:, None], p[:, None], n0), axis=1)
-    lo = grid[np.maximum(i - 1, 0)]
-    hi = grid[np.minimum(i + 1, grid.size - 1)]
-    a = grid[i]
-    c = (n0 / p) / theta
+    # returned exactly.  Each subchannel stops at its own converged step, so
+    # its term does not depend on the other subchannels of the call.
+    grid = np.geomspace(1e-6, _A_MAX, 12)
+    best, i = np.full(p.size, -math.inf), np.zeros(p.size, dtype=int)
+    for j, a in enumerate(grid.tolist()):  # the first maximum, one grid point at a time
+        term = _markov_terms(a, shape, theta, p, n0)
+        i[term > best] = j
+        best = np.maximum(best, term)
+    lo, hi = grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, grid.size - 1)]
+    a, k, c = grid[i], shape, (n0 / p) / theta
+    out, todo = np.empty(p.size), np.arange(p.size)
     for _ in range(_ITER_CAP):
         x = c * np.expm1(a)
-        q, log_x_phi = _gamma_q(shape, x)
+        q, log_x_phi = _gamma_q(k, x)
         xc_phi = (1.0 + c / x) * np.exp(log_x_phi)
         d1 = q - a * xc_phi
-        d2 = -xc_phi * (2.0 + a + a * (x + c) * ((shape - 1.0) / x - 1.0))
+        d2 = -xc_phi * (2.0 + a + a * (x + c) * ((k - 1.0) / x - 1.0))
         rising = d1 > 0.0
         lo = np.where(rising, a, lo)
         hi = np.where(rising, hi, a)
         with np.errstate(all="ignore"):  # d2 = 0 far past the maximum; bisected below
             newton = a - d1 / d2
         new = np.where((d2 < 0.0) & (lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
-        done = np.all(np.abs(new - a) <= _A_STEP_TOLERANCE * new)
-        a = new
-        if done:
-            return _markov_terms(a, shape, theta, p, n0)
+        done = np.abs(new - a) <= _A_STEP_TOLERANCE * new
+        out[todo[done]] = new[done]
+        todo, a, k, c, lo, hi = (v[~done] for v in (todo, new, k, c, lo, hi))
+        if not todo.size:
+            return _markov_terms(out, shape, theta, p, n0)
     raise NumericError(f"Markov parameter search did not converge in {_ITER_CAP} steps")
 
 
-def markov_lower(channel: ParallelChannel, powers, alpha: float | None = None) -> float:
+def markov_lower(
+    channel: ParallelChannel, powers, alpha: float | None = None
+) -> float | np.ndarray:
     """Markov-inequality lower bound sum_n a_n * Pr(g_n >= (n0/p_n)(e^{a_n}-1)).
 
     The free parameters a_n > 0 are set by the rule a_n = log(1 +
     alpha*p_n*mu_n/n0), the paper's log(1 + alpha*beta*L) (``alpha``), or,
     by default, chosen per subchannel by numerical maximization of the
-    term over a in [1e-6, 50].  Zero-power subchannels contribute zero.
-    Raises ``NumericError`` if the maximization does not converge.
+    term over a in [1e-6, 50]; each subchannel's search stops at its own
+    converged step.  Zero-power subchannels contribute zero.
+
+    ``powers`` is one allocation, an (n,) vector, for which the bound is
+    a float, or a (rows, n) stack of allocations, for which it is an
+    array of one bound per row, each equal to the bound of that row
+    alone.  A stack is evaluated in one pass over all its powered
+    subchannels, so a sweep needs one call per channel, not one per
+    allocation.  Raises ``NumericError`` if the maximization does not
+    converge.
     """
-    powers = _powers(powers, channel.n)
+    powers = _powers(powers, channel.n, stack=True)
     n0 = channel.n0
     on = powers > 0.0
-    p, theta, shape = powers[on], channel.theta[on], channel.shape[on]
-    if alpha is None:
-        terms = _max_markov_terms(shape, theta, p, n0)
-    else:
+    p = powers[on]
+    theta, shape = (np.broadcast_to(v, powers.shape)[on] for v in (channel.theta, channel.shape))
+    if alpha is not None:
         a = np.log1p(_alpha(alpha) * (p * theta / n0) * shape)
-        terms = _markov_terms(a, shape, theta, p, n0)
-    return float(terms.sum())
+    terms = np.empty(p.size)
+    for start in range(0, p.size, _MARKOV_CHUNK):  # bounds the Q kernel's working set
+        r = slice(start, start + _MARKOV_CHUNK)
+        terms[r] = (
+            _max_markov_terms(shape[r], theta[r], p[r], n0) if alpha is None
+            else _markov_terms(a[r], shape[r], theta[r], p[r], n0)
+        )
+    if powers.ndim == 1:
+        return float(terms.sum())
+    # each row's terms are one contiguous slice, summed as the 1-D call sums them
+    ends = np.cumsum(on.sum(axis=1)).tolist()
+    return np.array([terms[s:e].sum() for s, e in zip([0] + ends, ends)])
 
 
 def exact_rate(channel: ParallelChannel, powers) -> float:
@@ -232,7 +259,7 @@ def snr_db_to_power(channel_n: int, n0: float, snr_db: float) -> float:
 _STRATEGIES = {
     "statistical-waterfill": lambda ch, p_total: waterfill(ch.mean_gains, ch.n0, p_total)[0],
     "equal": lambda ch, p_total: equal_power(ch.n, p_total),
-    "optimal": optimal_allocation,
+    "optimal": lambda ch, p_total: optimal_allocation(ch, p_total),
 }
 STRATEGY_TAGS = tuple(_STRATEGIES)
 
@@ -266,6 +293,11 @@ def rate_table(
     and ``c_lower_markov`` its ``markov_lower`` with ``alpha``, or NaN
     without ``markov``.  So ``mpe_percent``, ``mpe(c_upper,
     c_lower_exact)``, certifies how far the allocation can be from optimal.
+    The statistical-waterfilling powers of ``c_upper`` are that
+    strategy's allocation too.  ``exact_rate`` runs per allocation;
+    ``markov_lower`` runs once per L, on the stack of every (SNR,
+    strategy) allocation, and each row's bound equals the bound of that
+    allocation alone.
 
     Returns the columns ``L``, ``snr_db``, ``strategy`` (the tag, or
     ``"custom"`` for a callable), ``c_upper``, ``c_lower_exact``,
@@ -279,15 +311,23 @@ def rate_table(
     rows = []
     for L in l_values:
         ch = profile(L)
+        cells, allocations = [], []
         for snr_db in map(float, snr_db_values):
             p_total = snr_db_to_power(ch.n, ch.n0, snr_db)
-            c_upper = jensen_upper(ch, _STRATEGIES["statistical-waterfill"](ch, p_total))
+            swf = _STRATEGIES["statistical-waterfill"](ch, p_total)
+            c_upper = jensen_upper(ch, swf)
             for tag, allocate in allocators:
-                powers = allocate(ch, p_total)
+                powers = swf if tag == "statistical-waterfill" else allocate(ch, p_total)
                 c_exact = exact_rate(ch, powers)
-                c_markov = markov_lower(ch, powers, alpha=alpha) if markov else math.nan
-                rows.append((int(L), snr_db, tag, c_upper, c_exact, c_markov,
-                             mpe(c_upper, c_exact)))
+                cells.append((snr_db, tag, c_upper, c_exact, mpe(c_upper, c_exact)))
+                allocations.append(powers)
+        # one Markov call over every (SNR, strategy) allocation of this L
+        c_markov = (
+            markov_lower(ch, np.array(allocations), alpha=alpha) if markov and allocations
+            else [math.nan] * len(cells)
+        )
+        rows += [(int(L), snr_db, tag, c_upper, c_exact, c_lower, mpe_percent)
+                 for (snr_db, tag, c_upper, c_exact, mpe_percent), c_lower in zip(cells, c_markov)]
     columns = list(zip(*rows)) or [()] * len(_TABLE_COLUMNS)
     return {name: np.array(column) for name, column in zip(_TABLE_COLUMNS, columns)}
 

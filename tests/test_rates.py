@@ -186,16 +186,21 @@ def test_markov_lower_mixed_channel_is_sum_of_single_subchannels():
 
 def test_markov_lower_max_rule_beats_a_fine_grid():
     # The maximised term must be at least the term at every point of a
-    # grid 40x finer than the one the maximisation starts from; the slack
-    # is a few ulps of rounding in Q.  The grid includes both ends of the
-    # range (0, 50], where the maxima of the last two channels sit: at
-    # huge power the term is a*Q(k, ~0) = a, at tiny power it falls from
-    # the first grid point on.
+    # grid about 167x finer than the one the maximisation starts from; the
+    # slack is a few ulps of rounding in Q.  The grid includes both ends of
+    # the range (0, 50], where the maxima of two channels sit: at huge
+    # power the term is a*Q(k, ~0) = a, at tiny power it falls from the
+    # first grid point on.  Below shape 1 the term a*Q(k, c*(e^a - 1)) need
+    # not be log-concave in a, so the coarse scan's bracket is checked
+    # there too, for c = n0/(p*theta) from 1e-6 to 1e6.
     ch, powers = _mixed_channel_12()
     singles = [
         (ch.theta[i], ch.shape[i], ch.n0, p) for i, p in enumerate(powers) if p > 0.0
     ]
     singles += [(1.0, 2.0 * 64, 1.0, 1e25), (1.0, 2.0 * 64, 1.0, 1e-9)]
+    singles += [
+        (1.0, k, 1.0, 1.0 / c) for k in (0.1, 0.33, 0.5, 0.9) for c in np.geomspace(1e-6, 1e6, 13)
+    ]
     grid = np.geomspace(1e-6, 50.0, 2000)
     for theta, shape, n0, p in singles:
         single = ParallelChannel([theta], shape, n0=n0)
@@ -279,6 +284,58 @@ def test_markov_max_rule_raises_at_its_iteration_cap(monkeypatch):
     ch, powers = _single(theta=1.0, m=2.0, L=4, p=3.0)
     with pytest.raises(NumericError):
         markov_lower(ch, powers)
+
+
+def _wide_channel_stack(rows):
+    # the 12 shapes 0.1 to 1e5, unsorted, with mean gains 0.1 to 10, and a
+    # stack of allocations: log-uniform powers 1e-4 to 1e4, a quarter of
+    # them zero, one all-zero row and the two end-of-range powers
+    k = np.geomspace(0.1, 1e5, 12)[[5, 0, 11, 3, 8, 1, 10, 6, 2, 9, 4, 7]]
+    ch = ParallelChannel(theta=np.geomspace(0.1, 10.0, 12) / k, shape=k, n0=1.0)
+    rng = np.random.default_rng(22)
+    stack = 10.0 ** rng.uniform(-4.0, 4.0, (rows, 12))
+    stack[rng.random((rows, 12)) < 0.25] = 0.0
+    stack[1] = 0.0
+    stack[2, :6], stack[2, 6:] = 1e25, 1e-9
+    return ch, stack
+
+
+@pytest.mark.parametrize("alpha", [None, 0.5])
+@pytest.mark.parametrize("rows", [5, 1000], ids=["one-chunk", "past-one-chunk"])
+def test_markov_lower_of_a_stack_is_its_rows_bound_by_bound(alpha, rows):
+    # 1,000 rows hold about 9,000 powered subchannels, more than one chunk
+    # of 8,192; each row checked equals its own 1-D call exactly.  Past one
+    # chunk, every 25th row and the rows around the chunk's end are checked
+    # (a 1-D call at shape 1e5 takes about 20 ms).
+    ch, stack = _wide_channel_stack(rows)
+    ends = np.cumsum(np.count_nonzero(stack, axis=1))
+    cut = int(np.searchsorted(ends, rates._MARKOV_CHUNK))  # the row the first chunk ends in
+    assert (cut < rows) == (rows > 5)
+    bounds = markov_lower(ch, stack, alpha=alpha)
+    assert isinstance(bounds, np.ndarray) and bounds.shape == (rows,)
+    checked = set(range(0, rows, 25)) | {1, 2, cut - 1, cut, cut + 1, rows - 1}
+    for i in sorted(checked & set(range(rows))):
+        assert bounds[i] == markov_lower(ch, stack[i], alpha=alpha), i
+    assert bounds[1] == 0.0
+    assert markov_lower(ch, stack[:0], alpha=alpha).shape == (0,)
+
+
+def test_markov_lower_does_not_depend_on_the_rows_that_share_its_stack(monkeypatch):
+    ch, stack = _wide_channel_stack(8)
+    alone = [markov_lower(ch, row) for row in stack]
+    for mates in (stack[:0], stack[::-1], stack[[2, 2, 2]], np.full((3, 12), 1e-3)):
+        both = np.vstack([mates, stack, mates])
+        assert markov_lower(ch, both)[len(mates) : len(mates) + 8].tolist() == alone
+    # and not on where the chunks cut it
+    monkeypatch.setattr(rates, "_MARKOV_CHUNK", 5)
+    assert markov_lower(ch, stack).tolist() == alone
+    # which holds because each subchannel's search stops on its own: its
+    # maximised term is the one it gets alone
+    p, on = stack[0], stack[0] > 0.0
+    args = ch.shape[on], ch.theta[on], p[on]
+    terms = rates._max_markov_terms(*args, ch.n0)
+    singles = [rates._max_markov_terms(*(v[i : i + 1] for v in args), ch.n0)[0] for i in range(on.sum())]
+    assert terms.tolist() == singles
 
 
 def test_exact_rate_additivity_and_jensen_domination():
@@ -529,11 +586,12 @@ def test_rate_table_rejects_an_unknown_tag_and_a_wrong_length_allocation():
 
 @pytest.mark.parametrize(
     "powers",
-    [[[1.0, 1.0]], [1.0], [1.0, -0.1], [1.0, math.nan], [1.0, math.inf]],
-    ids=["2-D", "too-short", "negative", "nan", "inf"],
+    [[[1.0], [1.0]], [[[1.0, 1.0]]], [1.0], [1.0, -0.1], [1.0, math.nan], [1.0, math.inf]],
+    ids=["2-D", "3-D", "too-short", "negative", "nan", "inf"],
 )
 def test_every_rate_rejects_bad_powers(powers):
-    # an allocation is a plain array, so each rate checks the powers it is given
+    # an allocation is a plain array, so each rate checks the powers it is given;
+    # markov_lower also takes a (rows, n) stack, so the 2-D case has rows of 1, not n
     ch = ParallelChannel(theta=[1.0, 2.0], shape=1.0, n0=1.0)
     calls = (
         lambda: jensen_upper(ch, powers),
