@@ -59,12 +59,14 @@ def _alpha(value) -> float:
     return value
 
 
-def _powers(powers, n: int, stack: bool = False) -> np.ndarray:
-    # one allocation of n powers, or with ``stack`` also a (rows, n) array of them
+def _powers(powers, n: int) -> np.ndarray:
     powers = np.asarray(powers, dtype=float)
-    if powers.shape != (n,) and not (stack and powers.ndim == 2 and powers.shape[1] == n):
-        want = f"a 1-D vector of {n} entries" + (f" or a (rows, {n}) stack" if stack else "")
-        raise ValueError(f"powers must be {want}, got shape {powers.shape}")
+    if powers.shape != (n,):
+        raise ValueError(f"powers must be a 1-D vector of {n} entries, got shape {powers.shape}")
+    return _nonnegative(powers)
+
+
+def _nonnegative(powers: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(powers)) or np.any(powers < 0.0):
         raise ValueError("powers must be nonnegative and finite")
     return powers
@@ -143,11 +145,18 @@ def markov_lower(
     allocation.  Raises ``NumericError`` if the maximization does not
     converge.
     """
-    powers = _powers(powers, channel.n, stack=True)
+    powers = np.asarray(powers, dtype=float)
+    stack = powers[None] if powers.ndim == 1 else powers  # a vector is a one-row stack
+    if stack.ndim != 2 or stack.shape[1] != channel.n:
+        raise ValueError(
+            f"powers must be a 1-D vector of {channel.n} entries or a (rows, {channel.n}) "
+            f"stack, got shape {powers.shape}"
+        )
+    _nonnegative(stack)
     n0 = channel.n0
-    on = powers > 0.0
-    p = powers[on]
-    theta, shape = (np.broadcast_to(v, powers.shape)[on] for v in (channel.theta, channel.shape))
+    on = stack > 0.0
+    p = stack[on]
+    theta, shape = (np.broadcast_to(v, stack.shape)[on] for v in (channel.theta, channel.shape))
     if alpha is not None:
         a = np.log1p(_alpha(alpha) * (p * theta / n0) * shape)
     terms = np.empty(p.size)
@@ -157,11 +166,10 @@ def markov_lower(
             _max_markov_terms(shape[r], theta[r], p[r], n0) if alpha is None
             else _markov_terms(a[r], shape[r], theta[r], p[r], n0)
         )
-    if powers.ndim == 1:
-        return float(terms.sum())
-    # each row's terms are one contiguous slice, summed as the 1-D call sums them
+    # each row's terms are one contiguous slice, summed alone
     ends = np.cumsum(on.sum(axis=1)).tolist()
-    return np.array([terms[s:e].sum() for s, e in zip([0] + ends, ends)])
+    bounds = np.array([terms[s:e].sum() for s, e in zip([0] + ends, ends)])
+    return float(bounds[0]) if powers.ndim == 1 else bounds
 
 
 def exact_rate(channel: ParallelChannel, powers) -> float:
@@ -320,7 +328,7 @@ def rate_table(
                 powers = swf if tag == "statistical-waterfill" else allocate(ch, p_total)
                 c_exact = exact_rate(ch, powers)
                 cells.append((snr_db, tag, c_upper, c_exact, mpe(c_upper, c_exact)))
-                allocations.append(powers)
+                allocations.append(np.array(powers, dtype=float))  # a callable may reuse its buffer
         # one Markov call over every (SNR, strategy) allocation of this L
         c_markov = (
             markov_lower(ch, np.array(allocations), alpha=alpha) if markov and allocations

@@ -572,6 +572,23 @@ def test_rate_table_without_markov_and_with_a_callable_strategy():
         assert np.array_equal(table[name][0::2], table[name][1::2])
 
 
+def test_rate_table_markov_column_survives_a_callable_that_reuses_its_buffer():
+    # the Markov bounds of an L are taken after all its SNRs, so each
+    # allocation must be the one its callable returned at that SNR
+    buffer = np.empty(8)
+
+    def reused(ch, p_total):
+        buffer[:] = np.linspace(1.0, 2.0, ch.n) * (p_total / (1.5 * ch.n))
+        return buffer
+
+    profile = _cubic_profile(8)
+    table = rate_table(profile, [4], [-5.0, 5.0, 15.0], [reused])
+    ch = profile(4)
+    for snr_db, c_markov in zip(table["snr_db"], table["c_lower_markov"]):
+        fresh = np.linspace(1.0, 2.0, 8) * (snr_db_to_power(8, ch.n0, snr_db) / 12.0)
+        assert c_markov == markov_lower(ch, fresh)
+
+
 def test_rate_table_rejects_an_unknown_tag_and_a_wrong_length_allocation():
     profile = _cubic_profile(8)
     with pytest.raises(ValueError, match="unknown strategy 'waterfill'"):
@@ -586,19 +603,24 @@ def test_rate_table_rejects_an_unknown_tag_and_a_wrong_length_allocation():
 
 @pytest.mark.parametrize(
     "powers",
-    [[[1.0], [1.0]], [[[1.0, 1.0]]], [1.0], [1.0, -0.1], [1.0, math.nan], [1.0, math.inf]],
-    ids=["2-D", "3-D", "too-short", "negative", "nan", "inf"],
+    [
+        [[1.0, 1.0]], [[1.0], [1.0]], [[[1.0, 1.0]]],
+        [1.0], [1.0, -0.1], [1.0, math.nan], [1.0, math.inf],
+    ],
+    ids=["2-D", "2-D-short-rows", "3-D", "too-short", "negative", "nan", "inf"],
 )
 def test_every_rate_rejects_bad_powers(powers):
     # an allocation is a plain array, so each rate checks the powers it is given;
-    # markov_lower also takes a (rows, n) stack, so the 2-D case has rows of 1, not n
+    # only markov_lower takes a (rows, n) stack, so only it accepts the 2-D (1, n)
+    # case, which the stack tests cover
     ch = ParallelChannel(theta=[1.0, 2.0], shape=1.0, n0=1.0)
-    calls = (
+    calls = [
         lambda: jensen_upper(ch, powers),
         lambda: exact_rate(ch, powers),
-        lambda: markov_lower(ch, powers),
         lambda: empirical_rate(np.ones((3, 2)), powers, 1.0),
-    )
+    ]
+    if np.shape(powers) != (1, 2):
+        calls.append(lambda: markov_lower(ch, powers))
     for call in calls:
         with pytest.raises(ValueError, match=r"powers must be|gains must be a \(snapshots, 1\)"):
             call()
