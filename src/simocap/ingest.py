@@ -95,8 +95,10 @@ def parse_channel_csv(
     first offending line number in file order; bytes that are not UTF-8
     are reported first, wherever they are.  An optional inclusive
     [f_min_hz, f_max_hz] filter keeps only the bins inside the band; it
-    must keep at least one.  Rows are read in blocks and converted a
-    column at a time, so peak memory stays near the size of the file.
+    must keep at least one.  Indices are ASCII decimal integers within
+    int64, optionally signed and padded with blanks; reals are decimal or
+    exponent literals.  Rows are read in blocks, each converted by one
+    ``np.loadtxt`` call; peak memory is about twice the size of the file.
     """
     with nullcontext(source) if hasattr(source, "read") else open(source, "rb") as fh:
         blocks = _line_blocks(fh)
@@ -144,28 +146,29 @@ def _parse_blocks(blocks, f_min_hz, f_max_hz) -> SnapshotSet:
         raise ParseError("empty input")
     if lines[0] != CSV_HEADER:
         raise ParseError(f"expected header {CSV_HEADER!r}, got {lines[0]!r}", line=1)
-    columns, n_rows = [], 0
+    tables, n_rows = [], 0
     for rows in chain([lines[1:]], blocks):
         try:
-            columns.append(_columns(rows))
+            tables.append(_records(rows))
         except ValueError:
             i, message = next((i, msg) for i, row in enumerate(rows) if (msg := _row_fault(row)))
-            columns.append(_columns(rows[:i]))
-            _check_across_rows(*_concat(columns)[:4])  # a fault on an earlier line wins
+            tables.append(_records(rows[:i]))
+            _check_across_rows(np.concatenate(tables))  # a fault on an earlier line wins
             raise ParseError(message, line=n_rows + i + 2) from None
         n_rows += len(rows)
-    s, b, k, freq, values = _concat(columns)
-    del columns
-    _check_across_rows(s, b, k, freq)
+    table = np.concatenate(tables)
+    del tables
+    _check_across_rows(table)
 
     if not n_rows:
         raise ParseError("no data rows")
+    s, b, k = table["s"], table["b"], table["k"]
     shape = tuple(int(index.max()) + 1 for index in (s, b, k))  # Python ints: no overflow
     if n_rows != math.prod(shape):
         s0, b0, k0 = _first_missing(s, b, k, shape)
         raise ParseError(f"missing cell (snapshot={s0}, branch={b0}, bin={k0})")
     freqs = np.empty(shape[2])
-    freqs[k] = freq  # every row of a bin carries the same frequency
+    freqs[k] = table["freq"]  # every row of a bin carries the same frequency
     keep = np.ones(shape[2], dtype=bool)
     if f_min_hz is not None:
         keep &= freqs >= f_min_hz
@@ -177,38 +180,29 @@ def _parse_blocks(blocks, f_min_hz, f_max_hz) -> SnapshotSet:
     if not np.all(kept[1:] > kept[:-1]):
         raise ParseError("freq_hz must be strictly increasing across bins")
     coeffs = np.empty(shape, dtype=complex)
-    coeffs[s, b, k] = values
+    coeffs.real[s, b, k] = table["re"]  # part by part: a complex sum would lose -0.0
+    coeffs.imag[s, b, k] = table["im"]
     return SnapshotSet(freqs_hz=kept, coeffs=coeffs if keep.all() else coeffs[:, :, keep])
 
 
-def _columns(rows: list[str]):
-    # (s, b, k, freq, values) of rows that are each sound on their own,
-    # else ValueError; a "\n" field stands between rows, so a ragged row
-    # moves at least one of them out of every seventh place
-    n = len(rows)
-    if not n:
-        return (np.empty(0, np.int64),) * 3 + (np.empty(0), np.empty(0, complex))
-    fields = ",\n,".join(rows).split(",")
-    if len(fields) != 7 * n - 1 or fields[6::7].count("\n") != n - 1:
-        raise ValueError("ragged row")
-    s, b, k = (_int_column(fields[j::7]) for j in range(3))
-    freq = np.fromiter(map(float, fields[3::7]), float, n)
-    values = np.empty(n, dtype=complex)
-    values.real = np.fromiter(map(float, fields[4::7]), float, n)
-    values.imag = np.fromiter(map(float, fields[5::7]), float, n)
-    if min(s.min(), b.min(), k.min()) < 0 or not (
-        np.isfinite(freq).all() and np.isfinite(values).all()
-    ):
-        raise ValueError("negative index or non-finite value")
-    return s, b, k, freq, values
+_RECORD = np.dtype([("s", "i8"), ("b", "i8"), ("k", "i8"),
+                    ("freq", "f8"), ("re", "f8"), ("im", "f8")])
 
 
-def _int_column(fields: list[str]) -> np.ndarray:
-    ints = list(map(int, fields))
-    try:
-        return np.array(ints, dtype=np.int64)
-    except OverflowError:  # past int64 a cell must be missing, but earlier faults come first
-        return np.array(ints, dtype=object)
+def _read(rows: list[str]) -> np.ndarray:
+    # the one converter from fields to numbers: ASCII decimal integers
+    # within int64 and decimal or exponent reals, else ValueError
+    return np.loadtxt(rows, delimiter=",", dtype=_RECORD, comments=None, quotechar=None, ndmin=1)
+
+
+def _records(rows: list[str]) -> np.ndarray:
+    # the records of rows that are each sound on their own, else
+    # ValueError; the reader would skip a blank line and warn on no rows
+    if not rows:
+        return np.empty(0, _RECORD)
+    if "" in rows or _value_fault(table := _read(rows)):
+        raise ValueError("faulty row")
+    return table
 
 
 def _row_fault(row: str) -> str | None:
@@ -219,23 +213,24 @@ def _row_fault(row: str) -> str | None:
     if len(parts) != 6:
         return f"expected 6 fields, got {len(parts)}"
     try:
-        indices, reals = list(map(int, parts[:3])), list(map(float, parts[3:]))
+        table = _read([row])
     except ValueError:
         return f"non-numeric field in {row!r}"
-    if min(indices) < 0:
+    return _value_fault(table)
+
+
+def _value_fault(table) -> str | None:
+    if min(table[index].min() for index in "sbk") < 0:
         return "indices must be 0-based nonnegative integers"
-    if not all(map(math.isfinite, reals)):
+    if not all(np.isfinite(table[real]).all() for real in ("freq", "re", "im")):
         return "non-finite numeric field"
     return None
 
 
-def _concat(columns):
-    return tuple(np.concatenate(column) for column in zip(*columns))
-
-
-def _check_across_rows(s, b, k, freq) -> None:
+def _check_across_rows(table) -> None:
     # the first row in file order that repeats an earlier cell or differs
     # from the first frequency of its bin; on one row the repeat is reported
+    s, b, k, freq = (table[name] for name in ("s", "b", "k", "freq"))
     order = np.lexsort((k, b, s))  # stable: a cell's first row sorts first
     same = np.logical_and.reduce([i[order][1:] == i[order][:-1] for i in (s, b, k)])
     dup = order[1:][same].min(initial=len(s))

@@ -327,14 +327,35 @@ def test_parse_lone_row_at_a_huge_bin_is_a_missing_cell_without_allocating():
     assert peak < 8 * 2**20
 
 
-def test_parse_index_past_int64_is_a_missing_cell_after_earlier_faults():
+def test_parse_index_past_int64_is_a_non_numeric_field_after_earlier_faults():
     err = _parse_error(f"0,0,{2**70},5e9,1,0\n")
+    assert str(err) == f"line 2: non-numeric field in '0,0,{2**70},5e9,1,0'"
+    err = _parse_error(f"{ROW}\n{ROW}\n0,0,{2**70},5e9,1,0\n")
+    assert str(err) == "line 3: duplicate cell (snapshot=0, branch=0, bin=0)"
+    # the largest int64 is still an index: a lone row there is a missing cell
+    err = _parse_error(f"0,0,{2**63 - 1},5e9,1,0\n")
     assert str(err) == "missing cell (snapshot=0, branch=0, bin=0)"
-    err = _parse_error(f"0,0,{2**70},5e9,1,0\n0,0,{2**70},5e9,1,0\n")
-    assert str(err) == f"line 3: duplicate cell (snapshot=0, branch=0, bin={2**70})"
+    err = _parse_error(f"0,0,{2**63},5e9,1,0\n")
+    assert str(err) == f"line 2: non-numeric field in '0,0,{2**63},5e9,1,0'"
+
+
+# literals that Python's int() or float() reads but the format does not
+NON_NUMERIC_ROWS = {
+    "index-1_0": "1_0,0,0,5e9,1,0",
+    "fullwidth-digit": "0,0,\uff11,6e9,1,0",
+    "index-1.0": "0,1.0,0,5e9,1,0",
+    "real-1_000.5": "0,0,1,6e9,1_000.5,0",
+}
+
+
+@pytest.mark.parametrize("row", NON_NUMERIC_ROWS.values(), ids=NON_NUMERIC_ROWS.keys())
+def test_parse_rejects_literals_outside_the_format_at_their_line(row):
+    err = _parse_error(f"{ROW}\n{row}\n")
+    assert str(err) == f"line 3: non-numeric field in {row!r}"
 
 
 FAULTY_BODIES = {
+    **{name: f"{ROW}\n{row}\n" for name, row in NON_NUMERIC_ROWS.items()},
     "blank": f"{ROW}\n0,0,1,6e9,1,0\n\n",
     "ragged": f"{ROW}\n0,0,1,6e9,1,0,9\n0,0,2,7e9,1\n",
     "duplicate": f"{ROW}\n{ROW}\n0,0,1,6e9,1,0\nx,0,2,7e9,1,0\n",
