@@ -19,6 +19,7 @@ all of its columns at once.
 
 import math
 import os
+import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain
@@ -190,9 +191,12 @@ _RECORD = np.dtype([("s", "i8"), ("b", "i8"), ("k", "i8"),
 
 
 def _read(rows: list[str]) -> np.ndarray:
-    # the one converter from fields to numbers: ASCII decimal integers
-    # within int64 and decimal or exponent reals, else ValueError
-    return np.loadtxt(rows, delimiter=",", dtype=_RECORD, comments=None, quotechar=None, ndmin=1)
+    # the one converter from fields to numbers: ASCII decimal integers within int64 and
+    # decimal or exponent reals, else ValueError, also where older numpy warns and truncates
+    with warnings.catch_warnings():  # an index such as 1.5 or 1e3 there: DeprecationWarning
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(rows, delimiter=",", dtype=_RECORD, comments=None, quotechar=None,
+                          ndmin=1)
 
 
 def _records(rows: list[str]) -> np.ndarray:

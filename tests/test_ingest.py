@@ -2,6 +2,7 @@ import io
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -350,6 +351,29 @@ NON_NUMERIC_ROWS = {
 
 @pytest.mark.parametrize("row", NON_NUMERIC_ROWS.values(), ids=NON_NUMERIC_ROWS.keys())
 def test_parse_rejects_literals_outside_the_format_at_their_line(row):
+    err = _parse_error(f"{ROW}\n{row}\n")
+    assert str(err) == f"line 3: non-numeric field in {row!r}"
+
+
+@pytest.mark.parametrize("row", ["0,1.5,0,5e9,1,0", "1e3,0,0,5e9,1,0"])
+def test_parse_rejects_an_index_that_older_numpy_reads_through_float(row, monkeypatch):
+    # numpy 1.23's reader parses such an index as a float and truncates it,
+    # warning DeprecationWarning; a warning raised as an error is a ValueError
+    real_loadtxt = np.loadtxt
+
+    def older_loadtxt(rows, dtype, **kwargs):
+        try:
+            return real_loadtxt(rows, dtype=dtype, **kwargs)
+        except ValueError:
+            as_floats = real_loadtxt(rows, dtype=[(name, "f8") for name in dtype.names], **kwargs)
+            try:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning)
+            except DeprecationWarning as exc:
+                raise ValueError("could not convert string") from exc
+            return as_floats.astype(dtype)
+
+    monkeypatch.setattr(np, "loadtxt", older_loadtxt)
     err = _parse_error(f"{ROW}\n{row}\n")
     assert str(err) == f"line 3: non-numeric field in {row!r}"
 
