@@ -10,6 +10,10 @@ parallel channel with mean gains {mu_n}:
 * lower bound (Markov):        sum_n a_n * Q(shape_n, x_n) with
   x_n = (n0/p_n)(e^{a_n} - 1)/theta_n, valid for any a_n > 0.
 
+``jensen_upper``, ``exact_rate`` and ``markov_lower`` take one allocation,
+an (n,) vector of powers, and return a float, or a (rows, n) stack of them,
+and return one value per row, bit for bit the value of that row alone.
+
 The single-subchannel ratio of the Markov lower to the Jensen upper bound
 drives the large-diversity convergence results; ``bound_ratio`` evaluates
 it and ``bound_ratio_expansion`` its leading-order factorization.
@@ -22,7 +26,7 @@ import numpy as np
 
 from .alloc import equal_power, optimal_allocation, waterfill
 from .channel import ParallelChannel, _branch_shape, _positive
-from .specfun import NumericError, _gamma_q, gamma_expectation_batch, reg_gamma_q
+from .specfun import NumericError, _expect, _gamma_q, _gamma_rule, reg_gamma_q
 
 __all__ = [
     "LN2",
@@ -46,6 +50,7 @@ _A_MAX = 50.0
 _ITER_CAP = 50
 _A_STEP_TOLERANCE = 1e-10  # relative Newton step in a; the term's error is its square
 _MARKOV_CHUNK = 8192  # subchannels per pass of the Markov bound
+_RATE_RTOL = 1e-13  # exact_rate's relative accuracy: that of the gamma quadrature rule
 
 
 class MetricUndefinedError(ValueError):
@@ -59,23 +64,24 @@ def _alpha(value) -> float:
     return value
 
 
-def _powers(powers, n: int) -> np.ndarray:
+def _stack(powers, n: int) -> np.ndarray:
+    # the (rows, n) stack of nonnegative finite powers; a vector is a one-row stack
     powers = np.asarray(powers, dtype=float)
-    if powers.shape != (n,):
-        raise ValueError(f"powers must be a 1-D vector of {n} entries, got shape {powers.shape}")
-    return _nonnegative(powers)
-
-
-def _nonnegative(powers: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(powers)) or np.any(powers < 0.0):
+    stack = powers[None] if powers.ndim == 1 else powers
+    if stack.ndim != 2 or stack.shape[1] != n:
+        raise ValueError(
+            f"powers must be a 1-D vector of {n} entries or a (rows, {n}) stack, "
+            f"got shape {powers.shape}"
+        )
+    if not np.all(np.isfinite(stack)) or np.any(stack < 0.0):
         raise ValueError("powers must be nonnegative and finite")
-    return powers
+    return stack
 
 
-def jensen_upper(channel: ParallelChannel, powers) -> float:
+def jensen_upper(channel: ParallelChannel, powers) -> float | np.ndarray:
     """Concavity bound sum_n log(1 + p_n*mu_n/n0) on the ergodic sum rate."""
-    powers = _powers(powers, channel.n)
-    return float(np.log1p(powers * channel.mean_gains / channel.n0).sum())
+    rates = np.log1p(_stack(powers, channel.n) * channel.mean_gains / channel.n0).sum(axis=1)
+    return float(rates[0]) if np.ndim(powers) == 1 else rates
 
 
 def _markov_terms(a, shape, theta, p, n0: float) -> np.ndarray:
@@ -135,24 +141,11 @@ def markov_lower(
     alpha*p_n*mu_n/n0), the paper's log(1 + alpha*beta*L) (``alpha``), or,
     by default, chosen per subchannel by numerical maximization of the
     term over a in [1e-6, 50]; each subchannel's search stops at its own
-    converged step.  Zero-power subchannels contribute zero.
-
-    ``powers`` is one allocation, an (n,) vector, for which the bound is
-    a float, or a (rows, n) stack of allocations, for which it is an
-    array of one bound per row, each equal to the bound of that row
-    alone.  A stack is evaluated in one pass over all its powered
-    subchannels, so a sweep needs one call per channel, not one per
-    allocation.  Raises ``NumericError`` if the maximization does not
-    converge.
+    converged step.  Zero-power subchannels contribute zero.  A stack is
+    evaluated in one pass over all its powered subchannels.  Raises
+    ``NumericError`` if the maximization does not converge.
     """
-    powers = np.asarray(powers, dtype=float)
-    stack = powers[None] if powers.ndim == 1 else powers  # a vector is a one-row stack
-    if stack.ndim != 2 or stack.shape[1] != channel.n:
-        raise ValueError(
-            f"powers must be a 1-D vector of {channel.n} entries or a (rows, {channel.n}) "
-            f"stack, got shape {powers.shape}"
-        )
-    _nonnegative(stack)
+    stack = _stack(powers, channel.n)
     n0 = channel.n0
     on = stack > 0.0
     p = stack[on]
@@ -169,16 +162,18 @@ def markov_lower(
     # each row's terms are one contiguous slice, summed alone
     ends = np.cumsum(on.sum(axis=1)).tolist()
     bounds = np.array([terms[s:e].sum() for s, e in zip([0] + ends, ends)])
-    return float(bounds[0]) if powers.ndim == 1 else bounds
+    return float(bounds[0]) if np.ndim(powers) == 1 else bounds
 
 
-def exact_rate(channel: ParallelChannel, powers) -> float:
+def exact_rate(channel: ParallelChannel, powers) -> float | np.ndarray:
     """Ergodic sum rate sum_n E[log(1 + p_n*g_n/n0)] of the allocation."""
-    powers = _powers(powers, channel.n)
-    on = powers > 0.0
-    c = powers[on, None] / channel.n0
-    rates = gamma_expectation_batch(lambda g: np.log1p(c * g), channel.shape[on], channel.theta[on])
-    return float(rates.sum())
+    stack = _stack(powers, channel.n)
+    g, weights = _gamma_rule(channel.shape, channel.theta)  # one rule, each row on its powered bins
+    rates = np.array([
+        _expect(np.log1p((row[on, None] / channel.n0) * g[on]), weights[on]).sum()
+        for row, on in zip(stack, stack > 0.0)
+    ])
+    return float(rates[0]) if np.ndim(powers) == 1 else rates
 
 
 def empirical_rate(gains, powers, n0: float) -> float:
@@ -194,7 +189,7 @@ def empirical_rate(gains, powers, n0: float) -> float:
             f"gains must be a (snapshots, {powers.size}) array with at least one snapshot, "
             f"got shape {gains.shape}"
         )
-    powers = _powers(powers, gains.shape[1])
+    (powers,) = _stack([powers], gains.shape[1])  # one allocation is a one-row stack
     if not np.all(np.isfinite(gains) & (gains >= 0.0)):
         raise ValueError("gains must be finite and nonnegative")
     per_snapshot = np.log1p(gains * (powers / n0)).sum(axis=1)
@@ -202,10 +197,14 @@ def empirical_rate(gains, powers, n0: float) -> float:
 
 
 def mpe(c_upper: float, c_lower: float) -> float:
-    """Maximum percent error 100 * (c_upper - c_lower) / c_lower of a bound pair."""
+    """Maximum percent error 100 * (c_upper - c_lower) / c_lower of a bound pair.
+
+    ``c_upper`` may fall below ``c_lower`` by ``exact_rate``'s accuracy, 1e-13
+    relative, as at very low SNR, for an MPE above -1e-11 percent.
+    """
     if not (math.isfinite(c_upper) and math.isfinite(c_lower)) or c_lower < 0.0:
         raise ValueError("bounds must be finite with c_lower >= 0")
-    if c_upper < c_lower:
+    if c_upper < c_lower * (1.0 - _RATE_RTOL):
         raise ValueError(f"c_upper ({c_upper}) must not be below c_lower ({c_lower})")
     if c_lower == 0.0:
         raise MetricUndefinedError("MPE is undefined for a zero lower bound")
@@ -255,12 +254,16 @@ def snr_db_to_power(channel_n: int, n0: float, snr_db: float) -> float:
 
     SNR is defined as p_total / (N * n0) under the unit-average-gain
     normalization of the channel profiles.  Raises ``ValueError`` if the
-    power overflows.
+    power overflows or underflows to 0.
     """
     try:
-        return channel_n * n0 * 10.0 ** (snr_db / 10.0)
+        power = channel_n * n0 * 10.0 ** (snr_db / 10.0)
     except OverflowError:
-        raise ValueError(f"SNR {snr_db!r} dB gives a power that overflows") from None
+        power = math.inf
+    if power in (0.0, math.inf):
+        fault = "overflows" if power else "underflows to 0"
+        raise ValueError(f"SNR {snr_db!r} dB gives a power that {fault}")
+    return power
 
 
 # each strategy tag's allocation of a power budget over a channel
@@ -302,10 +305,8 @@ def rate_table(
     without ``markov``.  So ``mpe_percent``, ``mpe(c_upper,
     c_lower_exact)``, certifies how far the allocation can be from optimal.
     The statistical-waterfilling powers of ``c_upper`` are that
-    strategy's allocation too.  ``exact_rate`` runs per allocation;
-    ``markov_lower`` runs once per L, on the stack of every (SNR,
-    strategy) allocation, and each row's bound equals the bound of that
-    allocation alone.
+    strategy's allocation too.  Each bound is one call per L, on the stack
+    of its allocations.
 
     Returns the columns ``L``, ``snr_db``, ``strategy`` (the tag, or
     ``"custom"`` for a callable), ``c_upper``, ``c_lower_exact``,
@@ -319,23 +320,22 @@ def rate_table(
     rows = []
     for L in l_values:
         ch = profile(L)
-        cells, allocations = [], []
+        cells, swfs, allocations = [], [], []
         for snr_db in map(float, snr_db_values):
             p_total = snr_db_to_power(ch.n, ch.n0, snr_db)
-            swf = _STRATEGIES["statistical-waterfill"](ch, p_total)
-            c_upper = jensen_upper(ch, swf)
+            swfs.append(_STRATEGIES["statistical-waterfill"](ch, p_total))
             for tag, allocate in allocators:
-                powers = swf if tag == "statistical-waterfill" else allocate(ch, p_total)
-                c_exact = exact_rate(ch, powers)
-                cells.append((snr_db, tag, c_upper, c_exact, mpe(c_upper, c_exact)))
-                allocations.append(np.array(powers, dtype=float))  # a callable may reuse its buffer
-        # one Markov call over every (SNR, strategy) allocation of this L
-        c_markov = (
-            markov_lower(ch, np.array(allocations), alpha=alpha) if markov and allocations
-            else [math.nan] * len(cells)
-        )
-        rows += [(int(L), snr_db, tag, c_upper, c_exact, c_lower, mpe_percent)
-                 for (snr_db, tag, c_upper, c_exact, mpe_percent), c_lower in zip(cells, c_markov)]
+                powers = swfs[-1] if tag == "statistical-waterfill" else allocate(ch, p_total)
+                cells.append((snr_db, tag))
+                # one allocation as a one-row stack, copied: a callable may reuse its buffer
+                allocations.append(_stack([powers], ch.n)[0])
+        if not cells:
+            continue
+        c_upper = np.repeat(jensen_upper(ch, swfs), len(allocators)).tolist()
+        c_exact = exact_rate(ch, allocations).tolist()
+        c_markov = markov_lower(ch, allocations, alpha=alpha) if markov else [math.nan] * len(cells)
+        rows += [(int(L), snr_db, tag, upper, exact, lower, mpe(upper, exact))
+                 for (snr_db, tag), upper, exact, lower in zip(cells, c_upper, c_exact, c_markov)]
     columns = list(zip(*rows)) or [()] * len(_TABLE_COLUMNS)
     return {name: np.array(column) for name, column in zip(_TABLE_COLUMNS, columns)}
 
@@ -350,5 +350,5 @@ def mpe_slope(l_values: Sequence[int], mpe_percent) -> float:
     if len(ls) < 3:
         raise ValueError("need at least 3 diversity orders to fit a slope")
     if any(b <= a for a, b in zip(ls, ls[1:])):
-        raise ValueError("l_list must be strictly increasing")
+        raise ValueError("l_values must be strictly increasing")
     return float(np.polyfit(np.log(ls), np.log(mpe_percent), 1)[0])

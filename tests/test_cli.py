@@ -286,6 +286,33 @@ def test_mpe_study_needs_three_increasing_orders(tmp_path, capsys, l_values):
     assert not (tmp_path / "m.csv").exists()
 
 
+def test_mpe_study_names_its_unordered_diversity_orders(tmp_path, capsys):
+    rc = cli.main(["mpe-study", "--l-values", "4,2,8", "--output", str(tmp_path / "m.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: l_values must be strictly increasing\n"
+
+
+@pytest.mark.parametrize(
+    "snr_db, fault", [("-4000", "underflows to 0"), ("4000", "overflows"), ("3080", "overflows")]
+)
+def test_an_snr_without_a_finite_positive_power_exits_2_naming_the_snr(
+    tmp_path, capsys, snr_db, fault
+):
+    # 10**308 is finite, but 64 bins times it is not
+    out = tmp_path / "x.csv"
+    assert cli.main(["bounds-sweep", f"--snr-db={snr_db}", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: SNR {float(snr_db)!r} dB gives a power that {fault}\n"
+    assert not out.exists()
+
+
+def test_bounds_sweep_at_very_low_snr_writes_an_mpe_near_zero(tmp_path):
+    # at -300 dB the exact rate of L = 8 exceeds its Jensen bound by one ulp
+    out = tmp_path / "low.csv"
+    assert cli.main(["bounds-sweep", "--l-values", "8", "--snr-db=-300", "--output", str(out)]) == 0
+    rows = {row["strategy"]: row for row in _read_rows(out)}
+    assert abs(float(rows["statistical-waterfill"]["mpe_percent"])) <= 1e-11
+
+
 def test_mpe_study_rows_and_slopes(tmp_path):
     out = tmp_path / "mpe.csv"
     rc = cli.main(

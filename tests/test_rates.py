@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from simocap import rates
+from simocap import rates, specfun
 from simocap.alloc import equal_power, optimal_allocation, waterfill
 from simocap.channel import ParallelChannel, build_decay_profile
 from simocap.ingest import generate_snapshots, simo_gains
@@ -320,6 +320,33 @@ def test_markov_lower_of_a_stack_is_its_rows_bound_by_bound(alpha, rows):
     assert markov_lower(ch, stack[:0], alpha=alpha).shape == (0,)
 
 
+@pytest.mark.parametrize("rate", [jensen_upper, exact_rate])
+def test_jensen_and_exact_rate_of_a_stack_are_its_rows_rate_by_rate(rate):
+    # the stack has zero-power bins and an all-zero row; a vector gives a float
+    ch, stack = _wide_channel_stack(40)
+    values = rate(ch, stack)
+    assert isinstance(values, np.ndarray) and values.shape == (40,)
+    alone = [rate(ch, row) for row in stack]
+    assert all(type(v) is float for v in alone)
+    assert values.tolist() == alone
+    assert values[1] == 0.0
+    assert rate(ch, stack[::-1]).tolist() == alone[::-1]
+    assert rate(ch, stack[:0]).shape == (0,)
+
+
+def test_exact_rate_builds_one_rule_per_call(monkeypatch):
+    built = []
+
+    def rule(*args):
+        built.append(args)
+        return specfun._gamma_rule(*args)
+
+    monkeypatch.setattr(rates, "_gamma_rule", rule)
+    ch, stack = _wide_channel_stack(6)
+    exact_rate(ch, stack)
+    assert len(built) == 1
+
+
 def test_markov_lower_does_not_depend_on_the_rows_that_share_its_stack(monkeypatch):
     ch, stack = _wide_channel_stack(8)
     alone = [markov_lower(ch, row) for row in stack]
@@ -418,6 +445,34 @@ def test_mpe_values_and_errors():
         mpe(1.0, 0.0)
     with pytest.raises(ValueError):
         mpe(0.9, 1.0)
+
+
+def test_mpe_forgives_an_exact_rate_above_jensen_by_its_accuracy_alone():
+    # the exact rate is held to 1e-13 relative, so it may exceed the Jensen
+    # bound by that much where the two agree to rounding; beyond, mpe raises
+    slack = rates._RATE_RTOL
+    assert slack == 1e-13
+    assert -1e-13 < mpe(1.0, math.nextafter(1.0, 2.0)) < 0.0  # one ulp above
+    assert -100.0 * slack <= mpe(1.0 - 0.5 * slack, 1.0) < 0.0
+    with pytest.raises(ValueError, match=r"c_upper \(0.9999999999998\) must not be below c_lower"):
+        mpe(1.0 - 2.0 * slack, 1.0)
+
+
+@pytest.mark.parametrize("L", [1, 2, 4, 8, 16, 64])
+def test_rate_table_at_very_low_snr_gives_an_mpe_near_zero(L):
+    # at -300 dB the rates agree to rounding: the exact rate of L = 8 on the
+    # default profile exceeds its Jensen bound by one ulp
+    table = rate_table(_cubic_profile(), [L], [-300.0, -200.0], ["statistical-waterfill"],
+                       markov=False)
+    assert np.all(np.abs(table["mpe_percent"]) <= 100.0 * rates._RATE_RTOL)
+
+
+def test_snr_db_to_power_names_an_snr_whose_power_is_not_finite_and_positive():
+    assert snr_db_to_power(64, 1.0, 0.0) == 64.0
+    for snr_db, fault in ((-4000.0, "underflows to 0"), (4000.0, "overflows"),
+                          (3080.0, "overflows")):  # 10**308 is finite, 64 times it is not
+        with pytest.raises(ValueError, match=rf"^SNR {snr_db!r} dB gives a power that {fault}$"):
+            snr_db_to_power(64, 1.0, snr_db)
 
 
 def test_bound_ratio_direct_value():
@@ -560,6 +615,19 @@ def test_rate_table_columns_equal_the_primitives():
                     row += 1
 
 
+def test_rate_table_calls_each_bound_once_per_diversity_order(monkeypatch):
+    # on the stack of its SNRs' waterfilling powers, or of every (SNR, strategy) allocation
+    calls = []
+    for name in ("jensen_upper", "exact_rate", "markov_lower"):
+        def counted(ch, powers, _rate=getattr(rates, name), _name=name, **options):
+            calls.append((_name, np.shape(powers)))
+            return _rate(ch, powers, **options)
+
+        monkeypatch.setattr(rates, name, counted)
+    rate_table(_cubic_profile(8), [2, 4], [-5.0, 0.0, 5.0], ["statistical-waterfill", "equal"])
+    assert calls == [("jensen_upper", (3, 8)), ("exact_rate", (6, 8)), ("markov_lower", (6, 8))] * 2
+
+
 def test_rate_table_without_markov_and_with_a_callable_strategy():
     def fixed(ch, p_total):
         return np.full(ch.n, p_total / ch.n)
@@ -611,16 +679,16 @@ def test_rate_table_rejects_an_unknown_tag_and_a_wrong_length_allocation():
 )
 def test_every_rate_rejects_bad_powers(powers):
     # an allocation is a plain array, so each rate checks the powers it is given;
-    # only markov_lower takes a (rows, n) stack, so only it accepts the 2-D (1, n)
-    # case, which the stack tests cover
+    # the three bounds take a (rows, n) stack too, so only empirical_rate, which
+    # takes one allocation, rejects the 2-D (1, n) case; the stack tests cover it
     ch = ParallelChannel(theta=[1.0, 2.0], shape=1.0, n0=1.0)
-    calls = [
-        lambda: jensen_upper(ch, powers),
-        lambda: exact_rate(ch, powers),
-        lambda: empirical_rate(np.ones((3, 2)), powers, 1.0),
-    ]
+    calls = [lambda: empirical_rate(np.ones((3, 2)), powers, 1.0)]
     if np.shape(powers) != (1, 2):
-        calls.append(lambda: markov_lower(ch, powers))
+        calls += [
+            lambda: jensen_upper(ch, powers),
+            lambda: exact_rate(ch, powers),
+            lambda: markov_lower(ch, powers),
+        ]
     for call in calls:
         with pytest.raises(ValueError, match=r"powers must be|gains must be a \(snapshots, 1\)"):
             call()
@@ -684,7 +752,7 @@ def test_convergence_study_separates_waterfilling_from_fixed_allocation():
 def test_convergence_study_input_validation():
     with pytest.raises(ValueError, match="need at least 3 diversity orders"):
         mpe_slope([1, 2], [2.0, 1.0])
-    with pytest.raises(ValueError, match="must be strictly increasing"):
+    with pytest.raises(ValueError, match="^l_values must be strictly increasing$"):
         mpe_slope([1, 4, 2], [3.0, 2.0, 1.0])
     # a power law MPE = 8/L has slope -1
     assert math.isclose(mpe_slope([1, 2, 4, 8], [8.0, 4.0, 2.0, 1.0]), -1.0, rel_tol=1e-12)
