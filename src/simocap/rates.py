@@ -46,7 +46,6 @@ __all__ = [
 
 LN2 = math.log(2.0)
 
-_A_MAX = 50.0
 _ITER_CAP = 50
 _A_STEP_TOLERANCE = 1e-10  # relative Newton step in a; the term's error is its square
 _MARKOV_CHUNK = 8192  # subchannels per pass of the Markov bound
@@ -92,25 +91,23 @@ def _markov_terms(a, shape, theta, p, n0: float) -> np.ndarray:
 
 
 def _max_markov_terms(shape, theta, p, n0: float) -> np.ndarray:
-    # Per subchannel: a coarse log-grid scan over a, then safeguarded Newton
-    # steps on h'(a) = 0 for h(a) = a*Q(k, x), x = c*(e^a - 1), c = n0/(p*theta),
-    # from the best grid point and inside the bracket of its neighbours.
-    # With phi the gamma density at x, so that x*phi is the kernel's density,
+    # Per subchannel: safeguarded Newton steps on h'(a) = 0 for h(a) = a*Q(k, x),
+    # x = c*(e^a - 1), c = n0/(p*theta).  With phi the gamma density at x, so
+    # that x*phi is the kernel's density,
     #   h'  = Q - a*(x + c)*phi,
     #   h'' = -(x + c)*phi*(2 + a + a*(x + c)*((k - 1)/x - 1)).
-    # The sign of h' shrinks the bracket; where h'' >= 0 or the Newton point
-    # leaves the closed bracket, the step bisects it instead.  A maximum at
-    # an end of the range collapses the bracket onto that end, which is then
-    # returned exactly.  Each subchannel stops at its own converged step, so
-    # its term does not depend on the other subchannels of the call.
-    grid = np.geomspace(1e-6, _A_MAX, 12)
-    best, i = np.full(p.size, -math.inf), np.zeros(p.size, dtype=int)
-    for j, a in enumerate(grid.tolist()):  # the first maximum, one grid point at a time
-        term = _markov_terms(a, shape, theta, p, n0)
-        i[term > best] = j
-        best = np.maximum(best, term)
-    lo, hi = grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, grid.size - 1)]
-    a, k, c = grid[i], shape, (n0 / p) / theta
+    # At a stationary point Q/phi = (x + c)*log1p(x/c) >= x, while the gamma
+    # Mills ratio Q/phi is at most x/(x - k + 1) for k >= 1 and x > k - 1, and
+    # at most 1 for k < 1; so x <= max(k, 1) there, and as h'(0+) = 1 the
+    # maximum lies in (0, log1p(max(k, 1)/c)].  The search starts from the
+    # paper's rule x = alpha_k*k, alpha_k = max(1 - 1/sqrt(k), 1/2).  The sign
+    # of h' shrinks the bracket; where h'' >= 0 or the Newton point leaves the
+    # closed bracket, the step bisects it instead.  Each subchannel stops at
+    # its own converged step, so its term does not depend on the other
+    # subchannels of the call.
+    k, c = shape, (n0 / p) / theta
+    lo, hi = np.zeros(p.size), np.log1p(np.maximum(k, 1.0) / c)
+    a = np.log1p(np.maximum(1.0 - 1.0 / np.sqrt(k), 0.5) * k / c)
     out, todo = np.empty(p.size), np.arange(p.size)
     for _ in range(_ITER_CAP):
         x = c * np.expm1(a)
@@ -140,10 +137,11 @@ def markov_lower(
     The free parameters a_n > 0 are set by the rule a_n = log(1 +
     alpha*p_n*mu_n/n0), the paper's log(1 + alpha*beta*L) (``alpha``), or,
     by default, chosen per subchannel by numerical maximization of the
-    term over a in [1e-6, 50]; each subchannel's search stops at its own
-    converged step.  Zero-power subchannels contribute zero.  A stack is
-    evaluated in one pass over all its powered subchannels.  Raises
-    ``NumericError`` if the maximization does not converge.
+    term over a > 0, from the alpha_k start: the paper's rule with alpha_k =
+    max(1 - 1/sqrt(k), 1/2) at shape k.  Each subchannel's search stops at
+    its own converged step.  Zero-power subchannels contribute zero.  A
+    stack is evaluated in one pass over all its powered subchannels.
+    Raises ``NumericError`` if the maximization does not converge.
     """
     stack = _stack(powers, channel.n)
     n0 = channel.n0
@@ -344,11 +342,22 @@ def mpe_slope(l_values: Sequence[int], mpe_percent) -> float:
     """Log-log slope of the MPE versus the diversity order.
 
     An unweighted least-squares fit of log(MPE) against log(L), over at
-    least 3 strictly increasing orders, one MPE per order.
+    least 3 strictly increasing finite orders L >= 1, one MPE per order.
+    Raises ``MetricUndefinedError`` if an MPE is not positive and finite,
+    as at very low SNR, where the bounds agree to rounding.
     """
-    ls = list(l_values)
-    if len(ls) < 3:
+    ls, mpes = np.asarray(l_values, dtype=float), np.asarray(mpe_percent, dtype=float)
+    if ls.ndim != 1 or ls.size < 3:
         raise ValueError("need at least 3 diversity orders to fit a slope")
-    if any(b <= a for a, b in zip(ls, ls[1:])):
+    if np.any(ls[1:] <= ls[:-1]):
         raise ValueError("l_values must be strictly increasing")
-    return float(np.polyfit(np.log(ls), np.log(mpe_percent), 1)[0])
+    if not np.all((ls >= 1.0) & (ls < math.inf)):  # NaN fails both
+        raise ValueError(f"l_values must be finite and at least 1, got {l_values!r}")
+    if mpes.shape != ls.shape:
+        raise ValueError(f"need one MPE per diversity order, got {mpes.size} for {ls.size}")
+    if not np.all((mpes > 0.0) & (mpes < math.inf)):
+        raise MetricUndefinedError(
+            f"the MPE slope is undefined unless every MPE is positive and finite, "
+            f"got {mpes.tolist()}"
+        )
+    return float(np.polyfit(np.log(ls), np.log(mpes), 1)[0])

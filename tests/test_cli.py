@@ -292,6 +292,31 @@ def test_mpe_study_names_its_unordered_diversity_orders(tmp_path, capsys):
     assert capsys.readouterr().err == "error: l_values must be strictly increasing\n"
 
 
+@pytest.mark.parametrize("snr_db", ["-250", "-300"])
+def test_mpe_study_exits_2_where_the_bounds_agree_to_rounding(tmp_path, capsys, snr_db):
+    # some MPEs are exactly 0 or a few ulps below it, so no slope exists;
+    # nothing is written, in particular no NaN slope, which is not JSON
+    out = tmp_path / "m.csv"
+    assert cli.main(["mpe-study", f"--snr-db={snr_db}", "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: the MPE slope is undefined unless every MPE is positive and finite, got ["
+    )
+    assert not out.exists() and not (tmp_path / "m.csv.meta.json").exists()
+
+
+def test_bounds_sweep_max_rule_beats_the_alpha_rule_at_extreme_snr(tmp_path):
+    # the maximised Markov bound is at least the paper's alpha = 0.5 rule on
+    # every row, far below and far above the usual SNRs
+    columns = []
+    for rule in ("max", "alpha=0.5"):
+        out = tmp_path / f"{rule}.csv"
+        argv = ["bounds-sweep", "--snr-db=-120,-100,-80,250", "--a-rule", rule, "--output", str(out)]
+        assert cli.main(argv) == 0
+        columns.append([float(row["c_lower_markov"]) for row in _read_rows(out)])
+    assert len(columns[0]) == 8
+    assert all(best >= alpha_rule > 0.0 for best, alpha_rule in zip(*columns)), columns
+
+
 @pytest.mark.parametrize(
     "snr_db, fault", [("-4000", "underflows to 0"), ("4000", "overflows"), ("3080", "overflows")]
 )

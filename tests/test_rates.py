@@ -186,13 +186,11 @@ def test_markov_lower_mixed_channel_is_sum_of_single_subchannels():
 
 def test_markov_lower_max_rule_beats_a_fine_grid():
     # The maximised term must be at least the term at every point of a
-    # grid about 167x finer than the one the maximisation starts from; the
-    # slack is a few ulps of rounding in Q.  The grid includes both ends of
-    # the range (0, 50], where the maxima of two channels sit: at huge
-    # power the term is a*Q(k, ~0) = a, at tiny power it falls from the
-    # first grid point on.  Below shape 1 the term a*Q(k, c*(e^a - 1)) need
-    # not be log-concave in a, so the coarse scan's bracket is checked
-    # there too, for c = n0/(p*theta) from 1e-6 to 1e6.
+    # fine grid over (0, 50]; the slack is a few ulps of rounding in Q.  At
+    # huge power the term is a*Q(k, ~0) = a up to the grid's end and
+    # beyond, at tiny power it falls from the first grid point on.  Below
+    # shape 1 the term a*Q(k, c*(e^a - 1)) need not be log-concave in a,
+    # so those shapes are checked too, for c = n0/(p*theta) from 1e-6 to 1e6.
     ch, powers = _mixed_channel_12()
     singles = [
         (ch.theta[i], ch.shape[i], ch.n0, p) for i, p in enumerate(powers) if p > 0.0
@@ -214,13 +212,16 @@ def test_markov_lower_max_rule_beats_a_fine_grid():
 
 
 def _mpmath_max_markov_term(mpmath, k, c):
-    """30-digit max over a in (0, 50] of a*Q(k, c*expm1(a)), from h'(a) = 0.
+    """30-digit max over a > 0 of a*Q(k, c*expm1(a)), from h'(a) = 0.
 
     h'(a) = Q(k, x) - a*(x + c)*phi(x), with x = c*expm1(a) and phi the
-    Gamma(k, 1) density, is positive near a = 0 and negative at 50 for the
-    cases below.  Geometric bisection brackets its root to about 1e-11
-    relative, then ``findroot`` polishes it; bisecting first keeps the
-    solver away from the far right, where h' underflows to a flat zero.
+    Gamma(k, 1) density, is positive at x = 1e-8 and negative at x = 1e7
+    for the cases below.  Geometric bisection between them brackets its
+    root to about 1e-10 relative, then ``findroot`` polishes it; bisecting
+    first keeps the solver away from the far right, where h' underflows to
+    a flat zero.  The bracket stays in x, not in a: at x near 1e35 the
+    30-digit exponent of e^-x is off by far more than 1, which can flip
+    the sign of h'.
     """
     with mpmath.workdps(30):
         k, c = mpmath.mpf(k), mpmath.mpf(c)
@@ -233,7 +234,7 @@ def _mpmath_max_markov_term(mpmath, k, c):
             x = c * mpmath.expm1(a)
             return q(a) - a * (x + c) * mpmath.exp((k - 1) * mpmath.log(x) - x - log_gamma_k)
 
-        lo, hi = mpmath.mpf("1e-8"), mpmath.mpf(50)
+        lo, hi = mpmath.log1p(mpmath.mpf("1e-8") / c), mpmath.log1p(mpmath.mpf("1e7") / c)
         assert dh(lo) > 0 > dh(hi)
         for _ in range(40):
             mid = mpmath.sqrt(lo * hi)
@@ -253,6 +254,54 @@ def test_markov_max_rule_matches_mpmath_maximiser(k):
         assert math.isclose(
             markov_lower(ch, powers), _mpmath_max_markov_term(mpmath, k, c), rel_tol=1e-10
         ), c
+
+
+@pytest.mark.parametrize("k", [0.1, 0.5, 4.0, 1e5])
+def test_markov_max_rule_matches_mpmath_maximiser_at_extreme_powers(k):
+    # c = n0/(p*theta) = 1e14 puts the maximising a near 1e-14*max(k, 1),
+    # and c = 1e-14 near log(max(k, 1)/c), 32 to 44
+    mpmath = pytest.importorskip("mpmath")
+    for c in (1e-14, 1e14):
+        ch, powers = _single(theta=1.0, m=k, L=1, p=1.0 / c)
+        assert math.isclose(
+            markov_lower(ch, powers), _mpmath_max_markov_term(mpmath, k, c), rel_tol=1e-10
+        ), c
+
+
+def test_markov_max_rule_beats_every_alpha_rule_and_no_more_than_the_exact_rate():
+    # one subchannel per (shape, power) pair, p from 1e-300 to 1e300, each
+    # bounded alone as one row of a diagonal stack.  Maximising over a can
+    # only gain on the paper's a = log(1 + alpha*p*mu/n0), up to rounding
+    # in Q; and the Markov bound is a lower bound on the exact rate, up to
+    # the quadrature's 1e-13 relative accuracy.
+    shapes = np.repeat([0.1, 0.5, 1.0, 4.0, 100.0, 1e5], 13)
+    powers = np.tile(10.0 ** np.arange(-300.0, 301.0, 50.0), 6)
+    ch, stack = ParallelChannel(theta=1.0 / shapes, shape=shapes, n0=1.0), np.diag(powers)
+    best = markov_lower(ch, stack)
+    for alpha in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+        rule = markov_lower(ch, stack, alpha=alpha)
+        low = best < rule * (1.0 - 1e-15)
+        assert not low.any(), (alpha, shapes[low], powers[low])
+    assert np.all(best > 0.0) and np.all(best <= exact_rate(ch, stack) * (1.0 + 1e-13))
+
+
+def test_markov_max_rule_search_cost_is_bounded(monkeypatch):
+    # every subchannel's search over shapes 0.1 to 1e5 and c = n0/(p*theta)
+    # from 1e-12 to 1e12 converges within 19 steps: at most 20 calls of the
+    # Q kernel, the last for the terms.  A regression guard on the cost of
+    # the search, not a bound on its accuracy.
+    calls = []
+
+    def gamma_q(k, x):
+        calls.append(np.size(x))
+        return _gamma_q(k, x)
+
+    monkeypatch.setattr(rates, "_gamma_q", gamma_q)
+    grid = np.meshgrid(np.geomspace(0.1, 1e5, 61), np.geomspace(1e-12, 1e12, 49))
+    k, c = (v.ravel() for v in grid)
+    terms = rates._max_markov_terms(k, np.ones_like(k), 1.0 / c, 1.0)
+    assert np.all(terms > 0.0)
+    assert len(calls) <= 20, calls
 
 
 def test_markov_alpha_rule_matches_mpmath_on_a_mixed_channel():
@@ -756,6 +805,30 @@ def test_convergence_study_input_validation():
         mpe_slope([1, 4, 2], [3.0, 2.0, 1.0])
     # a power law MPE = 8/L has slope -1
     assert math.isclose(mpe_slope([1, 2, 4, 8], [8.0, 4.0, 2.0, 1.0]), -1.0, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "l_values, mpes, error, message",
+    [
+        ([1, 2, 4], [1.0, 2.0], ValueError, "^need one MPE per diversity order, got 2 for 3$"),
+        ([1, 2, 4], [[1.0, 2.0, 3.0]], ValueError, "^need one MPE per diversity order"),
+        ([0, 2, 4], [3.0, 2.0, 1.0], ValueError, "^l_values must be finite and at least 1"),
+        ([1, 2, math.inf], [3.0, 2.0, 1.0], ValueError, "^l_values must be finite and at least 1"),
+        ([1, math.nan, 4], [3.0, 2.0, 1.0], ValueError, "^l_values must be finite and at least 1"),
+        ([1, 2, 4], [3.0, 0.0, 1.0], MetricUndefinedError, "positive and finite"),
+        ([1, 2, 4], [3.0, -1e-14, 1.0], MetricUndefinedError, "positive and finite"),
+        ([1, 2, 4], [3.0, math.nan, 1.0], MetricUndefinedError, "positive and finite"),
+        ([1, 2, 4], [3.0, math.inf, 1.0], MetricUndefinedError, "positive and finite"),
+    ],
+    ids=["short-mpes", "2-D-mpes", "L=0", "L=inf", "L=nan", "mpe=0", "mpe<0", "mpe=nan", "mpe=inf"],
+)
+def test_mpe_slope_rejects_inputs_without_a_slope(capfd, l_values, mpes, error, message):
+    # a ValueError, with no warning and no LAPACK error on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            mpe_slope(l_values, mpes)
+    assert capfd.readouterr().err == ""
 
 
 def test_waterfill_rate_ratio_is_insensitive_to_perturbations():

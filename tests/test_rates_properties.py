@@ -35,3 +35,23 @@ def test_markov_lower_exact_and_jensen_are_ordered_for_every_a_rule(subs, alpha)
     on = powers > 0.0
     at_a = _markov_terms(np.array(a)[on], ch.shape[on], ch.theta[on], powers[on], ch.n0).sum()
     assert at_a <= exact * (1.0 + 1e-13), a
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1.0, 5.0), st.floats(-12.0, 12.0))
+def test_markov_term_has_one_maximum_in_its_derived_bracket(log_k, log_c):
+    # h(a) = a*Q(k, x), x = c*expm1(a), has h'(a) = Q(k, x) - a*(x + c)*phi(x),
+    # phi the Gamma(k, 1) density.  The Markov search brackets its maximum
+    # in (0, log1p(max(k, 1)/c)]; it assumes that h' changes sign once there,
+    # from + to -, checked here with scipy's Q and density on 4,000 points
+    # spaced geometrically from 1e-12 of the bracket's end to the end itself.
+    special = pytest.importorskip("scipy.special")
+    k, c = 10.0**log_k, 10.0**log_c
+    hi = np.log1p(max(k, 1.0) / c)
+    a = hi * np.geomspace(1e-12, 1.0, 4000)
+    x = c * np.expm1(a)
+    log_phi = (k - 1.0) * np.log(x) - x - special.gammaln(k)
+    dh = special.gammaincc(k, x) - a * (x + c) * np.exp(log_phi)
+    signs = np.sign(dh[dh != 0.0])
+    assert dh[0] > 0.0 and dh[-1] <= 0.0, (dh[0], dh[-1])
+    assert np.count_nonzero(signs[1:] != signs[:-1]) == 1
