@@ -32,7 +32,7 @@ from .ingest import (
     write_channel_csv,
     _write_atomic,
 )
-from .rates import LN2, STRATEGY_TAGS, _alpha, mpe_slope, rate_table
+from .rates import LN2, STRATEGY_TAGS, MetricUndefinedError, _alpha, mpe_slope, rate_table
 from .specfun import NumericError
 
 EXIT_OK = 0
@@ -267,10 +267,12 @@ def cmd_mpe_study(args) -> int:
     )
     # the grid runs over L, then SNR: one column of MPEs per SNR
     mpe_by_snr = table["mpe_percent"].reshape(-1, len(cfg.snr_db_values)).T
-    slopes = {
-        repr(float(snr)): mpe_slope(cfg.l_values, mpes)
-        for snr, mpes in zip(cfg.snr_db_values, mpe_by_snr)
-    }
+    slopes = {}
+    for snr, mpes in zip(map(float, cfg.snr_db_values), mpe_by_snr):
+        try:
+            slopes[repr(snr)] = mpe_slope(cfg.l_values, mpes)
+        except MetricUndefinedError as exc:
+            raise MetricUndefinedError(f"{exc} at SNR {snr!r} dB") from None
     rows = sorted(zip(*(table[col].tolist() for col in MPE_COLUMNS)), key=lambda row: row[:2])
     _write_csv(cfg, MPE_COLUMNS, rows)
     _write_sidecar(cfg, "mpe-study", mpe_slope_by_snr_db=slopes)

@@ -13,6 +13,7 @@ parallel channel with mean gains {mu_n}:
 ``jensen_upper``, ``exact_rate`` and ``markov_lower`` take one allocation,
 an (n,) vector of powers, and return a float, or a (rows, n) stack of them,
 and return one value per row, bit for bit the value of that row alone.
+Each refuses a power whose load p*mu/n0 overflows with a ValueError.
 
 The single-subchannel ratio of the Markov lower to the Jensen upper bound
 drives the large-diversity convergence results; ``bound_ratio`` evaluates
@@ -77,9 +78,23 @@ def _stack(powers, n: int) -> np.ndarray:
     return stack
 
 
+def _stack_on(channel: ParallelChannel, powers) -> np.ndarray:
+    # _stack of powers on channel whose every load p*mu/n0 is finite, else ValueError
+    stack = _stack(powers, channel.n)
+    with np.errstate(over="ignore"):
+        overflows = np.isinf(stack * channel.mean_gains / channel.n0)
+    if overflows.any():
+        row, n = np.argwhere(overflows)[0]
+        raise ValueError(
+            f"p*mu/n0 overflows in bin {n}: {float(stack[row, n])!r} * "
+            f"{float(channel.mean_gains[n])!r} / {channel.n0!r}"
+        )
+    return stack
+
+
 def jensen_upper(channel: ParallelChannel, powers) -> float | np.ndarray:
     """Concavity bound sum_n log(1 + p_n*mu_n/n0) on the ergodic sum rate."""
-    rates = np.log1p(_stack(powers, channel.n) * channel.mean_gains / channel.n0).sum(axis=1)
+    rates = np.log1p(_stack_on(channel, powers) * channel.mean_gains / channel.n0).sum(axis=1)
     return float(rates[0]) if np.ndim(powers) == 1 else rates
 
 
@@ -143,7 +158,7 @@ def markov_lower(
     stack is evaluated in one pass over all its powered subchannels.
     Raises ``NumericError`` if the maximization does not converge.
     """
-    stack = _stack(powers, channel.n)
+    stack = _stack_on(channel, powers)
     n0 = channel.n0
     on = stack > 0.0
     p = stack[on]
@@ -165,7 +180,7 @@ def markov_lower(
 
 def exact_rate(channel: ParallelChannel, powers) -> float | np.ndarray:
     """Ergodic sum rate sum_n E[log(1 + p_n*g_n/n0)] of the allocation."""
-    stack = _stack(powers, channel.n)
+    stack = _stack_on(channel, powers)
     g, weights = _gamma_rule(channel.shape, channel.theta)  # one rule, each row on its powered bins
     rates = np.array([
         _expect(np.log1p((row[on, None] / channel.n0) * g[on]), weights[on]).sum()

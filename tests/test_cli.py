@@ -304,6 +304,16 @@ def test_mpe_study_exits_2_where_the_bounds_agree_to_rounding(tmp_path, capsys, 
     assert not out.exists() and not (tmp_path / "m.csv.meta.json").exists()
 
 
+def test_mpe_study_names_the_snr_without_a_slope(tmp_path, capsys):
+    # -10 dB has a slope, -250 dB has not: the message names -250
+    out = tmp_path / "m.csv"
+    assert cli.main(["mpe-study", "--snr-db=-10,-250", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the MPE slope is undefined unless every MPE is positive")
+    assert err.endswith("] at SNR -250.0 dB\n"), err
+    assert not out.exists() and not (tmp_path / "m.csv.meta.json").exists()
+
+
 def test_bounds_sweep_max_rule_beats_the_alpha_rule_at_extreme_snr(tmp_path):
     # the maximised Markov bound is at least the paper's alpha = 0.5 rule on
     # every row, far below and far above the usual SNRs

@@ -1,6 +1,7 @@
 import io
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 
@@ -491,3 +492,83 @@ def test_failing_chunks_leave_the_previous_file_and_no_temporary(tmp_path):
 def test_parse_reports_a_repeat_with_another_frequency_as_a_duplicate():
     err = _parse_error(f"{ROW}\n0,0,0,6e9,1,0\n")
     assert str(err) == "line 3: duplicate cell (snapshot=0, branch=0, bin=0)"
+
+
+# --- the dense check and the sorting reporter --------------------------------
+
+
+def _shuffled_rows(seed, shape=(3, 2, 5)):
+    buf = io.StringIO()
+    write_channel_csv(_make_set(*shape, seed=seed), buf)
+    rows = buf.getvalue().splitlines()[1:]
+    np.random.default_rng(seed).shuffle(rows)
+    return rows
+
+
+def _repeat(rows, i, j):
+    # row i takes row j's cell and frequency, so that cell repeats and row i's is missing
+    rows[i] = ",".join(rows[j].split(",")[:4] + rows[i].split(",")[4:])
+
+
+def _refreq(rows, i):
+    parts = rows[i].split(",")
+    rows[i] = ",".join(parts[:3] + [repr(1.5 * float(parts[3]))] + parts[4:])
+
+
+CROSS_ROW_FAULTS = {
+    "repeat": lambda rows, first, second, j: _repeat(rows, first, j),
+    "freq": lambda rows, first, second, j: _refreq(rows, first),
+    "repeat-then-freq": lambda rows, first, second, j: (_repeat(rows, first, j),
+                                                        _refreq(rows, second)),
+    "freq-then-repeat": lambda rows, first, second, j: (_refreq(rows, first),
+                                                        _repeat(rows, second, j)),
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("fault", CROSS_ROW_FAULTS.values(), ids=CROSS_ROW_FAULTS.keys())
+def test_dense_check_hands_every_cross_row_fault_to_the_reporter(fault, seed, monkeypatch):
+    # as many rows as cells, so the parse takes the dense path; the fault it
+    # reports is the one the sorting reporter finds on the whole file
+    rows = _shuffled_rows(seed)
+    a, b, j = np.random.default_rng(seed).choice(len(rows), size=3, replace=False).tolist()
+    fault(rows, min(a, b), max(a, b), j)
+    with pytest.raises(ParseError) as oracle:
+        ingest._check_across_rows(ingest._read(rows))
+    dense = []
+    scatter = ingest._scatter
+    monkeypatch.setattr(ingest, "_scatter", lambda *args: dense.append(scatter(*args)) or dense[-1])
+    for size in (1, 7, 64, ingest._READ_SIZE):
+        monkeypatch.setattr(ingest, "_READ_SIZE", size)
+        err = _parse_error("\n".join(rows) + "\n")
+        assert (str(err), err.line) == (str(oracle.value), oracle.value.line), size
+    assert dense == [None] * 4
+
+
+def test_parse_peak_memory_holds_each_record_once():
+    # the records (48 B a row) and the coefficients (16 B a cell) once, a
+    # 1-byte mark per cell and the bins' frequencies, plus what one block of
+    # _READ_SIZE characters can hold while it is read
+    snaps = _make_set(n_snapshots=25, n_branches=4, n_bins=1000)
+    buf = io.StringIO()
+    write_channel_csv(snaps, buf)
+    text = buf.getvalue()
+    lengths = [len(line) + 1 for line in text.splitlines()]  # with their "\n"
+    chars = ingest._READ_SIZE + max(lengths)  # a read and the rest of its last line
+    rows = chars // min(lengths) + 1
+    block = (
+        4 * chars  # the read, its cut, the joined bytes and their decoded text
+        + chars + rows * (sys.getsizeof("") + 8)  # its line strings and their list
+        + 2 * rows * ingest._RECORD.itemsize  # its records and the reader's working copy
+    )
+    n_rows, n_bins = snaps.coeffs.size, snaps.n_bins
+    bound = (ingest._RECORD.itemsize + 16 + 1) * n_rows + 8 * n_bins + block
+    source = io.BytesIO(text.encode())
+    tracemalloc.start()
+    try:
+        back = parse_channel_csv(source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.coeffs.tobytes() == snaps.coeffs.tobytes()
+    assert peak <= bound, (peak / n_rows, bound / n_rows)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -843,3 +844,19 @@ def test_waterfill_rate_ratio_is_insensitive_to_perturbations():
         perturbed = perturbed * p_total / perturbed.sum()
         ratio = exact_rate(ch, perturbed) / upper
         assert abs(ratio - base) <= 0.01
+
+
+@pytest.mark.parametrize(
+    "rate",
+    [jensen_upper, exact_rate, markov_lower, lambda ch, p: markov_lower(ch, p, alpha=0.5)],
+    ids=["jensen_upper", "exact_rate", "markov_lower", "markov_lower-alpha"],
+)
+def test_every_bound_refuses_an_overflowing_load_naming_its_bin(rate):
+    # p*mu/n0 = 1e10 * 4e300 is past the float range: not inf, NaN or a failed search
+    message = "p*mu/n0 overflows in bin {}: 10000000000.0 * 4e+300 / 1.0"
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(0))}$"):
+        rate(ParallelChannel([1e300], 4.0, n0=1.0), [1e10])
+    ch = ParallelChannel([1.0, 1e300], 4.0, n0=1.0)
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(1))}$"):
+        rate(ch, [[1.0, 1.0], [1.0, 1e10]])
+    assert np.all(rate(ch, [[1.0, 1.0], [1.0, 1e-301]]) > 0.0)  # a finite load is a rate
