@@ -2,18 +2,21 @@
 
 Rates are in nats throughout; conversion to bits (division by ``LN2``)
 happens only when the CLI writes its CSV.  For a powers array {p_n} on a
-parallel channel with mean gains {mu_n}:
+parallel channel with mean gains {mu_n}, shapes {k_n} and loads
+l_n = p_n mu_n / n0, all that the Jensen and Markov bounds read of bin n:
 
-* upper bound (Jensen):        sum_n log(1 + p_n mu_n / n0), evaluated at
-  the statistical-waterfilling allocation it upper-bounds the capacity;
+* upper bound (Jensen):        sum_n log(1 + l_n), evaluated at the
+  statistical-waterfilling allocation it upper-bounds the capacity;
 * achievable rate:             sum_n E[log(1 + p_n g_n / n0)];
-* lower bound (Markov):        sum_n a_n * Q(shape_n, x_n) with
-  x_n = (n0/p_n)(e^{a_n} - 1)/theta_n, valid for any a_n > 0.
+* lower bound (Markov):        sum_n a_n * Q(k_n, x_n) with
+  x_n = c_n (e^{a_n} - 1), c_n = k_n / l_n, valid for any a_n > 0.
 
 ``jensen_upper``, ``exact_rate`` and ``markov_lower`` take one allocation,
 an (n,) vector of powers, and return a float, or a (rows, n) stack of them,
 and return one value per row, bit for bit the value of that row alone.
-Each refuses a power whose load p*mu/n0 overflows with a ValueError.
+Each raises ValueError for a load that overflows, or a powered load below
+2*max(k_n, 2)/DBL_MAX, where c_n, or c_n/x_n at the Markov search's start
+x_n >= k_n/2, comes within a subnormal's rounding of overflow.
 
 The single-subchannel ratio of the Markov lower to the Jensen upper bound
 drives the large-diversity convergence results; ``bound_ratio`` evaluates
@@ -78,37 +81,39 @@ def _stack(powers, n: int) -> np.ndarray:
     return stack
 
 
-def _stack_on(channel: ParallelChannel, powers) -> np.ndarray:
-    # _stack of powers on channel whose every load p*mu/n0 is finite, else ValueError
+def _stack_on(channel: ParallelChannel, powers) -> tuple[np.ndarray, np.ndarray]:
+    # _stack of powers on channel and its loads p*mu/n0, each refused as the module docstring says
     stack = _stack(powers, channel.n)
     with np.errstate(over="ignore"):
-        overflows = np.isinf(stack * channel.mean_gains / channel.n0)
-    if overflows.any():
-        row, n = np.argwhere(overflows)[0]
+        loads = stack * channel.mean_gains / channel.n0
+    least = 2.0 * np.maximum(channel.shape, 2.0) / np.finfo(float).max
+    refused = np.isinf(loads) | ((stack > 0.0) & (loads < least))
+    if refused.any():
+        row, n = np.argwhere(refused)[0]
         raise ValueError(
             f"p*mu/n0 overflows in bin {n}: {float(stack[row, n])!r} * "
-            f"{float(channel.mean_gains[n])!r} / {channel.n0!r}"
+            f"{float(channel.mean_gains[n])!r} / {channel.n0!r}" if np.isinf(loads[row, n])
+            else f"p*mu/n0 = {float(loads[row, n])!r} in bin {n} is below 2*max(shape, 2)/DBL_MAX"
         )
-    return stack
+    return stack, loads
 
 
 def jensen_upper(channel: ParallelChannel, powers) -> float | np.ndarray:
     """Concavity bound sum_n log(1 + p_n*mu_n/n0) on the ergodic sum rate."""
-    rates = np.log1p(_stack_on(channel, powers) * channel.mean_gains / channel.n0).sum(axis=1)
+    rates = np.log1p(_stack_on(channel, powers)[1]).sum(axis=1)
     return float(rates[0]) if np.ndim(powers) == 1 else rates
 
 
-def _markov_terms(a, shape, theta, p, n0: float) -> np.ndarray:
-    # a * Q(shape, x), x = (n0/p)(e^a - 1)/theta; an overflowing x is inf, where Q = 0
+def _markov_terms(a, shape, load) -> np.ndarray:
+    # a * Q(k, x), x = c*(e^a - 1), c = k/load; an overflowing x is inf, where Q = 0
     with np.errstate(over="ignore"):
-        x = (n0 / p) * np.expm1(a) / theta
+        x = (shape / load) * np.expm1(a)
     return a * _gamma_q(shape, x)[0]
 
 
-def _max_markov_terms(shape, theta, p, n0: float) -> np.ndarray:
+def _max_markov_terms(shape, load) -> np.ndarray:
     # Per subchannel: safeguarded Newton steps on h'(a) = 0 for h(a) = a*Q(k, x),
-    # x = c*(e^a - 1), c = n0/(p*theta).  With phi the gamma density at x, so
-    # that x*phi is the kernel's density,
+    # x = c*(e^a - 1), c = k/load.  With phi the gamma density at x (x*phi is the kernel's),
     #   h'  = Q - a*(x + c)*phi,
     #   h'' = -(x + c)*phi*(2 + a + a*(x + c)*((k - 1)/x - 1)).
     # At a stationary point Q/phi = (x + c)*log1p(x/c) >= x, while the gamma
@@ -120,10 +125,10 @@ def _max_markov_terms(shape, theta, p, n0: float) -> np.ndarray:
     # closed bracket, the step bisects it instead.  Each subchannel stops at
     # its own converged step, so its term does not depend on the other
     # subchannels of the call.
-    k, c = shape, (n0 / p) / theta
-    lo, hi = np.zeros(p.size), np.log1p(np.maximum(k, 1.0) / c)
+    k, c = shape, shape / load
+    lo, hi = np.zeros(k.size), np.log1p(np.maximum(k, 1.0) / c)
     a = np.log1p(np.maximum(1.0 - 1.0 / np.sqrt(k), 0.5) * k / c)
-    out, todo = np.empty(p.size), np.arange(p.size)
+    out, todo = np.empty(k.size), np.arange(k.size)
     for _ in range(_ITER_CAP):
         x = c * np.expm1(a)
         q, log_x_phi = _gamma_q(k, x)
@@ -140,7 +145,7 @@ def _max_markov_terms(shape, theta, p, n0: float) -> np.ndarray:
         out[todo[done]] = new[done]
         todo, a, k, c, lo, hi = (v[~done] for v in (todo, new, k, c, lo, hi))
         if not todo.size:
-            return _markov_terms(out, shape, theta, p, n0)
+            return _markov_terms(out, shape, load)
     raise NumericError(f"Markov parameter search did not converge in {_ITER_CAP} steps")
 
 
@@ -149,28 +154,25 @@ def markov_lower(
 ) -> float | np.ndarray:
     """Markov-inequality lower bound sum_n a_n * Pr(g_n >= (n0/p_n)(e^{a_n}-1)).
 
-    The free parameters a_n > 0 are set by the rule a_n = log(1 +
-    alpha*p_n*mu_n/n0), the paper's log(1 + alpha*beta*L) (``alpha``), or,
-    by default, chosen per subchannel by numerical maximization of the
-    term over a > 0, from the alpha_k start: the paper's rule with alpha_k =
-    max(1 - 1/sqrt(k), 1/2) at shape k.  Each subchannel's search stops at
-    its own converged step.  Zero-power subchannels contribute zero.  A
-    stack is evaluated in one pass over all its powered subchannels.
-    Raises ``NumericError`` if the maximization does not converge.
+    A subchannel enters through its shape k and load l = p*mu/n0 alone: the
+    term is a*Q(k, x), x = c*(e^a - 1), c = k/l.  Its a > 0 is the paper's
+    closed form a = log(1 + alpha*l) (``alpha``), at the threshold x =
+    alpha*k exactly, or, by default, the term's maximum over a, searched per
+    subchannel from the paper's rule with alpha_k = max(1 - 1/sqrt(k), 1/2)
+    until its own step converges.  Zero-power subchannels contribute zero; a
+    stack is one pass over all its powered subchannels.  Raises ``ValueError``
+    for a refused load, ``NumericError`` if the maximization does not converge.
     """
-    stack = _stack_on(channel, powers)
-    n0 = channel.n0
+    stack, loads = _stack_on(channel, powers)
     on = stack > 0.0
-    p = stack[on]
-    theta, shape = (np.broadcast_to(v, stack.shape)[on] for v in (channel.theta, channel.shape))
-    if alpha is not None:
-        a = np.log1p(_alpha(alpha) * (p * theta / n0) * shape)
-    terms = np.empty(p.size)
-    for start in range(0, p.size, _MARKOV_CHUNK):  # bounds the Q kernel's working set
+    load, shape = loads[on], np.broadcast_to(channel.shape, stack.shape)[on]
+    alpha = None if alpha is None else _alpha(alpha)
+    terms = np.empty(load.size)
+    for start in range(0, load.size, _MARKOV_CHUNK):  # bounds the Q kernel's working set
         r = slice(start, start + _MARKOV_CHUNK)
         terms[r] = (
-            _max_markov_terms(shape[r], theta[r], p[r], n0) if alpha is None
-            else _markov_terms(a[r], shape[r], theta[r], p[r], n0)
+            _max_markov_terms(shape[r], load[r]) if alpha is None
+            else np.log1p(alpha * load[r]) * _gamma_q(shape[r], alpha * shape[r])[0]
         )
     # each row's terms are one contiguous slice, summed alone
     ends = np.cumsum(on.sum(axis=1)).tolist()
@@ -180,7 +182,7 @@ def markov_lower(
 
 def exact_rate(channel: ParallelChannel, powers) -> float | np.ndarray:
     """Ergodic sum rate sum_n E[log(1 + p_n*g_n/n0)] of the allocation."""
-    stack = _stack_on(channel, powers)
+    stack = _stack_on(channel, powers)[0]
     g, weights = _gamma_rule(channel.shape, channel.theta)  # one rule, each row on its powered bins
     rates = np.array([
         _expect(np.log1p((row[on, None] / channel.n0) * g[on]), weights[on]).sum()
@@ -234,9 +236,7 @@ def bound_ratio(m: float, L: int, beta: float, alpha: float) -> float:
     is strictly inside (0, 1) and increases to 1 as L grows.
     """
     shape, beta, alpha = _branch_shape(m, L), _positive("beta", beta), _alpha(alpha)
-    num = math.log1p(alpha * beta * L)
-    den = math.log1p(beta * L)
-    return (num / den) * reg_gamma_q(shape, alpha * shape)
+    return math.log1p(alpha * beta * L) / math.log1p(beta * L) * reg_gamma_q(shape, alpha * shape)
 
 
 def bound_ratio_expansion(m: float, L: float, alpha: float) -> tuple[float, float]:

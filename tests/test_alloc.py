@@ -35,6 +35,12 @@ def test_waterfill_rejects_nonpositive_gains():
         waterfill([1.0, -2.0], 1.0, 1.0)
 
 
+@pytest.mark.parametrize("gains", [[[1.0, 2.0]], []], ids=["2-D", "empty"])
+def test_waterfill_rejects_gains_that_are_not_a_nonempty_vector(gains):
+    with pytest.raises(ValueError, match="^gains must be a 1-D vector$"):
+        waterfill(gains, 1.0, 1.0)
+
+
 @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
 def test_waterfill_and_equal_power_reject_a_bad_noise_or_budget(value):
     # the same wording as ParallelChannel's check of n0

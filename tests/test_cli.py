@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -236,6 +237,22 @@ def test_overflowing_snr_exits_2(tmp_path, command):
     assert done.returncode == 2
     assert "error" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("a_rule", ["max", "alpha=0.5"])
+def test_sweep_at_a_load_below_the_markov_range_exits_2_naming_a_bin(tmp_path, a_rule):
+    # at -3080 dB every bin's load p*mu/n0 is about 1e-308: refused, not a
+    # c_lower_markov of 0.0 beside a positive alpha rule, and no RuntimeWarning
+    out = tmp_path / "x.csv"
+    argv = ["bounds-sweep", "--snr-db=-3080", "--a-rule", a_rule, "--output", str(out)]
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "simocap", *argv],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2, done.stderr
+    assert re.fullmatch(r"error: p\*mu/n0 = \S+ in bin \d+ is below 2\*max\(shape, 2\)/DBL_MAX\n",
+                        done.stderr), done.stderr
+    assert not out.exists()
 
 
 def test_diversity_order_past_the_shape_ceiling_exits_2(tmp_path, capsys):

@@ -34,7 +34,7 @@ def _markov_at(ch, powers, a):
     # the Markov bound at explicit parameters a: its terms summed over the powered bins
     powers, a = np.asarray(powers, dtype=float), np.asarray(a, dtype=float)
     on = powers > 0.0
-    return float(rates._markov_terms(a[on], ch.shape[on], ch.theta[on], powers[on], ch.n0).sum())
+    return float(rates._markov_terms(a[on], ch.shape[on], (powers * ch.mean_gains / ch.n0)[on]).sum())
 
 
 def _rate_of_one(theta, m, L, p, n0):
@@ -300,7 +300,7 @@ def test_markov_max_rule_search_cost_is_bounded(monkeypatch):
     monkeypatch.setattr(rates, "_gamma_q", gamma_q)
     grid = np.meshgrid(np.geomspace(0.1, 1e5, 61), np.geomspace(1e-12, 1e12, 49))
     k, c = (v.ravel() for v in grid)
-    terms = rates._max_markov_terms(k, np.ones_like(k), 1.0 / c, 1.0)
+    terms = rates._max_markov_terms(k, k / c)
     assert np.all(terms > 0.0)
     assert len(calls) <= 20, calls
 
@@ -409,9 +409,9 @@ def test_markov_lower_does_not_depend_on_the_rows_that_share_its_stack(monkeypat
     # which holds because each subchannel's search stops on its own: its
     # maximised term is the one it gets alone
     p, on = stack[0], stack[0] > 0.0
-    args = ch.shape[on], ch.theta[on], p[on]
-    terms = rates._max_markov_terms(*args, ch.n0)
-    singles = [rates._max_markov_terms(*(v[i : i + 1] for v in args), ch.n0)[0] for i in range(on.sum())]
+    args = ch.shape[on], p[on] * ch.mean_gains[on] / ch.n0
+    terms = rates._max_markov_terms(*args)
+    singles = [rates._max_markov_terms(*(v[i : i + 1] for v in args))[0] for i in range(on.sum())]
     assert terms.tolist() == singles
 
 
@@ -860,3 +860,64 @@ def test_every_bound_refuses_an_overflowing_load_naming_its_bin(rate):
     with pytest.raises(ValueError, match=f"^{re.escape(message.format(1))}$"):
         rate(ch, [[1.0, 1.0], [1.0, 1e10]])
     assert np.all(rate(ch, [[1.0, 1.0], [1.0, 1e-301]]) > 0.0)  # a finite load is a rate
+
+
+@pytest.mark.parametrize(
+    "rate",
+    [jensen_upper, exact_rate, markov_lower, lambda ch, p: markov_lower(ch, p, alpha=0.5)],
+    ids=["jensen_upper", "exact_rate", "markov_lower", "markov_lower-alpha"],
+)
+@pytest.mark.parametrize(
+    "k, load", [(0.1, 1e-308), (1.0, 1e-308), (4.0, 1e-308), (100.0, 1e-308), (1e5, 1e-306), (1e5, 1e-304)]
+)
+def test_every_bound_refuses_a_load_below_the_markov_search_range_naming_its_bin(rate, k, load):
+    # Unrefused, the max rule raises NumericError at shapes 0.1 and 1 and
+    # returns 0.0 at shapes 4, 100 and 1e5, where the alpha rule is
+    # positive.  The search's c = k/load, and c/x <= 2/load at its start
+    # x >= k/2, stay finite only for a load of at least max(k, 2)/DBL_MAX,
+    # and a factor 2 covers the rounding of the subnormal load and of a.
+    message = r"^p\*mu/n0 = \S+ in bin {} is below 2\*max\(shape, 2\)/DBL_MAX$"
+    assert load < 2.0 * max(k, 2.0) / np.finfo(float).max
+    with pytest.raises(ValueError, match=message.format(0)):
+        rate(ParallelChannel([1.0 / k], k, n0=1.0), [load])
+    ch = ParallelChannel([1.0, 1.0 / k], [1.0, k], n0=1.0)
+    with pytest.raises(ValueError, match=message.format(1)):
+        rate(ch, [[1.0, 1.0], [1.0, load]])
+    assert np.all(rate(ch, [[1.0, 0.0], [1.0, 1.0]]) > 0.0)  # an unpowered bin is not refused
+
+
+@pytest.mark.parametrize("k", [0.1, 0.5, 1.0, 2.0, 4.0, 100.0, 1e5])
+def test_the_least_accepted_load_gives_finite_ordered_rates_without_warnings(k):
+    # the smallest power whose load reaches 2*max(k, 2)/DBL_MAX
+    ch = ParallelChannel([1.0 / k], k, n0=1.0)
+    least = 2.0 * max(k, 2.0) / np.finfo(float).max
+    p = least / ch.mean_gains[0]
+    while p * ch.mean_gains[0] < least:
+        p = np.nextafter(p, 1.0)
+    with pytest.raises(ValueError, match="is below"):
+        jensen_upper(ch, [np.nextafter(p, 0.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        upper, exact = jensen_upper(ch, [p]), exact_rate(ch, [p])
+        best, closed = markov_lower(ch, [p]), markov_lower(ch, [p], alpha=0.5)
+    assert 0.0 < closed <= best * (1.0 + 1e-15)
+    assert best <= exact * (1.0 + 1e-13) and exact <= upper * (1.0 + 1e-13)
+
+
+def test_the_alpha_rule_is_finite_at_the_largest_loads():
+    # a = log1p(alpha*load) at the threshold x = alpha*k forms no product
+    # past the float range, as p*theta/n0 = 1e309 would be here
+    mpmath = pytest.importorskip("mpmath")
+    ch = ParallelChannel([10.0], 0.1, n0=1.0)
+    closed = markov_lower(ch, [1e308], alpha=0.5)
+    with mpmath.workdps(30):
+        load, k = mpmath.mpf(float(ch.mean_gains[0]) * 1e308), mpmath.mpf(0.1)
+        ref = mpmath.log1p(load / 2) * mpmath.gammainc(k, mpmath.mpf(0.5 * 0.1), regularized=True)
+    assert math.isclose(closed, float(ref), rel_tol=1e-13)
+    assert math.isclose(closed, 159.03, rel_tol=1e-4) and closed <= jensen_upper(ch, [1e308])
+
+
+@pytest.mark.parametrize("c_upper, c_lower", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)])
+def test_mpe_refuses_a_bound_that_is_not_finite(c_upper, c_lower):
+    with pytest.raises(ValueError, match=r"^bounds must be finite with c_lower >= 0$"):
+        mpe(c_upper, c_lower)

@@ -1,5 +1,7 @@
 """Property tests of the capacity bounds on mixed random channels."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,7 @@ def test_markov_lower_exact_and_jensen_are_ordered_for_every_a_rule(subs, alpha)
         assert markov_lower(ch, powers, **rule) <= exact * (1.0 + 1e-13), rule
     # the explicit rule: the bound's terms at the drawn a, summed over the powered bins
     on = powers > 0.0
-    at_a = _markov_terms(np.array(a)[on], ch.shape[on], ch.theta[on], powers[on], ch.n0).sum()
+    at_a = _markov_terms(np.array(a)[on], ch.shape[on], (powers * ch.mean_gains / ch.n0)[on]).sum()
     assert at_a <= exact * (1.0 + 1e-13), a
 
 
@@ -55,3 +57,31 @@ def test_markov_term_has_one_maximum_in_its_derived_bracket(log_k, log_c):
     signs = np.sign(dh[dh != 0.0])
     assert dh[0] > 0.0 and dh[-1] <= 0.0, (dh[0], dh[-1])
     assert np.count_nonzero(signs[1:] != signs[:-1]) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-1.0, 5.0), st.floats(-330.0, 305.0))
+def test_every_load_is_refused_or_gives_finite_ordered_rates(log_k, log_load):
+    # One bin at shape k and load p*mu/n0 = 10**log_load, split evenly
+    # between p and mu so that neither underflows alone.  A load below
+    # 2*max(k, 2)/DBL_MAX (0 among them) is refused by every bound; any
+    # other gives finite rates ordered within the slacks of the test above.
+    # The range stops at 1e305: exact_rate's largest quadrature node at
+    # shape 0.1 is 639 times the mean gain, so its integrand overflows
+    # above DBL_MAX/639, about 2.8e305.
+    k, half = 10.0**log_k, 10.0 ** (log_load / 2.0)
+    ch = ParallelChannel([half / k], k, n0=1.0)
+    refused = half * ch.mean_gains[0] < 2.0 * max(k, 2.0) / np.finfo(float).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rules = (jensen_upper, exact_rate, markov_lower, lambda c, p: markov_lower(c, p, alpha=0.5))
+        if refused:
+            for rate in rules:
+                with pytest.raises(ValueError, match=r"in bin 0 is below 2\*max\(shape, 2\)/DBL_MAX$"):
+                    rate(ch, [half])
+            return
+        upper, exact, best, closed = (rate(ch, [half]) for rate in rules)
+    assert all(np.isfinite([upper, exact, best, closed]))
+    assert closed <= best * (1.0 + 1e-15)
+    assert best <= exact * (1.0 + 1e-13)
+    assert exact <= upper * (1.0 + 1e-13)

@@ -152,6 +152,14 @@ def test_gamma_expectation_detects_divergent_integrand():
             gamma_expectation_batch(lambda g: g / (g - g), [2.0], [1.0])
 
 
+@pytest.mark.parametrize(
+    "shapes, scales", [([1.0, 2.0], [1.0]), ([[1.0, 2.0]], [[1.0, 1.0]])], ids=["lengths", "2-D"]
+)
+def test_gamma_expectation_rejects_shapes_and_scales_that_are_not_matching_vectors(shapes, scales):
+    with pytest.raises(ValueError, match="^shapes and scales must be 1-D vectors of equal length$"):
+        gamma_expectation_batch(lambda g: g, shapes, scales)
+
+
 def test_gamma_expectation_propagates_integrand_errors():
     # an integrand that cannot take an array is an error, not a cue to
     # evaluate it node by node
