@@ -14,9 +14,14 @@ l_n = p_n mu_n / n0, all that the Jensen and Markov bounds read of bin n:
 ``jensen_upper``, ``exact_rate`` and ``markov_lower`` take one allocation,
 an (n,) vector of powers, and return a float, or a (rows, n) stack of them,
 and return one value per row, bit for bit the value of that row alone.
-Each raises ValueError for a load that overflows, or a powered load below
-2*max(k_n, 2)/DBL_MAX, where c_n, or c_n/x_n at the Markov search's start
-x_n >= k_n/2, comes within a subnormal's rounding of overflow.
+The exact rate and the Markov bound are one pass over the stack's powered
+bins, a bounded number of them at a time.  Each bound raises ValueError
+for a load that overflows, or a powered load below 2*max(k_n, 2)/DBL_MAX,
+where c_n, or c_n/x_n at the Markov search's start x_n >= k_n/2, comes
+within a subnormal's rounding of overflow.  Every load between, up to
+DBL_MAX, gives finite rates with no floating-point warning: where
+p_n g_n / n0 overflows at a quadrature node, the exact rate takes its log
+as the sum of its factors' logs.
 
 The single-subchannel ratio of the Markov lower to the Jensen upper bound
 drives the large-diversity convergence results; ``bound_ratio`` evaluates
@@ -53,6 +58,7 @@ LN2 = math.log(2.0)
 _ITER_CAP = 50
 _A_STEP_TOLERANCE = 1e-10  # relative Newton step in a; the term's error is its square
 _MARKOV_CHUNK = 8192  # subchannels per pass of the Markov bound
+_NODE_CHUNK = 1 << 16  # quadrature nodes per pass of the exact rate
 _RATE_RTOL = 1e-13  # exact_rate's relative accuracy: that of the gamma quadrature rule
 
 
@@ -98,6 +104,20 @@ def _stack_on(channel: ParallelChannel, powers) -> tuple[np.ndarray, np.ndarray]
     return stack, loads
 
 
+def _powered_sums(channel: ParallelChannel, powers, term, chunk: int) -> float | np.ndarray:
+    # per row, the sum of term(bins, p, load) over its powered bins, chunk (row, bin) pairs a call
+    stack, loads = _stack_on(channel, powers)
+    rows, bins = np.nonzero(stack)
+    p, load = stack[rows, bins], loads[rows, bins]
+    terms = np.empty(bins.size)
+    for r in (slice(start, start + chunk) for start in range(0, bins.size, chunk)):
+        terms[r] = term(bins[r], p[r], load[r])
+    # each row's terms are one contiguous slice, summed alone, wherever the chunks cut
+    ends = np.cumsum(np.count_nonzero(stack, axis=1)).tolist()
+    sums = np.array([terms[s:e].sum() for s, e in zip([0] + ends, ends)])
+    return float(sums[0]) if np.ndim(powers) == 1 else sums
+
+
 def jensen_upper(channel: ParallelChannel, powers) -> float | np.ndarray:
     """Concavity bound sum_n log(1 + p_n*mu_n/n0) on the ergodic sum rate."""
     rates = np.log1p(_stack_on(channel, powers)[1]).sum(axis=1)
@@ -119,14 +139,15 @@ def _max_markov_terms(shape, load) -> np.ndarray:
     # At a stationary point Q/phi = (x + c)*log1p(x/c) >= x, while the gamma
     # Mills ratio Q/phi is at most x/(x - k + 1) for k >= 1 and x > k - 1, and
     # at most 1 for k < 1; so x <= max(k, 1) there, and as h'(0+) = 1 the
-    # maximum lies in (0, log1p(max(k, 1)/c)].  The search starts from the
-    # paper's rule x = alpha_k*k, alpha_k = max(1 - 1/sqrt(k), 1/2).  The sign
-    # of h' shrinks the bracket; where h'' >= 0 or the Newton point leaves the
-    # closed bracket, the step bisects it instead.  Each subchannel stops at
-    # its own converged step, so its term does not depend on the other
-    # subchannels of the call.
+    # maximum lies in (0, log1p(max(k, 1)/c)], so in the bracket (0,
+    # log1p(load) - log(min(k, 1))], whose end is never below that one and
+    # never overflows.  The search starts from the paper's rule x = alpha_k*k,
+    # alpha_k = max(1 - 1/sqrt(k), 1/2).  The sign of h' shrinks the bracket;
+    # where h'' >= 0 or the Newton point leaves the closed bracket, the step
+    # bisects it instead.  Each subchannel stops at its own converged step, so
+    # its term does not depend on the other subchannels of the call.
     k, c = shape, shape / load
-    lo, hi = np.zeros(k.size), np.log1p(np.maximum(k, 1.0) / c)
+    lo, hi = np.zeros(k.size), np.log1p(load) - np.log(np.minimum(k, 1.0))
     a = np.log1p(np.maximum(1.0 - 1.0 / np.sqrt(k), 0.5) * k / c)
     out, todo = np.empty(k.size), np.arange(k.size)
     for _ in range(_ITER_CAP):
@@ -163,32 +184,30 @@ def markov_lower(
     stack is one pass over all its powered subchannels.  Raises ``ValueError``
     for a refused load, ``NumericError`` if the maximization does not converge.
     """
-    stack, loads = _stack_on(channel, powers)
-    on = stack > 0.0
-    load, shape = loads[on], np.broadcast_to(channel.shape, stack.shape)[on]
-    alpha = None if alpha is None else _alpha(alpha)
-    terms = np.empty(load.size)
-    for start in range(0, load.size, _MARKOV_CHUNK):  # bounds the Q kernel's working set
-        r = slice(start, start + _MARKOV_CHUNK)
-        terms[r] = (
-            _max_markov_terms(shape[r], load[r]) if alpha is None
-            else np.log1p(alpha * load[r]) * _gamma_q(shape[r], alpha * shape[r])[0]
-        )
-    # each row's terms are one contiguous slice, summed alone
-    ends = np.cumsum(on.sum(axis=1)).tolist()
-    bounds = np.array([terms[s:e].sum() for s, e in zip([0] + ends, ends)])
-    return float(bounds[0]) if np.ndim(powers) == 1 else bounds
+    k, alpha = channel.shape, None if alpha is None else _alpha(alpha)
+    return _powered_sums(channel, powers, lambda bins, p, load: (
+        _max_markov_terms(k[bins], load) if alpha is None
+        else np.log1p(alpha * load) * _gamma_q(k[bins], alpha * k[bins])[0]), _MARKOV_CHUNK)
 
 
 def exact_rate(channel: ParallelChannel, powers) -> float | np.ndarray:
-    """Ergodic sum rate sum_n E[log(1 + p_n*g_n/n0)] of the allocation."""
-    stack = _stack_on(channel, powers)[0]
-    g, weights = _gamma_rule(channel.shape, channel.theta)  # one rule, each row on its powered bins
-    rates = np.array([
-        _expect(np.log1p((row[on, None] / channel.n0) * g[on]), weights[on]).sum()
-        for row, on in zip(stack, stack > 0.0)
-    ])
-    return float(rates[0]) if np.ndim(powers) == 1 else rates
+    """Ergodic sum rate sum_n E[log(1 + p_n*g_n/n0)] of the allocation.
+
+    One gamma quadrature rule per call, applied to at most ``_NODE_CHUNK``
+    nodes at a time (or one bin's, if more), so the working set beyond the
+    rule and the stack does not grow with them.
+    """
+    g, weights = _gamma_rule(channel.shape, channel.theta)  # one rule per call
+
+    def term(bins, p, load):
+        with np.errstate(over="ignore"):
+            x = (p[:, None] / channel.n0) * g[bins]
+        r, j = np.nonzero(np.isinf(x))  # where p*g/n0 overflows, sum the logs of its factors
+        np.log1p(x, out=x)
+        x[r, j] = np.log(p[r]) - np.log(channel.n0) + np.log(g[bins[r], j])
+        return _expect(x, weights[bins])
+
+    return _powered_sums(channel, powers, term, max(1, _NODE_CHUNK // g.shape[1]))
 
 
 def empirical_rate(gains, powers, n0: float) -> float:
@@ -292,6 +311,15 @@ _TABLE_COLUMNS = (
 )
 
 
+def _checked(channel: ParallelChannel, powers, snr_db: float) -> np.ndarray:
+    # one allocation as a one-row stack, copied (a callable may reuse its
+    # buffer), with its loads refused as _stack_on does, naming the SNR
+    try:
+        return _stack_on(channel, [powers])[0][0]
+    except ValueError as exc:
+        raise ValueError(f"{exc} at SNR {snr_db!r} dB") from None
+
+
 def rate_table(
     profile: Callable[[int], ParallelChannel],
     l_values: Sequence[int],
@@ -336,12 +364,11 @@ def rate_table(
         cells, swfs, allocations = [], [], []
         for snr_db in map(float, snr_db_values):
             p_total = snr_db_to_power(ch.n, ch.n0, snr_db)
-            swfs.append(_STRATEGIES["statistical-waterfill"](ch, p_total))
+            swfs.append(_checked(ch, _STRATEGIES["statistical-waterfill"](ch, p_total), snr_db))
             for tag, allocate in allocators:
                 powers = swfs[-1] if tag == "statistical-waterfill" else allocate(ch, p_total)
                 cells.append((snr_db, tag))
-                # one allocation as a one-row stack, copied: a callable may reuse its buffer
-                allocations.append(_stack([powers], ch.n)[0])
+                allocations.append(_checked(ch, powers, snr_db))
         if not cells:
             continue
         c_upper = np.repeat(jensen_upper(ch, swfs), len(allocators)).tolist()

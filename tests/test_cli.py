@@ -239,20 +239,37 @@ def test_overflowing_snr_exits_2(tmp_path, command):
     assert "Traceback" not in done.stderr
 
 
-@pytest.mark.parametrize("a_rule", ["max", "alpha=0.5"])
-def test_sweep_at_a_load_below_the_markov_range_exits_2_naming_a_bin(tmp_path, a_rule):
-    # at -3080 dB every bin's load p*mu/n0 is about 1e-308: refused, not a
-    # c_lower_markov of 0.0 beside a positive alpha rule, and no RuntimeWarning
+def test_sweep_at_the_top_of_the_load_range_exits_0(tmp_path):
+    # at 3070 dB the loads are about 1e307, where p*g/n0 overflows at the
+    # exact rate's top quadrature nodes: finite rates, and no RuntimeWarning
     out = tmp_path / "x.csv"
-    argv = ["bounds-sweep", "--snr-db=-3080", "--a-rule", a_rule, "--output", str(out)]
+    argv = ["bounds-sweep", "--n-bins", "8", "--m", "0.5", "--l-values", "1",
+            "--snr-db=3070", "--output", str(out)]
     done = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "simocap", *argv],
         env=_subprocess_env(), capture_output=True, text=True, timeout=120,
     )
-    assert done.returncode == 2, done.stderr
-    assert re.fullmatch(r"error: p\*mu/n0 = \S+ in bin \d+ is below 2\*max\(shape, 2\)/DBL_MAX\n",
-                        done.stderr), done.stderr
-    assert not out.exists()
+    assert done.returncode == 0, done.stderr
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 2 and all(map(math.isfinite, (float(v) for r in rows for v in r.split(",")[2:])))
+
+
+@pytest.mark.parametrize("a_rule", ["max", "alpha=0.5"])
+def test_sweep_at_a_load_below_the_markov_range_exits_2_naming_a_bin(tmp_path, a_rule):
+    # at -3080 dB every bin's load p*mu/n0 is about 1e-308: refused, not a
+    # c_lower_markov of 0.0 beside a positive alpha rule, and no RuntimeWarning;
+    # the message names the SNR, also when an accepted one shares its stack
+    out = tmp_path / "x.csv"
+    for snr_db in ("-3080", "0,-3080"):
+        argv = ["bounds-sweep", f"--snr-db={snr_db}", "--a-rule", a_rule, "--output", str(out)]
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "simocap", *argv],
+            env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2, done.stderr
+        assert re.fullmatch(r"error: p\*mu/n0 = \S+ in bin \d+ is below 2\*max\(shape, 2\)/DBL_MAX"
+                            r" at SNR -3080\.0 dB\n", done.stderr), done.stderr
+        assert not out.exists()
 
 
 def test_diversity_order_past_the_shape_ceiling_exits_2(tmp_path, capsys):

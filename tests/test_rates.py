@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -370,18 +371,48 @@ def test_markov_lower_of_a_stack_is_its_rows_bound_by_bound(alpha, rows):
     assert markov_lower(ch, stack[:0], alpha=alpha).shape == (0,)
 
 
-@pytest.mark.parametrize("rate", [jensen_upper, exact_rate])
-def test_jensen_and_exact_rate_of_a_stack_are_its_rows_rate_by_rate(rate):
-    # the stack has zero-power bins and an all-zero row; a vector gives a float
+@pytest.mark.parametrize("rate, node_budget", [
+    (jensen_upper, None), (exact_rate, None),
+    (exact_rate, lambda nodes_per_bin: 1), (exact_rate, lambda nodes_per_bin: 5 * nodes_per_bin),
+], ids=["jensen_upper", "exact_rate", "exact_rate-one-node-a-pass", "exact_rate-five-bins-a-pass"])
+def test_jensen_and_exact_rate_of_a_stack_are_its_rows_rate_by_rate(rate, node_budget, monkeypatch):
+    # the stack has zero-power bins and an all-zero row; a vector gives a
+    # float.  A budget of 1 node applies exact_rate's rule to one bin a pass,
+    # and one of 5 bins' nodes cuts inside rows; each row still equals its
+    # 1-D call at the default budget.
     ch, stack = _wide_channel_stack(40)
+    alone = [rate(ch, row) for row in stack]
+    if node_budget is not None:
+        nodes_per_bin = specfun._gamma_rule(ch.shape, ch.theta)[0].shape[1]
+        monkeypatch.setattr(rates, "_NODE_CHUNK", node_budget(nodes_per_bin))
     values = rate(ch, stack)
     assert isinstance(values, np.ndarray) and values.shape == (40,)
-    alone = [rate(ch, row) for row in stack]
     assert all(type(v) is float for v in alone)
     assert values.tolist() == alone
     assert values[1] == 0.0
     assert rate(ch, stack[::-1]).tolist() == alone[::-1]
     assert rate(ch, stack[:0]).shape == (0,)
+
+
+def test_exact_rate_working_set_is_its_rule_its_stack_and_a_bounded_pass():
+    # 8 rows over 4,096 bins at shape 0.5 (480 nodes a bin): the rule is
+    # 30 MiB, and all 32,768 bins are powered.  Beyond the rule, exact_rate
+    # holds at most 8 stack-sized arrays (the loads and their temporary,
+    # the powered pairs' rows, bins, powers, loads and terms, and masks) and,
+    # per pass, 4 arrays of at most _NODE_CHUNK nodes (the nodes, the
+    # integrand, the weights and the overflow mask), not a row's 15 MiB.
+    ch = build_decay_profile(4096, 5e9, 6e9, 3.0, 0.5, 1, 1.0)
+    stack = np.geomspace(1e-3, 1e3, 8)[:, None] * np.ones(ch.n)
+    g, weights = specfun._gamma_rule(ch.shape, ch.theta)
+    rule_bytes = g.nbytes + weights.nbytes
+    del g, weights
+    tracemalloc.start()
+    try:
+        exact_rate(ch, stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= rule_bytes + 8 * stack.nbytes + 4 * 8 * rates._NODE_CHUNK, peak
 
 
 def test_exact_rate_builds_one_rule_per_call(monkeypatch):
@@ -915,6 +946,24 @@ def test_the_alpha_rule_is_finite_at_the_largest_loads():
         ref = mpmath.log1p(load / 2) * mpmath.gammainc(k, mpmath.mpf(0.5 * 0.1), regularized=True)
     assert math.isclose(closed, float(ref), rel_tol=1e-13)
     assert math.isclose(closed, 159.03, rel_tol=1e-4) and closed <= jensen_upper(ch, [1e308])
+
+
+@pytest.mark.parametrize("k", [0.1, 1.0, 4.0, 1e5])
+def test_exact_rate_is_finite_at_the_largest_loads(k):
+    # at these loads p*g/n0 overflows at the rule's top nodes at shapes 0.1
+    # to 4 (602 times the mean at shape 0.1), where its log is taken as the
+    # sum of its factors' logs.  E[log(1 + load*g/mu)] = log(load) + psi(k)
+    # - log(k) up to E[log1p(mu/(load*g))], below 1e-30 here.
+    mpmath = pytest.importorskip("mpmath")
+    ch = ParallelChannel([1.0 / k], k, n0=1.0)
+    for load in (1e307, 1.7e308):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exact = exact_rate(ch, [load])
+        with mpmath.workdps(30):
+            ref = mpmath.log(load) + mpmath.digamma(k) - mpmath.log(k)
+        assert math.isclose(exact, float(ref), rel_tol=1e-13), load
+        assert exact <= jensen_upper(ch, [load])
 
 
 @pytest.mark.parametrize("c_upper, c_lower", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)])
