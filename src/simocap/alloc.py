@@ -9,6 +9,8 @@ ergodic sum rate over the power simplex when only the gain distributions
 are known at the transmitter.
 """
 
+import math
+
 import numpy as np
 
 from .channel import ParallelChannel, _positive, _positive_integer
@@ -30,16 +32,22 @@ def _waterlevel(levels: np.ndarray, slopes: np.ndarray, total: float):
     The active-set method for weighted waterfilling (Palomar and Fonollosa,
     IEEE Trans. Signal Process. 53(2), 2005): with levels sorted ascending,
     the water level over a prefix A is (total + sum_A slopes*levels) /
-    sum_A slopes, and the active set is the largest prefix keeping every
-    active power strictly positive.  Tied levels activate all-or-none.
+    sum_A slopes, and the active set is the largest prefix whose last
+    level k the water reaches: the power that lifts it there,
+    sum_{i<k} slopes_i*(levels_k - levels_i), is below total.  That sum of
+    nonnegative terms leaves out slope k, so no steep subchannel swamps its
+    own test.  Tied levels activate all-or-none.
     """
     order = np.argsort(levels, kind="stable")
     sorted_levels, sorted_slopes = levels[order], slopes[order]
-    nu_candidates = (total + np.cumsum(sorted_slopes * sorted_levels)) / np.cumsum(sorted_slopes)
-    k_star = int(np.flatnonzero(nu_candidates > sorted_levels).max()) + 1
-    nu = float(nu_candidates[k_star - 1])
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite level is never reached
+        fill = np.cumsum(np.cumsum(sorted_slopes[:-1]) * np.diff(sorted_levels))
+    k_star = 1 + np.count_nonzero(fill < total)
+    levels_on, slopes_on = sorted_levels[:k_star], sorted_slopes[:k_star]
+    nu = float((total + np.cumsum(slopes_on * levels_on)[-1]) / np.cumsum(slopes_on)[-1])
     powers = np.zeros(levels.size)
-    powers[order[:k_star]] = sorted_slopes[:k_star] * (nu - sorted_levels[:k_star])
+    # nu may round a hair below the last level reached, never below it by more
+    powers[order[:k_star]] = np.maximum(slopes_on * (nu - levels_on), 0.0)
     return powers, nu
 
 
@@ -63,7 +71,7 @@ def waterfill(gains, n0: float, p_total: float) -> tuple[np.ndarray, float]:
         raise ValueError("n0/g overflows for every gain; no subchannel can be powered")
     # thresholds measured from the lowest keep low-SNR powers free of cancellation
     powers, nu = _waterlevel(levels - levels.min(), np.ones(g.size), p_total)
-    return powers, nu + levels.min()
+    return powers, nu + float(levels.min())  # a float sum: past DBL_MAX, inf with no warning
 
 
 def equal_power(n: int, p_total: float) -> np.ndarray:
@@ -84,18 +92,32 @@ def optimal_allocation(channel: ParallelChannel, p_total: float) -> np.ndarray:
     O(1/(L log L)) of the optimum.  Each step linearizes M_n with its
     derivative -D_n = -E[(g/(n0 + p*g))**2] and solves
     p_n = max(0, (M_n + p_n*D_n - lam)/D_n), sum p_n = p_total, as one
-    waterfilling with slopes 1/D_n.  It stops once the active marginals
-    agree to 1e-12 relative and no inactive mu_n/n0 exceeds them.
+    waterfilling with slopes 1/D_n, in units that scale M_n by a power of
+    two near 1/lam, so D_n, about lam**2, stays a normal float up to the
+    largest powers.  It stops once the active marginals agree to 1e-12
+    relative and no inactive mu_n/n0 exceeds them.  Raises ``ValueError``
+    naming a bin whose gains over n0 overflow at a quadrature node.
     """
     n0, p_total = channel.n0, _positive("p_total", p_total)
     powers = waterfill(channel.mean_gains, n0, p_total)[0]
     g, weights = _gamma_rule(channel.shape, channel.theta)
+    with np.errstate(over="ignore"):
+        top = np.isinf(g[:, -1] / n0)  # a row's last node is its largest, padded or not
+    if top.any():
+        n = int(top.argmax())
+        raise ValueError(f"g/n0 overflows in bin {n}: its gains reach {float(g[n, -1])!r} "
+                         f"and n0 is {n0!r}")
 
-    def expectation(k):
-        # E[(g/(n0 + p*g))**k] at the current powers, in place on one (bins x nodes) array
-        x = powers[:, None] * g
+    def expectation(k, scale=1.0):
+        # E[(scale*g/(n0 + p*g))**k] at the current powers, in place on one (bins x nodes)
+        # array; where p*g overflows, g/(n0 + p*g) is 1/(p + n0/g)
+        with np.errstate(over="ignore"):
+            x = powers[:, None] * g
+        r, j = np.nonzero(np.isinf(x))
         x += n0
         np.divide(g, x, out=x)
+        x[r, j] = 1.0 / (powers[r] + n0 / g[r, j])
+        x *= scale
         return _expect(x if k == 1 else np.square(x, out=x), weights)
 
     for _ in range(_ITER_CAP):
@@ -105,7 +127,13 @@ def optimal_allocation(channel: ParallelChannel, p_total: float) -> np.ndarray:
         if lam - marginal[on].min() <= _KKT_TOLERANCE * lam and np.all(marginal[~on] <= lam):
             # waterfilling's powers, if already optimal, may cancel against its water level
             return powers * (p_total / powers.sum())
-        # levels measured from lam keep the step free of cancellation
-        curvature = expectation(2)
-        powers = _waterlevel((lam - marginal) - powers * curvature, 1.0 / curvature, p_total)[0]
+        # the step in units that scale marginals by a power of two s near 1/lam and powers
+        # by 1/s, both exact; a curvature that still underflows gives its bin no power in
+        # this step; levels measured from lam keep it free of cancellation
+        s = math.ldexp(1.0, min(-math.frexp(lam)[1], 1023))  # 2**1024 overflows
+        curvature = expectation(2, s)
+        slopes = np.divide(1.0, curvature, out=np.zeros(curvature.size),
+                           where=curvature >= np.finfo(float).tiny)
+        levels = s * (lam - marginal) - (powers / s) * curvature
+        powers = s * _waterlevel(levels, slopes, p_total / s)[0]
     raise NumericError(f"Newton iteration did not converge in {_ITER_CAP} steps")

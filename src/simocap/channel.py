@@ -124,6 +124,8 @@ def build_decay_profile(
     Bin frequencies span [f_lo_hz, f_hi_hz] uniformly (endpoints included;
     a single bin sits at the band center).  Mean gains mu average exactly
     one over bins, and L Nakagami-m branches give bin n Gamma(mL, mu_n/(mL)).
+    An exponent whose gains underflow over the band, at 5-6 GHz one past
+    about 2100, raises ``ValueError``.
     """
     shape = _branch_shape(m, L)
     # linspace counts its length in floats, which round the longest counts up past _COUNT_MAX
@@ -136,7 +138,13 @@ def build_decay_profile(
         freqs = np.array([0.5 * (f_lo_hz + f_hi_hz)])
     else:
         freqs = np.linspace(f_lo_hz, f_hi_hz, int(n_bins))
-    weights = freqs ** (-float(decay_exponent))
+    # over the power of two at or below f_lo_hz every frequency is at least 1, exactly, so
+    # every weight is at most 1 and only a ratio past the float range can underflow it
+    with np.errstate(over="ignore"):  # past DBL_MAX a frequency's weight is 0, or 1 at d = 0
+        weights = np.ldexp(freqs, 1 - math.frexp(f_lo_hz)[1]) ** -float(decay_exponent)
+    if not weights.min() >= np.finfo(float).tiny:
+        raise ValueError(f"decay_exponent {decay_exponent!r} over [{f_lo_hz!r}, {f_hi_hz!r}] Hz "
+                         f"gives mean gains that underflow")
     mu = weights / weights.mean()
     return ParallelChannel(theta=mu / shape, shape=shape, n0=n0, freqs_hz=freqs)
 

@@ -90,7 +90,8 @@ def parse_channel_csv(
 ) -> SnapshotSet:
     """Parse the channel CSV format into a dense SnapshotSet.
 
-    ``source`` is a path or a readable file object.  Row order is
+    ``source`` is a path, or a binary or text file object with ``read``
+    and ``readline``; bytes are decoded as UTF-8.  Row order is
     immaterial; duplicate or missing cells, ragged rows, non-numeric
     fields, and inconsistent per-bin frequencies are rejected with the
     first offending line number in file order; bytes that are not UTF-8
@@ -98,9 +99,10 @@ def parse_channel_csv(
     [f_min_hz, f_max_hz] filter keeps only the bins inside the band; it
     must keep at least one.  Indices are ASCII decimal integers within
     int64, optionally signed and padded with blanks; reals are decimal or
-    exponent literals.  Rows are read in blocks, each converted by one
-    ``np.loadtxt`` call into 48-byte records that are held once, then
-    scattered into the coefficients: about 65 bytes a row at the peak.
+    exponent literals.  Rows are read in blocks, each one read completed
+    to the end of its line and converted by one ``np.loadtxt`` call into
+    48-byte records that are held once, then scattered into the
+    coefficients: about 65 bytes a row at the peak.
     """
     with nullcontext(source) if hasattr(source, "read") else open(source, "rb") as fh:
         blocks = _line_blocks(fh)
@@ -113,33 +115,27 @@ def parse_channel_csv(
 
 
 def _line_blocks(fh):
-    # lists of lines without their endings, about _READ_SIZE characters
-    # at a time; decoding bytes block by block is exact because a "\n"
-    # byte never falls inside a UTF-8 character
-    pending, line = [], 1  # the file line that starts the next block
-    while data := fh.read(_READ_SIZE):
-        cut = data.rfind(b"\n" if isinstance(data, bytes) else "\n") + 1
-        if cut:
-            lines = _split_lines(data[:0].join(pending + [data[:cut]]), line)
-            line += len(lines)
-            yield lines
-            pending = []
-        pending.append(data[cut:])
-    if any(pending):
-        yield _split_lines(pending[0][:0].join(pending), line)
-
-
-def _split_lines(text, line: int) -> list[str]:
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line += text.count(b"\n", 0, exc.start)
-            raise ParseError(f"byte {text[exc.start]:#04x} is not valid UTF-8", line=line) from None
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return [line.rstrip("\r") for line in lines] if "\r" in text else lines
+    # lists of lines without their endings: one read of _READ_SIZE characters
+    # completed to the end of its line, so no part of a line is carried to the
+    # next read, and bytes decode block by block, as a "\n" byte never falls
+    # inside a UTF-8 character
+    line = 1  # the file line that starts the next block
+    while text := fh.read(_READ_SIZE):
+        text += fh.readline()
+        if isinstance(text, bytes):
+            try:
+                text = text.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line += text.count(b"\n", 0, exc.start)
+                raise ParseError(f"byte {text[exc.start]:#04x} is not valid UTF-8",
+                                 line=line) from None
+        while not text.endswith("\n") and (rest := fh.readline()):
+            text += rest  # a text file whose lines may also end at a lone "\r"
+        lines = text.split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        line += len(lines)
+        yield [row.rstrip("\r") for row in lines] if "\r" in text else lines
 
 
 def _parse_blocks(blocks, f_min_hz, f_max_hz) -> SnapshotSet:

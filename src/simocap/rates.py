@@ -311,11 +311,11 @@ _TABLE_COLUMNS = (
 )
 
 
-def _checked(channel: ParallelChannel, powers, snr_db: float) -> np.ndarray:
-    # one allocation as a one-row stack, copied (a callable may reuse its
-    # buffer), with its loads refused as _stack_on does, naming the SNR
+def _checked(channel: ParallelChannel, allocate, p_total: float, snr_db: float) -> np.ndarray:
+    # allocate's powers as a one-row stack, copied (a callable may reuse its buffer),
+    # with its loads refused as _stack_on does; a refusal names the SNR
     try:
-        return _stack_on(channel, [powers])[0][0]
+        return _stack_on(channel, [allocate(channel, p_total)])[0][0]
     except ValueError as exc:
         raise ValueError(f"{exc} at SNR {snr_db!r} dB") from None
 
@@ -347,7 +347,8 @@ def rate_table(
     c_lower_exact)``, certifies how far the allocation can be from optimal.
     The statistical-waterfilling powers of ``c_upper`` are that
     strategy's allocation too.  Each bound is one call per L, on the stack
-    of its allocations.
+    of its allocations.  An allocation refused, by its strategy or for its
+    loads, raises ``ValueError`` naming its SNR.
 
     Returns the columns ``L``, ``snr_db``, ``strategy`` (the tag, or
     ``"custom"`` for a callable), ``c_upper``, ``c_lower_exact``,
@@ -364,11 +365,11 @@ def rate_table(
         cells, swfs, allocations = [], [], []
         for snr_db in map(float, snr_db_values):
             p_total = snr_db_to_power(ch.n, ch.n0, snr_db)
-            swfs.append(_checked(ch, _STRATEGIES["statistical-waterfill"](ch, p_total), snr_db))
+            swfs.append(_checked(ch, _STRATEGIES["statistical-waterfill"], p_total, snr_db))
             for tag, allocate in allocators:
-                powers = swfs[-1] if tag == "statistical-waterfill" else allocate(ch, p_total)
                 cells.append((snr_db, tag))
-                allocations.append(_checked(ch, powers, snr_db))
+                allocations.append(swfs[-1] if tag == "statistical-waterfill"
+                                   else _checked(ch, allocate, p_total, snr_db))
         if not cells:
             continue
         c_upper = np.repeat(jensen_upper(ch, swfs), len(allocators)).tolist()

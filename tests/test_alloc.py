@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,31 @@ def test_optimal_allocation_meets_kkt_on_588_bin_profiles(m, snr_db, n_active):
     assert active.sum() == n_active
 
 
+@pytest.mark.parametrize("snr_db", [-30.0, -10.0, 0.0, 10.0, 30.0, 200.0])
+def test_optimal_allocation_meets_kkt_over_a_wide_spread_of_mean_gains(snr_db):
+    # mean gains in the ratio (f/5e9)**-300 over 5-6 GHz span 24 decades, so
+    # the weakest bins' curvatures lie 48 decades below the strongest's: a
+    # water-level test that counted a level's own slope is rounding noise there
+    f = np.linspace(5e9, 6e9, 64)
+    mu = (f / 5e9) ** -300.0
+    ch = ParallelChannel(theta=mu / mu.mean() / 4.0, shape=4.0, n0=1.0, freqs_hz=f)
+    p_total = snr_db_to_power(ch.n, ch.n0, snr_db)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        powers = optimal_allocation(ch, p_total)
+    _assert_kkt(ch, p_total, powers)
+    assert exact_rate(ch, powers) >= exact_rate(ch, waterfill(ch.mean_gains, ch.n0, p_total)[0])
+
+
+def test_optimal_allocation_refuses_gains_whose_ratio_to_n0_overflows():
+    # the top node of a shape-0.1 law is about 64 times its scale
+    ch = ParallelChannel(theta=[1.0, 1e306], shape=0.1, n0=1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"^g/n0 overflows in bin 1: its gains reach "):
+            optimal_allocation(ch, 1.0)
+
+
 def test_optimal_allocation_raises_at_the_iteration_cap(monkeypatch):
     ch = ParallelChannel(theta=[2.0, 0.1], shape=[0.5 * 1, 2.0 * 3], n0=1.0)
     _assert_kkt(ch, 2.0, optimal_allocation(ch, 2.0))
@@ -265,6 +291,21 @@ def test_optimal_allocation_builds_one_rule_per_solve(monkeypatch):
     _assert_kkt(ch, 2.0, optimal_allocation(ch, 2.0))
     assert len(built) == 1
     assert len(applied) >= 3  # marginals, curvatures and marginals again at least
+
+
+def test_waterlevel_gives_no_negative_power_at_a_budget_just_past_a_level():
+    # a level is reached when the power that lifts the water to it is below
+    # the budget, and the water level is a sum of its own, so an ulp's
+    # rounding may put the water a hair below the last level reached, as it
+    # does for about one budget in twenty here: that bin gets 0, not less
+    rng = np.random.default_rng(1)
+    for _ in range(2000):
+        n = int(rng.integers(2, 8))
+        levels = np.sort(rng.uniform(0.0, 1.0, n) * 10 ** rng.uniform(-3, 3))
+        slopes = 10 ** rng.uniform(-3, 3, n)
+        fill = np.cumsum(np.cumsum(slopes[:-1]) * np.diff(levels))
+        total = fill[rng.integers(n - 1)] * (1.0 + rng.choice([1e-16, 2e-16, 4e-16, 1e-15]))
+        assert np.all(alloc_module._waterlevel(levels, slopes, total)[0] >= 0.0)
 
 
 def test_waterfill_is_the_unit_slope_active_set_solution():

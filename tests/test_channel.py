@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +127,43 @@ def test_single_bin_profile_sits_at_band_center():
     ch = build_decay_profile(1, 5e9, 6e9, 3.0, 1.0, 2, 1.0)
     assert ch.freqs_hz[0] == 5.5e9
     assert math.isclose(ch.mean_gains[0], 1.0, rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("decay_exponent", [0.0, 1.0, 3.0, 34.0, 100.0, 700.0, 2000.0])
+def test_decay_profile_holds_its_law_at_any_representable_exponent(decay_exponent):
+    # at 5-6 GHz f**-d underflows in every bin from d of about 34, but the
+    # frequencies over 2**32 are 1.16 to 1.40, whose powers stay normal
+    # floats up to d of about 2100: unit-average mean gains in the ratio
+    # (f/5e9)**-d, with no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ch = build_decay_profile(64, 5e9, 6e9, decay_exponent, 1.0, 1, 1.0)
+    assert math.isclose(ch.mean_gains.mean(), 1.0, rel_tol=1e-12)
+    ratio = (ch.freqs_hz / 5e9) ** -decay_exponent
+    assert np.allclose(ch.mean_gains / ch.mean_gains[0], ratio, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "f_lo, f_hi, decay_exponent",
+    [(5e9, 6e9, 5000.0), (5e9, 6e9, 1e308), (1e-300, 1e300, 1.0), (5e-324, 1.7e308, 3.0)],
+)
+def test_decay_profile_refuses_mean_gains_that_underflow(f_lo, f_hi, decay_exponent):
+    # the band's frequency ratio to the power d is past the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=re.escape(
+            f"decay_exponent {decay_exponent!r} over [{f_lo!r}, {f_hi!r}] Hz gives mean gains "
+            "that underflow"
+        )):
+            build_decay_profile(8, f_lo, f_hi, decay_exponent, 1.0, 1, 1.0)
+
+
+def test_decay_profile_is_flat_at_exponent_0_over_any_band():
+    for f_lo, f_hi in ((1e-300, 1e300), (5e-324, 1.7e308)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ch = build_decay_profile(8, f_lo, f_hi, 0.0, 1.0, 1, 1.0)
+        assert np.array_equal(ch.mean_gains, np.ones(8))
 
 
 def test_decay_profile_rejects_bad_band():

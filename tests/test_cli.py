@@ -254,6 +254,47 @@ def test_sweep_at_the_top_of_the_load_range_exits_0(tmp_path):
     assert len(rows) == 2 and all(map(math.isfinite, (float(v) for r in rows for v in r.split(",")[2:])))
 
 
+def test_optimal_sweep_at_the_top_of_the_load_range_exits_0(tmp_path):
+    # at 3070 dB p*g overflows at the optimal solver's top nodes too, and its
+    # curvature, about 1/p**2, underflows unless scaled: the solver meets its
+    # KKT stop with no RuntimeWarning, and beats statistical waterfilling
+    out = tmp_path / "x.csv"
+    argv = ["bounds-sweep", "--n-bins", "8", "--m", "0.5", "--l-values", "1", "--snr-db=3070",
+            "--strategies", "statistical-waterfill,optimal", "--output", str(out)]
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "simocap", *argv],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    with open(out, newline="") as fh:
+        rows = {row["strategy"]: row for row in csv.DictReader(fh)}
+    exact = {tag: float(row["c_lower_exact"]) for tag, row in rows.items()}
+    assert all(math.isfinite(float(v)) for row in rows.values() for k, v in row.items()
+               if k not in ("snr_db", "strategy"))
+    assert exact["optimal"] >= exact["statistical-waterfill"], exact
+
+
+@pytest.mark.parametrize("decay_exponent, code", [("34", 0), ("100", 0), ("1e308", 2)])
+def test_sweep_at_a_large_decay_exponent(tmp_path, decay_exponent, code):
+    # f**-d underflows at 5-6 GHz from d of about 34: the profile holds to
+    # about 2100, and past it the refusal names the exponent and the band
+    out = tmp_path / "x.csv"
+    argv = ["bounds-sweep", "--n-bins", "8", "--decay-exponent", decay_exponent, "--snr-db=0,20",
+            "--strategies", "statistical-waterfill,optimal", "--output", str(out)]
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "simocap", *argv],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == code, done.stderr
+    if code:
+        assert done.stderr == ("error: decay_exponent 1e+308 over [5000000000.0, 6000000000.0] Hz "
+                               "gives mean gains that underflow\n"), done.stderr
+        assert not out.exists()
+    else:
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 4 and all(map(math.isfinite, (float(v) for r in rows for v in r.split(",")[2:])))
+
+
 @pytest.mark.parametrize("a_rule", ["max", "alpha=0.5"])
 def test_sweep_at_a_load_below_the_markov_range_exits_2_naming_a_bin(tmp_path, a_rule):
     # at -3080 dB every bin's load p*mu/n0 is about 1e-308: refused, not a

@@ -410,10 +410,24 @@ def test_parse_reports_undecodable_bytes_before_any_fault(tmp_path, monkeypatch)
     path.write_bytes(f"{CSV_HEADER}\n{ROW}\n0,0,1\n{ROW}\n".encode() + b"0,0,1,6e9,\xff,0\n")
     for read_size in (8, ingest._READ_SIZE):
         monkeypatch.setattr(ingest, "_READ_SIZE", read_size)
-        for source in (path, io.BytesIO(path.read_bytes())):
-            with pytest.raises(ParseError, match="^line 5: byte 0xff is not valid UTF-8$") as err:
-                parse_channel_csv(source)
-            assert err.value.line == 5, read_size
+        # unbuffered, each read may be short and readline finishes its line byte by byte
+        with open(path, "rb", buffering=0) as raw:
+            for source in (path, io.BytesIO(path.read_bytes()), raw):
+                with pytest.raises(ParseError, match="^line 5: byte 0xff is not valid UTF-8$") as err:
+                    parse_channel_csv(source)
+                assert err.value.line == 5, (read_size, source)
+
+
+def test_parse_reads_a_text_source_to_each_lines_newline(monkeypatch):
+    # with newline="" a text file's readline also stops at a lone "\r", which
+    # is no line end of the format: the row "0,0,1,6e9,1,\r0" stays one row
+    # wherever a read ends, and its field "\r0" is no number
+    body = f"{CSV_HEADER}\r\n{ROW}\r\n0,0,1,6e9,1,\r0\r\n"
+    expected = "line 3: non-numeric field in '0,0,1,6e9,1,\\r0'"
+    for size in (1, 5, 16, 41, ingest._READ_SIZE):
+        monkeypatch.setattr(ingest, "_READ_SIZE", size)
+        with pytest.raises(ParseError, match=f"^{re.escape(expected)}$"):
+            parse_channel_csv(io.StringIO(body, newline=""))
 
 
 # --- writer: byte-identical to the row-by-row definition --------------------

@@ -738,6 +738,14 @@ def test_rate_table_markov_column_survives_a_callable_that_reuses_its_buffer():
         assert c_markov == markov_lower(ch, fresh)
 
 
+def test_rate_table_names_the_snr_of_an_allocation_its_strategy_refuses():
+    # waterfilling accepts the channel, but its gains over n0 overflow at a
+    # quadrature node of the optimal solver
+    ch = ParallelChannel(theta=[1.0, 1e306], shape=0.1, n0=1e-3)
+    with pytest.raises(ValueError, match=r"^g/n0 overflows in bin 1: .* at SNR -10\.0 dB$"):
+        rate_table(lambda L: ch, [1], [-10.0], ["statistical-waterfill", "optimal"])
+
+
 def test_rate_table_rejects_an_unknown_tag_and_a_wrong_length_allocation():
     profile = _cubic_profile(8)
     with pytest.raises(ValueError, match="unknown strategy 'waterfill'"):
