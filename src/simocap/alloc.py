@@ -44,11 +44,16 @@ def _waterlevel(levels: np.ndarray, slopes: np.ndarray, total: float):
         fill = np.cumsum(np.cumsum(sorted_slopes[:-1]) * np.diff(sorted_levels))
     k_star = 1 + np.count_nonzero(fill < total)
     levels_on, slopes_on = sorted_levels[:k_star], sorted_slopes[:k_star]
-    nu = float((total + np.cumsum(slopes_on * levels_on)[-1]) / np.cumsum(slopes_on)[-1])
+    # waterfill's levels start at 0 with unit slopes, so each level reached is below total
+    # and the numerator of nu below (k_star + 1) * total: within that factor of DBL_MAX,
+    # nu is formed in units of an exact power of two s that keep it finite; elsewhere s = 1
+    s = math.ldexp(1.0, min(0, 1023 - math.frexp(total)[1] - int(k_star).bit_length()))
+    levels_on = s * levels_on
+    nu = float((s * total + np.cumsum(slopes_on * levels_on)[-1]) / np.cumsum(slopes_on)[-1])
     powers = np.zeros(levels.size)
     # nu may round a hair below the last level reached, never below it by more
-    powers[order[:k_star]] = np.maximum(slopes_on * (nu - levels_on), 0.0)
-    return powers, nu
+    powers[order[:k_star]] = np.maximum(slopes_on * (nu - levels_on), 0.0) / s
+    return powers, nu / s  # a float quotient: past DBL_MAX, inf with no warning
 
 
 def waterfill(gains, n0: float, p_total: float) -> tuple[np.ndarray, float]:
@@ -57,7 +62,9 @@ def waterfill(gains, n0: float, p_total: float) -> tuple[np.ndarray, float]:
     Returns the powers and the water level nu: the active-set solution
     over the thresholds n0/g_n with unit slopes.  Fed mean gains this is
     statistical waterfilling; fed realized gains it is the full-knowledge
-    instantaneous variant.
+    instantaneous variant.  The powers are finite for any finite budget:
+    near DBL_MAX the water level is formed in units of an exact power of
+    two, and only a level past DBL_MAX itself is returned as inf.
     """
     g = np.asarray(gains, dtype=float)
     if g.ndim != 1 or g.size < 1:

@@ -76,7 +76,8 @@ class ParallelChannel:
     theta[n] > 0 (linear power gain units) and shape[n] in [0.1, 1e5], and
     optionally a center frequency freqs_hz[n].  ``shape`` may be given once
     for all subchannels.  Every array is stored as a read-only 1-D float
-    copy, next to the derived ``mean_gains`` = theta*shape.
+    copy, next to the derived ``mean_gains`` = theta*shape.  A mean gain
+    that overflows raises ``ValueError`` naming its bin and the product.
     """
 
     theta: np.ndarray
@@ -96,7 +97,13 @@ class ParallelChannel:
         _check_shapes(shape)
         n0 = _positive("n0", self.n0)
         freqs = None if self.freqs_hz is None else _per_subchannel("freqs_hz", self.freqs_hz, n)
-        mean_gains = _per_subchannel("mean_gains", theta * shape, n)
+        with np.errstate(over="ignore"):  # refused below, by bin
+            mean_gains = _per_subchannel("mean_gains", theta * shape, n)
+        top = np.flatnonzero(np.isinf(mean_gains))
+        if top.size:
+            i = int(top[0])
+            raise ValueError(f"mean gain theta*shape overflows in bin {i}: "
+                             f"{float(theta[i])!r} * {float(shape[i])!r}")
         fields = dict(theta=theta, shape=shape, n0=n0, freqs_hz=freqs)
         for name, value in dict(fields, mean_gains=mean_gains).items():
             object.__setattr__(self, name, value)

@@ -144,25 +144,24 @@ def _parse_blocks(blocks, f_min_hz, f_max_hz) -> SnapshotSet:
         raise ParseError("empty input")
     if rows[0] != CSV_HEADER:
         raise ParseError(f"expected header {CSV_HEADER!r}, got {rows[0]!r}", line=1)
-    tables, n_rows = [], 0
+    tables, n_rows, fault = [], 0, None
     for rows in chain([rows[1:]], blocks):  # no block outlives its turn, the first included
         try:
             tables.append(_records(rows))
-        except ValueError:
+        except ValueError:  # the read stops at the first faulty row
             i, message = next((i, msg) for i, row in enumerate(rows) if (msg := _row_fault(row)))
             tables.append(_records(rows[:i]))
-            _check_across_rows(np.concatenate(tables))  # a fault on an earlier line wins
-            raise ParseError(message, line=n_rows + i + 2) from None
+            fault = ParseError(message, line=n_rows + i + 2)
+            break
         n_rows += len(rows)
-    if not n_rows:
+    del rows
+    if not (n_rows or fault):
         raise ParseError("no data rows")
     shape = tuple(max(int(t[i].max(initial=0)) for t in tables) + 1 for i in "sbk")  # no overflow
-    if n_rows != math.prod(shape) or (dense := _scatter(tables, shape)) is None:
+    if fault or n_rows != math.prod(shape) or (dense := _scatter(tables, shape)) is None:
         table = np.concatenate(tables)  # a fault: the sorting reporter names the first
         del tables
-        _check_across_rows(table)
-        s0, b0, k0 = _first_missing(table["s"], table["b"], table["k"], shape)
-        raise ParseError(f"missing cell (snapshot={s0}, branch={b0}, bin={k0})")
+        _check_across_rows(table, after=fault or shape)
     freqs, coeffs = dense
     keep = np.ones(shape[2], dtype=bool)
     if f_min_hz is not None:
@@ -236,12 +235,14 @@ def _value_fault(table) -> str | None:
     return None
 
 
-def _check_across_rows(table) -> None:
-    # the first row in file order that repeats an earlier cell or differs
-    # from the first frequency of its bin; on one row the repeat is reported
+def _check_across_rows(table, after=None) -> None:
+    # the first fault of the rows: the first row in file order that repeats an earlier
+    # cell or differs from the first frequency of its bin, on one row the repeat; else
+    # after, the row fault that stopped the read, or the shape whose cells the rows,
+    # then distinct, do not all fill: the first missing cell has the first rank skipped
     s, b, k, freq = (table[name] for name in ("s", "b", "k", "freq"))
     order = np.lexsort((k, b, s))  # stable: a cell's first row sorts first
-    same = np.logical_and.reduce([i[order][1:] == i[order][:-1] for i in (s, b, k)])
+    same = np.logical_and.reduce([c[1:] == c[:-1] for c in (i[order] for i in (s, b, k))])
     dup = order[1:][same].min(initial=len(s))
     _, first, inverse = np.unique(k, return_index=True, return_inverse=True)
     clash = np.flatnonzero(freq != freq[first][inverse])
@@ -252,19 +253,17 @@ def _check_across_rows(table) -> None:
     if dup < len(s):
         raise ParseError(f"duplicate cell (snapshot={s[dup]}, branch={b[dup]}, bin={k[dup]})",
                          line=int(dup) + 2)
-
-
-def _first_missing(s, b, k, shape) -> tuple[int, int, int]:
-    # the rows hold distinct cells of shape, but not all: the first missing
-    # cell has the first rank that the rows in sorted order skip
-    _, n_b, n_k = shape
-
-    def cell(rank):
-        return rank // (n_b * n_k), rank // n_k % n_b, rank % n_k
-
-    order = np.lexsort((k, b, s))
-    present = zip(s[order].tolist(), b[order].tolist(), k[order].tolist())
-    return cell(next((r for r, c in enumerate(present) if c != cell(r)), len(order)))
+    if isinstance(after, ParseError):
+        raise after
+    if after is not None:  # a rank up to the row count reaches no radix past it: cut, in int64
+        n_b, n_k = (min(d, len(s) + 1) for d in after[1:])
+        digits = (lambda r: r // (n_b * n_k), lambda r: r // n_k % n_b, lambda r: r % n_k)
+        ranks, skip = np.arange(len(s)), np.zeros(len(s), bool)
+        for i, digit in zip((s, b, k), digits):  # one sorted column held at a time
+            skip |= i[order] != digit(ranks)
+        r = int(np.append(skip, True).argmax())  # the row count, if no smaller rank is skipped
+        s0, b0, k0 = (digit(r) for digit in digits)
+        raise ParseError(f"missing cell (snapshot={s0}, branch={b0}, bin={k0})")
 
 
 def write_channel_csv(snapshots: SnapshotSet, dest) -> None:

@@ -285,15 +285,15 @@ def snr_db_to_power(channel_n: int, n0: float, snr_db: float) -> float:
     """Total power giving the requested average per-subchannel transmit SNR.
 
     SNR is defined as p_total / (N * n0) under the unit-average-gain
-    normalization of the channel profiles.  Raises ``ValueError`` if the
-    power overflows or underflows to 0.
+    normalization of the channel profiles.  Raises ``ValueError`` naming
+    the SNR if the power overflows, underflows to 0 or is not a number.
     """
     try:
         power = channel_n * n0 * 10.0 ** (snr_db / 10.0)
     except OverflowError:
         power = math.inf
-    if power in (0.0, math.inf):
-        fault = "overflows" if power else "underflows to 0"
+    if not 0.0 < power < math.inf:  # NaN fails both
+        fault = {0.0: "underflows to 0", math.inf: "overflows"}.get(power, "is not a number")
         raise ValueError(f"SNR {snr_db!r} dB gives a power that {fault}")
     return power
 

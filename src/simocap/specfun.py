@@ -157,7 +157,9 @@ def _gamma_rule(shapes, scales):
     224 and 656 nodes at shapes 0.1, 0.5, 128, 1e4 and 1e5.  Normalizing
     the weights replaces 1/Gamma(shape), which cancels at large shapes.
     Both arrays are (len(shapes), longest row): shorter rows are padded with
-    their last node at zero weight.
+    their last node at zero weight.  A row whose largest node overflows,
+    about 64 times its scale at shape 0.1, raises ``ValueError`` naming it
+    as a bin.
     """
     shapes, scales = np.asarray(shapes, dtype=float), np.asarray(scales, dtype=float)
     if shapes.ndim != 1 or shapes.shape != scales.shape:
@@ -173,7 +175,14 @@ def _gamma_rule(shapes, scales):
     u = h[:, None] * (first[:, None] + np.minimum(j, last[:, None]))
     weights = np.where(j <= last[:, None], np.exp(k[:, None] * (u - np.expm1(u))), 0.0)
     weights /= weights.sum(axis=1, keepdims=True)
-    return scales[:, None] * (k[:, None] * np.exp(u))[which], weights[which]
+    with np.errstate(over="ignore"):  # refused below, by row
+        g = scales[:, None] * (k[:, None] * np.exp(u))[which]
+    top = np.flatnonzero(np.isinf(g[:, -1]))  # a row's last node is its largest, padded or not
+    if top.size:
+        i = int(top[0])
+        raise ValueError(f"quadrature nodes overflow in bin {i}: shape {float(shapes[i])!r} "
+                         f"and scale {float(scales[i])!r} reach past 1.8e308")
+    return g, weights[which]
 
 
 def _expect(values, weights) -> np.ndarray:
@@ -198,7 +207,8 @@ def gamma_expectation_batch(f, shapes, scales) -> np.ndarray:
     1e5 and c from 1e-3 to 1e9.  A discontinuous f gets an O(h) error with
     no signal: E[g >= 2] at shape 4, scale 0.5 is off by 7.8e-2.  Raises
     ``ValueError`` for a shape outside [0.1, 1e5], where the rule is held
-    to mpmath, and ``NumericError`` if ``f`` returns a non-finite value.
+    to mpmath, or for an entry whose largest node overflows (named as a
+    bin), and ``NumericError`` if ``f`` returns a non-finite value.
     """
     g, weights = _gamma_rule(shapes, scales)
     return _expect(f(g), weights)

@@ -262,6 +262,28 @@ def test_optimal_allocation_refuses_gains_whose_ratio_to_n0_overflows():
             optimal_allocation(ch, 1.0)
 
 
+def test_exact_rate_and_optimal_allocation_refuse_quadrature_nodes_that_overflow():
+    # the mean gain 1e306 is finite; the top node of the shape-0.1 law, about 64e307, is not
+    ch = ParallelChannel(theta=[1.0, 1e307], shape=0.1, n0=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for solve in (lambda: exact_rate(ch, [1.0, 1.0]), lambda: optimal_allocation(ch, 1.0)):
+            with pytest.raises(ValueError, match=r"^quadrature nodes overflow in bin 1: shape 0\.1 "
+                                                 r"and scale 1e\+307 "):
+                solve()
+
+
+def test_waterfill_keeps_the_water_level_finite_near_the_largest_budget():
+    # the numerator of the water level, 1.7e308 + 5e307, passes DBL_MAX; the powers do not
+    ch = ParallelChannel(theta=[2e-308, 1e-308], shape=1.0, n0=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        powers, water_level = waterfill(ch.mean_gains, ch.n0, 1.7e308)
+        assert powers.tolist() == [1.1e308, 6e307] and powers.sum() == 1.7e308
+        assert water_level == 1.1e308 + 5e307
+        _assert_kkt(ch, 1.7e308, optimal_allocation(ch, 1.7e308))
+
+
 def test_optimal_allocation_raises_at_the_iteration_cap(monkeypatch):
     ch = ParallelChannel(theta=[2.0, 0.1], shape=[0.5 * 1, 2.0 * 3], n0=1.0)
     _assert_kkt(ch, 2.0, optimal_allocation(ch, 2.0))

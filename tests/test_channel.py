@@ -84,6 +84,15 @@ def test_parallel_channel_array_validation():
     assert ch.theta[0] == 1.0 and ch.mean_gains[0] == 1.0
 
 
+def test_parallel_channel_refuses_a_mean_gain_that_overflows_naming_its_bin():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"^mean gain theta\*shape overflows in bin 1: "
+                                             r"1e\+307 \* 100000\.0$"):
+            ParallelChannel(theta=[1.0, 1e307], shape=1e5, n0=1.0)
+        assert ParallelChannel(theta=[1e303], shape=1e5, n0=1.0).mean_gains[0] == 1e303 * 1e5
+
+
 @pytest.mark.parametrize(
     "clone", [lambda ch: pickle.loads(pickle.dumps(ch)), copy.deepcopy], ids=["pickle", "deepcopy"]
 )

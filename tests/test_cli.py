@@ -403,7 +403,9 @@ def test_bounds_sweep_max_rule_beats_the_alpha_rule_at_extreme_snr(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "snr_db, fault", [("-4000", "underflows to 0"), ("4000", "overflows"), ("3080", "overflows")]
+    "snr_db, fault",
+    [("-4000", "underflows to 0"), ("4000", "overflows"), ("3080", "overflows"),
+     ("nan", "is not a number")],
 )
 def test_an_snr_without_a_finite_positive_power_exits_2_naming_the_snr(
     tmp_path, capsys, snr_db, fault

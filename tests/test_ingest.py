@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import re
 import sys
@@ -557,6 +558,41 @@ def test_dense_check_hands_every_cross_row_fault_to_the_reporter(fault, seed, mo
         err = _parse_error("\n".join(rows) + "\n")
         assert (str(err), err.line) == (str(oracle.value), oracle.value.line), size
     assert dense == [None] * 4
+
+
+def _first_fault_by_brute_force(rows):
+    # a repeated cell at its second line in file order, else the first cell
+    # in rank order that no row holds
+    seen = set()
+    for line, row in enumerate(rows, start=2):
+        s, b, k = (int(i) for i in row.split(",")[:3])
+        if (s, b, k) in seen:
+            return f"line {line}: duplicate cell (snapshot={s}, branch={b}, bin={k})"
+        seen.add((s, b, k))
+    shape = [max(cell[i] for cell in seen) + 1 for i in range(3)]
+    s, b, k = next(cell for cell in itertools.product(*map(range, shape)) if cell not in seen)
+    return f"missing cell (snapshot={s}, branch={b}, bin={k})"
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("repeat", [False, True], ids=["missing", "missing-then-repeat"])
+def test_one_sort_reports_a_missing_cell_or_a_later_repeat(repeat, seed, monkeypatch):
+    # one row removed, and in the second case a later row repeated further on, so
+    # that the file has as many rows as cells; two blocks even at the default size
+    rows = _shuffled_rows(seed, shape=(12, 4, 100))
+    gone, copied, at = np.sort(np.random.default_rng(seed).choice(len(rows), 3, replace=False))
+    if repeat:
+        rows.insert(at, rows[copied])
+    del rows[gone]
+    text = "\n".join(rows) + "\n"
+    assert len(text) > ingest._READ_SIZE
+    expected = _first_fault_by_brute_force(rows)
+    sorts, lexsort = [], np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(keys) or lexsort(keys))
+    for size in (1, 7, 64, ingest._READ_SIZE):
+        monkeypatch.setattr(ingest, "_READ_SIZE", size)
+        sorts.clear()
+        assert (str(_parse_error(text)), len(sorts)) == (expected, 1), size
 
 
 def test_parse_peak_memory_holds_each_record_once():

@@ -551,7 +551,8 @@ def test_rate_table_at_very_low_snr_gives_an_mpe_near_zero(L):
 def test_snr_db_to_power_names_an_snr_whose_power_is_not_finite_and_positive():
     assert snr_db_to_power(64, 1.0, 0.0) == 64.0
     for snr_db, fault in ((-4000.0, "underflows to 0"), (4000.0, "overflows"),
-                          (3080.0, "overflows")):  # 10**308 is finite, 64 times it is not
+                          (3080.0, "overflows"),  # 10**308 is finite, 64 times it is not
+                          (math.nan, "is not a number")):
         with pytest.raises(ValueError, match=rf"^SNR {snr_db!r} dB gives a power that {fault}$"):
             snr_db_to_power(64, 1.0, snr_db)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,17 @@ def test_gamma_expectation_rejects_shapes_outside_its_accurate_range(shape):
     # [0.1, 1e5] is where the rule is held to mpmath; shape 1e8 would take 20,024 nodes
     with pytest.raises(ValueError, match=r"shape must be finite and in \[0.1, 100000\]"):
         gamma_expectation_batch(lambda g: g, [2.0, shape], [1.0, 1.0])
+
+
+def test_gamma_expectation_refuses_an_entry_whose_largest_node_overflows():
+    # the top node is about 64 times the scale at shape 0.1 and 88 times at shape 4,
+    # whose row is padded to the shape-0.1 row with its last node
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for shapes, scales, row in (([0.1], [1e307], 0), ([0.1, 4.0], [1.0, 1e307], 1)):
+            with pytest.raises(ValueError, match=f"^quadrature nodes overflow in bin {row}: "):
+                gamma_expectation_batch(lambda g: g, shapes, scales)
+        assert gamma_expectation_batch(lambda g: g / 1e300, [0.1], [1e306])[0] > 0.0
 
 
 def _trapezoid_rule(shape, h):
