@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .channel import ParallelChannel, _positive, _positive_integer
+from .channel import ParallelChannel, _loads, _positive, _positive_integer
 from .specfun import NumericError, _expect, _gamma_rule
 
 __all__ = [
@@ -94,51 +94,45 @@ def optimal_allocation(channel: ParallelChannel, p_total: float) -> np.ndarray:
     The objective sum_n E[log(1 + p_n*g_n/n0)] is strictly concave, so the
     optimum is characterized by a shared multiplier lam on the marginal
     utilities M_n(p) = E[g/(n0 + p*g)]: M_n = lam on active subchannels,
-    and mu_n/n0 = M_n(0) <= lam on the rest.  Newton's method solves these
-    conditions from statistical waterfilling, which is within
+    and mu_n/n0 = M_n(0) <= lam on the rest.  On the gamma rule's unit-mean
+    nodes e^u = g/mu_n, M_n = (mu_n/n0)*E[1/(e^-u + l_n)] at the load
+    l_n = p_n*mu_n/n0, a quotient that never overflows.  Newton's method
+    solves these conditions from statistical waterfilling, which is within
     O(1/(L log L)) of the optimum.  Each step linearizes M_n with its
     derivative -D_n = -E[(g/(n0 + p*g))**2] and solves
     p_n = max(0, (M_n + p_n*D_n - lam)/D_n), sum p_n = p_total, as one
     waterfilling with slopes 1/D_n, in units that scale M_n by a power of
-    two near 1/lam, so D_n, about lam**2, stays a normal float up to the
-    largest powers.  It stops once the active marginals agree to 1e-12
-    relative and no inactive mu_n/n0 exceeds them.  Raises ``ValueError``
-    naming a bin whose gains over n0 overflow at a quadrature node.
+    two s near 1/lam, so D_n, the square of the same quotient times s*mu_n/n0,
+    stays a normal float up to the largest powers.  It stops once the
+    active marginals, and any inactive mu_n/n0 above them, agree to 1e-12
+    relative.  Raises ``ValueError`` naming a bin whose mu/n0 or load overflows.
     """
     n0, p_total = channel.n0, _positive("p_total", p_total)
     powers = waterfill(channel.mean_gains, n0, p_total)[0]
-    g, weights = _gamma_rule(channel.shape, channel.theta)
-    with np.errstate(over="ignore"):
-        top = np.isinf(g[:, -1] / n0)  # a row's last node is its largest, padded or not
-    if top.any():
-        n = int(top.argmax())
-        raise ValueError(f"g/n0 overflows in bin {n}: its gains reach {float(g[n, -1])!r} "
-                         f"and n0 is {n0!r}")
-
-    def expectation(k, scale=1.0):
-        # E[(scale*g/(n0 + p*g))**k] at the current powers, in place on one (bins x nodes)
-        # array; where p*g overflows, g/(n0 + p*g) is 1/(p + n0/g)
-        with np.errstate(over="ignore"):
-            x = powers[:, None] * g
-        r, j = np.nonzero(np.isinf(x))
-        x += n0
-        np.divide(g, x, out=x)
-        x[r, j] = 1.0 / (powers[r] + n0 / g[r, j])
-        x *= scale
-        return _expect(x if k == 1 else np.square(x, out=x), weights)
+    with np.errstate(over="ignore"):  # refused below, by bin
+        gain = channel.mean_gains / n0
+    top = np.flatnonzero(np.isinf(gain))
+    if top.size:
+        n = int(top[0])
+        raise ValueError(f"mu/n0 overflows in bin {n}: {float(channel.mean_gains[n])!r} / {n0!r}")
+    nodes, weights = _gamma_rule(channel.shape)
+    inverse = 1.0 / nodes  # e^-u, at most 7e195
 
     for _ in range(_ITER_CAP):
-        marginal = expectation(1)
+        x = 1.0 / (inverse + _loads(channel, powers)[:, None])  # g/(n0 + p*g) over mu/n0
+        marginal = gain * _expect(x, weights)
         on = powers > 0.0
         lam = marginal[on].max()
-        if lam - marginal[on].min() <= _KKT_TOLERANCE * lam and np.all(marginal[~on] <= lam):
+        # an inactive bin's mu/n0 may exceed lam within the tolerance, where a step gives it 0
+        if marginal.max() - marginal[on].min() <= _KKT_TOLERANCE * lam:
             # waterfilling's powers, if already optimal, may cancel against its water level
             return powers * (p_total / powers.sum())
         # the step in units that scale marginals by a power of two s near 1/lam and powers
         # by 1/s, both exact; a curvature that still underflows gives its bin no power in
         # this step; levels measured from lam keep it free of cancellation
         s = math.ldexp(1.0, min(-math.frexp(lam)[1], 1023))  # 2**1024 overflows
-        curvature = expectation(2, s)
+        x *= (s * gain)[:, None]
+        curvature = _expect(np.square(x, out=x), weights)
         slopes = np.divide(1.0, curvature, out=np.zeros(curvature.size),
                            where=curvature >= np.finfo(float).tiny)
         levels = s * (lam - marginal) - (powers / s) * curvature

@@ -117,6 +117,22 @@ class ParallelChannel:
         return self.theta.size
 
 
+def _loads(channel: ParallelChannel, powers: np.ndarray) -> np.ndarray:
+    # the loads p*mu/n0 of an (n,) vector or (rows, n) stack of powers, all that the rates and
+    # the optimal solver read of a power, formed on significands so that p*mu alone may leave
+    # the float range: (p*mu)/n0 bit for bit where both are normal.  An overflow names its bin
+    (sp, ep), (sm, em) = np.frexp(powers), np.frexp(channel.mean_gains)
+    sn, en = math.frexp(channel.n0)
+    with np.errstate(over="ignore"):  # refused below, by bin
+        loads = np.ldexp(sp * sm / sn, ep + em - en)
+    over = np.argwhere(np.isinf(loads))
+    if over.size:
+        at = tuple(over[0])
+        raise ValueError(f"p*mu/n0 overflows in bin {at[-1]}: {float(powers[at])!r} * "
+                         f"{float(channel.mean_gains[at[-1]])!r} / {channel.n0!r}")
+    return loads
+
+
 def build_decay_profile(
     n_bins: int,
     f_lo_hz: float,

@@ -3,11 +3,11 @@
 Rates are in nats throughout; conversion to bits (division by ``LN2``)
 happens only when the CLI writes its CSV.  For a powers array {p_n} on a
 parallel channel with mean gains {mu_n}, shapes {k_n} and loads
-l_n = p_n mu_n / n0, all that the Jensen and Markov bounds read of bin n:
+l_n = p_n mu_n / n0, each bound reads bin n through k_n and l_n alone:
 
 * upper bound (Jensen):        sum_n log(1 + l_n), evaluated at the
   statistical-waterfilling allocation it upper-bounds the capacity;
-* achievable rate:             sum_n E[log(1 + p_n g_n / n0)];
+* achievable rate:             sum_n E[log(1 + l_n g_n / mu_n)];
 * lower bound (Markov):        sum_n a_n * Q(k_n, x_n) with
   x_n = c_n (e^{a_n} - 1), c_n = k_n / l_n, valid for any a_n > 0.
 
@@ -19,9 +19,10 @@ bins, a bounded number of them at a time.  Each bound raises ValueError
 for a load that overflows, or a powered load below 2*max(k_n, 2)/DBL_MAX,
 where c_n, or c_n/x_n at the Markov search's start x_n >= k_n/2, comes
 within a subnormal's rounding of overflow.  Every load between, up to
-DBL_MAX, gives finite rates with no floating-point warning: where
-p_n g_n / n0 overflows at a quadrature node, the exact rate takes its log
-as the sum of its factors' logs.
+DBL_MAX, gives finite rates with no floating-point warning: the exact
+rate's quadrature nodes g_n/mu_n lie in [1.4e-196, 602], so l_n g_n/mu_n
+overflows only for a load above DBL_MAX/602, where its log is the sum of
+its factors' logs.
 
 The single-subchannel ratio of the Markov lower to the Jensen upper bound
 drives the large-diversity convergence results; ``bound_ratio`` evaluates
@@ -34,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .alloc import equal_power, optimal_allocation, waterfill
-from .channel import ParallelChannel, _branch_shape, _positive
+from .channel import ParallelChannel, _branch_shape, _loads, _positive
 from .specfun import NumericError, _expect, _gamma_q, _gamma_rule, reg_gamma_q
 
 __all__ = [
@@ -60,6 +61,7 @@ _A_STEP_TOLERANCE = 1e-10  # relative Newton step in a; the term's error is its 
 _MARKOV_CHUNK = 8192  # subchannels per pass of the Markov bound
 _NODE_CHUNK = 1 << 16  # quadrature nodes per pass of the exact rate
 _RATE_RTOL = 1e-13  # exact_rate's relative accuracy: that of the gamma quadrature rule
+_DBL_MAX = float(np.finfo(float).max)
 
 
 class MetricUndefinedError(ValueError):
@@ -90,28 +92,23 @@ def _stack(powers, n: int) -> np.ndarray:
 def _stack_on(channel: ParallelChannel, powers) -> tuple[np.ndarray, np.ndarray]:
     # _stack of powers on channel and its loads p*mu/n0, each refused as the module docstring says
     stack = _stack(powers, channel.n)
-    with np.errstate(over="ignore"):
-        loads = stack * channel.mean_gains / channel.n0
-    least = 2.0 * np.maximum(channel.shape, 2.0) / np.finfo(float).max
-    refused = np.isinf(loads) | ((stack > 0.0) & (loads < least))
-    if refused.any():
-        row, n = np.argwhere(refused)[0]
+    loads = _loads(channel, stack)
+    tiny = np.argwhere((stack > 0.0) & (loads < 2.0 * np.maximum(channel.shape, 2.0) / _DBL_MAX))
+    if tiny.size:
+        row, n = tiny[0]
         raise ValueError(
-            f"p*mu/n0 overflows in bin {n}: {float(stack[row, n])!r} * "
-            f"{float(channel.mean_gains[n])!r} / {channel.n0!r}" if np.isinf(loads[row, n])
-            else f"p*mu/n0 = {float(loads[row, n])!r} in bin {n} is below 2*max(shape, 2)/DBL_MAX"
-        )
+            f"p*mu/n0 = {float(loads[row, n])!r} in bin {n} is below 2*max(shape, 2)/DBL_MAX")
     return stack, loads
 
 
 def _powered_sums(channel: ParallelChannel, powers, term, chunk: int) -> float | np.ndarray:
-    # per row, the sum of term(bins, p, load) over its powered bins, chunk (row, bin) pairs a call
+    # per row, the sum of term(bins, load) over its powered bins, chunk (row, bin) pairs a call
     stack, loads = _stack_on(channel, powers)
     rows, bins = np.nonzero(stack)
-    p, load = stack[rows, bins], loads[rows, bins]
+    load = loads[rows, bins]
     terms = np.empty(bins.size)
     for r in (slice(start, start + chunk) for start in range(0, bins.size, chunk)):
-        terms[r] = term(bins[r], p[r], load[r])
+        terms[r] = term(bins[r], load[r])
     # each row's terms are one contiguous slice, summed alone, wherever the chunks cut
     ends = np.cumsum(np.count_nonzero(stack, axis=1)).tolist()
     sums = np.array([terms[s:e].sum() for s, e in zip([0] + ends, ends)])
@@ -185,7 +182,7 @@ def markov_lower(
     for a refused load, ``NumericError`` if the maximization does not converge.
     """
     k, alpha = channel.shape, None if alpha is None else _alpha(alpha)
-    return _powered_sums(channel, powers, lambda bins, p, load: (
+    return _powered_sums(channel, powers, lambda bins, load: (
         _max_markov_terms(k[bins], load) if alpha is None
         else np.log1p(alpha * load) * _gamma_q(k[bins], alpha * k[bins])[0]), _MARKOV_CHUNK)
 
@@ -193,21 +190,24 @@ def markov_lower(
 def exact_rate(channel: ParallelChannel, powers) -> float | np.ndarray:
     """Ergodic sum rate sum_n E[log(1 + p_n*g_n/n0)] of the allocation.
 
-    One gamma quadrature rule per call, applied to at most ``_NODE_CHUNK``
-    nodes at a time (or one bin's, if more), so the working set beyond the
-    rule and the stack does not grow with them.
+    A bin's term is E[log1p(l*e^u)] at its load l, over the unit-mean nodes
+    e^u = g/mu of its shape's gamma rule: one rule per call, applied to at
+    most ``_NODE_CHUNK`` nodes at a time (or one bin's, if more), so the
+    working set beyond the rule and the stack does not grow with them.
     """
-    g, weights = _gamma_rule(channel.shape, channel.theta)  # one rule per call
+    nodes, weights = _gamma_rule(channel.shape)  # one rule per call
 
-    def term(bins, p, load):
-        with np.errstate(over="ignore"):
-            x = (p[:, None] / channel.n0) * g[bins]
-        r, j = np.nonzero(np.isinf(x))  # where p*g/n0 overflows, sum the logs of its factors
+    def term(bins, load):
+        with np.errstate(over="ignore"):  # past DBL_MAX/602 only; such rows are redone below
+            x = load[:, None] * nodes[bins]
+        # l*e^u overflows at a row's last, largest node first, and then every node of the
+        # row is past 1e109, where log1p(l*e^u) is log(l) + log(e^u) to the last bit
+        top = np.isinf(x[:, -1])
         np.log1p(x, out=x)
-        x[r, j] = np.log(p[r]) - np.log(channel.n0) + np.log(g[bins[r], j])
+        x[top] = np.log(load[top, None]) + np.log(nodes[bins[top]])
         return _expect(x, weights[bins])
 
-    return _powered_sums(channel, powers, term, max(1, _NODE_CHUNK // g.shape[1]))
+    return _powered_sums(channel, powers, term, max(1, _NODE_CHUNK // nodes.shape[1]))
 
 
 def empirical_rate(gains, powers, n0: float) -> float:

@@ -7,7 +7,7 @@ import pytest
 from simocap import alloc as alloc_module, specfun
 from simocap.alloc import equal_power, optimal_allocation, waterfill
 from simocap.channel import ParallelChannel, build_decay_profile
-from simocap.rates import exact_rate, jensen_upper, snr_db_to_power
+from simocap.rates import exact_rate, jensen_upper, markov_lower, snr_db_to_power
 from simocap.specfun import NumericError, gamma_expectation_batch
 
 
@@ -254,23 +254,36 @@ def test_optimal_allocation_meets_kkt_over_a_wide_spread_of_mean_gains(snr_db):
 
 
 def test_optimal_allocation_refuses_gains_whose_ratio_to_n0_overflows():
-    # the top node of a shape-0.1 law is about 64 times its scale
+    # a bin's marginal utility at zero power is mu/n0.  At mu/n0 = 1e308 the top
+    # quadrature node of the shape-0.1 law, about 600 times its mean, is past DBL_MAX
+    # over n0, but the solver reads only mu/n0 and the loads, so it solves
     ch = ParallelChannel(theta=[1.0, 1e306], shape=0.1, n0=1e-3)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValueError, match=r"^g/n0 overflows in bin 1: its gains reach "):
-            optimal_allocation(ch, 1.0)
+        powers = optimal_allocation(ch, 1.0)
+        assert math.isclose(powers.sum(), 1.0, rel_tol=1e-12) and np.all(powers > 0.0)
+        assert 0.0 < exact_rate(ch, powers) <= jensen_upper(ch, powers)
+        # at mu/n0 = 1e309 it is refused by bin, at a budget whose loads are all finite
+        ch = ParallelChannel(theta=[1.0, 1e307], shape=0.1, n0=1e-3)
+        with pytest.raises(ValueError, match=r"^mu/n0 overflows in bin 1: 1e\+306 / 0\.001$"):
+            optimal_allocation(ch, 1e-10)
 
 
-def test_exact_rate_and_optimal_allocation_refuse_quadrature_nodes_that_overflow():
-    # the mean gain 1e306 is finite; the top node of the shape-0.1 law, about 64e307, is not
-    ch = ParallelChannel(theta=[1.0, 1e307], shape=0.1, n0=1e-300)
+def test_exact_rate_reads_nodes_past_dbl_max_at_a_finite_load_and_refuses_its_overflow():
+    # the mean gain 1e306 is finite; the top node of the shape-0.1 law, about 6e308, is
+    # not, but the exact rate reads the load 1e-10 * 1e306 and the unit-mean nodes alone
+    ch = ParallelChannel(theta=[1.0, 1e307], shape=0.1, n0=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for solve in (lambda: exact_rate(ch, [1.0, 1.0]), lambda: optimal_allocation(ch, 1.0)):
-            with pytest.raises(ValueError, match=r"^quadrature nodes overflow in bin 1: shape 0\.1 "
-                                                 r"and scale 1e\+307 "):
-                solve()
+        exact = exact_rate(ch, [1.0, 1e-10])
+        assert markov_lower(ch, [1.0, 1e-10]) <= exact <= jensen_upper(ch, [1.0, 1e-10])
+        assert 673.0 < exact < 674.0
+        # at n0 = 1e-300 the load of bin 1 overflows: the bin is refused by name, for it
+        ch = ParallelChannel(theta=[1.0, 1e307], shape=0.1, n0=1e-300)
+        with pytest.raises(ValueError, match=r"^p\*mu/n0 overflows in bin 1: 1e-10 \* 1e\+306 / "):
+            exact_rate(ch, [1.0, 1e-10])
+        with pytest.raises(ValueError, match=r"^mu/n0 overflows in bin 1: "):
+            optimal_allocation(ch, 1.0)
 
 
 def test_waterfill_keeps_the_water_level_finite_near_the_largest_budget():

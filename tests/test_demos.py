@@ -55,3 +55,14 @@ def test_readme_command_lines_run(tmp_path):
     for argv in commands:
         done = _run(["-m", "simocap", *argv[1:]], cwd=tmp_path)
         assert done.returncode == 0, (argv, done.stderr)
+
+
+def test_installed_checks_run_against_the_source_tree(tmp_path):
+    # the checks that CI runs on the installed package, here on src/, from a scratch
+    # directory and with the job's warnings turned into errors in every subprocess
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p),
+               PYTHONWARNINGS="error::RuntimeWarning,error::UserWarning")
+    done = subprocess.run([sys.executable, str(ROOT / "tests" / "installed_checks.py")],
+                          env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr

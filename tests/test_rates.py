@@ -383,7 +383,7 @@ def test_jensen_and_exact_rate_of_a_stack_are_its_rows_rate_by_rate(rate, node_b
     ch, stack = _wide_channel_stack(40)
     alone = [rate(ch, row) for row in stack]
     if node_budget is not None:
-        nodes_per_bin = specfun._gamma_rule(ch.shape, ch.theta)[0].shape[1]
+        nodes_per_bin = specfun._gamma_rule(ch.shape)[0].shape[1]
         monkeypatch.setattr(rates, "_NODE_CHUNK", node_budget(nodes_per_bin))
     values = rate(ch, stack)
     assert isinstance(values, np.ndarray) and values.shape == (40,)
@@ -398,12 +398,12 @@ def test_exact_rate_working_set_is_its_rule_its_stack_and_a_bounded_pass():
     # 8 rows over 4,096 bins at shape 0.5 (480 nodes a bin): the rule is
     # 30 MiB, and all 32,768 bins are powered.  Beyond the rule, exact_rate
     # holds at most 8 stack-sized arrays (the loads and their temporary,
-    # the powered pairs' rows, bins, powers, loads and terms, and masks) and,
-    # per pass, 4 arrays of at most _NODE_CHUNK nodes (the nodes, the
-    # integrand, the weights and the overflow mask), not a row's 15 MiB.
+    # the powered pairs' rows, bins, loads and terms, and masks) and, per
+    # pass, 3 arrays of at most _NODE_CHUNK nodes (the nodes, scaled in
+    # place to the integrand, and the weights), not a row's 15 MiB.
     ch = build_decay_profile(4096, 5e9, 6e9, 3.0, 0.5, 1, 1.0)
     stack = np.geomspace(1e-3, 1e3, 8)[:, None] * np.ones(ch.n)
-    g, weights = specfun._gamma_rule(ch.shape, ch.theta)
+    g, weights = specfun._gamma_rule(ch.shape)
     rule_bytes = g.nbytes + weights.nbytes
     del g, weights
     tracemalloc.start()
@@ -412,7 +412,7 @@ def test_exact_rate_working_set_is_its_rule_its_stack_and_a_bounded_pass():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= rule_bytes + 8 * stack.nbytes + 4 * 8 * rates._NODE_CHUNK, peak
+    assert peak <= rule_bytes + 8 * stack.nbytes + 3 * 8 * rates._NODE_CHUNK, peak
 
 
 def test_exact_rate_builds_one_rule_per_call(monkeypatch):
@@ -740,10 +740,10 @@ def test_rate_table_markov_column_survives_a_callable_that_reuses_its_buffer():
 
 
 def test_rate_table_names_the_snr_of_an_allocation_its_strategy_refuses():
-    # waterfilling accepts the channel, but its gains over n0 overflow at a
-    # quadrature node of the optimal solver
-    ch = ParallelChannel(theta=[1.0, 1e306], shape=0.1, n0=1e-3)
-    with pytest.raises(ValueError, match=r"^g/n0 overflows in bin 1: .* at SNR -10\.0 dB$"):
+    # waterfilling accepts the channel and its loads are finite, but the mean gain over
+    # n0, the optimal solver's marginal utility at zero power, overflows in bin 1
+    ch = ParallelChannel(theta=[1.0, 1e307], shape=0.1, n0=1e-3)
+    with pytest.raises(ValueError, match=r"^mu/n0 overflows in bin 1: .* at SNR -10\.0 dB$"):
         rate_table(lambda L: ch, [1], [-10.0], ["statistical-waterfill", "optimal"])
 
 

@@ -1,13 +1,16 @@
 """Property tests of the capacity bounds on mixed random channels."""
 
+import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from simocap.alloc import equal_power, optimal_allocation, waterfill  # noqa: E402
 from simocap.channel import ParallelChannel  # noqa: E402
 from simocap.rates import _markov_terms, exact_rate, jensen_upper, markov_lower  # noqa: E402
 
@@ -59,26 +62,77 @@ def test_markov_term_has_one_maximum_in_its_derived_bracket(log_k, log_c):
     assert np.count_nonzero(signs[1:] != signs[:-1]) == 1
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.floats(-1.0, 5.0), st.floats(-330.0, 308.2))
-def test_every_load_is_refused_or_gives_finite_ordered_rates(log_k, log_load):
-    # One bin at shape k and load p*mu/n0 = 10**log_load, split evenly
-    # between p and mu so that neither underflows alone.  A load below
-    # 2*max(k, 2)/DBL_MAX (0 among them) is refused by every bound; any
-    # other gives finite rates ordered within the slacks of the test above.
-    k, half = 10.0**log_k, 10.0 ** (log_load / 2.0)
-    ch = ParallelChannel([half / k], k, n0=1.0)
-    refused = half * ch.mean_gains[0] < 2.0 * max(k, 2.0) / np.finfo(float).max
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rules = (jensen_upper, exact_rate, markov_lower, lambda c, p: markov_lower(c, p, alpha=0.5))
-        if refused:
-            for rate in rules:
-                with pytest.raises(ValueError, match=r"in bin 0 is below 2\*max\(shape, 2\)/DBL_MAX$"):
-                    rate(ch, [half])
-            return
-        upper, exact, best, closed = (rate(ch, [half]) for rate in rules)
+_DBL_MAX = float(np.finfo(float).max)
+_NAMED = r"\bbin \d+\b|\b(theta|shape|n0|p_total)\b"  # a refusal names a bin or a parameter
+
+
+@st.composite
+def _channels(draw):
+    # 1 to 5 bins sharing n0 = 10**U(-300, 300).  Per bin, the shape k, the load p*mu/n0 and
+    # the share of log10(p*mu) that falls to p are drawn independently; theta is mu/k.
+    log_n0 = draw(st.floats(-300.0, 300.0))
+    bins = []
+    for _ in range(draw(st.integers(1, 5))):
+        log_k, log_load = draw(st.floats(-1.0, 5.0)), draw(st.floats(-330.0, 308.2))
+        log_pmu = log_load + log_n0
+        lo, hi = max(-300.0, log_pmu - 300.0), min(308.0, log_pmu + 300.0)
+        log_p = lo + draw(st.floats(0.0, 1.0)) * (hi - lo) if lo <= hi else log_pmu / 2.0
+        bins.append((10.0 ** (log_pmu - log_p - log_k), 10.0**log_k, 10.0**log_p))
+    return bins, 10.0**log_n0
+
+
+def _assert_refused_or_ordered(ch, powers):
+    # The load rule of the rates, on loads formed exactly: a load past DBL_MAX, or a powered
+    # load below 2*max(k, 2)/DBL_MAX (0 among them), is refused by every bound, naming its
+    # bin; any other gives finite rates ordered within the slacks of the test above.
+    loads = [Fraction(p) * Fraction(mu) / Fraction(ch.n0) for p, mu in zip(powers, ch.mean_gains)]
+    over = any(load > _DBL_MAX for load in loads)
+    tiny = any(0 < load < 2.0 * max(k, 2.0) / _DBL_MAX for load, k in zip(loads, ch.shape))
+    rules = (jensen_upper, exact_rate, markov_lower, lambda c, p: markov_lower(c, p, alpha=0.5))
+    if over or tiny:
+        refusal = (r"^p\*mu/n0 overflows in bin \d+: " if over
+                   else r"in bin \d+ is below 2\*max\(shape, 2\)/DBL_MAX$")
+        for rate in rules:
+            with pytest.raises(ValueError, match=refusal):
+                rate(ch, powers)
+        return
+    upper, exact, best, closed = (rate(ch, powers) for rate in rules)
     assert all(np.isfinite([upper, exact, best, closed]))
     assert closed <= best * (1.0 + 1e-15)
     assert best <= exact * (1.0 + 1e-13)
     assert exact <= upper * (1.0 + 1e-13)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_channels())
+# p/n0 underflows to 0 at a load of 2.9e-275, where Jensen gives 2.9e-275
+@example(([(3.3e63, 1.95, 1.9e-221)], 4.2e117))
+# p/n0 = 3.3e-322 is subnormal, and an exact rate formed from it lies 1.5e-3 above Jensen
+@example(([(9.6e278, 11931.53, 1.4e-294)], 4.3e27))
+# p/n0 overflows where a node of the shape-0.12 law, scaled by theta, underflows to 0
+@example(([(1.2e-233, 0.12, 1.4e248)], 6.8e-67))
+def test_every_load_is_refused_or_gives_finite_ordered_rates(draw):
+    # The drawn powers, and each allocator's split of their total, either are refused
+    # naming a bin or a parameter, or give finite rates as _assert_refused_or_ordered
+    # says; an allocation sums to its budget within 1e-12, or the subnormal spacing.
+    bins, n0 = draw
+    theta, shape, powers = (np.array(v) for v in zip(*bins))
+    budget = sum(powers.tolist())  # past DBL_MAX, inf: each allocator refuses it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ch = ParallelChannel(theta, shape, n0=n0)
+        except ValueError as exc:
+            assert re.search(_NAMED, str(exc)), exc
+            return
+        _assert_refused_or_ordered(ch, powers)
+        for allocate in (lambda: waterfill(ch.mean_gains, n0, budget)[0],
+                         lambda: equal_power(ch.n, budget), lambda: optimal_allocation(ch, budget)):
+            try:
+                split = allocate()
+            except ValueError as exc:
+                assert re.search(_NAMED, str(exc)), exc
+                continue
+            assert np.all(np.isfinite(split) & (split >= 0.0))
+            assert abs(sum(split.tolist()) - budget) <= max(1e-12 * budget, ch.n * 5e-324), split
+            _assert_refused_or_ordered(ch, split)

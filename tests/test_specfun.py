@@ -194,29 +194,30 @@ def test_gamma_expectation_refuses_an_entry_whose_largest_node_overflows():
 
 
 def _trapezoid_rule(shape, h):
-    # the trapezoid rule in u = log(g/shape) with step h over the library's
-    # window, one shape at a time with Python's math: the density
-    # exp(shape*(u - expm1(u))), normalized to probability weights
+    # the unit-mean nodes e^u of the trapezoid rule in u = log(g/shape) with
+    # step h over the library's window, one shape at a time with Python's
+    # math: the density exp(shape*(u - expm1(u))), normalized to probability
+    # weights
     lo = -1.0 - 45.0 / shape
     hi = math.log1p(12.0 / math.sqrt(shape) + 60.0 / shape)
     u = h * np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
     weights = np.exp(shape * (u - np.expm1(u)))
-    return shape * np.exp(u), weights / weights.sum()
+    return np.exp(u), weights / weights.sum()
 
 
 @pytest.mark.parametrize(
     "shape, count", [(0.1, 2288), (0.5, 480), (128.0, 51), (1e4, 224), (1e5, 656)]
 )
 def test_one_row_rule_is_the_per_shape_trapezoid_rule(shape, count):
-    # the node counts the docstring and README state, and the nodes and
-    # weights of the one-shape formula bit for bit
-    nodes, weights = specfun._gamma_rule([shape], [1.0])
+    # the node counts the docstring and README state, and the unit-mean nodes
+    # e^u and the weights of the one-shape formula bit for bit
+    nodes, weights = specfun._gamma_rule([shape])
     want_nodes, want_weights = _trapezoid_rule(shape, min(0.2, 0.5 / math.sqrt(shape)))
     assert nodes.shape == weights.shape == (1, count)
     assert np.array_equal(nodes[0], want_nodes)
     assert np.array_equal(weights[0], want_weights)
     for other in np.geomspace(0.1, 1e5, 61):
-        nodes, weights = specfun._gamma_rule([other], [1.0])
+        nodes, weights = specfun._gamma_rule([other])
         want_nodes, want_weights = _trapezoid_rule(other, min(0.2, 0.5 / math.sqrt(other)))
         assert np.array_equal(nodes[0], want_nodes) and np.array_equal(weights[0], want_weights)
 
@@ -277,7 +278,7 @@ def test_gamma_expectation_moves_by_at_most_1e13_when_h_is_halved(shape):
     for c in np.geomspace(1e-3, 1e9, 7):
         for name, integrand in _ORACLE_INTEGRANDS.items():
             f = integrand(c, np)
-            fine = float(f(nodes) @ weights)
+            fine = float(f(shape * nodes) @ weights)
             est = gamma_expectation_batch(lambda g: f(g), [shape], [1.0])[0]
             assert est == pytest.approx(fine, rel=1e-13, abs=0.0), (name, c)
 
