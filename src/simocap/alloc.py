@@ -24,6 +24,17 @@ __all__ = [
 
 _ITER_CAP = 50
 _KKT_TOLERANCE = 1e-12  # relative spread of the active marginal utilities at the optimum
+_NODE_CHUNK = 1 << 16  # quadrature nodes per pass of _rule_sums
+
+
+def _rule_sums(nodes, weights, rows, integrand, *columns) -> np.ndarray:
+    # per entry i, weights' row rows[i] applied to integrand(x, *columns), where x holds the
+    # entries' rows of nodes, to overwrite; a pass takes at most _NODE_CHUNK nodes, or one row
+    sums, step = np.empty(rows.size), max(1, _NODE_CHUNK // nodes.shape[1])
+    for at in (slice(start, start + step) for start in range(0, rows.size, step)):
+        values = integrand(nodes[rows[at]], *(column[at, None] for column in columns))
+        sums[at] = _expect(values, weights[rows[at]])
+    return sums
 
 
 def _waterlevel(levels: np.ndarray, slopes: np.ndarray, total: float):
@@ -103,7 +114,9 @@ def optimal_allocation(channel: ParallelChannel, p_total: float) -> np.ndarray:
     p_n = max(0, (M_n + p_n*D_n - lam)/D_n), sum p_n = p_total, as one
     waterfilling with slopes 1/D_n, in units that scale M_n by a power of
     two s near 1/lam, so D_n, the square of the same quotient times s*mu_n/n0,
-    stays a normal float up to the largest powers.  It stops once the
+    stays a normal float up to the largest powers.  M_n and D_n are each
+    one pass over the bins, at most 65,536 quadrature nodes at a time, so
+    the working set does not grow with them.  It stops once the
     active marginals, and any inactive mu_n/n0 above them, agree to 1e-12
     relative.  Raises ``ValueError`` naming a bin whose mu/n0 or load overflows.
     """
@@ -115,12 +128,15 @@ def optimal_allocation(channel: ParallelChannel, p_total: float) -> np.ndarray:
     if top.size:
         n = int(top[0])
         raise ValueError(f"mu/n0 overflows in bin {n}: {float(channel.mean_gains[n])!r} / {n0!r}")
-    nodes, weights = _gamma_rule(channel.shape)
-    inverse = 1.0 / nodes  # e^-u, at most 7e195
+    nodes, weights, which = _gamma_rule(channel.shape)
+    inverse = 1.0 / nodes  # e^-u, at most 7e195, one row per distinct shape
+
+    def quotient(e_inv, load):  # 1/(e^-u + l), in place
+        return np.divide(1.0, np.add(e_inv, load, out=e_inv), out=e_inv)
 
     for _ in range(_ITER_CAP):
-        x = 1.0 / (inverse + _loads(channel, powers)[:, None])  # g/(n0 + p*g) over mu/n0
-        marginal = gain * _expect(x, weights)
+        loads = _loads(powers, channel.mean_gains, n0)
+        marginal = gain * _rule_sums(inverse, weights, which, quotient, loads)
         on = powers > 0.0
         lam = marginal[on].max()
         # an inactive bin's mu/n0 may exceed lam within the tolerance, where a step gives it 0
@@ -131,8 +147,8 @@ def optimal_allocation(channel: ParallelChannel, p_total: float) -> np.ndarray:
         # by 1/s, both exact; a curvature that still underflows gives its bin no power in
         # this step; levels measured from lam keep it free of cancellation
         s = math.ldexp(1.0, min(-math.frexp(lam)[1], 1023))  # 2**1024 overflows
-        x *= (s * gain)[:, None]
-        curvature = _expect(np.square(x, out=x), weights)
+        curvature = _rule_sums(inverse, weights, which, lambda e_inv, load, scale: np.square(
+            np.multiply(quotient(e_inv, load), scale, out=e_inv), out=e_inv), loads, s * gain)
         slopes = np.divide(1.0, curvature, out=np.zeros(curvature.size),
                            where=curvature >= np.finfo(float).tiny)
         levels = s * (lam - marginal) - (powers / s) * curvature

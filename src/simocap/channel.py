@@ -117,19 +117,20 @@ class ParallelChannel:
         return self.theta.size
 
 
-def _loads(channel: ParallelChannel, powers: np.ndarray) -> np.ndarray:
-    # the loads p*mu/n0 of an (n,) vector or (rows, n) stack of powers, all that the rates and
-    # the optimal solver read of a power, formed on significands so that p*mu alone may leave
-    # the float range: (p*mu)/n0 bit for bit where both are normal.  An overflow names its bin
-    (sp, ep), (sm, em) = np.frexp(powers), np.frexp(channel.mean_gains)
-    sn, en = math.frexp(channel.n0)
+def _loads(powers, gains, n0: float, product: str = "p*mu/n0") -> np.ndarray:
+    # the loads p*g/n0 of broadcast powers and gains, such as an (n,) vector or (rows, n) stack
+    # of powers over a channel's mean gains, all that the rates and the optimal solver read of
+    # a power.  They are formed on significands so that p*g alone may leave the float range:
+    # (p*g)/n0 bit for bit where both are normal.  An overflow names its bin and product
+    (sp, ep), (sg, eg) = np.frexp(powers), np.frexp(gains)
+    sn, en = math.frexp(n0)
     with np.errstate(over="ignore"):  # refused below, by bin
-        loads = np.ldexp(sp * sm / sn, ep + em - en)
+        loads = np.ldexp(sp * sg / sn, ep + eg - en)
     over = np.argwhere(np.isinf(loads))
     if over.size:
         at = tuple(over[0])
-        raise ValueError(f"p*mu/n0 overflows in bin {at[-1]}: {float(powers[at])!r} * "
-                         f"{float(channel.mean_gains[at[-1]])!r} / {channel.n0!r}")
+        p, g = (float(np.broadcast_to(v, loads.shape)[at]) for v in (powers, gains))
+        raise ValueError(f"{product} overflows in bin {at[-1]}: {p!r} * {g!r} / {n0!r}")
     return loads
 
 

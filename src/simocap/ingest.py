@@ -284,12 +284,14 @@ def write_channel_csv(snapshots: SnapshotSet, dest) -> None:
 def _csv_chunks(snapshots: SnapshotSet):
     yield CSV_HEADER + "\n"
     bins = [f"{k},{freq!r}," for k, freq in enumerate(snapshots.freqs_hz.tolist())]
+    # a row is 6 pieces, "s," "b,k,freq," re "," im "\n"; a snapshot sets s, re and im
+    pieces = [None, None, None, ",", None, "\n"] * (snapshots.branches * len(bins))
+    pieces[1::6] = [f"{b},{bin_}" for b in range(snapshots.branches) for bin_ in bins]
     for s, snapshot in enumerate(snapshots.coeffs):
-        yield "".join([
-            f"{s},{b},{bin_}{re!r},{im!r}\n"
-            for b, h in enumerate(snapshot)
-            for bin_, re, im in zip(bins, h.real.tolist(), h.imag.tolist())
-        ])
+        pieces[0::6] = [f"{s},"] * (len(pieces) // 6)
+        pieces[2::6] = map(repr, snapshot.real.ravel().tolist())
+        pieces[4::6] = map(repr, snapshot.imag.ravel().tolist())
+        yield "".join(pieces)
 
 
 def _write_atomic(path, chunks) -> None:

@@ -34,9 +34,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .alloc import equal_power, optimal_allocation, waterfill
+from .alloc import _NODE_CHUNK, _rule_sums, equal_power, optimal_allocation, waterfill
 from .channel import ParallelChannel, _branch_shape, _loads, _positive
-from .specfun import NumericError, _expect, _gamma_q, _gamma_rule, reg_gamma_q
+from .specfun import NumericError, _gamma_q, _gamma_rule, reg_gamma_q
 
 __all__ = [
     "LN2",
@@ -59,7 +59,6 @@ LN2 = math.log(2.0)
 _ITER_CAP = 50
 _A_STEP_TOLERANCE = 1e-10  # relative Newton step in a; the term's error is its square
 _MARKOV_CHUNK = 8192  # subchannels per pass of the Markov bound
-_NODE_CHUNK = 1 << 16  # quadrature nodes per pass of the exact rate
 _RATE_RTOL = 1e-13  # exact_rate's relative accuracy: that of the gamma quadrature rule
 _DBL_MAX = float(np.finfo(float).max)
 
@@ -92,7 +91,7 @@ def _stack(powers, n: int) -> np.ndarray:
 def _stack_on(channel: ParallelChannel, powers) -> tuple[np.ndarray, np.ndarray]:
     # _stack of powers on channel and its loads p*mu/n0, each refused as the module docstring says
     stack = _stack(powers, channel.n)
-    loads = _loads(channel, stack)
+    loads = _loads(stack, channel.mean_gains, channel.n0)
     tiny = np.argwhere((stack > 0.0) & (loads < 2.0 * np.maximum(channel.shape, 2.0) / _DBL_MAX))
     if tiny.size:
         row, n = tiny[0]
@@ -195,26 +194,28 @@ def exact_rate(channel: ParallelChannel, powers) -> float | np.ndarray:
     most ``_NODE_CHUNK`` nodes at a time (or one bin's, if more), so the
     working set beyond the rule and the stack does not grow with them.
     """
-    nodes, weights = _gamma_rule(channel.shape)  # one rule per call
+    nodes, weights, which = _gamma_rule(channel.shape)  # one rule per call
 
-    def term(bins, load):
-        with np.errstate(over="ignore"):  # past DBL_MAX/602 only; such rows are redone below
-            x = load[:, None] * nodes[bins]
+    def log1p_load(e_u, load):  # in place
         # l*e^u overflows at a row's last, largest node first, and then every node of the
         # row is past 1e109, where log1p(l*e^u) is log(l) + log(e^u) to the last bit
-        top = np.isinf(x[:, -1])
-        np.log1p(x, out=x)
-        x[top] = np.log(load[top, None]) + np.log(nodes[bins[top]])
-        return _expect(x, weights[bins])
+        with np.errstate(over="ignore"):  # past DBL_MAX/602 only; such rows are redone
+            top = np.isinf(load[:, 0] * e_u[:, -1])
+            redone = np.log(load[top]) + np.log(e_u[top])
+            np.log1p(np.multiply(load, e_u, out=e_u), out=e_u)
+        e_u[top] = redone
+        return e_u
 
-    return _powered_sums(channel, powers, term, max(1, _NODE_CHUNK // nodes.shape[1]))
+    return _powered_sums(channel, powers, lambda bins, load: _rule_sums(
+        nodes, weights, which[bins], log1p_load, load), _NODE_CHUNK)
 
 
 def empirical_rate(gains, powers, n0: float) -> float:
     """Snapshot-averaged sum rate over realized gains.
 
     ``gains`` is a (snapshots, subchannels) array of finite nonnegative
-    gains, such as ``simo_gains`` returns, with one column per power.
+    gains, such as ``simo_gains`` returns, with one column per power.  Each
+    p*g/n0 is formed as a load is, and one past DBL_MAX is refused by bin.
     """
     n0 = _positive("n0", n0)
     gains, powers = np.asarray(gains, dtype=float), np.asarray(powers, dtype=float)
@@ -226,8 +227,7 @@ def empirical_rate(gains, powers, n0: float) -> float:
     (powers,) = _stack([powers], gains.shape[1])  # one allocation is a one-row stack
     if not np.all(np.isfinite(gains) & (gains >= 0.0)):
         raise ValueError("gains must be finite and nonnegative")
-    per_snapshot = np.log1p(gains * (powers / n0)).sum(axis=1)
-    return float(per_snapshot.mean())
+    return float(np.log1p(_loads(powers, gains, n0, "p*g/n0")).sum(axis=1).mean())
 
 
 def mpe(c_upper: float, c_lower: float) -> float:

@@ -146,7 +146,7 @@ def _q_fraction(k, x, pre):
 
 
 def _gamma_rule(shapes):
-    """Unit-mean nodes e^u = g/(shape*scale) and probability weights of each shape's rule.
+    """Unit-mean nodes e^u = g/(shape*scale) and weights per distinct shape, and each row index.
 
     The trapezoid rule in u = log(g/(shape*scale)), where the density is
     proportional to exp(shape*(u - expm1(u))), an entire function of u, so
@@ -156,8 +156,9 @@ def _gamma_rule(shapes):
     window drops tails of relative weight below about 1e-19: 2288, 480, 51,
     224 and 656 nodes at shapes 0.1, 0.5, 128, 1e4 and 1e5.  Normalizing
     the weights replaces 1/Gamma(shape), which cancels at large shapes.
-    Both arrays are (len(shapes), longest row), shorter rows padded with
-    their last node at zero weight.  The nodes lie in [1.4e-196, 602].
+    Both arrays are (distinct shapes, longest row), shorter rows padded with
+    their last node at zero weight; ``shapes[i]`` is in row ``which[i]``.
+    The nodes lie in [1.4e-196, 602].
     """
     k, which = np.unique(np.asarray(shapes, dtype=float), return_inverse=True)
     h = np.minimum(0.2, 0.5 / np.sqrt(k))
@@ -167,7 +168,7 @@ def _gamma_rule(shapes):
     u = h[:, None] * (first[:, None] + np.minimum(j, last[:, None]))
     weights = np.where(j <= last[:, None], np.exp(k[:, None] * (u - np.expm1(u))), 0.0)
     weights /= weights.sum(axis=1, keepdims=True)
-    return np.exp(u)[which], weights[which]
+    return np.exp(u), weights, which
 
 
 def _expect(values, weights) -> np.ndarray:
@@ -201,12 +202,12 @@ def gamma_expectation_batch(f, shapes, scales) -> np.ndarray:
     _check_shapes(shapes)
     if not np.all((scales > 0.0) & (scales < math.inf)):
         raise ValueError("scales must be positive and finite")
-    nodes, weights = _gamma_rule(shapes)
+    nodes, weights, which = _gamma_rule(shapes)
     with np.errstate(over="ignore"):  # refused below, by row
-        g = scales[:, None] * (shapes[:, None] * nodes)
+        g = scales[:, None] * (shapes[:, None] * nodes[which])
     top = np.flatnonzero(np.isinf(g[:, -1]))  # a row's last node is its largest, padded or not
     if top.size:
         i = int(top[0])
         raise ValueError(f"quadrature nodes overflow in bin {i}: shape {float(shapes[i])!r} "
                          f"and scale {float(scales[i])!r} reach past 1.8e308")
-    return _expect(f(g), weights)
+    return _expect(f(g), weights[which])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -326,6 +327,36 @@ def test_optimal_allocation_builds_one_rule_per_solve(monkeypatch):
     _assert_kkt(ch, 2.0, optimal_allocation(ch, 2.0))
     assert len(built) == 1
     assert len(applied) >= 3  # marginals, curvatures and marginals again at least
+
+
+def test_optimal_allocation_working_set_is_its_rule_its_vectors_and_a_bounded_pass():
+    # 4,096 bins at shape 0.5 (480 nodes a bin): the rule is one row, 7.5 KiB,
+    # and a row index a bin.  Beyond it, a Newton step holds at most 24 arrays
+    # of one entry a bin (the powers, loads and their temporaries, marginals,
+    # curvatures and the waterfilling's sorted copies) and, per pass, 3 arrays
+    # of at most _NODE_CHUNK nodes (the nodes, turned in place into the
+    # integrand, and the weights), not a 4,096-by-480 table of 15 MiB.
+    ch = build_decay_profile(4096, 5e9, 6e9, 3.0, 0.5, 1, 1.0)
+    rule_bytes = sum(part.nbytes for part in specfun._gamma_rule(ch.shape))
+    tracemalloc.start()
+    try:
+        optimal_allocation(ch, 4096.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= rule_bytes + 24 * 8 * ch.n + 3 * 8 * alloc_module._NODE_CHUNK, peak
+
+
+@pytest.mark.parametrize("rows_a_pass", [1, 5])
+def test_optimal_allocation_does_not_depend_on_where_its_passes_cut(rows_a_pass, monkeypatch):
+    # mixed shapes pad the rule's rows to the longest; a pass of one row, or of
+    # 5 rows, cuts the marginals and curvatures between every bin or inside
+    # the channel, and each bin's sums, so the powers, stay bit for bit
+    ch = ParallelChannel(theta=np.geomspace(1e-2, 1e2, 12), shape=[0.5, 6.0, 1e3] * 4, n0=1.0)
+    whole = optimal_allocation(ch, 3.0)
+    nodes_per_bin = specfun._gamma_rule(ch.shape)[0].shape[1]
+    monkeypatch.setattr(alloc_module, "_NODE_CHUNK", rows_a_pass * nodes_per_bin)
+    assert optimal_allocation(ch, 3.0).tolist() == whole.tolist()
 
 
 def test_waterlevel_gives_no_negative_power_at_a_budget_just_past_a_level():

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from simocap import rates, specfun
+from simocap import alloc, rates, specfun
 from simocap.alloc import equal_power, optimal_allocation, waterfill
 from simocap.channel import ParallelChannel, build_decay_profile
 from simocap.ingest import generate_snapshots, simo_gains
@@ -384,7 +384,7 @@ def test_jensen_and_exact_rate_of_a_stack_are_its_rows_rate_by_rate(rate, node_b
     alone = [rate(ch, row) for row in stack]
     if node_budget is not None:
         nodes_per_bin = specfun._gamma_rule(ch.shape)[0].shape[1]
-        monkeypatch.setattr(rates, "_NODE_CHUNK", node_budget(nodes_per_bin))
+        monkeypatch.setattr(alloc, "_NODE_CHUNK", node_budget(nodes_per_bin))
     values = rate(ch, stack)
     assert isinstance(values, np.ndarray) and values.shape == (40,)
     assert all(type(v) is float for v in alone)
@@ -395,24 +395,23 @@ def test_jensen_and_exact_rate_of_a_stack_are_its_rows_rate_by_rate(rate, node_b
 
 
 def test_exact_rate_working_set_is_its_rule_its_stack_and_a_bounded_pass():
-    # 8 rows over 4,096 bins at shape 0.5 (480 nodes a bin): the rule is
-    # 30 MiB, and all 32,768 bins are powered.  Beyond the rule, exact_rate
-    # holds at most 8 stack-sized arrays (the loads and their temporary,
-    # the powered pairs' rows, bins, loads and terms, and masks) and, per
-    # pass, 3 arrays of at most _NODE_CHUNK nodes (the nodes, scaled in
-    # place to the integrand, and the weights), not a row's 15 MiB.
+    # 8 rows over 4,096 bins at shape 0.5 (480 nodes a bin): the rule is one
+    # row, 7.5 KiB, and a row index a bin, and all 32,768 bins are powered.
+    # Beyond the rule, exact_rate holds at most 8 stack-sized arrays (the
+    # loads and their temporary, the powered pairs' rows, bins, loads and
+    # terms, and masks) and, per pass, 3 arrays of at most _NODE_CHUNK nodes
+    # (the nodes, scaled in place to the integrand, and the weights), not a
+    # row's 15 MiB.
     ch = build_decay_profile(4096, 5e9, 6e9, 3.0, 0.5, 1, 1.0)
     stack = np.geomspace(1e-3, 1e3, 8)[:, None] * np.ones(ch.n)
-    g, weights = specfun._gamma_rule(ch.shape)
-    rule_bytes = g.nbytes + weights.nbytes
-    del g, weights
+    rule_bytes = sum(part.nbytes for part in specfun._gamma_rule(ch.shape))
     tracemalloc.start()
     try:
         exact_rate(ch, stack)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= rule_bytes + 8 * stack.nbytes + 3 * 8 * rates._NODE_CHUNK, peak
+    assert peak <= rule_bytes + 8 * stack.nbytes + 3 * 8 * alloc._NODE_CHUNK, peak
 
 
 def test_exact_rate_builds_one_rule_per_call(monkeypatch):

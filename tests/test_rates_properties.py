@@ -12,7 +12,9 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from simocap.alloc import equal_power, optimal_allocation, waterfill  # noqa: E402
 from simocap.channel import ParallelChannel  # noqa: E402
-from simocap.rates import _markov_terms, exact_rate, jensen_upper, markov_lower  # noqa: E402
+from simocap.rates import (  # noqa: E402
+    _markov_terms, empirical_rate, exact_rate, jensen_upper, markov_lower,
+)
 
 subchannels = st.tuples(
     st.floats(-3.0, 3.0),  # log10 of the mean gain
@@ -84,7 +86,12 @@ def _channels(draw):
 def _assert_refused_or_ordered(ch, powers):
     # The load rule of the rates, on loads formed exactly: a load past DBL_MAX, or a powered
     # load below 2*max(k, 2)/DBL_MAX (0 among them), is refused by every bound, naming its
-    # bin; any other gives finite rates ordered within the slacks of the test above.
+    # bin; any other gives finite rates ordered within the slacks of the test above.  The
+    # snapshot average over one snapshot at the mean gains forms its p*g/n0 as the loads are
+    # formed: it refuses an overflow alike, and is otherwise the Jensen bound bit for bit.
+    def realized():  # one snapshot at the mean gains
+        return empirical_rate(ch.mean_gains[None], powers, ch.n0)
+
     loads = [Fraction(p) * Fraction(mu) / Fraction(ch.n0) for p, mu in zip(powers, ch.mean_gains)]
     over = any(load > _DBL_MAX for load in loads)
     tiny = any(0 < load < 2.0 * max(k, 2.0) / _DBL_MAX for load, k in zip(loads, ch.shape))
@@ -95,9 +102,13 @@ def _assert_refused_or_ordered(ch, powers):
         for rate in rules:
             with pytest.raises(ValueError, match=refusal):
                 rate(ch, powers)
+        if over:
+            with pytest.raises(ValueError, match=r"^p\*g/n0 overflows in bin \d+: "):
+                realized()
         return
     upper, exact, best, closed = (rate(ch, powers) for rate in rules)
     assert all(np.isfinite([upper, exact, best, closed]))
+    assert realized() == upper
     assert closed <= best * (1.0 + 1e-15)
     assert best <= exact * (1.0 + 1e-13)
     assert exact <= upper * (1.0 + 1e-13)
@@ -105,8 +116,11 @@ def _assert_refused_or_ordered(ch, powers):
 
 @settings(max_examples=300, deadline=None)
 @given(_channels())
-# p/n0 underflows to 0 at a load of 2.9e-275, where Jensen gives 2.9e-275
+# p/n0 underflows to 0 at a load of 2.9e-275, where Jensen gives 2.9e-275; the snapshot
+# average at the mean gains 6.4e63 formed g*(p/n0) and gave 0.0 too
 @example(([(3.3e63, 1.95, 1.9e-221)], 4.2e117))
+# p/n0 overflows at a load of 1e150, where a snapshot average of g*(p/n0) gave inf
+@example(([(1e-200, 1.0, 1e250)], 1e-100))
 # p/n0 = 3.3e-322 is subnormal, and an exact rate formed from it lies 1.5e-3 above Jensen
 @example(([(9.6e278, 11931.53, 1.4e-294)], 4.3e27))
 # p/n0 overflows where a node of the shape-0.12 law, scaled by theta, underflows to 0

@@ -210,14 +210,16 @@ def _trapezoid_rule(shape, h):
 )
 def test_one_row_rule_is_the_per_shape_trapezoid_rule(shape, count):
     # the node counts the docstring and README state, and the unit-mean nodes
-    # e^u and the weights of the one-shape formula bit for bit
-    nodes, weights = specfun._gamma_rule([shape])
+    # e^u and the weights of the one-shape formula bit for bit, in one row
+    # that every entry of that shape reads
+    nodes, weights, which = specfun._gamma_rule([shape] * 3)
     want_nodes, want_weights = _trapezoid_rule(shape, min(0.2, 0.5 / math.sqrt(shape)))
     assert nodes.shape == weights.shape == (1, count)
+    assert which.tolist() == [0, 0, 0]
     assert np.array_equal(nodes[0], want_nodes)
     assert np.array_equal(weights[0], want_weights)
     for other in np.geomspace(0.1, 1e5, 61):
-        nodes, weights = specfun._gamma_rule([other])
+        nodes, weights, _ = specfun._gamma_rule([other])
         want_nodes, want_weights = _trapezoid_rule(other, min(0.2, 0.5 / math.sqrt(other)))
         assert np.array_equal(nodes[0], want_nodes) and np.array_equal(weights[0], want_weights)
 
