@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .channel import ParallelChannel, _loads, _positive, _positive_integer
+from .channel import _DBL_MAX, ParallelChannel, _loads, _positive, _positive_integer
 from .specfun import NumericError, _expect, _gamma_rule
 
 __all__ = [
@@ -105,29 +105,30 @@ def optimal_allocation(channel: ParallelChannel, p_total: float) -> np.ndarray:
     The objective sum_n E[log(1 + p_n*g_n/n0)] is strictly concave, so the
     optimum is characterized by a shared multiplier lam on the marginal
     utilities M_n(p) = E[g/(n0 + p*g)]: M_n = lam on active subchannels,
-    and mu_n/n0 = M_n(0) <= lam on the rest.  On the gamma rule's unit-mean
-    nodes e^u = g/mu_n, M_n = (mu_n/n0)*E[1/(e^-u + l_n)] at the load
-    l_n = p_n*mu_n/n0, a quotient that never overflows.  Newton's method
-    solves these conditions from statistical waterfilling, which is within
+    and mu_n/n0 = M_n(0) <= lam on the rest.  Newton's method solves these
+    conditions from statistical waterfilling, which is within
     O(1/(L log L)) of the optimum.  Each step linearizes M_n with its
     derivative -D_n = -E[(g/(n0 + p*g))**2] and solves
     p_n = max(0, (M_n + p_n*D_n - lam)/D_n), sum p_n = p_total, as one
-    waterfilling with slopes 1/D_n, in units that scale M_n by a power of
-    two s near 1/lam, so D_n, the square of the same quotient times s*mu_n/n0,
-    stays a normal float up to the largest powers.  M_n and D_n are each
-    one pass over the bins, at most 65,536 quadrature nodes at a time, so
-    the working set does not grow with them.  It stops once the
-    active marginals, and any inactive mu_n/n0 above them, agree to 1e-12
-    relative.  Raises ``ValueError`` naming a bin whose mu/n0 or load overflows.
+    waterfilling with slopes 1/D_n.  The solve runs in one unit s, the power
+    of two in (nu/4, nu/2] at waterfilling's water level nu, but at least
+    2**-1022, which scales M_n by s and the powers by 1/s, exactly.  On the
+    rule's unit-mean nodes e^u = g/mu_n, s*M_n = (s*mu_n/n0)*E[1/(e^-u + l_n)]
+    at the load l_n = p_n*mu_n/n0.  At waterfilling's powers s*mu_n/n0 is
+    below (1 + l_n)/2 on powered bins and 1/2 on the rest, so neither it nor
+    s**2*D_n, the square of the same quotient times it, overflows where the
+    loads do not.  M_n and D_n take passes of at most 65,536 nodes.  It
+    stops once the active marginals, and any inactive mu_n/n0 above them,
+    agree to 1e-12 relative.  Raises ``ValueError`` naming a budget that
+    waterfilling splits into zeros, or a bin whose s*mu/n0 or load overflows.
     """
     n0, p_total = channel.n0, _positive("p_total", p_total)
-    powers = waterfill(channel.mean_gains, n0, p_total)[0]
-    with np.errstate(over="ignore"):  # refused below, by bin
-        gain = channel.mean_gains / n0
-    top = np.flatnonzero(np.isinf(gain))
-    if top.size:
-        n = int(top[0])
-        raise ValueError(f"mu/n0 overflows in bin {n}: {float(channel.mean_gains[n])!r} / {n0!r}")
+    powers, nu = waterfill(channel.mean_gains, n0, p_total)
+    if not powers.any():
+        raise ValueError(f"p_total {p_total!r} is too small: waterfilling splits it into zeros")
+    s = math.ldexp(1.0, max(math.frexp(min(nu, _DBL_MAX))[1] - 2, -1022))  # never subnormal
+    loads = _loads(powers, channel.mean_gains, n0)
+    gain = _loads(s, channel.mean_gains, n0, "s*mu/n0")  # finite where loads are, if s <= nu/2
     nodes, weights, which = _gamma_rule(channel.shape)
     inverse = 1.0 / nodes  # e^-u, at most 7e195, one row per distinct shape
 
@@ -135,7 +136,6 @@ def optimal_allocation(channel: ParallelChannel, p_total: float) -> np.ndarray:
         return np.divide(1.0, np.add(e_inv, load, out=e_inv), out=e_inv)
 
     for _ in range(_ITER_CAP):
-        loads = _loads(powers, channel.mean_gains, n0)
         marginal = gain * _rule_sums(inverse, weights, which, quotient, loads)
         on = powers > 0.0
         lam = marginal[on].max()
@@ -143,14 +143,13 @@ def optimal_allocation(channel: ParallelChannel, p_total: float) -> np.ndarray:
         if marginal.max() - marginal[on].min() <= _KKT_TOLERANCE * lam:
             # waterfilling's powers, if already optimal, may cancel against its water level
             return powers * (p_total / powers.sum())
-        # the step in units that scale marginals by a power of two s near 1/lam and powers
-        # by 1/s, both exact; a curvature that still underflows gives its bin no power in
-        # this step; levels measured from lam keep it free of cancellation
-        s = math.ldexp(1.0, min(-math.frexp(lam)[1], 1023))  # 2**1024 overflows
+        # a curvature that underflows gives its bin no power in this step; levels measured
+        # from lam keep it free of cancellation
         curvature = _rule_sums(inverse, weights, which, lambda e_inv, load, scale: np.square(
-            np.multiply(quotient(e_inv, load), scale, out=e_inv), out=e_inv), loads, s * gain)
+            np.multiply(quotient(e_inv, load), scale, out=e_inv), out=e_inv), loads, gain)
         slopes = np.divide(1.0, curvature, out=np.zeros(curvature.size),
                            where=curvature >= np.finfo(float).tiny)
-        levels = s * (lam - marginal) - (powers / s) * curvature
+        levels = (lam - marginal) - (powers / s) * curvature
         powers = s * _waterlevel(levels, slopes, p_total / s)[0]
+        loads = _loads(powers, channel.mean_gains, n0)
     raise NumericError(f"Newton iteration did not converge in {_ITER_CAP} steps")

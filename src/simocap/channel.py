@@ -40,6 +40,8 @@ def _positive(name: str, value) -> float:
     return value
 
 
+_DBL_MAX = float(np.finfo(float).max)
+
 # the entries of the longest float64 array numpy can address; past it, numpy's own
 # errors name no input (linspace even raises IndexError within 512 of the intp maximum)
 _COUNT_MAX = int(np.iinfo(np.intp).max) // np.dtype(float).itemsize

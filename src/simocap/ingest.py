@@ -239,31 +239,31 @@ def _check_across_rows(table, after=None) -> None:
     # the first fault of the rows: the first row in file order that repeats an earlier
     # cell or differs from the first frequency of its bin, on one row the repeat; else
     # after, the row fault that stopped the read, or the shape whose cells the rows,
-    # then distinct, do not all fill: the first missing cell has the first rank skipped
+    # then distinct, do not all fill: the first missing cell has the first rank no row has
     s, b, k, freq = (table[name] for name in ("s", "b", "k", "freq"))
-    order = np.lexsort((k, b, s))  # stable: a cell's first row sorts first
+    order = np.lexsort((b, s, k))  # bin-major and stable: a cell's first row sorts first
     same = np.logical_and.reduce([c[1:] == c[:-1] for c in (i[order] for i in (s, b, k))])
     dup = order[1:][same].min(initial=len(s))
-    _, first, inverse = np.unique(k, return_index=True, return_inverse=True)
-    clash = np.flatnonzero(freq != freq[first][inverse])
-    if clash.size and clash[0] < dup:
-        i = int(clash[0])
-        raise ParseError(f"inconsistent freq_hz for bin {k[i]}: {float(freq[i])!r} vs "
-                         f"{float(freq[first[inverse[i]]])!r}", line=i + 2)
+    starts = np.flatnonzero(np.diff(k[order], prepend=-1))  # where each bin's rows start
+    first = np.repeat(np.minimum.reduceat(order, starts), np.diff(starts, append=len(s)))
+    clash = order[freq[order] != freq[first]].min(initial=len(s))  # vs its bin's first row
+    if clash < dup:
+        raise ParseError(f"inconsistent freq_hz for bin {k[clash]}: {float(freq[clash])!r} vs "
+                         f"{float(freq[np.argmax(k == k[clash])])!r}", line=int(clash) + 2)
     if dup < len(s):
         raise ParseError(f"duplicate cell (snapshot={s[dup]}, branch={b[dup]}, bin={k[dup]})",
                          line=int(dup) + 2)
     if isinstance(after, ParseError):
         raise after
-    if after is not None:  # a rank up to the row count reaches no radix past it: cut, in int64
+    if after is not None:  # distinct rows leave a rank up to their count unmarked
         n_b, n_k = (min(d, len(s) + 1) for d in after[1:])
-        digits = (lambda r: r // (n_b * n_k), lambda r: r // n_k % n_b, lambda r: r % n_k)
-        ranks, skip = np.arange(len(s)), np.zeros(len(s), bool)
-        for i, digit in zip((s, b, k), digits):  # one sorted column held at a time
-            skip |= i[order] != digit(ranks)
-        r = int(np.append(skip, True).argmax())  # the row count, if no smaller rank is skipped
-        s0, b0, k0 = (digit(r) for digit in digits)
-        raise ParseError(f"missing cell (snapshot={s0}, branch={b0}, bin={k0})")
+        cut = lambda i: np.minimum(i, len(s) + 1)  # a digit past the count gives a rank past
+        rank = cut(cut(s) * n_b + cut(b)) * n_k + cut(k)  # it, and each product fits in int64
+        marked = np.zeros(len(s) + 1, bool)
+        marked[rank[rank <= len(s)]] = True
+        r = int(marked.argmin())
+        raise ParseError(f"missing cell (snapshot={r // (n_b * n_k)}, branch={r // n_k % n_b}, "
+                         f"bin={r % n_k})")
 
 
 def write_channel_csv(snapshots: SnapshotSet, dest) -> None:

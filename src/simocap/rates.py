@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .alloc import _NODE_CHUNK, _rule_sums, equal_power, optimal_allocation, waterfill
-from .channel import ParallelChannel, _branch_shape, _loads, _positive
+from .channel import _DBL_MAX, ParallelChannel, _branch_shape, _loads, _positive
 from .specfun import NumericError, _gamma_q, _gamma_rule, reg_gamma_q
 
 __all__ = [
@@ -60,7 +60,6 @@ _ITER_CAP = 50
 _A_STEP_TOLERANCE = 1e-10  # relative Newton step in a; the term's error is its square
 _MARKOV_CHUNK = 8192  # subchannels per pass of the Markov bound
 _RATE_RTOL = 1e-13  # exact_rate's relative accuracy: that of the gamma quadrature rule
-_DBL_MAX = float(np.finfo(float).max)
 
 
 class MetricUndefinedError(ValueError):

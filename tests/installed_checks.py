@@ -120,6 +120,15 @@ def check_nodes_past_dbl_max():
         print(exc)
     else:
         raise AssertionError("a load past DBL_MAX was accepted")
+    # mu/n0 = 1e309 is past DBL_MAX, but the optimal solver reads it in units of a power
+    # of two below the water level: it solves, 0.16 nats above waterfilling
+    ch = sc.ParallelChannel([1.0, 1e307], 0.1, n0=1e-3)
+    p, swf = sc.optimal_allocation(ch, 0.05), sc.waterfill(ch.mean_gains, 1e-3, 0.05)[0]
+    rates = [f(ch, p) for f in (sc.markov_lower, sc.exact_rate, sc.jensen_upper)]
+    assert (p > 0.0).all() and abs(p.sum() / 0.05 - 1.0) <= 1e-12, p
+    assert 0.0 < rates[0] <= rates[1] <= rates[2] < float("inf"), rates
+    assert rates[1] > sc.exact_rate(ch, swf) + 0.16, (rates, swf)
+    print(p, rates)
 
 
 def check_extreme_profiles():

@@ -254,20 +254,45 @@ def test_optimal_allocation_meets_kkt_over_a_wide_spread_of_mean_gains(snr_db):
     assert exact_rate(ch, powers) >= exact_rate(ch, waterfill(ch.mean_gains, ch.n0, p_total)[0])
 
 
-def test_optimal_allocation_refuses_gains_whose_ratio_to_n0_overflows():
+def _mpmath_marginal(mpmath, mu, k, n0, p):
+    # E[g/(n0 + p*g)] for g ~ Gamma(k, mu/k), in 30 digits, where mu/n0 may pass DBL_MAX:
+    # mu/n0 at p = 0, else (1 - z**k * U(k, k, z))/p at z = k*n0/(p*mu), since
+    # E[1/(1 + t/z)] = z**k * U(k, k, z) for t ~ Gamma(k, 1)
+    with mpmath.workdps(30):
+        mu, k, n0, p = (mpmath.mpf(v) for v in (mu, k, n0, p))
+        if p == 0:
+            return mu / n0
+        z = k * n0 / (p * mu)
+        return (1 - z**k * mpmath.hyperu(k, k, z)) / p
+
+
+def test_optimal_allocation_solves_bins_whose_mu_over_n0_is_near_or_past_dbl_max():
     # a bin's marginal utility at zero power is mu/n0.  At mu/n0 = 1e308 the top
     # quadrature node of the shape-0.1 law, about 600 times its mean, is past DBL_MAX
-    # over n0, but the solver reads only mu/n0 and the loads, so it solves
+    # over n0, and at 1e309 mu/n0 itself is; but the solver reads only the loads and
+    # mu/n0 in units of a power of two below the water level, so it solves both
+    mpmath = pytest.importorskip("mpmath")
     ch = ParallelChannel(theta=[1.0, 1e306], shape=0.1, n0=1e-3)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         powers = optimal_allocation(ch, 1.0)
         assert math.isclose(powers.sum(), 1.0, rel_tol=1e-12) and np.all(powers > 0.0)
         assert 0.0 < exact_rate(ch, powers) <= jensen_upper(ch, powers)
-        # at mu/n0 = 1e309 it is refused by bin, at a budget whose loads are all finite
         ch = ParallelChannel(theta=[1.0, 1e307], shape=0.1, n0=1e-3)
-        with pytest.raises(ValueError, match=r"^mu/n0 overflows in bin 1: 1e\+306 / 0\.001$"):
-            optimal_allocation(ch, 1e-10)
+        low, high = optimal_allocation(ch, 1e-10), optimal_allocation(ch, 0.05)
+        swf = waterfill(ch.mean_gains, ch.n0, 0.05)[0]
+        gain = exact_rate(ch, high) - exact_rate(ch, swf)
+    assert low.tolist() == [0.0, 1e-10]
+    assert np.all(high > 0.0) and 0.16 < gain < 0.161, (high, gain)
+    # the KKT stop on 30-digit marginals: gamma_expectation_batch, which _assert_kkt uses,
+    # refuses the nodes of bin 1, which lie past DBL_MAX
+    for p_total, powers in ((1e-10, low), (0.05, high)):
+        marginals = [_mpmath_marginal(mpmath, mu, 0.1, ch.n0, p)
+                     for mu, p in zip(ch.mean_gains, powers)]
+        active = [m for m, p in zip(marginals, powers) if p > 0.0]
+        # the active marginals, and any inactive mu/n0 above them, agree to 1e-12
+        assert max(marginals) - min(active) <= 1e-12 * max(active)
+        assert math.isclose(powers.sum(), p_total, rel_tol=1e-12)
 
 
 def test_exact_rate_reads_nodes_past_dbl_max_at_a_finite_load_and_refuses_its_overflow():
@@ -283,8 +308,35 @@ def test_exact_rate_reads_nodes_past_dbl_max_at_a_finite_load_and_refuses_its_ov
         ch = ParallelChannel(theta=[1.0, 1e307], shape=0.1, n0=1e-300)
         with pytest.raises(ValueError, match=r"^p\*mu/n0 overflows in bin 1: 1e-10 \* 1e\+306 / "):
             exact_rate(ch, [1.0, 1e-10])
-        with pytest.raises(ValueError, match=r"^mu/n0 overflows in bin 1: "):
+        # and so is the load that waterfilling gives it
+        with pytest.raises(ValueError,
+                           match=r"^p\*mu/n0 overflows in bin 1: 0\.5 \* 1e\+306 / 1e-300$"):
             optimal_allocation(ch, 1.0)
+
+
+def test_optimal_allocation_refuses_a_budget_that_waterfilling_splits_into_zeros():
+    # 5e-324 over two bins at one level is two halves that round to 0: refused, naming
+    # p_total, where mu/n0 is 1 and where it is 1e600
+    for theta, n0 in (([1.0, 1.0], 1.0), ([1e300, 5e299], 1e-300)):
+        ch = ParallelChannel(theta, 1.0, n0=n0)
+        with pytest.raises(ValueError, match=r"^p_total 5e-324 is too small: "):
+            optimal_allocation(ch, 5e-324)
+    # at mu/n0 = 1e310 the water levels of 1e-323 and 1e-310 are subnormal, and the solve's
+    # unit stays the smallest normal power of two: 1e-310 is not waterfilling's equal split
+    # but the normal-range solve scaled by 1e-300
+    ch = ParallelChannel([1e11, 1e9], [0.1, 10.0], n0=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert optimal_allocation(ch, 1e-323).tolist() == [5e-324, 5e-324]
+        powers = optimal_allocation(ch, 1e-310)
+        normal = optimal_allocation(ParallelChannel([1e11, 1e9], [0.1, 10.0], n0=1.0), 1e-10)
+    assert np.allclose(powers, 1e-300 * normal, rtol=1e-12, atol=0.0), (powers, normal)
+    assert powers[1] > 6.0 * powers[0]
+    # with n0 subnormal too, s = 2**-1022, above nu/2, takes s*mu/n0 past DBL_MAX where the
+    # load 5e-324 * 1e300 / 5e-324 is finite: refused by bin
+    ch = ParallelChannel([1e300], 1.0, n0=5e-324)
+    with pytest.raises(ValueError, match=r"^s\*mu/n0 overflows in bin 0: 2\.225\d*e-308 \* "):
+        optimal_allocation(ch, 5e-324)
 
 
 def test_waterfill_keeps_the_water_level_finite_near_the_largest_budget():

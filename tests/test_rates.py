@@ -739,11 +739,14 @@ def test_rate_table_markov_column_survives_a_callable_that_reuses_its_buffer():
 
 
 def test_rate_table_names_the_snr_of_an_allocation_its_strategy_refuses():
-    # waterfilling accepts the channel and its loads are finite, but the mean gain over
-    # n0, the optimal solver's marginal utility at zero power, overflows in bin 1
+    # waterfilling accepts the channel and its loads are finite, but the strategy
+    # refuses the budget by itself
+    def refuses(ch, p_total):
+        raise ValueError(f"no split of p_total {p_total!r}")
+
     ch = ParallelChannel(theta=[1.0, 1e307], shape=0.1, n0=1e-3)
-    with pytest.raises(ValueError, match=r"^mu/n0 overflows in bin 1: .* at SNR -10\.0 dB$"):
-        rate_table(lambda L: ch, [1], [-10.0], ["statistical-waterfill", "optimal"])
+    with pytest.raises(ValueError, match=r"^no split of p_total \S+ at SNR -10\.0 dB$"):
+        rate_table(lambda L: ch, [1], [-10.0], ["statistical-waterfill", refuses])
 
 
 def test_rate_table_rejects_an_unknown_tag_and_a_wrong_length_allocation():

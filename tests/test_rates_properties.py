@@ -125,10 +125,14 @@ def _assert_refused_or_ordered(ch, powers):
 @example(([(9.6e278, 11931.53, 1.4e-294)], 4.3e27))
 # p/n0 overflows where a node of the shape-0.12 law, scaled by theta, underflows to 0
 @example(([(1.2e-233, 0.12, 1.4e248)], 6.8e-67))
+# mu/n0 = 1e309 in bin 1 at finite loads: the optimal solver refused the bin where
+# waterfilling's rates were accepted
+@example(([(1.0, 0.1, 0.01), (1e307, 0.1, 0.04)], 1e-3))
 def test_every_load_is_refused_or_gives_finite_ordered_rates(draw):
     # The drawn powers, and each allocator's split of their total, either are refused
     # naming a bin or a parameter, or give finite rates as _assert_refused_or_ordered
     # says; an allocation sums to its budget within 1e-12, or the subnormal spacing.
+    # The optimal solver refuses what waterfilling refuses, or else a load past DBL_MAX.
     bins, n0 = draw
     theta, shape, powers = (np.array(v) for v in zip(*bins))
     budget = sum(powers.tolist())  # past DBL_MAX, inf: each allocator refuses it
@@ -140,13 +144,18 @@ def test_every_load_is_refused_or_gives_finite_ordered_rates(draw):
             assert re.search(_NAMED, str(exc)), exc
             return
         _assert_refused_or_ordered(ch, powers)
-        for allocate in (lambda: waterfill(ch.mean_gains, n0, budget)[0],
-                         lambda: equal_power(ch.n, budget), lambda: optimal_allocation(ch, budget)):
+        refusals = {}
+        for name, allocate in (("waterfill", lambda: waterfill(ch.mean_gains, n0, budget)[0]),
+                               ("equal", lambda: equal_power(ch.n, budget)),
+                               ("optimal", lambda: optimal_allocation(ch, budget))):
             try:
                 split = allocate()
             except ValueError as exc:
                 assert re.search(_NAMED, str(exc)), exc
+                refusals[name] = str(exc)
                 continue
             assert np.all(np.isfinite(split) & (split >= 0.0))
             assert abs(sum(split.tolist()) - budget) <= max(1e-12 * budget, ch.n * 5e-324), split
             _assert_refused_or_ordered(ch, split)
+        if "optimal" in refusals and "waterfill" not in refusals:
+            assert re.match(r"^p\*mu/n0 overflows in bin \d+: ", refusals["optimal"]), refusals
