@@ -48,11 +48,7 @@ from .rates import (
     rate_table,
     snr_db_to_power,
 )
-from .specfun import (
-    NumericError,
-    gamma_expectation_batch,
-    reg_gamma_q,
-)
+from .specfun import NumericError, reg_gamma_q
 
 # the public API is every class and function imported above, in import order
 __all__ = ["__version__"] + [

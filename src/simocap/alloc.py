@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .channel import _DBL_MAX, ParallelChannel, _loads, _positive, _positive_integer
-from .specfun import NumericError, _expect, _gamma_rule
+from .specfun import NumericError, _gamma_rule, _rule_sums
 
 __all__ = [
     "waterfill",
@@ -24,17 +24,6 @@ __all__ = [
 
 _ITER_CAP = 50
 _KKT_TOLERANCE = 1e-12  # relative spread of the active marginal utilities at the optimum
-_NODE_CHUNK = 1 << 16  # quadrature nodes per pass of _rule_sums
-
-
-def _rule_sums(nodes, weights, rows, integrand, *columns) -> np.ndarray:
-    # per entry i, weights' row rows[i] applied to integrand(x, *columns), where x holds the
-    # entries' rows of nodes, to overwrite; a pass takes at most _NODE_CHUNK nodes, or one row
-    sums, step = np.empty(rows.size), max(1, _NODE_CHUNK // nodes.shape[1])
-    for at in (slice(start, start + step) for start in range(0, rows.size, step)):
-        values = integrand(nodes[rows[at]], *(column[at, None] for column in columns))
-        sums[at] = _expect(values, weights[rows[at]])
-    return sums
 
 
 def _waterlevel(levels: np.ndarray, slopes: np.ndarray, total: float):
@@ -112,23 +101,23 @@ def optimal_allocation(channel: ParallelChannel, p_total: float) -> np.ndarray:
     p_n = max(0, (M_n + p_n*D_n - lam)/D_n), sum p_n = p_total, as one
     waterfilling with slopes 1/D_n.  The solve runs in one unit s, the power
     of two in (nu/4, nu/2] at waterfilling's water level nu, but at least
-    2**-1022, which scales M_n by s and the powers by 1/s, exactly.  On the
+    2**-1074, which scales M_n by s and the powers by 1/s, exactly.  On the
     rule's unit-mean nodes e^u = g/mu_n, s*M_n = (s*mu_n/n0)*E[1/(e^-u + l_n)]
     at the load l_n = p_n*mu_n/n0.  At waterfilling's powers s*mu_n/n0 is
-    below (1 + l_n)/2 on powered bins and 1/2 on the rest, so neither it nor
+    at most max(l_n, 2) on powered bins and 2 on the rest, so neither it nor
     s**2*D_n, the square of the same quotient times it, overflows where the
     loads do not.  M_n and D_n take passes of at most 65,536 nodes.  It
     stops once the active marginals, and any inactive mu_n/n0 above them,
     agree to 1e-12 relative.  Raises ``ValueError`` naming a budget that
-    waterfilling splits into zeros, or a bin whose s*mu/n0 or load overflows.
+    waterfilling splits into zeros, or a bin whose load overflows.
     """
     n0, p_total = channel.n0, _positive("p_total", p_total)
     powers, nu = waterfill(channel.mean_gains, n0, p_total)
     if not powers.any():
         raise ValueError(f"p_total {p_total!r} is too small: waterfilling splits it into zeros")
-    s = math.ldexp(1.0, max(math.frexp(min(nu, _DBL_MAX))[1] - 2, -1022))  # never subnormal
+    s = math.ldexp(1.0, max(math.frexp(min(nu, _DBL_MAX))[1] - 2, -1074))  # never 0
     loads = _loads(powers, channel.mean_gains, n0)
-    gain = _loads(s, channel.mean_gains, n0, "s*mu/n0")  # finite where loads are, if s <= nu/2
+    gain = _loads(s, channel.mean_gains, n0, "s*mu/n0")  # at most max(load, 2)
     nodes, weights, which = _gamma_rule(channel.shape)
     inverse = 1.0 / nodes  # e^-u, at most 7e195, one row per distinct shape
 

@@ -34,9 +34,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .alloc import _NODE_CHUNK, _rule_sums, equal_power, optimal_allocation, waterfill
+from .alloc import equal_power, optimal_allocation, waterfill
 from .channel import _DBL_MAX, ParallelChannel, _branch_shape, _loads, _positive
-from .specfun import NumericError, _gamma_q, _gamma_rule, reg_gamma_q
+from .specfun import _NODE_CHUNK, NumericError, _gamma_q, _gamma_rule, _rule_sums, reg_gamma_q
 
 __all__ = [
     "LN2",

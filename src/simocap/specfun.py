@@ -5,9 +5,9 @@ reduces to one special function plus one integral operator:
 
 * ``reg_gamma_q`` -- the regularized upper incomplete gamma function
   Q(a, x), which is the CCDF of a unit-scale gamma variate with shape a,
-* ``gamma_expectation_batch`` -- E[f(g_i)] for g_i ~ Gamma(shape_i,
-  scale_i), for many (shape, scale) pairs at once, by one fixed trapezoid
-  rule in log g.
+* ``_gamma_rule`` and ``_rule_sums`` -- E[f(g_i)] for g_i ~ Gamma(shape_i,
+  scale_i) by one fixed trapezoid rule in log g, built once per distinct
+  shape on unit-mean nodes and applied in passes of bounded size.
 
 All functions are pure and re-entrant, and need numpy only.  Q is one
 numpy kernel, shared with the Markov bound: the series for P below
@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "NumericError",
     "reg_gamma_q",
-    "gamma_expectation_batch",
 ]
 
 
@@ -156,6 +155,12 @@ def _gamma_rule(shapes):
     window drops tails of relative weight below about 1e-19: 2288, 480, 51,
     224 and 656 nodes at shapes 0.1, 0.5, 128, 1e4 and 1e5.  Normalizing
     the weights replaces 1/Gamma(shape), which cancels at large shapes.
+    There is no stopping test and no node cap.  On integrands analytic near
+    the positive axis that grow at most polynomially, as the library's
+    log1p(c*g), g/(1 + c*g) and its square do, it matches 30-digit mpmath to
+    1e-13 relative over shapes 0.1 to 1e5 and c from 1e-3 to 1e9.  A
+    discontinuous integrand gets an O(h) error with no signal: E[g >= 2] at
+    shape 4, scale 0.5 is off by 7.8e-2.
     Both arrays are (distinct shapes, longest row), shorter rows padded with
     their last node at zero weight; ``shapes[i]`` is in row ``which[i]``.
     The nodes lie in [1.4e-196, 602].
@@ -171,43 +176,16 @@ def _gamma_rule(shapes):
     return np.exp(u), weights, which
 
 
-def _expect(values, weights) -> np.ndarray:
-    # the rule applied to an integrand's values at its nodes, one sum per row
-    if not np.all(np.isfinite(values)):
-        raise NumericError("integrand produced non-finite values at quadrature nodes")
-    return np.einsum("ij,ij->i", values, weights)
+_NODE_CHUNK = 1 << 16  # quadrature nodes per pass of _rule_sums
 
 
-def gamma_expectation_batch(f, shapes, scales) -> np.ndarray:
-    """E[f(g_i)] for g_i ~ Gamma(shapes[i], scales[i]), for every i at once.
-
-    ``f(g)`` is called once, on the gains at the quadrature nodes as a
-    ``(len(shapes), nodes)`` array with row i for entry i, and returns its
-    values in that shape; errors it raises propagate.  Each row has the
-    fixed trapezoid rule of its shape, padded to the longest row (2288
-    nodes at shape 0.1), and peak memory is a few arrays of that size.  The
-    rule has no stopping test and no node cap.  It converges geometrically
-    when f is analytic near the positive axis and grows at most
-    polynomially, as the library's log1p(c*g), g/(1 + c*g) and its square
-    do, and matches 30-digit mpmath to 1e-13 relative over shapes 0.1 to
-    1e5 and c from 1e-3 to 1e9.  A discontinuous f gets an O(h) error with
-    no signal: E[g >= 2] at shape 4, scale 0.5 is off by 7.8e-2.  Raises
-    ``ValueError`` for a shape outside [0.1, 1e5], where the rule is held
-    to mpmath, or for an entry whose largest node overflows (named as a
-    bin), and ``NumericError`` if ``f`` returns a non-finite value.
-    """
-    shapes, scales = np.asarray(shapes, dtype=float), np.asarray(scales, dtype=float)
-    if shapes.ndim != 1 or shapes.shape != scales.shape:
-        raise ValueError("shapes and scales must be 1-D vectors of equal length")
-    _check_shapes(shapes)
-    if not np.all((scales > 0.0) & (scales < math.inf)):
-        raise ValueError("scales must be positive and finite")
-    nodes, weights, which = _gamma_rule(shapes)
-    with np.errstate(over="ignore"):  # refused below, by row
-        g = scales[:, None] * (shapes[:, None] * nodes[which])
-    top = np.flatnonzero(np.isinf(g[:, -1]))  # a row's last node is its largest, padded or not
-    if top.size:
-        i = int(top[0])
-        raise ValueError(f"quadrature nodes overflow in bin {i}: shape {float(shapes[i])!r} "
-                         f"and scale {float(scales[i])!r} reach past 1.8e308")
-    return _expect(f(g), weights[which])
+def _rule_sums(nodes, weights, rows, integrand, *columns) -> np.ndarray:
+    # per entry i, weights' row rows[i] applied to integrand(x, *columns), where x holds the
+    # entries' rows of nodes, to overwrite; a pass takes at most _NODE_CHUNK nodes, or one row
+    sums, step = np.empty(rows.size), max(1, _NODE_CHUNK // nodes.shape[1])
+    for at in (slice(start, start + step) for start in range(0, rows.size, step)):
+        values = integrand(nodes[rows[at]], *(column[at, None] for column in columns))
+        if not np.all(np.isfinite(values)):
+            raise NumericError("integrand produced non-finite values at quadrature nodes")
+        sums[at] = np.einsum("ij,ij->i", values, weights[rows[at]])
+    return sums

@@ -4,12 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
+from gamma_mean import gamma_mean
 
 from simocap import alloc as alloc_module, specfun
 from simocap.alloc import equal_power, optimal_allocation, waterfill
 from simocap.channel import ParallelChannel, build_decay_profile
 from simocap.rates import exact_rate, jensen_upper, markov_lower, snr_db_to_power
-from simocap.specfun import NumericError, gamma_expectation_batch
+from simocap.specfun import NumericError
 
 
 def test_waterfill_single_channel():
@@ -197,14 +198,11 @@ def _assert_kkt(ch, p_total, powers):
     # At the optimum the active marginal utilities E[g/(n0 + p*g)] share one
     # value lam, and every inactive subchannel's marginal at p = 0, mu/n0,
     # is at most lam.  The solver stops once the active marginals agree to
-    # 1e-12 relative.
+    # 1e-12 relative.  The marginals here are g/(n0 + p*g) at the gains of the
+    # library's rule, in natural units, not the solver's scaled quotient.
     active = powers > 0.0
-    marginals = np.array(
-        [
-            gamma_expectation_batch(lambda g, p=p: g / (ch.n0 + p * g), [shape], [theta])[0]
-            for shape, theta, p in zip(ch.shape[active], ch.theta[active], powers[active])
-        ]
-    )
+    marginals = gamma_mean(lambda g, p: g / (ch.n0 + p * g),
+                           ch.shape[active], ch.theta[active], powers[active])
     lam = marginals.max()
     assert lam - marginals.min() <= 1e-12 * lam
     assert np.all(ch.mean_gains[~active] / ch.n0 <= lam)
@@ -284,8 +282,8 @@ def test_optimal_allocation_solves_bins_whose_mu_over_n0_is_near_or_past_dbl_max
         gain = exact_rate(ch, high) - exact_rate(ch, swf)
     assert low.tolist() == [0.0, 1e-10]
     assert np.all(high > 0.0) and 0.16 < gain < 0.161, (high, gain)
-    # the KKT stop on 30-digit marginals: gamma_expectation_batch, which _assert_kkt uses,
-    # refuses the nodes of bin 1, which lie past DBL_MAX
+    # the KKT stop on 30-digit marginals: the natural-units rule that _assert_kkt uses
+    # cannot take the gains at the nodes of bin 1, which lie past DBL_MAX
     for p_total, powers in ((1e-10, low), (0.05, high)):
         marginals = [_mpmath_marginal(mpmath, mu, 0.1, ch.n0, p)
                      for mu, p in zip(ch.mean_gains, powers)]
@@ -321,9 +319,9 @@ def test_optimal_allocation_refuses_a_budget_that_waterfilling_splits_into_zeros
         ch = ParallelChannel(theta, 1.0, n0=n0)
         with pytest.raises(ValueError, match=r"^p_total 5e-324 is too small: "):
             optimal_allocation(ch, 5e-324)
-    # at mu/n0 = 1e310 the water levels of 1e-323 and 1e-310 are subnormal, and the solve's
-    # unit stays the smallest normal power of two: 1e-310 is not waterfilling's equal split
-    # but the normal-range solve scaled by 1e-300
+    # at mu/n0 = 1e310 the water levels of 1e-323 and 1e-310 are subnormal, and so is the
+    # solve's unit, never 0: 1e-310 is not waterfilling's equal split but the normal-range
+    # solve scaled by 1e-300
     ch = ParallelChannel([1e11, 1e9], [0.1, 10.0], n0=1e-300)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -332,11 +330,15 @@ def test_optimal_allocation_refuses_a_budget_that_waterfilling_splits_into_zeros
         normal = optimal_allocation(ParallelChannel([1e11, 1e9], [0.1, 10.0], n0=1.0), 1e-10)
     assert np.allclose(powers, 1e-300 * normal, rtol=1e-12, atol=0.0), (powers, normal)
     assert powers[1] > 6.0 * powers[0]
-    # with n0 subnormal too, s = 2**-1022, above nu/2, takes s*mu/n0 past DBL_MAX where the
-    # load 5e-324 * 1e300 / 5e-324 is finite: refused by bin
+    # with n0 subnormal too, the water level is 5e-324 and so is the unit, 2**-1074, so
+    # s*mu/n0 is the finite load 5e-324 * 1e300 / 5e-324: the one bin takes the budget
     ch = ParallelChannel([1e300], 1.0, n0=5e-324)
-    with pytest.raises(ValueError, match=r"^s\*mu/n0 overflows in bin 0: 2\.225\d*e-308 \* "):
-        optimal_allocation(ch, 5e-324)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        powers = optimal_allocation(ch, 5e-324)
+        rate = exact_rate(ch, powers)
+        assert rate == exact_rate(ch, waterfill(ch.mean_gains, ch.n0, 5e-324)[0])
+    assert powers.tolist() == [5e-324] and 690.198 < rate < 690.199
 
 
 def test_waterfill_keeps_the_water_level_finite_near_the_largest_budget():
@@ -369,12 +371,12 @@ def test_optimal_allocation_builds_one_rule_per_solve(monkeypatch):
         built.append(args)
         return specfun._gamma_rule(*args)
 
-    def expect(*args):
+    def rule_sums(*args):
         applied.append(args)
-        return specfun._expect(*args)
+        return specfun._rule_sums(*args)
 
     monkeypatch.setattr(alloc_module, "_gamma_rule", rule)
-    monkeypatch.setattr(alloc_module, "_expect", expect)
+    monkeypatch.setattr(alloc_module, "_rule_sums", rule_sums)
     ch = ParallelChannel(theta=[2.0, 0.1, 1e-3], shape=[0.5, 6.0, 1e3], n0=1.0)
     _assert_kkt(ch, 2.0, optimal_allocation(ch, 2.0))
     assert len(built) == 1
@@ -396,7 +398,7 @@ def test_optimal_allocation_working_set_is_its_rule_its_vectors_and_a_bounded_pa
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= rule_bytes + 24 * 8 * ch.n + 3 * 8 * alloc_module._NODE_CHUNK, peak
+    assert peak <= rule_bytes + 24 * 8 * ch.n + 3 * 8 * specfun._NODE_CHUNK, peak
 
 
 @pytest.mark.parametrize("rows_a_pass", [1, 5])
@@ -407,7 +409,7 @@ def test_optimal_allocation_does_not_depend_on_where_its_passes_cut(rows_a_pass,
     ch = ParallelChannel(theta=np.geomspace(1e-2, 1e2, 12), shape=[0.5, 6.0, 1e3] * 4, n0=1.0)
     whole = optimal_allocation(ch, 3.0)
     nodes_per_bin = specfun._gamma_rule(ch.shape)[0].shape[1]
-    monkeypatch.setattr(alloc_module, "_NODE_CHUNK", rows_a_pass * nodes_per_bin)
+    monkeypatch.setattr(specfun, "_NODE_CHUNK", rows_a_pass * nodes_per_bin)
     assert optimal_allocation(ch, 3.0).tolist() == whole.tolist()
 
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
+from gamma_mean import gamma_mean  # noqa: E402
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from simocap.alloc import equal_power, optimal_allocation, waterfill  # noqa: E402
 from simocap.channel import ParallelChannel  # noqa: E402
 from simocap.rates import exact_rate  # noqa: E402
-from simocap.specfun import gamma_expectation_batch  # noqa: E402
 
 subchannels = st.tuples(
     st.floats(-3.0, 3.0),  # log10 of the mean gain
@@ -24,9 +24,7 @@ def test_optimal_allocation_meets_kkt_and_beats_simpler_loadings(subs, log_p_tot
     log_mu, m, L = (np.array(v) for v in zip(*subs))
     ch, p_total = ParallelChannel(10.0**log_mu / (m * L), m * L, n0=1.0), 10.0**log_p_total
     powers = optimal_allocation(ch, p_total)
-    marginals = gamma_expectation_batch(
-        lambda g: g / (ch.n0 + powers[:, None] * g), ch.shape, ch.theta
-    )
+    marginals = gamma_mean(lambda g, p: g / (ch.n0 + p * g), ch.shape, ch.theta, powers)
     active = powers > 0.0
     lam = marginals[active].max()
     assert lam - marginals[active].min() <= 1e-12 * lam

@@ -38,7 +38,7 @@ def test_subchannel_spec_validation():
     for theta in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="theta must be positive and finite"):
             _one(theta=theta, shape=1.0)
-    for shape in (0.09, 0.0, -2.0, 1.000001e5, 1e20, math.inf, math.nan):
+    for shape in (0.0999, 0.09, 0.01, 0.0, -2.0, 1.000001e5, 1e8, 1e20, math.inf, math.nan):
         with pytest.raises(ValueError, match=r"shape must be finite and in \[0.1, 100000\]"):
             _one(theta=1.0, shape=shape)
     for shape in (0.1, 0.33, 0.5, 0.7 * 3, 1.5, 64.0, 1e5):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from simocap import alloc, rates, specfun
+from simocap import rates, specfun
 from simocap.alloc import equal_power, optimal_allocation, waterfill
 from simocap.channel import ParallelChannel, build_decay_profile
 from simocap.ingest import generate_snapshots, simo_gains
@@ -384,7 +384,7 @@ def test_jensen_and_exact_rate_of_a_stack_are_its_rows_rate_by_rate(rate, node_b
     alone = [rate(ch, row) for row in stack]
     if node_budget is not None:
         nodes_per_bin = specfun._gamma_rule(ch.shape)[0].shape[1]
-        monkeypatch.setattr(alloc, "_NODE_CHUNK", node_budget(nodes_per_bin))
+        monkeypatch.setattr(specfun, "_NODE_CHUNK", node_budget(nodes_per_bin))
     values = rate(ch, stack)
     assert isinstance(values, np.ndarray) and values.shape == (40,)
     assert all(type(v) is float for v in alone)
@@ -411,7 +411,7 @@ def test_exact_rate_working_set_is_its_rule_its_stack_and_a_bounded_pass():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= rule_bytes + 8 * stack.nbytes + 3 * 8 * alloc._NODE_CHUNK, peak
+    assert peak <= rule_bytes + 8 * stack.nbytes + 3 * 8 * specfun._NODE_CHUNK, peak
 
 
 def test_exact_rate_builds_one_rule_per_call(monkeypatch):
