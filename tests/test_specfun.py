@@ -156,6 +156,57 @@ def test_gamma_expectation_propagates_integrand_errors():
         gamma_mean(lambda g: math.log1p(g), [2.0], [1.0])
 
 
+@pytest.mark.parametrize("node_chunk", [1 << 16, 1, 656, 3 * 656 - 1, 3 * 656],
+                         ids=["default", "one-node", "one-row", "under-three-rows", "three-rows"])
+def test_rule_sums_applies_the_rule_in_passes_of_at_most_node_chunk_nodes(node_chunk, monkeypatch):
+    # each pass hands the integrand its entries' rows of unit-mean nodes, padded to the
+    # longest row (656 nodes at shape 1e5) with their last node, as a copy it may
+    # overwrite, and each column's entries as (entries, 1); a pass takes at most
+    # _NODE_CHUNK nodes, or one row.  E[e^u] = 1, so the sums are the column.
+    shapes, scale = [0.5, 1e5, 0.5, 3.0, 1e5], np.array([1.0, 2.0, 3.0, 0.25, 7.0])
+    nodes, weights, which = specfun._gamma_rule(shapes)
+    kept = nodes.copy()
+    calls = []
+
+    def f(x, column):
+        calls.append((x.copy(), column.copy()))
+        x *= column
+        return x
+
+    monkeypatch.setattr(specfun, "_NODE_CHUNK", node_chunk)
+    sums = specfun._rule_sums(nodes, weights, which, f, scale)
+    step = max(1, node_chunk // 656)
+    assert nodes.shape == (3, 656) and np.array_equal(nodes, kept)
+    assert len(calls) == -(-len(shapes) // step)
+    for start, (x, column) in zip(range(0, len(shapes), step), calls):
+        at = slice(start, start + step)
+        assert np.array_equal(x, nodes[which[at]]) and x.shape[0] * 656 <= max(node_chunk, 656)
+        assert np.array_equal(column, scale[at, None])
+    assert np.all(nodes[which[0], 480:] == nodes[which[0], 479])
+    assert sums == pytest.approx(scale, rel=1e-13, abs=0.0)
+
+
+def test_rule_sums_refuses_a_non_finite_value_in_any_pass(monkeypatch):
+    # a pole at one node of the last entry: with one row a pass, every earlier pass
+    # is summed and the last is refused; in one pass, the whole call is refused
+    shapes = [0.5, 4.0, 0.5, 4.0]
+    nodes, weights, which = specfun._gamma_rule(shapes)
+    pole = np.array([-1.0, -1.0, -1.0, nodes[which[3], 10]])
+    for node_chunk, passes in ((1 << 16, 1), (1, 4)):
+        calls = []
+
+        def f(x, at):
+            calls.append(x.shape[0])
+            return 1.0 / (x - at)
+
+        monkeypatch.setattr(specfun, "_NODE_CHUNK", node_chunk)
+        with np.errstate(divide="ignore"):
+            with pytest.raises(NumericError, match="^integrand produced non-finite values"):
+                specfun._rule_sums(nodes, weights, which, f, pole)
+        assert len(calls) == passes
+    assert np.all(np.isfinite(specfun._rule_sums(nodes, weights, which[:3], f, pole[:3])))
+
+
 def _trapezoid_rule(shape, h):
     # the unit-mean nodes e^u of the trapezoid rule in u = log(g/shape) with
     # step h over the library's window, one shape at a time with Python's
