@@ -108,8 +108,9 @@ def optimal_allocation(channel: ParallelChannel, p_total: float) -> np.ndarray:
     s**2*D_n, the square of the same quotient times it, overflows where the
     loads do not.  M_n and D_n take passes of at most 65,536 nodes.  It
     stops once the active marginals, and any inactive mu_n/n0 above them,
-    agree to 1e-12 relative.  Raises ``ValueError`` naming a budget that
-    waterfilling splits into zeros, or a bin whose load overflows.
+    agree to 1e-12 relative, and raises ``NumericError`` if 50 steps do not
+    get there.  Raises ``ValueError`` naming a budget that waterfilling
+    splits into zeros, or a bin whose load overflows.
     """
     n0, p_total = channel.n0, _positive("p_total", p_total)
     powers, nu = waterfill(channel.mean_gains, n0, p_total)

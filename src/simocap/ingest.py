@@ -95,7 +95,9 @@ def parse_channel_csv(
     immaterial; duplicate or missing cells, ragged rows, non-numeric
     fields, and inconsistent per-bin frequencies are rejected with the
     first offending line number in file order; bytes that are not UTF-8
-    are reported first, wherever they are.  An optional inclusive
+    are reported first, wherever they are, and a missing cell, which has
+    no line, only where no row is at fault, the first in (snapshot,
+    branch, bin) order.  An optional inclusive
     [f_min_hz, f_max_hz] filter keeps only the bins inside the band; it
     must keep at least one.  Indices are ASCII decimal integers within
     int64, optionally signed and padded with blanks; reals are decimal or

@@ -1,6 +1,9 @@
-"""Smoke tests: every demo, and the README's Python code and command lines, run to completion."""
+"""Smoke tests: every demo, and the README's Python code and command lines, run to completion,
+and every name the README calls exists."""
 
+import importlib
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -8,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import simocap
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -38,6 +43,23 @@ def test_readme_python_blocks_run(tmp_path):
     assert blocks
     done = _run(["-c", "\n".join(blocks)], cwd=tmp_path)
     assert done.returncode == 0, done.stderr
+
+
+# math notation the README writes as calls, such as Gamma(k, theta) and O(1/log L)
+_README_NOTATION = {"E", "Gamma", "O", "Q", "exp", "log", "log1p", "psi", "sqrt"}
+
+
+def test_readme_names_only_what_exists():
+    # every name the README writes as a call in backticks, `name(` or `sc.name(`, is an
+    # attribute of simocap or of one of its modules (__main__ runs the command line on import)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    called = set(re.findall(r"`(?:\w+\.)*(\w+)\(", readme)) - _README_NOTATION
+    assert called
+    modules = [simocap] + [importlib.import_module(f"simocap.{info.name}")
+                           for info in pkgutil.iter_modules(simocap.__path__)
+                           if not info.name.startswith("__")]
+    missing = sorted(name for name in called if not any(hasattr(m, name) for m in modules))
+    assert not missing, f"the README calls names that simocap does not have: {missing}"
 
 
 def test_readme_command_lines_run(tmp_path):
