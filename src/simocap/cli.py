@@ -32,7 +32,7 @@ from .ingest import (
     write_channel_csv,
     _write_atomic,
 )
-from .rates import LN2, STRATEGY_TAGS, MetricUndefinedError, _alpha, mpe_slope, rate_table
+from .rates import LN2, MetricUndefinedError, _alpha, mpe_slope, rate_table
 from .specfun import NumericError
 
 EXIT_OK = 0
@@ -86,18 +86,6 @@ class ExperimentConfig:
     a_rule: str = "max"
     rate_units: str = "nats"
     output_path: str = ""
-
-    def validate(self, command: str):
-        # the profile and each L, n_snapshots, the a-rule and mpe-study's orders are checked
-        # before any write by build_decay_profile, generate_snapshots, _parse_a_rule and mpe_slope
-        if command != "mpe-study" and len(self.l_values) != 1:
-            raise ValueError(f"{command} takes exactly one l_values entry, got {self.l_values}")
-        if not self.snr_db_values:
-            raise ValueError("snr_db_values must be non-empty")
-        if not self.strategies or any(s not in STRATEGY_TAGS for s in self.strategies):
-            raise ValueError(f"strategies must be a non-empty subset of {STRATEGY_TAGS}")
-        if self.rate_units not in ("nats", "bits"):
-            raise ValueError("rate_units must be 'nats' or 'bits'")
 
 
 # the fields each config command reads: the channel profile, the output path and its own
@@ -164,6 +152,9 @@ def _check_config_field(f, value) -> None:
         ok, kind = _is_json_value(f.type, value), f"a {_TYPE_NAMES[f.type]}"
     if not ok:
         raise ValueError(f"config field {f.name!r} must be {kind}, got {value!r}")
+    choices = _FLAG_OPTIONS.get(f.name, {}).get("choices")
+    if choices and value not in choices:
+        raise ValueError(f"config field {f.name!r} must be one of {choices}, got {value!r}")
 
 
 def _load_config(args: argparse.Namespace, overrides: dict | None = None) -> ExperimentConfig:
@@ -192,7 +183,9 @@ def _load_config(args: argparse.Namespace, overrides: dict | None = None) -> Exp
             if get_origin(f.type) is list:
                 flag_value = _parse_list(_FLAGS[key], flag_value, *get_args(f.type))
             setattr(cfg, key, flag_value)
-    cfg.validate(args.command)
+    # every other value is checked before any write by the library call that reads it
+    if args.command != "mpe-study" and len(cfg.l_values) != 1:
+        raise ValueError(f"{args.command} takes exactly one l_values entry, got {cfg.l_values}")
     if not cfg.output_path:
         raise ValueError("an output path is required (--output)")
     return cfg

@@ -328,7 +328,11 @@ def generate_snapshots(
     """
     _positive_integer("n_snapshots", n_snapshots)
     _positive_integer("n_branches", n_branches)
-    if int(seed) < 0:
+    try:  # a whole number >= 0, an integral float included
+        whole = seed >= 0 and (isinstance(seed, int) or float(seed).is_integer())
+    except TypeError:  # not a number, such as the string "3"
+        whole = False
+    if not whole:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     if int(n_snapshots) * int(n_branches) * channel.n > _COUNT_MAX // 2:  # complex: 2 floats
         raise ValueError(

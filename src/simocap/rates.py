@@ -356,8 +356,12 @@ def rate_table(
     Returns the columns ``L``, ``snr_db``, ``strategy`` (the tag, or
     ``"custom"`` for a callable), ``c_upper``, ``c_lower_exact``,
     ``c_lower_markov`` and ``mpe_percent`` as arrays, one row per (L, SNR,
-    strategy) in grid order.
+    strategy) in grid order.  An empty axis raises ``ValueError`` naming it.
     """
+    for name, axis in (("l_values", l_values), ("snr_db_values", snr_db_values),
+                       ("strategies", strategies)):
+        if len(axis) == 0:
+            raise ValueError(f"{name} must be non-empty")
     try:
         allocators = [("custom", s) if callable(s) else (s, _STRATEGIES[s]) for s in strategies]
     except KeyError as exc:
@@ -373,15 +377,12 @@ def rate_table(
                 cells.append((snr_db, tag))
                 allocations.append(swfs[-1] if tag == "statistical-waterfill"
                                    else _checked(ch, allocate, p_total, snr_db))
-        if not cells:
-            continue
         c_upper = np.repeat(jensen_upper(ch, swfs), len(allocators)).tolist()
         c_exact = exact_rate(ch, allocations).tolist()
         c_markov = markov_lower(ch, allocations, alpha=alpha) if markov else [math.nan] * len(cells)
         rows += [(int(L), snr_db, tag, upper, exact, lower, mpe(upper, exact))
                  for (snr_db, tag), upper, exact, lower in zip(cells, c_upper, c_exact, c_markov)]
-    columns = list(zip(*rows)) or [()] * len(_TABLE_COLUMNS)
-    return {name: np.array(column) for name, column in zip(_TABLE_COLUMNS, columns)}
+    return {name: np.array(column) for name, column in zip(_TABLE_COLUMNS, zip(*rows))}
 
 
 def mpe_slope(l_values: Sequence[int], mpe_percent) -> float:

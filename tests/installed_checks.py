@@ -40,6 +40,13 @@ def check_every_command():
     _cli("mpe-study", "--n-bins", "8", "--output", "mpe.csv")
     _cli("gen-synthetic", "--n-bins", "8", "--n-snapshots", "4", "--output", "channel.csv")
     _cli("ingest", "--input", "channel.csv", "--output", "stats.json")
+    # the rate table's own refusals, before any output or sidecar is written
+    _cli("bounds-sweep", "--n-bins", "8", "--strategies", "foo", "--output", "refused.csv",
+         refused=["error: unknown strategy 'foo'\n"])
+    pathlib.Path("no-snr.json").write_text('{"snr_db_values": []}')
+    _cli("bounds-sweep", "--config", "no-snr.json", "--output", "refused.csv",
+         refused=["error: snr_db_values must be non-empty\n"])
+    assert not list(pathlib.Path().glob("refused.csv*"))
 
 
 def check_ingest_faults():

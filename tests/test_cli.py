@@ -618,6 +618,64 @@ def test_single_order_commands_reject_two_diversity_orders(tmp_path, capsys, com
     assert not out.exists()
 
 
+_MISSING, _DIRECTORY = object(), object()  # a config path that names nothing, or a directory
+# each refusal: its command, its config file's text (None: no --config), its other flags,
+# and its message, where {config} is the config path
+_REFUSALS = {
+    "missing-config": (
+        "bounds-sweep", _MISSING, [],
+        "cannot read config {config}: [Errno 2] No such file or directory: '{config}'",
+    ),
+    "config-is-a-directory": (
+        "bounds-sweep", _DIRECTORY, [],
+        "cannot read config {config}: [Errno 21] Is a directory: '{config}'",
+    ),
+    "invalid-json": (
+        "mpe-study", "{", [],
+        "invalid JSON in {config}: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)",
+    ),
+    "json-array": ("gen-synthetic", "[4]", [], "config document must be a JSON object"),
+    "no-output-path": ("gen-synthetic", "{}", [], "an output path is required (--output)"),
+    "empty-snr-list-sweep": (
+        "bounds-sweep", '{"snr_db_values": []}', [], "snr_db_values must be non-empty"
+    ),
+    "empty-snr-list-mpe": (
+        "mpe-study", '{"snr_db_values": []}', [], "snr_db_values must be non-empty"
+    ),
+    "unknown-strategy": ("bounds-sweep", None, ["--strategies", "foo"], "unknown strategy 'foo'"),
+    "empty-strategies": ("bounds-sweep", '{"strategies": []}', [], "strategies must be non-empty"),
+    "wrong-json-type": (
+        "bounds-sweep", '{"rate_units": 5}', [], "config field 'rate_units' must be a string, got 5"
+    ),
+    "bad-rate-units": (
+        "mpe-study", '{"rate_units": "bits2"}', [],
+        "config field 'rate_units' must be one of ('nats', 'bits'), got 'bits2'",
+    ),
+    "empty-orders-mpe": ("mpe-study", '{"l_values": []}', [], "l_values must be non-empty"),
+}
+
+
+@pytest.mark.parametrize("case", _REFUSALS)
+def test_every_config_refusal_exits_2_before_any_write(tmp_path, capsys, case):
+    command, text, flags, message = _REFUSALS[case]
+    config = tmp_path / "config.json"
+    argv = [command, "--n-bins", "2", *flags]
+    if text is not None:
+        argv += ["--config", str(config)]
+    if text is _DIRECTORY:
+        config.mkdir()
+    elif isinstance(text, str):
+        config.write_text(text)
+    if case != "no-output-path":
+        argv += ["--output", str(tmp_path / "out.csv")]
+    before = sorted(tmp_path.iterdir())
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(config=config)}\n")
+    # no output, no sidecar, no temporary file
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_gen_synthetic_is_deterministic(tmp_path):
     args = ["gen-synthetic", "--n-bins", "3", "--l-values", "2", "--n-snapshots", "5", "--seed", "9"]
     a = tmp_path / "a.csv"

@@ -215,6 +215,18 @@ def test_generator_is_deterministic_and_validates():
     assert generate_snapshots(ch, 5, seed=0, n_branches=2).coeffs.shape == (5, 2, 3)
 
 
+def test_generator_takes_a_whole_seed_and_refuses_any_other_by_name():
+    ch = build_decay_profile(3, 5e9, 6e9, 3.0, 1.0, 2, 1.0)
+    # an integral float is the integer's seed
+    whole = generate_snapshots(ch, 4, seed=2.0, n_branches=2)
+    assert np.array_equal(whole.coeffs, generate_snapshots(ch, 4, seed=2, n_branches=2).coeffs)
+    # a fraction is not truncated to a neighbouring seed, and a string is not read as a number
+    for bad in (1.5, -0.5, "3", math.nan, math.inf):
+        with pytest.raises(ValueError, match=rf"^seed must be a nonnegative integer, got "
+                                             rf"{re.escape(repr(bad))}$"):
+            generate_snapshots(ch, 4, seed=bad, n_branches=2)
+
+
 @pytest.mark.parametrize("n_branches", [1, 2, 4, 8])
 def test_generated_branches_sum_to_the_channel_law(n_branches):
     # Each branch draws Gamma(k/n_branches, theta), so the SIMO sum over all
@@ -255,6 +267,13 @@ def test_snapshot_set_validation():
         SnapshotSet(freqs_hz=np.array([2.0, 1.0]), coeffs=np.ones((1, 1, 2), dtype=complex))
     with pytest.raises(ValueError):
         SnapshotSet(freqs_hz=np.array([1.0]), coeffs=np.ones((1, 1, 2), dtype=complex))
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (1, 1, 1, 2), (0, 1, 2), (1, 0, 2), (1, 1, 0)])
+def test_snapshot_set_refuses_coefficients_that_are_not_a_full_3d_array(shape):
+    # not (snapshots, branches, bins), or with an empty axis
+    with pytest.raises(ValueError, match=r"^coeffs must have shape \(snapshots, branches, bins\)$"):
+        SnapshotSet(freqs_hz=np.array([1.0, 2.0]), coeffs=np.ones(shape, dtype=complex))
 
 
 # --- parser contract: the first offending line in file order --------------

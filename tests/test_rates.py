@@ -761,6 +761,16 @@ def test_rate_table_rejects_an_unknown_tag_and_a_wrong_length_allocation():
         rate_table(profile, [4], [0.0], [short])
 
 
+@pytest.mark.parametrize("axis", ["l_values", "snr_db_values", "strategies"])
+def test_rate_table_refuses_an_empty_axis_before_building_a_channel(axis):
+    # an empty grid has no table: it is refused by name, before any profile is built
+    built = []
+    grid = {"l_values": [4], "snr_db_values": [0.0], "strategies": ["equal"], axis: []}
+    with pytest.raises(ValueError, match=f"^{axis} must be non-empty$"):
+        rate_table(lambda L: built.append(L) or _cubic_profile(8)(L), **grid)
+    assert built == []
+
+
 @pytest.mark.parametrize(
     "powers",
     [
