@@ -51,12 +51,14 @@ def _positive_integer(name: str, value, most=_COUNT_MAX) -> None:
     # a count, such as L or a number of bins: a whole number from 1 to the largest float,
     # and by default no more than the entries of the longest float array
     try:
-        whole = float(value).is_integer()
+        whole = value >= 1 and float(value).is_integer()
     except OverflowError:  # an integer past the largest float
         raise ValueError(
             f"{name} must be a positive integer below 1.8e308, got a larger one"
         ) from None
-    if not (value >= 1 and whole):
+    except TypeError:  # not a number, such as a string or None
+        whole = False
+    if not whole:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     if value > most:
         raise ValueError(f"{name} must be a positive integer at most {most}, got {value!r}")

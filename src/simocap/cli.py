@@ -197,8 +197,10 @@ def _profile_channel(cfg: ExperimentConfig, L: int):
     )
 
 
-def _write_csv(cfg: ExperimentConfig, header, rows) -> None:
-    # rates are computed in nats; in bits, the rate columns are divided by ln 2
+def _write_csv(cfg: ExperimentConfig, table, header) -> None:
+    # the table's header columns, one line per row in order of its first two columns; rates
+    # are computed in nats, and in bits the rate columns are divided by ln 2
+    rows = sorted(zip(*(table[col].tolist() for col in header)), key=lambda row: row[:2])
     to_bits = [cfg.rate_units == "bits" and col in RATE_COLUMNS for col in header]
     lines = [",".join(header)]
     lines.extend(
@@ -245,8 +247,7 @@ def cmd_bounds_sweep(args) -> int:
         normalized_upper=table["c_upper"] / c_awgn,
         normalized_lower=table["c_lower_exact"] / c_awgn,
     )
-    rows = sorted(zip(*(table[col].tolist() for col in BOUNDS_COLUMNS)), key=lambda row: row[:2])
-    _write_csv(cfg, BOUNDS_COLUMNS, rows)
+    _write_csv(cfg, table, BOUNDS_COLUMNS)
     _write_sidecar(cfg, "bounds-sweep")
     return EXIT_OK
 
@@ -266,8 +267,7 @@ def cmd_mpe_study(args) -> int:
             slopes[repr(snr)] = mpe_slope(cfg.l_values, mpes)
         except MetricUndefinedError as exc:
             raise MetricUndefinedError(f"{exc} at SNR {snr!r} dB") from None
-    rows = sorted(zip(*(table[col].tolist() for col in MPE_COLUMNS)), key=lambda row: row[:2])
-    _write_csv(cfg, MPE_COLUMNS, rows)
+    _write_csv(cfg, table, MPE_COLUMNS)
     _write_sidecar(cfg, "mpe-study", mpe_slope_by_snr_db=slopes)
     return EXIT_OK
 

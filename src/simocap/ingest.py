@@ -376,7 +376,11 @@ def simo_gains(snapshots: SnapshotSet, branch_ids) -> np.ndarray:
     if len(set(ids)) != len(ids):
         raise ValueError("branch_ids must be distinct")
     for b in ids:
-        if int(b) != b or not (0 <= b < snapshots.branches):
+        try:
+            valid = int(b) == b and 0 <= b < snapshots.branches
+        except (TypeError, ValueError, OverflowError):  # not a whole number, such as None or nan
+            valid = False
+        if not valid:
             raise ValueError(f"invalid branch id {b!r} (have {snapshots.branches} branches)")
     sel = np.abs(snapshots.coeffs[:, [int(b) for b in ids], :]) ** 2
     return sel.sum(axis=1)

@@ -15,7 +15,7 @@ l_n = p_n mu_n / n0, each bound reads bin n through k_n and l_n alone:
 an (n,) vector of powers, and return a float, or a (rows, n) stack of them,
 and return one value per row, bit for bit the value of that row alone.
 The exact rate and the Markov bound are one pass over the stack's powered
-bins, a bounded number of them at a time.  A load is formed on the
+bins, 8,192 of them at a time.  A load is formed on the
 significands of p_n, mu_n and n0, so p_n*mu_n alone may pass the float
 range where the load does not.  Each bound raises ValueError
 for a load that overflows, or a powered load below 2*max(k_n, 2)/DBL_MAX,
@@ -38,7 +38,7 @@ import numpy as np
 
 from .alloc import equal_power, optimal_allocation, waterfill
 from .channel import _DBL_MAX, ParallelChannel, _branch_shape, _loads, _positive
-from .specfun import _NODE_CHUNK, NumericError, _gamma_q, _gamma_rule, _rule_sums, reg_gamma_q
+from .specfun import NumericError, _gamma_q, _gamma_rule, _rule_sums, reg_gamma_q
 
 __all__ = [
     "LN2",
@@ -60,7 +60,7 @@ LN2 = math.log(2.0)
 
 _ITER_CAP = 50
 _A_STEP_TOLERANCE = 1e-10  # relative Newton step in a; the term's error is its square
-_MARKOV_CHUNK = 8192  # subchannels per pass of the Markov bound
+_PAIR_CHUNK = 8192  # powered (row, bin) pairs per term call of exact_rate and markov_lower
 _RATE_RTOL = 1e-13  # exact_rate's relative accuracy: that of the gamma quadrature rule
 
 
@@ -101,16 +101,17 @@ def _stack_on(channel: ParallelChannel, powers) -> tuple[np.ndarray, np.ndarray]
     return stack, loads
 
 
-def _powered_sums(channel: ParallelChannel, powers, term, chunk: int) -> float | np.ndarray:
-    # per row, the sum of term(bins, load) over its powered bins, chunk (row, bin) pairs a call
+def _powered_sums(channel: ParallelChannel, powers, term) -> float | np.ndarray:
+    # per row, the sum of term(bins, load) over its powered bins, _PAIR_CHUNK pairs a call
     stack, loads = _stack_on(channel, powers)
     rows, bins = np.nonzero(stack)
     load = loads[rows, bins]
+    ends = np.cumsum(np.count_nonzero(stack, axis=1)).tolist()
+    del stack, loads, rows  # the terms need only the powered pairs' bins and loads
     terms = np.empty(bins.size)
-    for r in (slice(start, start + chunk) for start in range(0, bins.size, chunk)):
+    for r in (slice(start, start + _PAIR_CHUNK) for start in range(0, bins.size, _PAIR_CHUNK)):
         terms[r] = term(bins[r], load[r])
     # each row's terms are one contiguous slice, summed alone, wherever the chunks cut
-    ends = np.cumsum(np.count_nonzero(stack, axis=1)).tolist()
     sums = np.array([terms[s:e].sum() for s, e in zip([0] + ends, ends)])
     return float(sums[0]) if np.ndim(powers) == 1 else sums
 
@@ -184,7 +185,7 @@ def markov_lower(
     k, alpha = channel.shape, None if alpha is None else _alpha(alpha)
     return _powered_sums(channel, powers, lambda bins, load: (
         _max_markov_terms(k[bins], load) if alpha is None
-        else np.log1p(alpha * load) * _gamma_q(k[bins], alpha * k[bins])[0]), _MARKOV_CHUNK)
+        else np.log1p(alpha * load) * _gamma_q(k[bins], alpha * k[bins])[0]))
 
 
 def exact_rate(channel: ParallelChannel, powers) -> float | np.ndarray:
@@ -192,7 +193,7 @@ def exact_rate(channel: ParallelChannel, powers) -> float | np.ndarray:
 
     A bin's term is E[log1p(l*e^u)] at its load l, over the unit-mean nodes
     e^u = g/mu of its shape's gamma rule: one rule per call, applied to at
-    most ``_NODE_CHUNK`` nodes at a time (or one bin's, if more), so the
+    most ``specfun._NODE_CHUNK`` nodes at a time (or one bin's, if more), so the
     working set beyond the rule and the stack does not grow with them.
     Each term is within 1e-13 relative of 30-digit mpmath for shapes 0.1
     to 1e5 and loads from 1e-3 to 1e9 times the shape.
@@ -210,7 +211,7 @@ def exact_rate(channel: ParallelChannel, powers) -> float | np.ndarray:
         return e_u
 
     return _powered_sums(channel, powers, lambda bins, load: _rule_sums(
-        nodes, weights, which[bins], log1p_load, load), _NODE_CHUNK)
+        nodes, weights, which[bins], log1p_load, load))
 
 
 def empirical_rate(gains, powers, n0: float) -> float:
@@ -377,6 +378,7 @@ def rate_table(
                 cells.append((snr_db, tag))
                 allocations.append(swfs[-1] if tag == "statistical-waterfill"
                                    else _checked(ch, allocate, p_total, snr_db))
+        allocations = np.array(allocations)  # one stack, read by both lower bounds
         c_upper = np.repeat(jensen_upper(ch, swfs), len(allocators)).tolist()
         c_exact = exact_rate(ch, allocations).tolist()
         c_markov = markov_lower(ch, allocations, alpha=alpha) if markov else [math.nan] * len(cells)

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from simocap.alloc import equal_power
 from simocap.channel import ParallelChannel, build_decay_profile, fit_gamma_moments
 from simocap.ingest import generate_snapshots, simo_gains
+from simocap.rates import bound_ratio
 
 
 def _one(theta, shape):
@@ -207,6 +209,31 @@ def test_decay_profile_checks_its_branch_structure():
     assert np.array_equal(ch.shape, np.full(4, 0.7 * 3))
     mu = build_decay_profile(4, 5e9, 6e9, 3.0, 1.0, 1, 1.0).mean_gains
     assert np.array_equal(ch.theta, mu / (0.7 * 3))
+
+
+_CH3 = build_decay_profile(3, 5e9, 6e9, 3.0, 1.0, 2, 1.0)
+_SNAPSHOTS = generate_snapshots(_CH3, 3, 0, 2)
+_BAND = (5e9, 6e9, 3.0, 1.0, 2, 1.0)
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (build_decay_profile, ("3", *_BAND), "n_bins must be a positive integer, got '3'"),
+    (build_decay_profile, (None, *_BAND), "n_bins must be a positive integer, got None"),
+    (generate_snapshots, (_CH3, "4", 0, 2), "n_snapshots must be a positive integer, got '4'"),
+    (generate_snapshots, (_CH3, 3, 0, "2"), "n_branches must be a positive integer, got '2'"),
+    (equal_power, ("2", 1.0), "n must be a positive integer, got '2'"),
+    (bound_ratio, (1.0, "4", 1.0, 0.5), "L must be a positive integer, got '4'"),
+    (simo_gains, (_SNAPSHOTS, [None]), "invalid branch id None (have 2 branches)"),
+    (simo_gains, (_SNAPSHOTS, ["x"]), "invalid branch id 'x' (have 2 branches)"),
+    (simo_gains, (_SNAPSHOTS, [math.nan]), "invalid branch id nan (have 2 branches)"),
+    (simo_gains, (_SNAPSHOTS, [math.inf]), "invalid branch id inf (have 2 branches)"),
+], ids=["n_bins-str", "n_bins-None", "n_snapshots-str", "n_branches-str", "n-str", "L-str",
+        "branch-None", "branch-str", "branch-nan", "branch-inf"])
+def test_a_count_or_branch_id_that_is_not_a_number_is_refused_by_name(call, args, message):
+    # a string or None is no count and no branch id, and nan or inf no branch id;
+    # each is refused as a ValueError that names the argument and the value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(*args)
 
 
 def test_simo_gains_match_sum_of_exponentials():

@@ -360,7 +360,7 @@ def test_markov_lower_of_a_stack_is_its_rows_bound_by_bound(alpha, rows):
     # (a 1-D call at shape 1e5 takes about 20 ms).
     ch, stack = _wide_channel_stack(rows)
     ends = np.cumsum(np.count_nonzero(stack, axis=1))
-    cut = int(np.searchsorted(ends, rates._MARKOV_CHUNK))  # the row the first chunk ends in
+    cut = int(np.searchsorted(ends, rates._PAIR_CHUNK))  # the row the first chunk ends in
     assert (cut < rows) == (rows > 5)
     bounds = markov_lower(ch, stack, alpha=alpha)
     assert isinstance(bounds, np.ndarray) and bounds.shape == (rows,)
@@ -374,15 +374,20 @@ def test_markov_lower_of_a_stack_is_its_rows_bound_by_bound(alpha, rows):
 @pytest.mark.parametrize("rate, node_budget", [
     (jensen_upper, None), (exact_rate, None),
     (exact_rate, lambda nodes_per_bin: 1), (exact_rate, lambda nodes_per_bin: 5 * nodes_per_bin),
-], ids=["jensen_upper", "exact_rate", "exact_rate-one-node-a-pass", "exact_rate-five-bins-a-pass"])
+    (exact_rate, "five pairs a call"),
+], ids=["jensen_upper", "exact_rate", "exact_rate-one-node-a-pass", "exact_rate-five-bins-a-pass",
+        "exact_rate-five-pairs-a-call"])
 def test_jensen_and_exact_rate_of_a_stack_are_its_rows_rate_by_rate(rate, node_budget, monkeypatch):
     # the stack has zero-power bins and an all-zero row; a vector gives a
     # float.  A budget of 1 node applies exact_rate's rule to one bin a pass,
     # and one of 5 bins' nodes cuts inside rows; each row still equals its
-    # 1-D call at the default budget.
+    # 1-D call at the default budget.  So it does where term calls of 5
+    # powered (row, bin) pairs cut inside rows.
     ch, stack = _wide_channel_stack(40)
     alone = [rate(ch, row) for row in stack]
-    if node_budget is not None:
+    if node_budget == "five pairs a call":
+        monkeypatch.setattr(rates, "_PAIR_CHUNK", 5)
+    elif node_budget is not None:
         nodes_per_bin = specfun._gamma_rule(ch.shape)[0].shape[1]
         monkeypatch.setattr(specfun, "_NODE_CHUNK", node_budget(nodes_per_bin))
     values = rate(ch, stack)
@@ -434,7 +439,7 @@ def test_markov_lower_does_not_depend_on_the_rows_that_share_its_stack(monkeypat
         both = np.vstack([mates, stack, mates])
         assert markov_lower(ch, both)[len(mates) : len(mates) + 8].tolist() == alone
     # and not on where the chunks cut it
-    monkeypatch.setattr(rates, "_MARKOV_CHUNK", 5)
+    monkeypatch.setattr(rates, "_PAIR_CHUNK", 5)
     assert markov_lower(ch, stack).tolist() == alone
     # which holds because each subchannel's search stops on its own: its
     # maximised term is the one it gets alone
@@ -707,6 +712,23 @@ def test_rate_table_calls_each_bound_once_per_diversity_order(monkeypatch):
         monkeypatch.setattr(rates, name, counted)
     rate_table(_cubic_profile(8), [2, 4], [-5.0, 0.0, 5.0], ["statistical-waterfill", "equal"])
     assert calls == [("jensen_upper", (3, 8)), ("exact_rate", (6, 8)), ("markov_lower", (6, 8))] * 2
+
+
+def test_rate_table_gives_both_lower_bounds_one_array_per_order(monkeypatch):
+    # each order's allocations are one (rows, n) stack, which exact_rate and
+    # markov_lower read as it is, not a list that each copies
+    seen = {"exact_rate": [], "markov_lower": []}
+    for name in seen:
+        def recorded(ch, powers, _rate=getattr(rates, name), _seen=seen[name], **options):
+            _seen.append(powers)
+            return _rate(ch, powers, **options)
+
+        monkeypatch.setattr(rates, name, recorded)
+    rate_table(_cubic_profile(8), [2, 4], [-5.0, 0.0, 5.0], ["statistical-waterfill", "equal"])
+    assert len(seen["exact_rate"]) == len(seen["markov_lower"]) == 2
+    for exact, markov in zip(seen["exact_rate"], seen["markov_lower"]):
+        assert type(exact) is np.ndarray and exact.shape == (6, 8)
+        assert markov is exact
 
 
 def test_rate_table_without_markov_and_with_a_callable_strategy():
