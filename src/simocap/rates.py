@@ -13,9 +13,10 @@ l_n = p_n mu_n / n0, each bound reads bin n through k_n and l_n alone:
 
 ``jensen_upper``, ``exact_rate`` and ``markov_lower`` take one allocation,
 an (n,) vector of powers, and return a float, or a (rows, n) stack of them,
-and return one value per row, bit for bit the value of that row alone.
-The exact rate and the Markov bound are one pass over the stack's powered
-bins, 8,192 of them at a time.  A load is formed on the
+in any memory layout, and return one value per row, bit for bit the value of
+that row alone.  All three are one pass over the stack's powered bins, 8,192
+of them at a time, and each row is summed over its own bins in C order, where
+an unpowered bin adds an exact zero.  A load is formed on the
 significands of p_n, mu_n and n0, so p_n*mu_n alone may pass the float
 range where the load does not.  Each bound raises ValueError
 for a load that overflows, or a powered load below 2*max(k_n, 2)/DBL_MAX,
@@ -76,50 +77,48 @@ def _alpha(value) -> float:
 
 
 def _stack(powers, n: int) -> np.ndarray:
-    # the (rows, n) stack of nonnegative finite powers; a vector is a one-row stack
-    powers = np.asarray(powers, dtype=float)
-    stack = powers[None] if powers.ndim == 1 else powers
-    if stack.ndim != 2 or stack.shape[1] != n:
+    # the powers read once, in C order: an (n,) vector or a (rows, n) stack, nonnegative and finite
+    powers = np.asarray(powers, dtype=float, order="C")
+    if powers.ndim not in (1, 2) or powers.shape[-1] != n:
         raise ValueError(
             f"powers must be a 1-D vector of {n} entries or a (rows, {n}) stack, "
             f"got shape {powers.shape}"
         )
-    if not np.all(np.isfinite(stack)) or np.any(stack < 0.0):
+    if not np.all(np.isfinite(powers)) or np.any(powers < 0.0):
         raise ValueError("powers must be nonnegative and finite")
-    return stack
+    return powers
 
 
 def _stack_on(channel: ParallelChannel, powers) -> tuple[np.ndarray, np.ndarray]:
     # _stack of powers on channel and its loads p*mu/n0, each refused as the module docstring says
     stack = _stack(powers, channel.n)
     loads = _loads(stack, channel.mean_gains, channel.n0)
-    tiny = np.argwhere((stack > 0.0) & (loads < 2.0 * np.maximum(channel.shape, 2.0) / _DBL_MAX))
+    tiny = np.flatnonzero((stack > 0.0) & (loads < 2.0 * np.maximum(channel.shape, 2.0) / _DBL_MAX))
     if tiny.size:
-        row, n = tiny[0]
-        raise ValueError(
-            f"p*mu/n0 = {float(loads[row, n])!r} in bin {n} is below 2*max(shape, 2)/DBL_MAX")
+        raise ValueError(f"p*mu/n0 = {float(loads.flat[tiny[0]])!r} in bin {tiny[0] % channel.n} "
+                         "is below 2*max(shape, 2)/DBL_MAX")
     return stack, loads
 
 
 def _powered_sums(channel: ParallelChannel, powers, term) -> float | np.ndarray:
-    # per row, the sum of term(bins, load) over its powered bins, _PAIR_CHUNK pairs a call
-    stack, loads = _stack_on(channel, powers)
-    rows, bins = np.nonzero(stack)
-    load = loads[rows, bins]
-    ends = np.cumsum(np.count_nonzero(stack, axis=1)).tolist()
-    del stack, loads, rows  # the terms need only the powered pairs' bins and loads
-    terms = np.empty(bins.size)
-    for r in (slice(start, start + _PAIR_CHUNK) for start in range(0, bins.size, _PAIR_CHUNK)):
-        terms[r] = term(bins[r], load[r])
-    # each row's terms are one contiguous slice, summed alone, wherever the chunks cut
-    sums = np.array([terms[s:e].sum() for s, e in zip([0] + ends, ends)])
-    return float(sums[0]) if np.ndim(powers) == 1 else sums
+    # per row, the sum over its bins of term(bins, load) at its powered ones and 0 elsewhere:
+    # the terms overwrite their loads, _PAIR_CHUNK pairs a call, and an unpowered load is 0
+    stack, table = _stack_on(channel, powers)
+    powered = np.flatnonzero(stack)
+    del stack  # the terms need only the powered pairs' flat indices and loads
+    flat = table.reshape(-1)  # a view, as the loads of a C-ordered stack are C-ordered
+    for at in (powered[start:start + _PAIR_CHUNK] for start in range(0, powered.size, _PAIR_CHUNK)):
+        flat[at] = term(at % channel.n, flat[at])
+    sums = table.reshape(-1, channel.n).sum(axis=1)  # each row alone, over its contiguous bins
+    return float(sums[0]) if table.ndim == 1 else sums
 
 
 def jensen_upper(channel: ParallelChannel, powers) -> float | np.ndarray:
-    """Concavity bound sum_n log(1 + p_n*mu_n/n0) on the ergodic sum rate."""
-    rates = np.log1p(_stack_on(channel, powers)[1]).sum(axis=1)
-    return float(rates[0]) if np.ndim(powers) == 1 else rates
+    """Concavity bound sum_n log(1 + p_n*mu_n/n0) on the ergodic sum rate.
+
+    Of a (rows, n) stack, in any memory layout, each row's bound is its own 1-D call's, bit for bit.
+    """
+    return _powered_sums(channel, powers, lambda bins, load: np.log1p(load))
 
 
 def _markov_terms(a, shape, load) -> np.ndarray:

@@ -44,7 +44,7 @@ def _rate_of_one(theta, m, L, p, n0):
     return exact_rate(ch, [p])
 
 
-def test_ergodic_mi_exponential_closed_form():
+def test_exact_rate_of_an_exponential_subchannel_is_its_closed_form():
     mpmath = pytest.importorskip("mpmath")
     spec = (1.0, 1.0, 1)  # theta, m, L
     value = _rate_of_one(*spec, 1.0, 1.0)
@@ -52,7 +52,7 @@ def test_ergodic_mi_exponential_closed_form():
     assert _rate_of_one(*spec, 0.0, 1.0) == 0.0
 
 
-def test_ergodic_mi_never_exceeds_rate_at_mean_gain():
+def test_exact_rate_of_a_subchannel_never_exceeds_its_rate_at_the_mean_gain():
     rng = np.random.default_rng(0)
     for _ in range(20):
         theta, m, L = (
@@ -65,7 +65,7 @@ def test_ergodic_mi_never_exceeds_rate_at_mean_gain():
         assert _rate_of_one(theta, m, L, p, 1.0) <= math.log1p(p * mu / 1.0) + 1e-12
 
 
-def test_ergodic_mi_matches_monte_carlo():
+def test_exact_rate_of_a_subchannel_matches_monte_carlo():
     theta, m, L = 0.5, 2.0, 3
     p, n0 = 1.7, 0.8
     value = _rate_of_one(theta, m, L, p, n0)
@@ -374,9 +374,9 @@ def test_markov_lower_of_a_stack_is_its_rows_bound_by_bound(alpha, rows):
 @pytest.mark.parametrize("rate, node_budget", [
     (jensen_upper, None), (exact_rate, None),
     (exact_rate, lambda nodes_per_bin: 1), (exact_rate, lambda nodes_per_bin: 5 * nodes_per_bin),
-    (exact_rate, "five pairs a call"),
+    (exact_rate, "five pairs a call"), (jensen_upper, "five pairs a call"),
 ], ids=["jensen_upper", "exact_rate", "exact_rate-one-node-a-pass", "exact_rate-five-bins-a-pass",
-        "exact_rate-five-pairs-a-call"])
+        "exact_rate-five-pairs-a-call", "jensen_upper-five-pairs-a-call"])
 def test_jensen_and_exact_rate_of_a_stack_are_its_rows_rate_by_rate(rate, node_budget, monkeypatch):
     # the stack has zero-power bins and an all-zero row; a vector gives a
     # float.  A budget of 1 node applies exact_rate's rule to one bin a pass,
@@ -397,6 +397,22 @@ def test_jensen_and_exact_rate_of_a_stack_are_its_rows_rate_by_rate(rate, node_b
     assert values[1] == 0.0
     assert rate(ch, stack[::-1]).tolist() == alone[::-1]
     assert rate(ch, stack[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("rate", [jensen_upper, exact_rate, markov_lower])
+def test_every_bound_of_a_stack_in_any_memory_layout_is_its_rows_bound_by_bound(rate):
+    # 40 rows of 300 bins at shape 0.5, about 30 % of the powers zero, in C order,
+    # in Fortran order and as a strided view: each row is summed over its own
+    # bins alone, in C order, so each equals its own 1-D call exactly
+    ch = build_decay_profile(300, 5e9, 6e9, 3.0, 0.5, 1, 1.0)
+    rng = np.random.default_rng(39)
+    stack = rng.uniform(0.0, 2.0, (40, 300))
+    stack[rng.random(stack.shape) < 0.3] = 0.0
+    alone = [rate(ch, row) for row in stack]
+    spaced = np.zeros((40, 600))
+    spaced[:, ::2] = stack
+    for layout in (stack, np.asfortranarray(stack), spaced[:, ::2]):
+        assert rate(ch, layout).tolist() == alone
 
 
 def test_exact_rate_working_set_is_its_rule_its_stack_and_a_bounded_pass():
@@ -651,7 +667,7 @@ def test_ratio_expansion_tracks_exact_ratio_at_large_diversity():
         assert abs(exact - log_term * gamma_term) <= 0.02
 
 
-def test_awgn_reference_symmetric_case_and_identity():
+def test_rate_table_c_upper_is_the_jensen_bound_at_waterfilling():
     # the table's c_upper is the AWGN reference: waterfilling on the means is
     # optimal for the channel with gains fixed there, and 0 dB gives p_total = 2
     ch = ParallelChannel(theta=[1.0, 1.0], shape=1.0, n0=1.0)
@@ -797,9 +813,9 @@ def test_rate_table_refuses_an_empty_axis_before_building_a_channel(axis):
     "powers",
     [
         [[1.0, 1.0]], [[1.0], [1.0]], [[[1.0, 1.0]]],
-        [1.0], [1.0, -0.1], [1.0, math.nan], [1.0, math.inf],
+        [1.0], [1.0, -0.1], [1.0, math.nan], [1.0, math.inf], 5.0,
     ],
-    ids=["2-D", "2-D-short-rows", "3-D", "too-short", "negative", "nan", "inf"],
+    ids=["2-D", "2-D-short-rows", "3-D", "too-short", "negative", "nan", "inf", "0-d"],
 )
 def test_every_rate_rejects_bad_powers(powers):
     # an allocation is a plain array, so each rate checks the powers it is given;
@@ -815,6 +831,9 @@ def test_every_rate_rejects_bad_powers(powers):
         ]
     for call in calls:
         with pytest.raises(ValueError, match=r"powers must be|gains must be a \(snapshots, 1\)"):
+            call()
+    for call in calls[1:] if np.ndim(powers) == 0 else []:  # a scalar's shape is named
+        with pytest.raises(ValueError, match=r"^powers must be .*, got shape \(\)$"):
             call()
 
 
@@ -847,7 +866,7 @@ def _cubic_profile(n_bins=64):
     return profile
 
 
-def test_convergence_study_gap_shrinks_with_diversity():
+def test_rate_table_mpe_of_waterfilling_shrinks_with_diversity():
     orders = [1, 2, 4, 8, 16]
     table = rate_table(_cubic_profile(), orders, [5.0], ["statistical-waterfill"], markov=False)
     mpes = table["mpe_percent"]
@@ -857,7 +876,7 @@ def test_convergence_study_gap_shrinks_with_diversity():
     assert mpe_slope(orders, mpes) < 0.0
 
 
-def test_convergence_study_separates_waterfilling_from_fixed_allocation():
+def test_mpe_slope_separates_waterfilling_from_a_fixed_allocation():
     profile = _cubic_profile()
     weights = 1.0 + 0.3 * np.cos(2.0 * np.pi * np.arange(64) / 64.0)
     weights /= weights.sum()
@@ -873,7 +892,7 @@ def test_convergence_study_separates_waterfilling_from_fixed_allocation():
     assert mpe_slope(orders, swf) < mpe_slope(orders, custom)
 
 
-def test_convergence_study_input_validation():
+def test_mpe_slope_needs_three_increasing_orders_and_fits_a_power_law():
     with pytest.raises(ValueError, match="need at least 3 diversity orders"):
         mpe_slope([1, 2], [2.0, 1.0])
     with pytest.raises(ValueError, match="^l_values must be strictly increasing$"):

@@ -124,7 +124,7 @@ def test_reg_gamma_q_rejects_bad_domain():
         reg_gamma_q(math.nan, 1.0)
 
 
-def test_gamma_expectation_moments():
+def test_gamma_rule_gives_the_first_two_moments():
     for shape in (0.5, 1.0, 3.0, 40.0, 1e5):
         for scale in (0.25, 1.0, 4.0):
             mean = gamma_mean(lambda g: g, [shape], [scale])[0]
@@ -133,7 +133,7 @@ def test_gamma_expectation_moments():
             assert math.isclose(second, shape * (shape + 1.0) * scale**2, rel_tol=1e-9)
 
 
-def test_gamma_expectation_log_closed_form():
+def test_gamma_rule_matches_the_exponential_log1p_closed_form():
     # E[log(1 + c*g)] for g ~ Exp(theta) equals exp(1/(c*theta)) * E1(1/(c*theta))
     mpmath = pytest.importorskip("mpmath")
     for c in (0.1, 1.0, 10.0):
@@ -143,13 +143,13 @@ def test_gamma_expectation_log_closed_form():
             assert math.isclose(est, ref, rel_tol=1e-8)
 
 
-def test_gamma_expectation_detects_divergent_integrand():
+def test_rule_sums_raise_on_a_divergent_integrand():
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(NumericError):
             gamma_mean(lambda g: g / (g - g), [2.0], [1.0])
 
 
-def test_gamma_expectation_propagates_integrand_errors():
+def test_rule_sums_propagate_integrand_errors():
     # an integrand that cannot take an array is an error, not a cue to
     # evaluate it node by node
     with pytest.raises(TypeError):
@@ -247,7 +247,7 @@ _ORACLE_INTEGRANDS = {
 
 
 @pytest.mark.parametrize("shape", [0.1, 0.33, 0.5, 1.0, 4.0, 128.0, 1e4, 1e5])
-def test_gamma_expectation_matches_mpmath_oracle(shape):
+def test_gamma_rule_matches_mpmath_oracle(shape):
     # the library's three integrands for shapes 0.1 to 1e5 and twelve
     # decades of c, against a 30-digit quadrature of the gamma density; the
     # breakpoints let mpmath resolve the knee of each integrand at g = 1/c
@@ -267,7 +267,7 @@ def test_gamma_expectation_matches_mpmath_oracle(shape):
 
 
 @pytest.mark.parametrize("shape", [0.1, 0.33, 0.5, 1.0, 3.0, 16.0, 128.0, 1e3, 1e4, 1e5])
-def test_gamma_expectation_moves_by_at_most_1e13_when_h_is_halved(shape):
+def test_gamma_rule_moves_by_at_most_1e13_when_h_is_halved(shape):
     # an independent rule at half the library's step: the same window and
     # density exp(shape*(u - expm1(u))) in u = log(g/shape), h/2 apart.  If
     # the library's step under-resolved an integrand, halving it would move
@@ -281,7 +281,7 @@ def test_gamma_expectation_moves_by_at_most_1e13_when_h_is_halved(shape):
             assert est == pytest.approx(fine, rel=1e-13, abs=0.0), (name, c)
 
 
-def test_gamma_expectation_matches_mpmath_on_mixed_shapes_wherever_passes_cut(monkeypatch):
+def test_rule_sums_match_mpmath_on_mixed_shapes_wherever_passes_cut(monkeypatch):
     # one pass over unsorted, repeated shapes from 0.1 to 1e5, each entry with
     # its own scale and c, so that every entry has its own rule and parameters;
     # the breakpoints are the oracle test's, with the density's peak at
