@@ -121,13 +121,6 @@ def jensen_upper(channel: ParallelChannel, powers) -> float | np.ndarray:
     return _powered_sums(channel, powers, lambda bins, load: np.log1p(load))
 
 
-def _markov_terms(a, shape, load) -> np.ndarray:
-    # a * Q(k, x), x = c*(e^a - 1), c = k/load; an overflowing x is inf, where Q = 0
-    with np.errstate(over="ignore"):
-        x = (shape / load) * np.expm1(a)
-    return a * _gamma_q(shape, x)[0]
-
-
 def _max_markov_terms(shape, load) -> np.ndarray:
     # Per subchannel: safeguarded Newton steps on h'(a) = 0 for h(a) = a*Q(k, x),
     # x = c*(e^a - 1), c = k/load.  With phi the gamma density at x (x*phi is the kernel's),
@@ -141,8 +134,8 @@ def _max_markov_terms(shape, load) -> np.ndarray:
     # never overflows.  The search starts from the paper's rule x = alpha_k*k,
     # alpha_k = max(1 - 1/sqrt(k), 1/2).  The sign of h' shrinks the bracket;
     # where h'' >= 0 or the Newton point leaves the closed bracket, the step
-    # bisects it instead.  Each subchannel stops at its own converged step, so
-    # its term does not depend on the other subchannels of the call.
+    # bisects it instead.  A subchannel's term is a*Q at its own converged step,
+    # a bound at any a > 0, so it does not depend on the call's other subchannels.
     k, c = shape, shape / load
     lo, hi = np.zeros(k.size), np.log1p(load) - np.log(np.minimum(k, 1.0))
     a = np.log1p(np.maximum(1.0 - 1.0 / np.sqrt(k), 0.5) * k / c)
@@ -160,10 +153,10 @@ def _max_markov_terms(shape, load) -> np.ndarray:
             newton = a - d1 / d2
         new = np.where((d2 < 0.0) & (lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
         done = np.abs(new - a) <= _A_STEP_TOLERANCE * new
-        out[todo[done]] = new[done]
+        out[todo[done]] = a[done] * q[done]
         todo, a, k, c, lo, hi = (v[~done] for v in (todo, new, k, c, lo, hi))
         if not todo.size:
-            return _markov_terms(out, shape, load)
+            return out
     raise NumericError(f"Markov parameter search did not converge in {_ITER_CAP} steps")
 
 
@@ -174,17 +167,23 @@ def markov_lower(
 
     A subchannel enters through its shape k and load l = p*mu/n0 alone: the
     term is a*Q(k, x), x = c*(e^a - 1), c = k/l.  Its a > 0 is the paper's
-    closed form a = log(1 + alpha*l) (``alpha``), at the threshold x =
-    alpha*k exactly, or, by default, the term's maximum over a, searched per
-    subchannel from the paper's rule with alpha_k = max(1 - 1/sqrt(k), 1/2)
-    until its own step converges.  Zero-power subchannels contribute zero; a
-    stack is one pass over all its powered subchannels.  Raises ``ValueError``
-    for a refused load, ``NumericError`` if the maximization does not converge.
+    closed form a = log(1 + alpha*l) (``alpha``), at the threshold x = alpha*k
+    exactly, so Q reads the shape alone and is formed once per distinct shape
+    of a pass; or, by default, the term's maximum over a, searched per
+    subchannel from the paper's rule with alpha_k = max(1 - 1/sqrt(k), 1/2),
+    as a*Q at the step where that search converges.  Zero-power subchannels
+    contribute zero; a stack is one pass over its powered subchannels.  Raises
+    ``ValueError`` for a refused load, ``NumericError`` if a search does not converge.
     """
     k, alpha = channel.shape, None if alpha is None else _alpha(alpha)
-    return _powered_sums(channel, powers, lambda bins, load: (
-        _max_markov_terms(k[bins], load) if alpha is None
-        else np.log1p(alpha * load) * _gamma_q(k[bins], alpha * k[bins])[0]))
+
+    def terms(bins, load):  # the alpha rule's Q(k, alpha*k) once per distinct shape
+        if alpha is None:
+            return _max_markov_terms(k[bins], load)
+        shapes, which = np.unique(k[bins], return_inverse=True)
+        return np.log1p(alpha * load) * _gamma_q(shapes, alpha * shapes)[0][which]
+
+    return _powered_sums(channel, powers, terms)
 
 
 def exact_rate(channel: ParallelChannel, powers) -> float | np.ndarray:

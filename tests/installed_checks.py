@@ -37,6 +37,8 @@ def check_every_command():
     _cli("--version")
     _cli("bounds-sweep", "--n-bins", "8", "--snr-db=0",
          "--strategies", "statistical-waterfill,equal,optimal", "--output", "sweep.csv")
+    _cli("bounds-sweep", "--n-bins", "8", "--snr-db=0", "--a-rule", "alpha=0.5",
+         "--output", "sweep-alpha.csv")
     _cli("mpe-study", "--n-bins", "8", "--output", "mpe.csv")
     _cli("gen-synthetic", "--n-bins", "8", "--n-snapshots", "4", "--output", "channel.csv")
     _cli("ingest", "--input", "channel.csv", "--output", "stats.json")

@@ -129,7 +129,7 @@ def test_parse_band_filter():
         parse_channel_csv(buf, f_min_hz=8e9)
 
 
-def test_normalize_unit_mean_postconditions():
+def test_pooled_mean_gain_scales_every_coefficient_by_one_factor():
     # dividing the gains by the pooled mean is one scale on every coefficient:
     # all branches together average to the branch count, one branch scales alone
     snaps = _make_set(n_snapshots=10, seed=3)
@@ -185,7 +185,7 @@ def test_simo_gains_rejects_bad_branch_ids():
         simo_gains(snaps, [5])
 
 
-def test_empirical_means_clt_bound():
+def test_simo_gain_means_lie_within_a_clt_bound():
     ch = ParallelChannel(theta=[1.0], shape=4.0, n0=1.0)
     snaps = generate_snapshots(ch, 100_000, seed=21, n_branches=4)
     means = simo_gains(snaps, range(4)).mean(axis=0)

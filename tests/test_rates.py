@@ -23,7 +23,7 @@ from simocap.rates import (
     rate_table,
     snr_db_to_power,
 )
-from simocap.specfun import NumericError, _gamma_q
+from simocap.specfun import NumericError, _gamma_q, reg_gamma_q
 
 
 def _single(theta=1.0, m=1.0, L=1, n0=1.0, p=1.0):
@@ -32,10 +32,11 @@ def _single(theta=1.0, m=1.0, L=1, n0=1.0, p=1.0):
 
 
 def _markov_at(ch, powers, a):
-    # the Markov bound at explicit parameters a: its terms summed over the powered bins
-    powers, a = np.asarray(powers, dtype=float), np.asarray(a, dtype=float)
-    on = powers > 0.0
-    return float(rates._markov_terms(a[on], ch.shape[on], (powers * ch.mean_gains / ch.n0)[on]).sum())
+    # the Markov bound at explicit parameters a, from the public Q: a*Q(k, (k/load)*(e^a - 1))
+    # summed over the powered bins
+    loads = (np.asarray(powers, dtype=float) * ch.mean_gains / ch.n0).tolist()
+    return math.fsum(a_n * reg_gamma_q(k, k / load * math.expm1(a_n))
+                     for a_n, k, load in zip(a, ch.shape.tolist(), loads) if load > 0.0)
 
 
 def _rate_of_one(theta, m, L, p, n0):
@@ -118,17 +119,6 @@ def test_markov_lower_is_a_valid_lower_bound():
         lowers = markov_lower(ch, powers), markov_lower(ch, powers, alpha=0.5)
         for lower in (*lowers, _markov_at(ch, powers, [0.3] * n)):
             assert lower <= rate + 1e-9
-
-
-def test_markov_lower_overflowing_a_values_give_zero_terms_without_warning():
-    # e^a overflows past a = 709.78, so x = (n0/p)(e^a - 1)/theta is
-    # infinite and the term is a*Q(k, inf) = 0, not a warning or a nan
-    ch = ParallelChannel(theta=[1.0, 1.0, 1.0], shape=1.0, n0=1.0)
-    powers = equal_power(3, 3.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        value = _markov_at(ch, powers, [800.0, math.log(2.0), 1e300])
-    assert math.isclose(value, math.log(2.0) * math.exp(-1.0), rel_tol=1e-12)
 
 
 def test_markov_lower_vanishes_as_a_goes_to_zero():
@@ -289,9 +279,10 @@ def test_markov_max_rule_beats_every_alpha_rule_and_no_more_than_the_exact_rate(
 
 def test_markov_max_rule_search_cost_is_bounded(monkeypatch):
     # every subchannel's search over shapes 0.1 to 1e5 and c = n0/(p*theta)
-    # from 1e-12 to 1e12 converges within 19 steps: at most 20 calls of the
-    # Q kernel, the last for the terms.  A regression guard on the cost of
-    # the search, not a bound on its accuracy.
+    # from 1e-12 to 1e12 converges within 20 steps, one call of the Q kernel
+    # each, and the terms come from the Q of each converged step, so there
+    # is no call after the last step.  A regression guard on the cost of the
+    # search, not a bound on its accuracy.
     calls = []
 
     def gamma_q(k, x):
@@ -304,6 +295,38 @@ def test_markov_max_rule_search_cost_is_bounded(monkeypatch):
     terms = rates._max_markov_terms(k, k / c)
     assert np.all(terms > 0.0)
     assert len(calls) <= 20, calls
+    # as many calls as steps: the grid converges at a cap of that many steps, not one fewer
+    steps = len(calls)
+    monkeypatch.setattr(rates, "_ITER_CAP", steps)
+    assert rates._max_markov_terms(k, k / c).tolist() == terms.tolist()
+    monkeypatch.setattr(rates, "_ITER_CAP", steps - 1)
+    with pytest.raises(NumericError, match="did not converge"):
+        rates._max_markov_terms(k, k / c)
+
+
+def test_markov_alpha_rule_forms_q_once_per_shape_in_each_pass(monkeypatch):
+    # Q(k, alpha*k) reads the shape alone: on the 588-bin one-shape profile
+    # (m = 0.5, L = 1), the waterfilling stack of the default SNR grid, -20 to
+    # 20 dB, has 19,597 powered pairs: 3 passes, each sending the Q kernel one entry
+    calls = []
+
+    def gamma_q(k, x):
+        calls.append(np.size(x))
+        return _gamma_q(k, x)
+
+    ch = build_decay_profile(588, 5e9, 6e9, 3.0, 0.5, 1, 1.0)
+    stack = [waterfill(ch.mean_gains, ch.n0, snr_db_to_power(ch.n, ch.n0, snr))[0]
+             for snr in range(-20, 21)]
+    assert np.count_nonzero(stack) == 19_597
+    bounds = markov_lower(ch, stack, alpha=0.5)
+    monkeypatch.setattr(rates, "_gamma_q", gamma_q)
+    assert markov_lower(ch, stack, alpha=0.5).tolist() == bounds.tolist()
+    assert calls == [1, 1, 1]
+    # and a pass of several shapes sends each once
+    ch2, powers = _mixed_channel_12()
+    calls.clear()
+    markov_lower(ch2, powers, alpha=0.5)
+    assert calls == [np.unique(ch2.shape[powers > 0.0]).size]
 
 
 def test_markov_alpha_rule_matches_mpmath_on_a_mixed_channel():
