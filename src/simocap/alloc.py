@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .channel import _DBL_MAX, ParallelChannel, _loads, _positive, _positive_integer
-from .specfun import NumericError, _gamma_rule, _rule_sums
+from .specfun import NumericError, _rule_sums
 
 __all__ = [
     "waterfill",
@@ -106,11 +106,11 @@ def optimal_allocation(channel: ParallelChannel, p_total: float) -> np.ndarray:
     at the load l_n = p_n*mu_n/n0.  At waterfilling's powers s*mu_n/n0 is
     at most max(l_n, 2) on powered bins and 2 on the rest, so neither it nor
     s**2*D_n, the square of the same quotient times it, overflows where the
-    loads do not.  M_n and D_n take passes of at most 65,536 nodes.  It
-    stops once the active marginals, and any inactive mu_n/n0 above them,
-    agree to 1e-12 relative, and raises ``NumericError`` if 50 steps do not
-    get there.  Raises ``ValueError`` naming a budget that waterfilling
-    splits into zeros, or a bin whose load overflows.
+    loads do not.  M_n and D_n read the channel's rule in passes of at most
+    65,536 nodes.  It stops once the active marginals, and any inactive
+    mu_n/n0 above them, agree to 1e-12 relative, and raises ``NumericError``
+    if 50 steps do not get there.  Raises ``ValueError`` naming a budget
+    that waterfilling splits into zeros, or a bin whose load overflows.
     """
     n0, p_total = channel.n0, _positive("p_total", p_total)
     powers, nu = waterfill(channel.mean_gains, n0, p_total)
@@ -119,7 +119,7 @@ def optimal_allocation(channel: ParallelChannel, p_total: float) -> np.ndarray:
     s = math.ldexp(1.0, max(math.frexp(min(nu, _DBL_MAX))[1] - 2, -1074))  # never 0
     loads = _loads(powers, channel.mean_gains, n0)
     gain = _loads(s, channel.mean_gains, n0, "s*mu/n0")  # at most max(load, 2)
-    nodes, weights, which = _gamma_rule(channel.shape)
+    nodes, weights, which = channel._rule
     inverse = 1.0 / nodes  # e^-u, at most 7e195, one row per distinct shape
 
     def quotient(e_inv, load):  # 1/(e^-u + l), in place

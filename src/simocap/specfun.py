@@ -6,8 +6,7 @@ reduces to one special function plus one integral operator:
 * ``reg_gamma_q`` -- the regularized upper incomplete gamma function
   Q(a, x), which is the CCDF of a unit-scale gamma variate with shape a,
 * ``_gamma_rule`` and ``_rule_sums`` -- E[f(g_i)] for g_i ~ Gamma(shape_i,
-  scale_i) by one fixed trapezoid rule in log g, built once per distinct
-  shape on unit-mean nodes and applied in passes of bounded size.
+  scale_i) by one fixed trapezoid rule in log g, built once per channel.
 
 All functions are pure and re-entrant, and need numpy only.  Q is one
 numpy kernel, shared with the Markov bound: the series for P below

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from gamma_mean import gamma_mean
 
-from simocap import alloc as alloc_module, specfun
+from simocap import alloc as alloc_module, channel as channel_module, specfun
 from simocap.alloc import equal_power, optimal_allocation, waterfill
 from simocap.channel import ParallelChannel, build_decay_profile
 from simocap.rates import exact_rate, jensen_upper, markov_lower, snr_db_to_power
@@ -362,9 +362,9 @@ def test_optimal_allocation_raises_at_the_iteration_cap(monkeypatch):
         optimal_allocation(ch, 2.0)
 
 
-def test_optimal_allocation_builds_one_rule_per_solve(monkeypatch):
-    # the quadrature rule depends on the channel only, so every Newton step
-    # applies the one rule built at the start of the solve
+def test_optimal_allocation_reads_the_channel_rule(monkeypatch):
+    # the quadrature rule depends on the channel only, so every Newton step of
+    # every solve applies the one rule the channel built at its first use
     built, applied = [], []
 
     def rule(*args):
@@ -375,12 +375,14 @@ def test_optimal_allocation_builds_one_rule_per_solve(monkeypatch):
         applied.append(args)
         return specfun._rule_sums(*args)
 
-    monkeypatch.setattr(alloc_module, "_gamma_rule", rule)
+    monkeypatch.setattr(channel_module, "_gamma_rule", rule)
     monkeypatch.setattr(alloc_module, "_rule_sums", rule_sums)
     ch = ParallelChannel(theta=[2.0, 0.1, 1e-3], shape=[0.5, 6.0, 1e3], n0=1.0)
     _assert_kkt(ch, 2.0, optimal_allocation(ch, 2.0))
     assert len(built) == 1
     assert len(applied) >= 3  # marginals, curvatures and marginals again at least
+    _assert_kkt(ch, 5.0, optimal_allocation(ch, 5.0))
+    assert len(built) == 1
 
 
 def test_optimal_allocation_working_set_is_its_rule_its_vectors_and_a_bounded_pass():

@@ -12,7 +12,7 @@ from scipy import stats
 from simocap.alloc import equal_power
 from simocap.channel import ParallelChannel, build_decay_profile, fit_gamma_moments
 from simocap.ingest import generate_snapshots, simo_gains
-from simocap.rates import bound_ratio
+from simocap.rates import bound_ratio, exact_rate
 
 
 def _one(theta, shape):
@@ -108,12 +108,18 @@ def test_parallel_channel_refuses_a_mean_gain_that_overflows_naming_its_bin():
     "clone", [lambda ch: pickle.loads(pickle.dumps(ch)), copy.deepcopy], ids=["pickle", "deepcopy"]
 )
 def test_copies_of_a_channel_stay_read_only(clone):
+    # a channel used once holds its quadrature rule; a copy starts without it and
+    # builds the same one, so its rates are the same bit for bit
     ch = build_decay_profile(5, 5e9, 6e9, 3.0, 0.5, 3, 2.0)
+    powers = np.linspace(0.5, 2.5, 5)
+    rate = exact_rate(ch, powers)
     twin = clone(ch)
     for name in ("theta", "shape", "freqs_hz", "mean_gains"):
         assert np.array_equal(getattr(twin, name), getattr(ch, name)), name
         assert not getattr(twin, name).flags.writeable, name
     assert twin.n0 == ch.n0
+    assert "_rule" in vars(ch) and "_rule" not in vars(twin)
+    assert exact_rate(twin, powers) == rate
 
 
 def test_flat_profile_has_unit_gains():

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from simocap import rates, specfun
+from simocap import channel as channel_module, rates, specfun
 from simocap.alloc import equal_power, optimal_allocation, waterfill
 from simocap.channel import ParallelChannel, build_decay_profile
 from simocap.ingest import generate_snapshots, simo_gains
@@ -458,17 +458,24 @@ def test_exact_rate_working_set_is_its_rule_its_stack_and_a_bounded_pass():
     assert peak <= rule_bytes + 8 * stack.nbytes + 3 * 8 * specfun._NODE_CHUNK, peak
 
 
-def test_exact_rate_builds_one_rule_per_call(monkeypatch):
+def test_rate_table_builds_one_rule_per_channel(monkeypatch):
+    # the quadrature rule depends on the shapes only, so the channel builds it at first
+    # use and the exact-rate stack and every optimal solve of the sweep read that one
     built = []
 
     def rule(*args):
         built.append(args)
         return specfun._gamma_rule(*args)
 
-    monkeypatch.setattr(rates, "_gamma_rule", rule)
-    ch, stack = _wide_channel_stack(6)
-    exact_rate(ch, stack)
+    monkeypatch.setattr(channel_module, "_gamma_rule", rule)
+    ch = ParallelChannel(theta=np.geomspace(1e-2, 1e2, 12), shape=[0.5, 6.0, 1e3] * 4, n0=1.0)
+    table = rate_table(lambda L: ch, [1], [-10.0, 0.0, 10.0, 20.0],
+                       ["statistical-waterfill", "equal", "optimal"])
+    assert table["c_lower_exact"].size == 12
     assert len(built) == 1
+    for part in ch._rule:
+        with pytest.raises(ValueError, match="read-only"):
+            part[0] = part[0]
 
 
 def test_markov_lower_does_not_depend_on_the_rows_that_share_its_stack(monkeypatch):
@@ -920,6 +927,8 @@ def test_mpe_slope_needs_three_increasing_orders_and_fits_a_power_law():
         mpe_slope([1, 2], [2.0, 1.0])
     with pytest.raises(ValueError, match="^l_values must be strictly increasing$"):
         mpe_slope([1, 4, 2], [3.0, 2.0, 1.0])
+    with pytest.raises(ValueError, match="^l_values must be strictly increasing$"):
+        mpe_slope([1, 2, 2], [3.0, 2.0, 1.0])
     # a power law MPE = 8/L has slope -1
     assert math.isclose(mpe_slope([1, 2, 4, 8], [8.0, 4.0, 2.0, 1.0]), -1.0, rel_tol=1e-12)
 
