@@ -313,15 +313,6 @@ _TABLE_COLUMNS = (
 )
 
 
-def _checked(channel: ParallelChannel, allocate, p_total: float, snr_db: float) -> np.ndarray:
-    # allocate's powers as a one-row stack, copied (a callable may reuse its buffer),
-    # with its loads refused as _stack_on does; a refusal names the SNR
-    try:
-        return _stack_on(channel, [allocate(channel, p_total)])[0][0]
-    except ValueError as exc:
-        raise ValueError(f"{exc} at SNR {snr_db!r} dB") from None
-
-
 def rate_table(
     profile: Callable[[int], ParallelChannel],
     l_values: Sequence[int],
@@ -365,19 +356,23 @@ def rate_table(
         allocators = [("custom", s) if callable(s) else (s, _STRATEGIES[s]) for s in strategies]
     except KeyError as exc:
         raise ValueError(f"unknown strategy {exc.args[0]!r}") from None
-    rows = []
+    rows, width = [], len(allocators)
+    cells = [(snr_db, tag) for snr_db in map(float, snr_db_values) for tag, _ in allocators]
     for L in l_values:
         ch = profile(L)
-        cells, swfs, allocations = [], [], []
-        for snr_db in map(float, snr_db_values):
+        # waterfilling's powers per SNR and the strategies' per cell, filled SNR by SNR
+        swfs, allocations = np.empty((len(snr_db_values), ch.n)), np.empty((len(cells), ch.n))
+        for i, snr_db in enumerate(map(float, snr_db_values)):
             p_total = snr_db_to_power(ch.n, ch.n0, snr_db)
-            swfs.append(_checked(ch, _STRATEGIES["statistical-waterfill"], p_total, snr_db))
-            for tag, allocate in allocators:
-                cells.append((snr_db, tag))
-                allocations.append(swfs[-1] if tag == "statistical-waterfill"
-                                   else _checked(ch, allocate, p_total, snr_db))
-        allocations = np.array(allocations)  # one stack, read by both lower bounds
-        c_upper = np.repeat(jensen_upper(ch, swfs), len(allocators)).tolist()
+            try:  # this SNR's rows, each one row of n, copied (a callable may reuse its buffer)
+                swf = _STRATEGIES["statistical-waterfill"](ch, p_total)
+                stack = _stack_on(ch, [swf, *(swf if tag == "statistical-waterfill" else
+                                              _stack([allocate(ch, p_total)], ch.n)[0]
+                                              for tag, allocate in allocators)])[0]
+            except ValueError as exc:
+                raise ValueError(f"{exc} at SNR {snr_db!r} dB") from None
+            swfs[i], allocations[i * width:(i + 1) * width] = stack[0], stack[1:]
+        c_upper = np.repeat(jensen_upper(ch, swfs), width).tolist()
         c_exact = exact_rate(ch, allocations).tolist()
         c_markov = markov_lower(ch, allocations, alpha=alpha) if markov else [math.nan] * len(cells)
         rows += [(int(L), snr_db, tag, upper, exact, lower, mpe(upper, exact))

@@ -29,7 +29,7 @@ TESTS = {  # the test files that exercise each module most directly
     "cli": ["test_cli.py"],
     "ingest": ["test_ingest.py", "test_ingest_properties.py"],
     "rates": ["test_rates.py", "test_rates_properties.py"],
-    "specfun": ["test_specfun.py"],
+    "specfun": ["test_specfun.py", "test_channel.py"],
 }
 
 

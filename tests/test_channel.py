@@ -10,7 +10,12 @@ import pytest
 from scipy import stats
 
 from simocap.alloc import equal_power
-from simocap.channel import ParallelChannel, build_decay_profile, fit_gamma_moments
+from simocap.channel import (
+    ParallelChannel,
+    _positive_integer,
+    build_decay_profile,
+    fit_gamma_moments,
+)
 from simocap.ingest import generate_snapshots, simo_gains
 from simocap.rates import bound_ratio, exact_rate
 
@@ -193,13 +198,29 @@ def test_decay_profile_is_flat_at_exponent_0_over_any_band():
 
 
 def test_decay_profile_rejects_bad_band():
-    for f_lo, f_hi in ((6e9, 5e9), (0.0, 6e9), (5e9, math.inf), (math.nan, 6e9), (5e9, math.nan)):
+    bands = ((6e9, 5e9), (5e9, 5e9), (0.0, 6e9), (5e9, math.inf), (math.nan, 6e9), (5e9, math.nan))
+    for f_lo, f_hi in bands:
         with pytest.raises(ValueError, match="need finite f_hi_hz > f_lo_hz > 0"):
             build_decay_profile(4, f_lo, f_hi, 3.0, 1.0, 1, 1.0)
     with pytest.raises(ValueError):
         build_decay_profile(0, 5e9, 6e9, 3.0, 1.0, 1, 1.0)
     with pytest.raises(ValueError):
         build_decay_profile(4, 5e9, 6e9, -1.0, 1.0, 1, 1.0)
+
+
+def test_decay_profile_takes_a_weight_of_exactly_the_least_normal_float():
+    # over [1, 2] Hz the weights are f^-d exactly, so d = 1022 reaches 2^-1022 = DBL_MIN,
+    # a normal float whose mean gain 2^-1021 is exact, and d = 1023 a subnormal one
+    ch = build_decay_profile(2, 1.0, 2.0, 1022.0, 1.0, 1, 1.0)
+    assert ch.mean_gains.tolist() == [2.0, 2.0**-1021]
+    with pytest.raises(ValueError, match="gives mean gains that underflow"):
+        build_decay_profile(2, 1.0, 2.0, 1023.0, 1.0, 1, 1.0)
+
+
+def test_a_count_may_equal_its_ceiling():
+    _positive_integer("n", 5, most=5)
+    with pytest.raises(ValueError, match="^n must be a positive integer at most 4, got 5$"):
+        _positive_integer("n", 5, most=4)
 
 
 def test_decay_profile_checks_its_branch_structure():

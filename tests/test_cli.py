@@ -653,6 +653,10 @@ _REFUSALS = {
         "config field 'rate_units' must be one of ('nats', 'bits'), got 'bits2'",
     ),
     "empty-orders-mpe": ("mpe-study", '{"l_values": []}', [], "l_values must be non-empty"),
+    "empty-band": (
+        "bounds-sweep", None, ["--f-lo-hz", "5e9", "--f-hi-hz", "5e9"],
+        "need finite f_hi_hz > f_lo_hz > 0, got [5000000000.0, 5000000000.0]",
+    ),
 }
 
 
@@ -720,6 +724,18 @@ def test_gen_then_ingest_round_trip(tmp_path):
     means = np.array([b["mean_gain"] for b in doc["bins"]])
     assert np.all(means > 0)
     assert all(b["fit_shape"] is not None for b in doc["bins"])
+
+
+def test_ingest_without_output_writes_the_file_to_stdout(tmp_path, capsys):
+    chan, stats = tmp_path / "chan.csv", tmp_path / "stats.json"
+    assert cli.main(["gen-synthetic", "--n-bins", "3", "--l-values", "2", "--n-snapshots", "20",
+                     "--output", str(chan)]) == 0
+    assert cli.main(["ingest", "--input", str(chan), "--output", str(stats)]) == 0
+    capsys.readouterr()
+    before = sorted(tmp_path.iterdir())
+    assert cli.main(["ingest", "--input", str(chan)]) == 0
+    assert capsys.readouterr().out.encode() == stats.read_bytes()
+    assert sorted(tmp_path.iterdir()) == before  # and no file
 
 
 def test_channel_from_fits_below_shape_one_half(tmp_path):

@@ -101,9 +101,10 @@ def test_parse_rejects_inconsistent_bin_frequency():
 
 
 def test_parse_rejects_non_increasing_frequencies():
-    body = f"{CSV_HEADER}\n0,0,0,6e9,1,0\n0,0,1,5e9,1,0\n"
-    with pytest.raises(ParseError, match="strictly increasing"):
-        parse_channel_csv(io.StringIO(body))
+    for freq in ("5e9", "6e9"):  # a falling frequency, and two bins sharing one
+        body = f"{CSV_HEADER}\n0,0,0,6e9,1,0\n0,0,1,{freq},1,0\n"
+        with pytest.raises(ParseError, match="strictly increasing"):
+            parse_channel_csv(io.StringIO(body))
 
 
 def test_frequency_order_check_holds_across_the_whole_float_range():
@@ -183,6 +184,8 @@ def test_simo_gains_rejects_bad_branch_ids():
         simo_gains(snaps, [0, 0])
     with pytest.raises(ValueError):
         simo_gains(snaps, [5])
+    with pytest.raises(ValueError, match="invalid branch id"):  # one past the last branch
+        simo_gains(snaps, [snaps.branches])
 
 
 def test_simo_gain_means_lie_within_a_clt_bound():
@@ -213,6 +216,17 @@ def test_generator_is_deterministic_and_validates():
         with pytest.raises(ValueError, match=f"^seed must be a nonnegative integer, got {bad}$"):
             generate_snapshots(ch, 5, seed=bad, n_branches=2)
     assert generate_snapshots(ch, 5, seed=0, n_branches=2).coeffs.shape == (5, 2, 3)
+
+
+def test_generator_takes_coefficients_up_to_half_the_count_ceiling(monkeypatch):
+    # a complex coefficient is 2 floats, so at most _COUNT_MAX // 2 of them, here 6 on 1 bin
+    monkeypatch.setattr(ingest, "_COUNT_MAX", 13)
+    ch = ParallelChannel(theta=[1.0], shape=4.0, n0=1.0)
+    assert generate_snapshots(ch, 3, seed=0, n_branches=2).coeffs.shape == (3, 2, 1)
+    with pytest.raises(ValueError, match=re.escape(
+        "n_snapshots * n_branches * bins must be at most 6 coefficients, got 7 * 1 * 1"
+    )):
+        generate_snapshots(ch, 7, seed=0, n_branches=1)
 
 
 def test_generator_takes_a_whole_seed_and_refuses_any_other_by_name():
@@ -263,8 +277,9 @@ def test_pipeline_recovers_profile_means():
 
 
 def test_snapshot_set_validation():
-    with pytest.raises(ValueError):
-        SnapshotSet(freqs_hz=np.array([2.0, 1.0]), coeffs=np.ones((1, 1, 2), dtype=complex))
+    for freqs in ([2.0, 1.0], [1.0, 1.0]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SnapshotSet(freqs_hz=np.array(freqs), coeffs=np.ones((1, 1, 2), dtype=complex))
     with pytest.raises(ValueError):
         SnapshotSet(freqs_hz=np.array([1.0]), coeffs=np.ones((1, 1, 2), dtype=complex))
 

@@ -585,6 +585,10 @@ def test_mpe_forgives_an_exact_rate_above_jensen_by_its_accuracy_alone():
     assert slack == 1e-13
     assert -1e-13 < mpe(1.0, math.nextafter(1.0, 2.0)) < 0.0  # one ulp above
     assert -100.0 * slack <= mpe(1.0 - 0.5 * slack, 1.0) < 0.0
+    # 1 - slack is c_lower*(1 - slack) to the bit, the edge of the accuracy: forgiven
+    assert math.isclose(mpe(1.0 - slack, 1.0), -100.0 * slack, rel_tol=1e-3)
+    with pytest.raises(ValueError, match="must not be below c_lower"):
+        mpe(math.nextafter(1.0 - slack, 0.0), 1.0)
     with pytest.raises(ValueError, match=r"c_upper \(0.9999999999998\) must not be below c_lower"):
         mpe(1.0 - 2.0 * slack, 1.0)
 

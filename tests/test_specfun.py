@@ -102,6 +102,21 @@ def test_gamma_q_raises_at_its_iteration_cap(monkeypatch):
     for x in (99.0, 110.0):
         with pytest.raises(NumericError):
             reg_gamma_q(100.0, x)
+    # Q(1, 1) = e^-1 takes the series two blocks (8 + 16 terms) and Q(9, 10)
+    # the fraction two blocks of 8 steps (its numerators vanish at step 9):
+    # the cap is checked before each block, so a cap of 8 refuses both and 9 admits them
+    for k, x in ((1.0, 1.0), (9.0, 10.0)):
+        monkeypatch.setattr(specfun, "_Q_ITER_CAP", 8)
+        with pytest.raises(NumericError, match="did not converge in 8 "):
+            specfun._gamma_q(k, x)
+        monkeypatch.setattr(specfun, "_Q_ITER_CAP", 9)
+        assert math.isclose(specfun._gamma_q(k, x)[0], special.gammaincc(k, x), rel_tol=1e-14)
+
+
+def test_gamma_q_is_an_exact_0_at_an_infinite_x():
+    # the prefactor is 0 with no iterations, for the direct and the Stirling form alike
+    q, log_d = specfun._gamma_q([0.5, 20.0], [math.inf, math.inf])
+    assert q.tolist() == [0.0, 0.0] and log_d.tolist() == [-math.inf, -math.inf]
 
 
 def test_reg_gamma_q_rejects_shapes_below_its_accurate_range():
