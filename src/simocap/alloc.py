@@ -106,10 +106,10 @@ def optimal_allocation(channel: ParallelChannel, p_total: float) -> np.ndarray:
     at the load l_n = p_n*mu_n/n0.  At waterfilling's powers s*mu_n/n0 is
     at most max(l_n, 2) on powered bins and 2 on the rest, so neither it nor
     s**2*D_n, the square of the same quotient times it, overflows where the
-    loads do not.  M_n and D_n read the channel's rule in passes of at most
-    65,536 nodes.  It stops once the active marginals, and any inactive
-    mu_n/n0 above them, agree to 1e-12 relative, and raises ``NumericError``
-    if 50 steps do not get there.  Raises ``ValueError`` naming a budget
+    loads do not.  Each step reads the channel's rule once for M_n and D_n,
+    at most 65,536 nodes at a time.  It stops once the active marginals,
+    and any inactive mu_n/n0 above them, agree to 1e-12 relative; it raises
+    ``NumericError`` if 50 steps do not, and ``ValueError`` naming a budget
     that waterfilling splits into zeros, or a bin whose load overflows.
     """
     n0, p_total = channel.n0, _positive("p_total", p_total)
@@ -122,11 +122,13 @@ def optimal_allocation(channel: ParallelChannel, p_total: float) -> np.ndarray:
     nodes, weights, which = channel._rule
     inverse = 1.0 / nodes  # e^-u, at most 7e195, one row per distinct shape
 
-    def quotient(e_inv, load):  # 1/(e^-u + l), in place
+    def quotient(e_inv, load, *_):  # 1/(e^-u + l), in place
         return np.divide(1.0, np.add(e_inv, load, out=e_inv), out=e_inv)
 
-    for _ in range(_ITER_CAP):
-        marginal = gain * _rule_sums(inverse, weights, which, quotient, loads)
+    for _ in range(_ITER_CAP):  # one pass: sums of q = 1/(e^-u + l), then of (s*mu/n0 * q)**2
+        marginal, curvature = _rule_sums(inverse, weights, which, (quotient, lambda q, load, scale:
+            np.square(np.multiply(q, scale, out=q), out=q)), loads, gain)
+        marginal *= gain
         on = powers > 0.0
         lam = marginal[on].max()
         # an inactive bin's mu/n0 may exceed lam within the tolerance, where a step gives it 0
@@ -135,8 +137,6 @@ def optimal_allocation(channel: ParallelChannel, p_total: float) -> np.ndarray:
             return powers * (p_total / powers.sum())
         # a curvature that underflows gives its bin no power in this step; levels measured
         # from lam keep it free of cancellation
-        curvature = _rule_sums(inverse, weights, which, lambda e_inv, load, scale: np.square(
-            np.multiply(quotient(e_inv, load), scale, out=e_inv), out=e_inv), loads, gain)
         slopes = np.divide(1.0, curvature, out=np.zeros(curvature.size),
                            where=curvature >= np.finfo(float).tiny)
         levels = (lam - marginal) - (powers / s) * curvature

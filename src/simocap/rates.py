@@ -209,7 +209,7 @@ def exact_rate(channel: ParallelChannel, powers) -> float | np.ndarray:
         return e_u
 
     return _powered_sums(channel, powers, lambda bins, load: _rule_sums(
-        nodes, weights, which[bins], log1p_load, load))
+        nodes, weights, which[bins], [log1p_load], load)[0])
 
 
 def empirical_rate(gains, powers, n0: float) -> float:

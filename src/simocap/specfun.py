@@ -1,17 +1,16 @@
 """Special functions and expectations against the gamma distribution.
 
-Everything downstream (capacity bounds, water levels, convergence ratios)
-reduces to one special function plus one integral operator:
+Everything downstream rests on one special function and one integral operator:
 
 * ``reg_gamma_q`` -- the regularized upper incomplete gamma function
   Q(a, x), which is the CCDF of a unit-scale gamma variate with shape a,
 * ``_gamma_rule`` and ``_rule_sums`` -- E[f(g_i)] for g_i ~ Gamma(shape_i,
-  scale_i) by one fixed trapezoid rule in log g, built once per channel.
+  scale_i) by one fixed trapezoid rule in log g, built once per channel,
+  in passes that chain integrands in place and check only their sums.
 
-All functions are pure and re-entrant, and need numpy only.  Q is one
-numpy kernel, shared with the Markov bound: the series for P below
-x = k + 1, Legendre's continued fraction for Q above (DiDonato and
-Morris, ACM TOMS 12, 1986).
+All functions are pure and re-entrant, and need numpy only.  Q is one numpy
+kernel shared with the Markov bound: P's series below x = k + 1, Legendre's
+continued fraction for Q above (DiDonato and Morris, ACM TOMS 12, 1986).
 """
 
 import math
@@ -175,16 +174,19 @@ def _gamma_rule(shapes):
     return np.exp(u), weights, which
 
 
-_NODE_CHUNK = 1 << 16  # quadrature nodes per pass of _rule_sums
+_NODE_CHUNK = 1 << 16  # quadrature nodes per pass of _rule_sums, or one row if it is longer
 
 
-def _rule_sums(nodes, weights, rows, integrand, *columns) -> np.ndarray:
-    # per entry i, weights' row rows[i] applied to integrand(x, *columns), where x holds the
-    # entries' rows of nodes, to overwrite; a pass takes at most _NODE_CHUNK nodes, or one row
-    sums, step = np.empty(rows.size), max(1, _NODE_CHUNK // nodes.shape[1])
+def _rule_sums(nodes, weights, rows, integrands, *columns) -> np.ndarray:
+    # sums[j, i]: weights[rows[i]] applied to integrands[j](x, *columns), x the nodes of rows[i] for
+    # j = 0, else integrands[j - 1]'s values, overwritten; as each row of weights is nonnegative
+    # and sums to 1, a non-finite value, even at a zero weight, spoils its sum: sums are checked
+    sums, step = np.empty((len(integrands), rows.size)), max(1, _NODE_CHUNK // nodes.shape[1])
     for at in (slice(start, start + step) for start in range(0, rows.size, step)):
-        values = integrand(nodes[rows[at]], *(column[at, None] for column in columns))
-        if not np.all(np.isfinite(values)):
+        values = nodes[rows[at]]
+        for row, integrand in zip(sums, integrands):
+            values = integrand(values, *(column[at, None] for column in columns))
+            row[at] = np.einsum("ij,ij->i", values, weights[rows[at]])
+        if not np.all(np.isfinite(sums[:, at])):
             raise NumericError("integrand produced non-finite values at quadrature nodes")
-        sums[at] = np.einsum("ij,ij->i", values, weights[rows[at]])
     return sums

@@ -1,13 +1,16 @@
-"""Comparison mutants of simocap modules, and the ones their tests do not kill.
+"""Comparison and logic mutants of simocap modules, and the ones their tests do not kill.
 
     python tests/mutants.py alloc rates channel
 
 For each comparison operator in a module, one mutant flips it (``<`` with
-``<=``, ``>`` with ``>=``) in a temporary copy of ``src/simocap``, ``tests``
+``<=``, ``>`` with ``>=``), and for each logical one swaps it (``and`` with
+``or``, ``&`` with ``|``), in a temporary copy of ``src/simocap``, ``tests``
 and ``pyproject.toml``, and runs the module's test files there, stopping at the
 first failure.  The operator is spliced into the source text, so every other
-byte and every line number stays.  The tree itself is never written.  Prints
-each mutant's line and fate, then the survivors; exits 1 if there are any.
+byte and every line number stays; an ``and``/``or`` swap changes the length of
+its token, so the columns after it on its line move by one.  The tree itself is
+never written.  Prints each mutant's line:column, at the operator as in the
+unmutated source, and fate, then the survivors; exits 1 if there are any.
 Each mutant is one pytest run, so this is a tool for audits, not part of the test suite.
 """
 
@@ -22,7 +25,9 @@ import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-FLIP = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">")}
+FLIP = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">"),
+        ast.And: ("and", "or"), ast.Or: ("or", "and"), ast.BitAnd: ("&", "|"),
+        ast.BitOr: ("|", "&")}
 TESTS = {  # the test files that exercise each module most directly
     "alloc": ["test_alloc.py", "test_alloc_properties.py"],
     "channel": ["test_channel.py", "test_alloc.py", "test_rates.py"],
@@ -33,11 +38,20 @@ TESTS = {  # the test files that exercise each module most directly
 }
 
 
+def operands(node):
+    # (left, operator, right) for each operator of a comparison, boolean or binary operation
+    if isinstance(node, ast.Compare):
+        return zip([node.left, *node.comparators], node.ops, node.comparators)
+    if isinstance(node, ast.BoolOp):
+        return ((left, node.op, right) for left, right in zip(node.values, node.values[1:]))
+    return [(node.left, node.op, node.right)] if isinstance(node, ast.BinOp) else []
+
+
 def mutants(source: bytes):
     # ("line:column", old, new, mutated source) for each flippable operator; offsets count bytes
     starts = [0, *itertools.accumulate(map(len, source.splitlines(keepends=True)))]
-    for node in (n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Compare)):
-        for left, op, right in zip([node.left, *node.comparators], node.ops, node.comparators):
+    for node in ast.walk(ast.parse(source)):
+        for left, op, right in operands(node):
             if type(op) not in FLIP:
                 continue
             old, new = FLIP[type(op)]

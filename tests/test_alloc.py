@@ -380,9 +380,31 @@ def test_optimal_allocation_reads_the_channel_rule(monkeypatch):
     ch = ParallelChannel(theta=[2.0, 0.1, 1e-3], shape=[0.5, 6.0, 1e3], n0=1.0)
     _assert_kkt(ch, 2.0, optimal_allocation(ch, 2.0))
     assert len(built) == 1
-    assert len(applied) >= 3  # marginals, curvatures and marginals again at least
+    assert len(applied) >= 3  # three Newton steps at least, one pass each
     _assert_kkt(ch, 5.0, optimal_allocation(ch, 5.0))
     assert len(built) == 1
+
+
+def test_optimal_allocation_reads_its_rule_once_a_newton_step(monkeypatch):
+    # each step takes its marginals and curvatures from one pass with two integrands, the
+    # quotient and then its square, in place; a water level is solved at waterfilling's start
+    # and at each step that fails its stop, so the two counts agree
+    passes, levels, waterlevel = [], [], alloc_module._waterlevel
+
+    def rule_sums(*args):
+        passes.append(len(args[3]))
+        return specfun._rule_sums(*args)
+
+    def counted_waterlevel(*args):
+        levels.append(args)
+        return waterlevel(*args)
+
+    monkeypatch.setattr(alloc_module, "_rule_sums", rule_sums)
+    monkeypatch.setattr(alloc_module, "_waterlevel", counted_waterlevel)
+    ch = ParallelChannel(theta=[2.0, 0.1, 1e-3], shape=[0.5, 6.0, 1e3], n0=1.0)
+    _assert_kkt(ch, 2.0, optimal_allocation(ch, 2.0))
+    assert len(levels) >= 2  # at least one step fails its stop
+    assert passes == [2] * len(levels)
 
 
 def test_optimal_allocation_working_set_is_its_rule_its_vectors_and_a_bounded_pass():

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from gamma_mean import log1p_mean_expansion
 
 from simocap import channel as channel_module, rates, specfun
 from simocap.alloc import equal_power, optimal_allocation, waterfill
@@ -521,6 +522,34 @@ def test_exact_rate_matches_integer_shape_closed_form_at_20_db():
                 s = ch.n0 / (mp.mpf(float(p)) * mp.mpf(float(theta)))
                 ref += mp.exp(s) * mp.fsum(s**j * mp.gammainc(-j, s) for j in range(4))
     assert exact_rate(ch, powers) == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("shape", [1e3, 1e4, 1e5])
+def test_exact_rate_matches_its_large_shape_expansion(shape):
+    # With X = g/mu ~ Gamma(k, 1/k), Y = X - 1 and t = l/(1 + l),
+    #   log1p(l*X) = log1p(l) + log1p(t*Y) = log1p(l) + sum_n (-1)^(n+1) t^n Y^n / n.
+    # E[Y^n] is the sum over the set partitions of n things into blocks of two or more
+    # of the products of the cumulants kappa_j = (j - 1)!/k^(j - 1), so b blocks give
+    # order k^(b - n) (Johnson, Kotz and Balakrishnan, vol. 1, ch. 17).  Collecting:
+    #   k^-1: E[Y^2] = 1/k;  k^-2: E[Y^3] -> 2 and E[Y^4] -> 3;
+    #   k^-3: E[Y^4], E[Y^5], E[Y^6] -> 6, 20, 15, so c3(t) = -(3/2)t^4 + 4t^5 - (5/2)t^6;
+    #   k^-4: E[Y^5] to E[Y^8] -> 24, 130, 210, 105, so
+    #         c4(t) = (24/5)t^5 - (65/3)t^6 + 30t^7 - (105/8)t^8;
+    #   k^-5: E[Y^6] to E[Y^10] -> 120, 924, 2380, 2520, 945, whose c5 has sup 0.0449.
+    # E3 (gamma_mean.log1p_mean_expansion) stops at c3; its error is c4(t)/k^4 + c5(t)/k^5
+    # + ..., held to sup|c4|/k^4 on [0, 1] plus the rule's 1e-13 relative.  From k = 1e3,
+    # sup|c5|/k^5 < 5e-17 is below 1e-13 times the rate at the least load, 1e-3.  The bound
+    # reaches one order past E2, since c3 vanishes at t = 0.6 and t = 1.
+    c4 = np.polynomial.Polynomial([0, 0, 0, 0, 0, 24 / 5, -65 / 3, 30, -105 / 8])
+    ends = [t.real for t in c4.deriv().roots() if t.imag == 0.0 and 0.0 <= t.real <= 1.0]
+    sup = max(abs(c4(t)) for t in [*ends, 1.0])
+    assert sup == pytest.approx(0.0299, abs=1e-4)  # at t = 0.950
+    loads = np.geomspace(1e-3, 1e3, 61)
+    ch = ParallelChannel(theta=[1.0 / shape], shape=shape, n0=1.0)
+    assert ch.mean_gains.tolist() == [1.0]  # so each power is its load
+    exact = exact_rate(ch, loads[:, None])
+    error = np.abs(exact - log1p_mean_expansion(loads, shape))
+    assert np.all(error <= sup / shape**4 + 1e-13 * exact)
 
 
 def test_empirical_rate_matches_exact_rate():

@@ -171,8 +171,13 @@ def test_rule_sums_propagate_integrand_errors():
         gamma_mean(lambda g: math.log1p(g), [2.0], [1.0])
 
 
-@pytest.mark.parametrize("node_chunk", [1 << 16, 1, 656, 3 * 656 - 1, 3 * 656],
-                         ids=["default", "one-node", "one-row", "under-three-rows", "three-rows"])
+# pass sizes against rows of 656 nodes: the whole call, one row, and whole or cut rows
+_PASS_SIZES = pytest.mark.parametrize(
+    "node_chunk", [1 << 16, 1, 656, 3 * 656 - 1, 3 * 656],
+    ids=["default", "one-node", "one-row", "under-three-rows", "three-rows"])
+
+
+@_PASS_SIZES
 def test_rule_sums_applies_the_rule_in_passes_of_at_most_node_chunk_nodes(node_chunk, monkeypatch):
     # each pass hands the integrand its entries' rows of unit-mean nodes, padded to the
     # longest row (656 nodes at shape 1e5) with their last node, as a copy it may
@@ -189,7 +194,7 @@ def test_rule_sums_applies_the_rule_in_passes_of_at_most_node_chunk_nodes(node_c
         return x
 
     monkeypatch.setattr(specfun, "_NODE_CHUNK", node_chunk)
-    sums = specfun._rule_sums(nodes, weights, which, f, scale)
+    sums = specfun._rule_sums(nodes, weights, which, [f], scale)[0]
     step = max(1, node_chunk // 656)
     assert nodes.shape == (3, 656) and np.array_equal(nodes, kept)
     assert len(calls) == -(-len(shapes) // step)
@@ -217,9 +222,68 @@ def test_rule_sums_refuses_a_non_finite_value_in_any_pass(monkeypatch):
         monkeypatch.setattr(specfun, "_NODE_CHUNK", node_chunk)
         with np.errstate(divide="ignore"):
             with pytest.raises(NumericError, match="^integrand produced non-finite values"):
-                specfun._rule_sums(nodes, weights, which, f, pole)
+                specfun._rule_sums(nodes, weights, which, [f], pole)
         assert len(calls) == passes
-    assert np.all(np.isfinite(specfun._rule_sums(nodes, weights, which[:3], f, pole[:3])))
+    assert np.all(np.isfinite(specfun._rule_sums(nodes, weights, which[:3], [f], pole[:3])[0]))
+
+
+@_PASS_SIZES
+def test_rule_sums_chain_integrands_in_place_and_sum_each(node_chunk, monkeypatch):
+    # in each pass the second integrand gets the array the first returned, with its values,
+    # to overwrite, and each row of sums is bit for bit a one-integrand call's of the same
+    # composition.  E[e^u] = 1 and E[e^2u] = 1 + 1/shape, so the sums are also known.
+    shapes, scale = np.array([0.5, 1e5, 0.5, 3.0, 1e5]), np.array([1.0, 2.0, 3.0, 0.25, 7.0])
+    nodes, weights, which = specfun._gamma_rule(shapes)
+    handed = []
+
+    def scaled(x, column):
+        x *= column
+        handed.append((x, x.copy()))
+        return x
+
+    def squared(x, column):
+        returned, values = handed[-1]
+        assert x is returned and np.array_equal(x, values)
+        return np.square(x, out=x)
+
+    monkeypatch.setattr(specfun, "_NODE_CHUNK", node_chunk)
+    sums = specfun._rule_sums(nodes, weights, which, [scaled, squared], scale)
+    assert sums.shape == (2, shapes.size)
+    assert len(handed) == -(-shapes.size // max(1, node_chunk // 656))
+    alone = [specfun._rule_sums(nodes, weights, which, [f], scale)[0]
+             for f in (scaled, lambda x, column: np.square(x * column))]
+    assert sums[0].tolist() == alone[0].tolist() and sums[1].tolist() == alone[1].tolist()
+    assert sums[0] == pytest.approx(scale, rel=1e-13, abs=0.0)
+    assert sums[1] == pytest.approx(scale**2 * (1.0 + 1.0 / shapes), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("node_chunk", [1 << 16, 1], ids=["one-pass", "one-row"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_rule_sums_refuse_a_non_finite_value_from_either_integrand(bad, node_chunk, monkeypatch):
+    # one non-finite value of the last entry, from the first integrand or the second, at a
+    # weighted node or at a padded node of zero weight, is refused: the weights are
+    # nonnegative and sum to 1, so it makes its entry's sum non-finite (0 * inf is nan)
+    shapes = [0.5, 4.0, 0.5, 4.0]
+    nodes, weights, which = specfun._gamma_rule(shapes)
+    padded = nodes.shape[1] - 1  # shape 4's row is shorter than shape 0.5's
+    assert weights[which[3], padded] == 0.0 and weights[which[3], 10] > 0.0
+    entry = np.arange(4.0)
+
+    def keep(x, at):
+        return x
+
+    def poison(node):
+        def f(x, at):
+            x[at[:, 0] == 3.0, node] = bad
+            return x
+        return f
+
+    monkeypatch.setattr(specfun, "_NODE_CHUNK", node_chunk)
+    for node in (10, padded):
+        for integrands in ([poison(node), keep], [keep, poison(node)]):
+            with pytest.raises(NumericError, match="^integrand produced non-finite values"):
+                specfun._rule_sums(nodes, weights, which, integrands, entry)
+    assert np.all(np.isfinite(specfun._rule_sums(nodes, weights, which, [keep, keep], entry)))
 
 
 def _trapezoid_rule(shape, h):
