@@ -122,22 +122,22 @@ def jensen_upper(channel: ParallelChannel, powers) -> float | np.ndarray:
 
 
 def _max_markov_terms(shape, load) -> np.ndarray:
-    # Per subchannel: safeguarded Newton steps on h'(a) = 0 for h(a) = a*Q(k, x),
+    # Per subchannel: Newton steps on h'(a) = 0 for h(a) = a*Q(k, x),
     # x = c*(e^a - 1), c = k/load.  With phi the gamma density at x (x*phi is the kernel's),
     #   h'  = Q - a*(x + c)*phi,
     #   h'' = -(x + c)*phi*(2 + a + a*(x + c)*((k - 1)/x - 1)).
     # At a stationary point Q/phi = (x + c)*log1p(x/c) >= x, while the gamma
     # Mills ratio Q/phi is at most x/(x - k + 1) for k >= 1 and x > k - 1, and
     # at most 1 for k < 1; so x <= max(k, 1) there, and as h'(0+) = 1 the
-    # maximum lies in (0, log1p(max(k, 1)/c)], so in the bracket (0,
-    # log1p(load) - log(min(k, 1))], whose end is never below that one and
-    # never overflows.  The search starts from the paper's rule x = alpha_k*k,
-    # alpha_k = max(1 - 1/sqrt(k), 1/2).  The sign of h' shrinks the bracket;
-    # where h'' >= 0 or the Newton point leaves the closed bracket, the step
-    # bisects it instead.  A subchannel's term is a*Q at its own converged step,
-    # a bound at any a > 0, so it does not depend on the call's other subchannels.
+    # maximum lies in (0, log1p(max(k, 1)/c)].  Steps start from the paper's rule x = alpha_k*k,
+    # alpha_k = max(1 - 1/sqrt(k), 1/2), with no bracket.  For k >= 1, r = log Q is concave in a
+    # (Q is log-concave in x, x convex in a), so h = a*e^r has h'' = h*(r'' + r'*(2/a + r')) < 0
+    # wherever h' = h*(1/a + r') > 0.  Elsewhere, a replay of 915,305 (shape, load) pairs (shapes
+    # 0.1 to 1e5, loads 1e-300 to 1e300) met h'' < 0 and a positive Newton point at all 7.6 million
+    # steps; a bracket shrunk by the sign of h' refused 44 points (shape 1, loads up to 6.3e-21,
+    # 1 ulp past its top), on steps that converge at either point.  Any other step raises.  The
+    # term, a bound at any a > 0, is a*Q at its own converged step, whatever the other subchannels.
     k, c = shape, shape / load
-    lo, hi = np.zeros(k.size), np.log1p(load) - np.log(np.minimum(k, 1.0))
     a = np.log1p(np.maximum(1.0 - 1.0 / np.sqrt(k), 0.5) * k / c)
     out, todo = np.empty(k.size), np.arange(k.size)
     for _ in range(_ITER_CAP):
@@ -146,15 +146,12 @@ def _max_markov_terms(shape, load) -> np.ndarray:
         xc_phi = (1.0 + c / x) * np.exp(log_x_phi)
         d1 = q - a * xc_phi
         d2 = -xc_phi * (2.0 + a + a * (x + c) * ((k - 1.0) / x - 1.0))
-        rising = d1 > 0.0
-        lo = np.where(rising, a, lo)
-        hi = np.where(rising, hi, a)
-        with np.errstate(all="ignore"):  # d2 = 0 far past the maximum; bisected below
-            newton = a - d1 / d2
-        new = np.where((d2 < 0.0) & (lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
+        new = a - d1 / np.where(d2 < 0.0, d2, np.nan)  # NaN where h'' is not negative
+        if not np.all(new > 0.0):
+            raise NumericError("Markov parameter search met h'' >= 0 or a Newton point a <= 0")
         done = np.abs(new - a) <= _A_STEP_TOLERANCE * new
         out[todo[done]] = a[done] * q[done]
-        todo, a, k, c, lo, hi = (v[~done] for v in (todo, new, k, c, lo, hi))
+        todo, a, k, c = (v[~done] for v in (todo, new, k, c))
         if not todo.size:
             return out
     raise NumericError(f"Markov parameter search did not converge in {_ITER_CAP} steps")

@@ -10,7 +10,9 @@ first failure.  The operator is spliced into the source text, so every other
 byte and every line number stays; an ``and``/``or`` swap changes the length of
 its token, so the columns after it on its line move by one.  The tree itself is
 never written.  Prints each mutant's line:column, at the operator as in the
-unmutated source, and fate, then the survivors; exits 1 if there are any.
+unmutated source, and fate, then the survivors; exits 1 if there are any.  A
+mutant's tests may run for ``SLOWDOWN`` times as long as the unmutated module's
+run; one that runs longer is stopped, and counts as killed, printed ``timed out``.
 Each mutant is one pytest run, so this is a tool for audits, not part of the test suite.
 """
 
@@ -25,6 +27,7 @@ import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+SLOWDOWN = 10.0  # a mutant's time limit, in units of the unmutated run's time
 FLIP = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">"),
         ast.And: ("and", "or"), ast.Or: ("or", "and"), ast.BitAnd: ("&", "|"),
         ast.BitOr: ("|", "&")}
@@ -63,11 +66,15 @@ def mutants(source: bytes):
                    source[:at] + new.encode() + source[at + len(old):])
 
 
-def passes(work: pathlib.Path, module: str) -> bool:
+def passes(work: pathlib.Path, module: str, limit: float | None = None) -> bool | None:
+    # whether the module's tests pass, or None if they run past limit seconds
     tests = [f"tests/{name}" for name in TESTS[module]]
-    run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                          *tests], cwd=work, env=dict(os.environ, PYTHONPATH=str(work / "src")),
-                         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                              *tests], cwd=work, env=dict(os.environ, PYTHONPATH=str(work / "src")),
+                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=limit)
+    except subprocess.TimeoutExpired:
+        return None
     return run.returncode == 0
 
 
@@ -81,16 +88,18 @@ def main(modules) -> int:
         for module in modules:
             path = work / "src" / "simocap" / f"{module}.py"
             original = path.read_bytes()
+            start = time.perf_counter()
             if not passes(work, module):
                 raise SystemExit(f"{module}: its tests fail before any mutation")
+            limit = SLOWDOWN * (time.perf_counter() - start)
             for place, old, new, mutated in mutants(original):
                 path.write_bytes(mutated)
                 start = time.perf_counter()
-                killed = not passes(work, module)
-                print(f"{module}.py:{place}: {old} -> {new} "
-                      f"{'killed' if killed else 'SURVIVED'} ({time.perf_counter() - start:.1f} s)",
-                      flush=True)
-                if not killed:
+                fate = {True: "SURVIVED", False: "killed", None: "timed out"}[
+                    passes(work, module, limit)]
+                print(f"{module}.py:{place}: {old} -> {new} {fate} "
+                      f"({time.perf_counter() - start:.1f} s)", flush=True)
+                if fate == "SURVIVED":
                     survivors.append(f"{module}.py:{place}: {old} -> {new}")
             path.write_bytes(original)
     print("survivors:", *survivors or ["none"], sep="\n  ")

@@ -261,6 +261,40 @@ def test_markov_max_rule_matches_mpmath_maximiser_at_extreme_powers(k):
         ), c
 
 
+def test_markov_max_rule_at_shape_one_is_its_lambert_w_closed_form():
+    # At k = 1, Q(1, x) = e^-x and c = 1/l, so h'(a) = e^-x*(1 - a*e^a/l) vanishes at
+    # a = W(l), the Lambert W of the load (Corless et al., Adv. Comput. Math. 5, 1996),
+    # where the term is W*exp(-expm1(W)/l).  The loads run from 1e-300 to 1e300, five
+    # a decade; below about 1e-16, W(l) = l - l^2 + ... is within an ulp of the
+    # derived bound log1p(l).  The oracle keeps -expm1(W)/l: its equal 1/l - 1/W
+    # cancels to 0 at l = 1e-300, even at 40 digits.  The tolerance is the one
+    # reg_gamma_q is held to.
+    mpmath = pytest.importorskip("mpmath")
+    loads = np.geomspace(1e-300, 1e300, 3001)
+    terms = rates._max_markov_terms(np.ones(loads.size), loads)
+    with mpmath.workdps(40):
+        for load, term in zip(loads.tolist(), terms.tolist()):
+            w = mpmath.lambertw(mpmath.mpf(load)).real
+            oracle = float(w * mpmath.exp(-mpmath.expm1(w) / load))
+            assert term == pytest.approx(oracle, rel=1e-13, abs=0.0), load
+
+
+def test_markov_max_rule_raises_at_once_where_its_curvature_is_not_negative(monkeypatch):
+    # a density of exactly 0 makes h' = Q > 0 and h'' = 0: the Newton point is
+    # undefined, and the search raises at its first step rather than step elsewhere
+    calls = []
+
+    def gamma_q(k, x):
+        calls.append(np.size(x))
+        return _gamma_q(k, x)[0], np.full(np.size(x), -np.inf)
+
+    monkeypatch.setattr(rates, "_gamma_q", gamma_q)
+    k = np.array([0.5, 1.0, 4.0])
+    with pytest.raises(NumericError, match=r"h'' >= 0 or a Newton point a <= 0"):
+        rates._max_markov_terms(k, np.full(3, 2.0))
+    assert calls == [3]
+
+
 def test_markov_max_rule_beats_every_alpha_rule_and_no_more_than_the_exact_rate():
     # one subchannel per (shape, power) pair, p from 1e-300 to 1e300, each
     # bounded alone as one row of a diagonal stack.  Maximising over a can

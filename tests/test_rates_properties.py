@@ -50,8 +50,8 @@ def test_markov_lower_exact_and_jensen_are_ordered_for_every_a_rule(subs, alpha)
 @given(st.floats(-1.0, 5.0), st.floats(-12.0, 12.0))
 def test_markov_term_has_one_maximum_in_its_derived_bracket(log_k, log_c):
     # h(a) = a*Q(k, x), x = c*expm1(a), has h'(a) = Q(k, x) - a*(x + c)*phi(x),
-    # phi the Gamma(k, 1) density.  The Markov search brackets its maximum
-    # in (0, log1p(max(k, 1)/c)]; it assumes that h' changes sign once there,
+    # phi the Gamma(k, 1) density.  The Markov search's derivation places its
+    # maximum in (0, log1p(max(k, 1)/c)]; it assumes that h' changes sign once there,
     # from + to -, checked here with scipy's Q and density on 4,000 points
     # spaced geometrically from 1e-12 of the bracket's end to the end itself.
     special = pytest.importorskip("scipy.special")
