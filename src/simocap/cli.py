@@ -149,7 +149,8 @@ def _check_config_field(f, value) -> None:
         ok = isinstance(value, list) and all(_is_json_value(typ, v) for v in value)
         kind = f"a list of {_TYPE_NAMES[typ]}s"
     else:
-        ok, kind = _is_json_value(f.type, value), f"a {_TYPE_NAMES[f.type]}"
+        name = _TYPE_NAMES[f.type]
+        ok, kind = _is_json_value(f.type, value), f"{'an' if name[0] in 'aeiou' else 'a'} {name}"
     if not ok:
         raise ValueError(f"config field {f.name!r} must be {kind}, got {value!r}")
     choices = _FLAG_OPTIONS.get(f.name, {}).get("choices")

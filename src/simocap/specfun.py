@@ -183,10 +183,11 @@ def _rule_sums(nodes, weights, rows, integrands, *columns) -> np.ndarray:
     # and sums to 1, a non-finite value, even at a zero weight, spoils its sum: sums are checked
     sums, step = np.empty((len(integrands), rows.size)), max(1, _NODE_CHUNK // nodes.shape[1])
     for at in (slice(start, start + step) for start in range(0, rows.size, step)):
-        values = nodes[rows[at]]
+        values, pass_weights = nodes[rows[at]], weights[rows[at]]
         for row, integrand in zip(sums, integrands):
             values = integrand(values, *(column[at, None] for column in columns))
-            row[at] = np.einsum("ij,ij->i", values, weights[rows[at]])
+            row[at] = np.einsum("ij,ij->i", values, pass_weights)
+        del values, pass_weights  # freed before the next pass gathers its own
         if not np.all(np.isfinite(sums[:, at])):
             raise NumericError("integrand produced non-finite values at quadrature nodes")
     return sums

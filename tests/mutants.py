@@ -4,7 +4,8 @@
 
 For each comparison operator in a module, one mutant flips it (``<`` with
 ``<=``, ``>`` with ``>=``), and for each logical one swaps it (``and`` with
-``or``, ``&`` with ``|``), in a temporary copy of ``src/simocap``, ``tests``
+``or``, ``&`` with ``|``); a ``|`` in a type annotation joins types, so it is
+left alone.  Each mutant is made in a temporary copy of ``src/simocap``, ``tests``
 and ``pyproject.toml``, and runs the module's test files there, stopping at the
 first failure.  The operator is spliced into the source text, so every other
 byte and every line number stays; an ``and``/``or`` swap changes the length of
@@ -50,10 +51,23 @@ def operands(node):
     return [(node.left, node.op, node.right)] if isinstance(node, ast.BinOp) else []
 
 
+def annotations(tree):
+    # every node of the type annotations of arguments, returns and annotated assignments
+    for node in ast.walk(tree):
+        for note in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if note is not None:
+                yield from ast.walk(note)
+
+
 def mutants(source: bytes):
-    # ("line:column", old, new, mutated source) for each flippable operator; offsets count bytes
+    # ("line:column", old, new, mutated source) for each flippable operator outside the
+    # annotations; offsets count bytes
     starts = [0, *itertools.accumulate(map(len, source.splitlines(keepends=True)))]
-    for node in ast.walk(ast.parse(source)):
+    tree = ast.parse(source)
+    typed = set(annotations(tree))
+    for node in ast.walk(tree):
+        if node in typed:
+            continue
         for left, op, right in operands(node):
             if type(op) not in FLIP:
                 continue

@@ -269,7 +269,6 @@ def test_optimal_allocation_solves_bins_whose_mu_over_n0_is_near_or_past_dbl_max
     # quadrature node of the shape-0.1 law, about 600 times its mean, is past DBL_MAX
     # over n0, and at 1e309 mu/n0 itself is; but the solver reads only the loads and
     # mu/n0 in units of a power of two below the water level, so it solves both
-    mpmath = pytest.importorskip("mpmath")
     ch = ParallelChannel(theta=[1.0, 1e306], shape=0.1, n0=1e-3)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -279,18 +278,22 @@ def test_optimal_allocation_solves_bins_whose_mu_over_n0_is_near_or_past_dbl_max
         ch = ParallelChannel(theta=[1.0, 1e307], shape=0.1, n0=1e-3)
         low, high = optimal_allocation(ch, 1e-10), optimal_allocation(ch, 0.05)
         swf = waterfill(ch.mean_gains, ch.n0, 0.05)[0]
-        gain = exact_rate(ch, high) - exact_rate(ch, swf)
+        rates = [f(ch, high) for f in (markov_lower, exact_rate, jensen_upper)]
+        gain = rates[1] - exact_rate(ch, swf)
     assert low.tolist() == [0.0, 1e-10]
     assert np.all(high > 0.0) and 0.16 < gain < 0.161, (high, gain)
+    assert 0.0 < rates[0] <= rates[1] <= rates[2] < math.inf, rates
+    for p_total, powers in ((1e-10, low), (0.05, high)):
+        assert math.isclose(powers.sum(), p_total, rel_tol=1e-12)
     # the KKT stop on 30-digit marginals: the natural-units rule that _assert_kkt uses
     # cannot take the gains at the nodes of bin 1, which lie past DBL_MAX
-    for p_total, powers in ((1e-10, low), (0.05, high)):
+    mpmath = pytest.importorskip("mpmath")
+    for powers in (low, high):
         marginals = [_mpmath_marginal(mpmath, mu, 0.1, ch.n0, p)
                      for mu, p in zip(ch.mean_gains, powers)]
         active = [m for m, p in zip(marginals, powers) if p > 0.0]
         # the active marginals, and any inactive mu/n0 above them, agree to 1e-12
         assert max(marginals) - min(active) <= 1e-12 * max(active)
-        assert math.isclose(powers.sum(), p_total, rel_tol=1e-12)
 
 
 def test_exact_rate_reads_nodes_past_dbl_max_at_a_finite_load_and_refuses_its_overflow():
@@ -300,7 +303,7 @@ def test_exact_rate_reads_nodes_past_dbl_max_at_a_finite_load_and_refuses_its_ov
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         exact = exact_rate(ch, [1.0, 1e-10])
-        assert markov_lower(ch, [1.0, 1e-10]) <= exact <= jensen_upper(ch, [1.0, 1e-10])
+        assert 0.0 < markov_lower(ch, [1.0, 1e-10]) <= exact <= jensen_upper(ch, [1.0, 1e-10])
         assert 673.0 < exact < 674.0
         # at n0 = 1e-300 the load of bin 1 overflows: the bin is refused by name, for it
         ch = ParallelChannel(theta=[1.0, 1e307], shape=0.1, n0=1e-300)

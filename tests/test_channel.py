@@ -7,7 +7,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from simocap.alloc import equal_power
 from simocap.channel import (
@@ -265,6 +264,7 @@ def test_a_count_or_branch_id_that_is_not_a_number_is_refused_by_name(call, args
 
 def test_simo_gains_match_sum_of_exponentials():
     # integer shape: Gamma(3, 1) is the law of a sum of 3 unit exponentials
+    stats = pytest.importorskip("scipy.stats")
     gamma_draws = _draws(theta=1.0, shape=3.0, n=10_000, seed=123, n_branches=3)
     rng = np.random.default_rng(321)
     exp_sums = rng.exponential(1.0, size=(10_000, 3)).sum(axis=1)

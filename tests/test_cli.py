@@ -648,6 +648,9 @@ _REFUSALS = {
     "wrong-json-type": (
         "bounds-sweep", '{"rate_units": 5}', [], "config field 'rate_units' must be a string, got 5"
     ),
+    "fractional-integer": (
+        "bounds-sweep", '{"n_bins": 2.5}', [], "config field 'n_bins' must be an integer, got 2.5"
+    ),
     "bad-rate-units": (
         "mpe-study", '{"rate_units": "bits2"}', [],
         "config field 'rate_units' must be one of ('nats', 'bits'), got 'bits2'",
@@ -767,6 +770,13 @@ def _subprocess_env():
     src = str(Path(simocap.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH", "")]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
+def test_version_flag_prints_the_package_version(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["--version"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr() == (simocap.__version__ + "\n", "")
 
 
 def test_python_dash_m_runs_the_cli():

@@ -531,6 +531,14 @@ def test_markov_lower_does_not_depend_on_the_rows_that_share_its_stack(monkeypat
     assert terms.tolist() == singles
 
 
+def test_optimal_allocation_on_the_wide_channel_meets_its_budget_below_the_jensen_bound():
+    # every row of the channel's rule but the longest is padded, in the solver's passes too
+    ch = _wide_channel_stack(3)[0]
+    powers = optimal_allocation(ch, 12.0)
+    assert math.isclose(powers.sum(), 12.0, rel_tol=1e-12)
+    assert 0.0 < exact_rate(ch, powers) < jensen_upper(ch, powers)
+
+
 def test_exact_rate_additivity_and_jensen_domination():
     mpmath = pytest.importorskip("mpmath")
     ch = ParallelChannel(theta=[1.0, 1.0], shape=1.0, n0=1.0)
@@ -1099,14 +1107,15 @@ def test_the_least_accepted_load_gives_finite_ordered_rates_without_warnings(k):
 def test_the_alpha_rule_is_finite_at_the_largest_loads():
     # a = log1p(alpha*load) at the threshold x = alpha*k forms no product
     # past the float range, as p*theta/n0 = 1e309 would be here
-    mpmath = pytest.importorskip("mpmath")
     ch = ParallelChannel([10.0], 0.1, n0=1.0)
     closed = markov_lower(ch, [1e308], alpha=0.5)
+    assert math.isclose(closed, 159.03, rel_tol=1e-4)
+    assert closed <= jensen_upper(ch, [1e308]) < math.inf
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         load, k = mpmath.mpf(float(ch.mean_gains[0]) * 1e308), mpmath.mpf(0.1)
         ref = mpmath.log1p(load / 2) * mpmath.gammainc(k, mpmath.mpf(0.5 * 0.1), regularized=True)
     assert math.isclose(closed, float(ref), rel_tol=1e-13)
-    assert math.isclose(closed, 159.03, rel_tol=1e-4) and closed <= jensen_upper(ch, [1e308])
 
 
 @pytest.mark.parametrize("k", [0.1, 1.0, 4.0, 1e5])
@@ -1115,16 +1124,18 @@ def test_exact_rate_is_finite_at_the_largest_loads(k):
     # to 4 (602 times the mean at shape 0.1), where its log is taken as the
     # sum of its factors' logs.  E[log(1 + load*g/mu)] = log(load) + psi(k)
     # - log(k) up to E[log1p(mu/(load*g))], below 1e-30 here.
-    mpmath = pytest.importorskip("mpmath")
     ch = ParallelChannel([1.0 / k], k, n0=1.0)
-    for load in (1e307, 1.7e308):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            exact = exact_rate(ch, [load])
+    loads = (1e307, 1.7e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exact = [exact_rate(ch, [load]) for load in loads]
+    for load, rate in zip(loads, exact):
+        assert 0.0 < rate <= jensen_upper(ch, [load]) < math.inf, load
+    mpmath = pytest.importorskip("mpmath")
+    for load, rate in zip(loads, exact):
         with mpmath.workdps(30):
             ref = mpmath.log(load) + mpmath.digamma(k) - mpmath.log(k)
-        assert math.isclose(exact, float(ref), rel_tol=1e-13), load
-        assert exact <= jensen_upper(ch, [load])
+        assert math.isclose(rate, float(ref), rel_tol=1e-13), load
 
 
 @pytest.mark.parametrize("c_upper, c_lower", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)])
